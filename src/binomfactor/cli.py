@@ -149,37 +149,19 @@ def _csv_cell(value):
 
 def _cmd_decompose(cfg: RunConfig, args) -> int:
     dec = decompose(args.n, args.k)
-    payload = dec.to_json_dict()
-    canonical = canonical_integer_form(dec)
-    lines = [f"prime divisors of C({args.n}, {args.k}) lie in:"]
-    csv_rows = []
-    for i in sorted(dec.levels):
-        parts = []
-        for iv, ci in zip(dec.levels[i], canonical[i]):
-            if args.exact:
-                parts.append(f"({iv.lower}, {iv.upper}]")
-            elif i == 1:
-                if not ci.empty:
-                    parts.append(f"({ci.lower}, {ci.upper}]")
-            else:
-                # at level i the members are primes whose i-th power lands
-                # in the interval; show the equivalent prime range
-                rlo = integer_root(ci.lower, i)
-                rhi = integer_root(ci.upper, i)
-                if rhi > rlo and rhi >= 2:
-                    parts.append(f"({rlo}, {rhi}]")
-            csv_rows.append({
-                "level": i, "branch": iv.branch, "j": iv.j,
-                "f": iv.f if iv.f is not None else "",
-                "lower_num": iv.lower.numerator, "lower_den": iv.lower.denominator,
-                "upper_num": iv.upper.numerator, "upper_den": iv.upper.denominator,
-            })
-        if parts:
-            label = f"  level {i}: " if i == 1 else f"  level {i} (p^{i} witnesses): p in "
-            lines.append(label + " u ".join(parts))
-    if not dec.levels or all(not v for v in dec.levels.values()):
-        lines.append("  (empty: the coefficient is 1)")
-    _emit(cfg, payload, lines, csv_rows)
+    payload = rows = None
+    lines = []
+    if cfg.output_format == "pretty":
+        lines = _decompose_lines(dec, args.exact)
+    else:
+        payload = dec.to_json_dict()
+        if cfg.output_format == "csv":
+            rows = [{"level": lv["i"], "branch": iv["branch"], "j": iv["j"],
+                     "f": iv.get("f", ""),
+                     "lower_num": iv["lower"]["num"], "lower_den": iv["lower"]["den"],
+                     "upper_num": iv["upper"]["num"], "upper_den": iv["upper"]["den"]}
+                    for lv in payload["levels"] for iv in lv["intervals"]]
+    _emit(cfg, payload, lines, rows)
     if args.verify:
         table = build_table(cfg.require(args.n))
         bad = equivalence_check(args.n, args.k, table)
@@ -190,6 +172,33 @@ def _cmd_decompose(cfg: RunConfig, args) -> int:
         print(f"verified against the sieve oracle: all primes <= {args.n} agree",
               file=sys.stderr)
     return EXIT_OK
+
+
+def _ratio(end: dict) -> str:
+    return str(end["num"]) if end["den"] == 1 else f"{end['num']}/{end['den']}"
+
+
+def _decompose_lines(dec, exact: bool) -> list[str]:
+    lines = [f"prime divisors of C({dec.n}, {dec.k}) lie in:"]
+    canonical = canonical_integer_form(dec)
+    if exact:
+        shown = {lv["i"]: [f"({_ratio(iv['lower'])}, {_ratio(iv['upper'])}]"
+                           for iv in lv["intervals"]]
+                 for lv in dec.to_json_dict()["levels"]}
+    else:
+        # at level i the members are primes whose i-th power lands in the
+        # interval; show the equivalent prime range
+        shown = {}
+        for i, rows in canonical.items():
+            roots = [(integer_root(c.lower, i), integer_root(c.upper, i)) for c in rows]
+            shown[i] = [f"({lo}, {hi}]" for lo, hi in roots if hi > lo and hi >= 2]
+    for i, parts in shown.items():
+        if parts:
+            label = f"  level {i}: " if i == 1 else f"  level {i} (p^{i} witnesses): p in "
+            lines.append(label + " u ".join(parts))
+    if not any(canonical.values()):
+        lines.append("  (empty: the coefficient is 1)")
+    return lines
 
 
 def _cmd_identity(cfg: RunConfig, args) -> int:

@@ -19,26 +19,29 @@ root level i (all endpoint arithmetic exact):
 membership meaning lower < p^i <= upper.  For each fixed root level the
 intervals are pairwise disjoint.
 
-Everything here is exact: endpoints are `fractions.Fraction`s, membership
-compares p^i against the un-rooted bounds by cross multiplication, and
-floored "canonical" endpoints come from integer division.  A vectorised
-integer-only fast path backs the bulk equivalence sweeps against the
-sieve oracle.
+`_level_index` enumerates the (j, f) indices of one root level as int64
+arrays, and everything else reads that one enumeration: `decompose` keeps
+the exact endpoints of every level as integer numerator/denominator
+columns in lowest terms, and the membership mask and prime counts use
+their floors.  Floors lose nothing for primes: an integer q satisfies
+a < q <= b iff floor(a) < q <= floor(b).  `fractions.Fraction` endpoints
+are built only when `Decomposition.levels` is read.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError
-from .primes import PrimeTable, _binom_divisor_flags, integer_root
+from .primes import PrimeTable, _binom_divisor_flags
 
-#: Exact rational endpoints; stored in lowest terms, compared exactly.
-Rational = Fraction
+#: Largest n `decompose` accepts.  The columns hold about n intervals in
+#: int64, and the order and degeneracy tests cross-multiply up to n^2.
+MAX_DECOMPOSE_N = 1_000_000
 
 BRANCH_A = "A"
 BRANCH_B = "B"
@@ -58,17 +61,6 @@ class DivisorInterval:
     j: int
     f: int | None
 
-    def __post_init__(self):
-        if not self.lower < self.upper:
-            raise DomainError(
-                f"degenerate interval ({self.lower}, {self.upper}] emitted; "
-                "this indicates an enumeration bug")
-
-    def contains_power(self, p: int) -> bool:
-        """Exact test lower < p**root_index <= upper."""
-        q = p ** self.root_index
-        return self.lower < q <= self.upper
-
 
 @dataclass(frozen=True)
 class CanonicalInterval:
@@ -83,57 +75,61 @@ class CanonicalInterval:
 class Decomposition:
     """The full interval family for one pair (n, k), grouped by root level.
 
-    ``levels[i]`` (1-based mapping) holds the intervals at root level i,
-    ordered by descending lower endpoint.  Intervals at a fixed level are
-    disjoint; across levels the same prime may be witnessed repeatedly,
-    so membership is the union over all levels.
+    ``columns[i]`` is a read-only int64 array of shape (6, m) holding the
+    m intervals at root level i, ordered by descending lower endpoint.
+    Its rows are lower numerator, lower denominator, upper numerator,
+    upper denominator (both fractions in lowest terms), j and f, with
+    f = -1 on branch B.  Intervals at a fixed level are disjoint; across
+    levels the same prime may be witnessed repeatedly, so membership is
+    the union over all levels.
     """
 
-    def __init__(self, n: int, k: int, levels: dict[int, tuple[DivisorInterval, ...]]):
+    def __init__(self, n: int, k: int, columns: dict[int, np.ndarray]):
         self.n = n
         self.k = k
-        self.levels = levels
-        self.max_root_index = 0
-        for i, ivs in levels.items():
-            for iv in ivs:
-                fl = iv.lower.numerator // iv.lower.denominator
-                fu = iv.upper.numerator // iv.upper.denominator
-                if fu >= 2 and fu > fl:
-                    self.max_root_index = max(self.max_root_index, i)
-                    break
-        # ascending endpoint index per level, for log-time membership
-        self._asc = {
-            i: sorted(ivs, key=lambda iv: iv.lower)
-            for i, ivs in levels.items()
+        self.columns = columns
+
+    @cached_property
+    def levels(self) -> dict[int, tuple[DivisorInterval, ...]]:
+        """``levels[i]``: the level-i intervals as objects, in column order."""
+        return {
+            i: tuple(DivisorInterval(Fraction(a, b), Fraction(c, d), i,
+                                     BRANCH_A if f >= 0 else BRANCH_B, j,
+                                     f if f >= 0 else None)
+                     for a, b, c, d, j, f in cols.T.tolist())
+            for i, cols in self.columns.items()
         }
+
+    @cached_property
+    def _floors(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Floored (lower, upper) per level, in ascending order."""
+        return {i: (cols[0, ::-1] // cols[1, ::-1], cols[2, ::-1] // cols[3, ::-1])
+                for i, cols in self.columns.items()}
+
+    @cached_property
+    def max_root_index(self) -> int:
+        """Deepest root level holding an integer >= 2."""
+        return max((i for i, (lo, hi) in self._floors.items()
+                    if ((hi >= 2) & (hi > lo)).any()), default=0)
 
     def intervals_at(self, i: int) -> tuple[DivisorInterval, ...]:
         return self.levels.get(i, ())
 
     def all_intervals(self) -> list[DivisorInterval]:
-        out: list[DivisorInterval] = []
-        for i in sorted(self.levels):
-            out.extend(self.levels[i])
-        return out
+        return [iv for ivs in self.levels.values() for iv in ivs]
 
     def prime_divides(self, p: int) -> bool:
         """True iff some interval at some root level contains p^i.
 
-        Disjointness per level means at most one interval can contain a
-        given power: binary search for the largest lower endpoint < p^i.
+        Floored lowers ascend, and the last one below p^i belongs to the
+        only interval at that level that can contain it.
         """
-        for i, asc in self._asc.items():
-            if not asc:
-                continue
+        for i, (lo, hi) in self._floors.items():
             q = p ** i
-            lo_idx, hi_idx = 0, len(asc)
-            while lo_idx < hi_idx:
-                mid = (lo_idx + hi_idx) // 2
-                if asc[mid].lower < q:
-                    lo_idx = mid + 1
-                else:
-                    hi_idx = mid
-            if lo_idx and q <= asc[lo_idx - 1].upper:
+            if q > self.n:
+                break
+            t = int(np.searchsorted(lo, q))
+            if t and q <= hi[t - 1]:
                 return True
         return False
 
@@ -141,56 +137,52 @@ class Decomposition:
         """Wire format: {n, k, levels: [{i, intervals: [...]}]} with exact
         numerator/denominator endpoint pairs."""
         levels = []
-        for i in sorted(self.levels):
+        for i, cols in self.columns.items():
             ivs = []
-            for iv in self.levels[i]:
-                rec = {
-                    "lower": {"num": iv.lower.numerator, "den": iv.lower.denominator},
-                    "upper": {"num": iv.upper.numerator, "den": iv.upper.denominator},
-                    "branch": iv.branch,
-                    "j": iv.j,
-                }
-                if iv.f is not None:
-                    rec["f"] = iv.f
+            for a, b, c, d, j, f in cols.T.tolist():
+                rec = {"lower": {"num": a, "den": b}, "upper": {"num": c, "den": d},
+                       "branch": BRANCH_A if f >= 0 else BRANCH_B, "j": j}
+                if f >= 0:
+                    rec["f"] = f
                 ivs.append(rec)
             levels.append({"i": i, "intervals": ivs})
         return {"n": self.n, "k": self.k, "levels": levels}
 
     def __repr__(self) -> str:  # pragma: no cover
-        total = sum(len(v) for v in self.levels.values())
+        total = sum(cols.shape[1] for cols in self.columns.values())
         return (f"Decomposition(n={self.n}, k={self.k}, "
-                f"levels={len(self.levels)}, intervals={total})")
+                f"levels={len(self.columns)}, intervals={total})")
 
 
 # -- enumeration -------------------------------------------------------
 
 
-def _branch_a_params(n: int, k: int, d_max: int):
-    """Scalar (j, f) enumeration for branch A, keeping only pairs whose
-    interval upper endpoint n/(f+j) can hold a power >= 2^i, i.e.
-    f + j <= d_max = floor(n / 2^i)."""
-    j = 1
-    while True:
-        f_lo = (n * (j - 1)) // k - j + 1
-        if f_lo + j > d_max:      # minimal f+j for this j; nondecreasing in j
-            return
-        f_hi = min((n * j) // k - j - 1, d_max - j)
-        for f in range(f_lo, f_hi + 1):
-            yield j, f
-        j += 1
+def _level_index(n: int, k: int, i: int) -> tuple[np.ndarray, ...]:
+    """(j_a, f_a, j_b, t_b): the indices of every interval at root level i,
+    as int64 arrays.  Branch A pairs (j, f) come with f strictly ascending,
+    branch B pairs (j, t = floor(nj/k)) with j ascending.  Only intervals
+    whose upper endpoint can hold a power >= 2^i are kept, i.e. those with
+    upper denominator f + j or t at most floor(n / 2^i)."""
+    d_max = n >> i
+    if d_max < 1 or k == 0 or k == n:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty, empty
+    jmax_a = (k * d_max - 1) // n + 1
+    j = np.arange(1, jmax_a + 1, dtype=np.int64)
+    f0 = (n * (j - 1)) // k - j + 1
+    f1 = np.minimum((n * j) // k - j - 1, d_max - j)
+    lengths = np.maximum(f1 - f0 + 1, 0)
+    total = int(lengths.sum())
+    j_rep = np.repeat(j, lengths)
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    f = (np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)) + np.repeat(f0, lengths)
 
-
-def _branch_b_params(n: int, k: int, d_max: int):
-    """Scalar (j, t) enumeration for branch B, t = floor(nj/k) <= d_max,
-    restricted to n*j not divisible by k."""
-    j = 1
-    while True:
-        t = (n * j) // k
-        if t > d_max:             # t nondecreasing in j
-            return
-        if (n * j) % k:
-            yield j, t
-        j += 1
+    jmax_b = ((d_max + 1) * k - 1) // n
+    jb = np.arange(1, jmax_b + 1, dtype=np.int64)
+    nj = n * jb
+    t = nj // k
+    keep = (nj % k) != 0
+    return j_rep, f, jb[keep], t[keep]
 
 
 def decompose(n: int, k: int) -> Decomposition:
@@ -199,29 +191,35 @@ def decompose(n: int, k: int) -> Decomposition:
     Root levels run from 1 up to floor(log2 n); at level i intervals whose
     upper endpoint is below 2^i are omitted (no prime power fits).  The
     cases k = 0 and k = n yield an empty decomposition since C(n, k) = 1.
+    n is capped at MAX_DECOMPOSE_N.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if k < 0 or k > n:
         raise DomainError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
+    if n > MAX_DECOMPOSE_N:
+        raise OutOfRangeError(f"decompose needs n <= {MAX_DECOMPOSE_N}, got n={n}")
     if k == 0 or k == n:
         return Decomposition(n, k, {})
-    levels: dict[int, tuple[DivisorInterval, ...]] = {}
-    i = 1
-    while (1 << i) <= n:
-        d_max = n >> i
-        ivs = [
-            DivisorInterval(Fraction(n - k, f + 1), Fraction(n, f + j), i, BRANCH_A, j, f)
-            for j, f in _branch_a_params(n, k, d_max)
-        ]
-        ivs.extend(
-            DivisorInterval(Fraction(k, j), Fraction(n, t), i, BRANCH_B, j, None)
-            for j, t in _branch_b_params(n, k, d_max)
-        )
-        ivs.sort(key=lambda iv: iv.lower, reverse=True)
-        levels[i] = tuple(ivs)
-        i += 1
-    return Decomposition(n, k, levels)
+    columns: dict[int, np.ndarray] = {}
+    for i in range(1, n.bit_length()):
+        ja, fa, jb, tb = _level_index(n, k, i)
+        cols_a = np.stack([np.full_like(fa, n - k), fa + 1, np.full_like(fa, n), fa + ja, ja, fa])
+        cols_b = np.stack([np.full_like(jb, k), jb, np.full_like(jb, n), tb, jb, np.full_like(jb, -1)])
+        # both runs descend by lower endpoint; k/j goes after every
+        # (n-k)/(f+1) above it, i.e. after every f <= ceil((n-k)j/k) - 2
+        at = np.searchsorted(fa, -((-(n - k) * jb) // k) - 2, side="right")
+        cols = np.insert(cols_a, at, cols_b, axis=1)
+        for num, den in (cols[0:2], cols[2:4]):
+            g = np.gcd(num, den)
+            num //= g
+            den //= g
+        if (cols[0] * cols[3] >= cols[2] * cols[1]).any():
+            raise DomainError(f"degenerate interval at level {i} of C({n}, {k}); "
+                              "this indicates an enumeration bug")
+        cols.setflags(write=False)
+        columns[i] = cols
+    return Decomposition(n, k, columns)
 
 
 def prime_divides(dec: Decomposition, p: int) -> bool:
@@ -236,15 +234,9 @@ def canonical_integer_form(dec: Decomposition) -> dict[int, list[CanonicalInterv
     (a, b] maps to (floor(a), floor(b)]; since primes are integers the two
     forms have identical prime membership.  Degenerate floored intervals
     are kept but flagged."""
-    out: dict[int, list[CanonicalInterval]] = {}
-    for i in sorted(dec.levels):
-        rows = []
-        for iv in dec.levels[i]:
-            lo = iv.lower.numerator // iv.lower.denominator
-            hi = iv.upper.numerator // iv.upper.denominator
-            rows.append(CanonicalInterval(lo, hi, empty=lo == hi))
-        out[i] = rows
-    return out
+    return {i: [CanonicalInterval(a, b, empty=a == b)
+                for a, b in zip(lo[::-1].tolist(), hi[::-1].tolist())]
+            for i, (lo, hi) in dec._floors.items()}
 
 
 def verify_disjoint(dec: Decomposition, i: int) -> tuple[DivisorInterval, DivisorInterval] | None:
@@ -258,36 +250,15 @@ def verify_disjoint(dec: Decomposition, i: int) -> tuple[DivisorInterval, Diviso
     return None
 
 
-# -- vectorised integer fast path --------------------------------------
+# -- floored endpoints for the membership mask ---------------------------
 
 
 def _level_range_arrays(n: int, k: int, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Floored endpoints (lo, hi] of every interval at root level i,
-    as int64 arrays.  Mirrors the scalar enumeration exactly."""
-    empty = np.empty(0, dtype=np.int64)
-    d_max = n >> i
-    if d_max < 1 or k == 0 or k == n:
-        return empty, empty
-    jmax_a = (k * d_max - 1) // n + 1
-    j = np.arange(1, jmax_a + 1, dtype=np.int64)
-    f0 = (n * (j - 1)) // k - j + 1
-    f1 = np.minimum((n * j) // k - j - 1, d_max - j)
-    lengths = np.maximum(f1 - f0 + 1, 0)
-    total = int(lengths.sum())
-    j_rep = np.repeat(j, lengths)
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    f = (np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)) + np.repeat(f0, lengths)
-    lo_a = (n - k) // (f + 1)
-    hi_a = n // (f + j_rep)
-
-    jmax_b = ((d_max + 1) * k - 1) // n
-    jb = np.arange(1, jmax_b + 1, dtype=np.int64)
-    nj = n * jb
-    t = nj // k
-    keep = (nj % k) != 0
-    lo_b = k // jb[keep]
-    hi_b = n // t[keep]
-    return np.concatenate([lo_a, lo_b]), np.concatenate([hi_a, hi_b])
+    as int64 arrays (branch A first, then branch B)."""
+    ja, fa, jb, tb = _level_index(n, k, i)
+    return (np.concatenate([(n - k) // (fa + 1), k // jb]),
+            np.concatenate([n // (fa + ja), n // tb]))
 
 
 def _integer_root_vec(arr: np.ndarray, i: int) -> np.ndarray:

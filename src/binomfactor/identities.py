@@ -140,7 +140,9 @@ def omega_identity_report(n: int, m: int, k: int, table: PrimeTable) -> Identity
     deep = lhs - level1
     regroup = rhs - grouped
     residual = lhs - rhs
-    assert residual == deep - regroup, (n, m, k, residual, deep, regroup)
+    if residual != deep - regroup:
+        raise RuntimeError(f"omega residual {residual} at (n, m, k) = ({n}, {m}, {k}) "
+                           f"is not deep {deep} minus regroup {regroup}")
     return IdentityReport(
         identity_id=IDENTITY_OMEGA_PI,
         params={"n": n, "m": m, "k": k},

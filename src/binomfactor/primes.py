@@ -259,12 +259,7 @@ def legendre_exponent(p: int, n: int) -> int:
         raise DomainError(f"{p} is not prime")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    total = 0
-    q = p
-    while q <= n:
-        total += n // q
-        q *= p
-    return total
+    return _legendre_raw(p, n)
 
 
 def _legendre_raw(p: int, n: int) -> int:
@@ -280,14 +275,15 @@ def binom_exponent(p: int, n: int, k: int) -> int:
     """Exponent of the prime p in C(n, k).
 
     Computed as e_p(n!) - e_p(k!) - e_p((n-k)!); the result always
-    satisfies p**e <= n, which is asserted.
+    satisfies p**e <= n, which is checked.
     """
     if not _is_prime_int(p):
         raise DomainError(f"{p} is not prime")
     if not 0 <= k <= n or n < 1:
         raise DomainError(f"need 0 <= k <= n with n >= 1, got n={n}, k={k}")
     e = _legendre_raw(p, n) - _legendre_raw(p, k) - _legendre_raw(p, n - k)
-    assert p ** e <= n, (p, n, k, e)
+    if p ** e > n:
+        raise RuntimeError(f"exponent {e} of {p} in C({n}, {k}) breaks p^e <= n")
     return e
 
 

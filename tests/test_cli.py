@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -76,6 +78,29 @@ class TestDecomposeCommand:
                                "--format", "json", "--out", str(target))
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["n"] == 40
+
+    @pytest.mark.parametrize("flags,digest", [
+        (["--format", "json"],
+         "a961b073ae98ead6948abdcc3fbc1ce9595fd4a08a4c4d4530d65eeafe13b3d5"),
+        (["--format", "csv"],
+         "ebba1f34b016b67ade246298ce1f62f8ff22d13b66f4c72131f2661c47da6d7a"),
+        ([], "57af9921ce415ed037b3833ffbab2c8ece0140a49b58e0f4fddb1d643efb8cda"),
+        (["--exact"],
+         "85c586528b622717daf9dcc0068dbfdfb5012446b5b42966c376e94655e1bb00"),
+    ])
+    def test_golden_output(self, capsys, flags, digest):
+        # digests of the Fraction-per-interval implementation's output for
+        # C(2000, 800): the output bytes are part of the contract
+        code, out, _ = run_cli(capsys, "decompose", "2000", "800", *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_size_cap_exit_2(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "decompose", "100000000", "50000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "error" in err and "n <= 1000000" in err
 
 
 class TestIdentityCommand:

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomfactor import (DomainError, OutOfRangeError, binom_exponent,
-                         canonical_integer_form, decompose, equivalence_check,
-                         prime_divides, verify_disjoint)
+import binomfactor.decomposition as decomposition
+from binomfactor import (MAX_DECOMPOSE_N, DomainError, OutOfRangeError,
+                         binom_exponent, canonical_integer_form, decompose,
+                         equivalence_check, prime_divides, verify_disjoint)
 from binomfactor.decomposition import (_integer_root_vec, _level_range_arrays,
                                        integer_membership_mask)
 
@@ -71,6 +72,32 @@ class TestDegenerateInputs:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             decompose(5, -1)
+
+    def test_size_cap(self):
+        with pytest.raises(OutOfRangeError):
+            decompose(MAX_DECOMPOSE_N + 1, 1)
+        with pytest.raises(OutOfRangeError):
+            decompose(100_000_000, 50_000_000)
+
+    def test_cap_itself_accepted(self):
+        n, k = MAX_DECOMPOSE_N, MAX_DECOMPOSE_N // 3
+        dec = decompose(n, k)
+        for p in (2, 3, 999_983, 666_667):
+            assert prime_divides(dec, p) == (binom_exponent(p, n, k) > 0)
+
+    def test_degenerate_interval_raises(self, monkeypatch):
+        # a branch-B index (j, t) = (1, n) would give the interval (k, 1]
+        def broken(n, k, i):
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, np.array([1]), np.array([n])
+        monkeypatch.setattr(decomposition, "_level_index", broken)
+        with pytest.raises(DomainError, match="degenerate"):
+            decompose(10, 3)
+
+    def test_columns_read_only(self):
+        dec = decompose(100, 37)
+        with pytest.raises(ValueError):
+            dec.columns[1][0, 0] = 1
 
 
 class TestCanonicalForm:
@@ -220,6 +247,23 @@ class TestEquivalence:
         for n in range(1, 120):
             for k in range(n + 1):
                 assert equivalence_check(n, k, table_small) is None, (n, k)
+
+    @given(st.integers(1, 2500).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, n))))
+    @settings(max_examples=60, deadline=None)
+    def test_prime_divides_matches_binom_exponent(self, table_small, nk):
+        n, k = nk
+        dec = decompose(n, k)
+        for p in table_small.primes_up_to(n).tolist():
+            assert prime_divides(dec, p) == (binom_exponent(p, n, k) > 0), p
+        for level in dec.to_json_dict()["levels"]:
+            for iv in level["intervals"]:
+                lo, hi = iv["lower"], iv["upper"]
+                assert math.gcd(lo["num"], lo["den"]) == 1
+                assert math.gcd(hi["num"], hi["den"]) == 1
+                assert lo["num"] * hi["den"] < hi["num"] * lo["den"]
+        for i in dec.columns:
+            assert verify_disjoint(dec, i) is None
 
     def test_random_midsize(self, table_medium):
         rng = random.Random(4242)

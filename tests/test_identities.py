@@ -90,6 +90,15 @@ class TestOmegaIdentityReport:
         assert rep.normalization == "residual/sqrt(k)"
         assert rep.normalized_residual == rep.residual / 8.0
 
+    def test_broken_accounting_raises(self, table_small, monkeypatch):
+        # the residual check is an explicit raise, so it also runs under -O
+        import binomfactor.identities as identities
+        real = identities.level_prime_count
+        monkeypatch.setattr(identities, "level_prime_count",
+                            lambda *args: real(*args) + 1)
+        with pytest.raises(RuntimeError, match="residual"):
+            omega_identity_report(2, 1, 100, table_small)
+
 
 def _partitions(total, max_part):
     """All nonincreasing tuples of positive ints with the given sum."""
