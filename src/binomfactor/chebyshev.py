@@ -27,8 +27,8 @@ import numpy as np
 
 from .asymptotics import omega_growth_constant
 from .errors import DomainError, NonAlternatingError, OutOfRangeError
-from .identities import (FactorialRatioSpec, log_factorial_prefix,
-                         omega_pi_series)
+from .identities import (FactorialRatioSpec, _quotient_sum,
+                         log_factorial_prefix, omega_pi_series)
 from .primes import PrimeTable, omega_binom_oracle
 
 
@@ -326,11 +326,11 @@ def empirical_bracket_check(spec: CombinationSpec, k_grid,
 def reconstruct_series_value(seq: CoefficientSequence, k: int,
                              table: PrimeTable) -> int:
     """sum over t of a_t * pi(k/t): the combination's series value
-    recomputed directly from the coefficient sequence."""
-    t = np.arange(1, k // 2 + 1, dtype=np.int64)
-    coef = np.array(seq.values, dtype=np.int64)[(t - 1) % seq.period]
-    nz = coef != 0
-    return int((coef[nz] * table.pi_prefix[k // t[nz]]).sum())
+    recomputed directly from the coefficient sequence, over the O(sqrt k)
+    distinct quotients floor(k/t)."""
+    if k > table.limit:
+        raise OutOfRangeError(f"k={k} exceeds table limit {table.limit}")
+    return _quotient_sum(table.pi_prefix, k, seq.values)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,8 @@ oracle:
 
 * omega(C(nk, mk)) versus the prime-count series
   sum_j [pi(nk/j) - pi((n-m)k/j) - pi(mk/j)], whose difference is exactly
-  the number of primes witnessed only at root levels >= 2 of the interval
-  decomposition (plus a regrouping correction that the tests show to be
-  identically zero);
+  the number of primes dividing C(nk, mk) with no level-1 carry (plus a
+  regrouping correction that the tests show to be identically zero);
 
 * log of a balanced factorial ratio versus the psi series
   sum_i [psi(n1 k/i) + ... - psi(m1 k/i) - ...], an exact identity whose
@@ -16,6 +15,10 @@ oracle:
 
 Also: the alternating sum sum_i (-1)^(i+1) pi(x/i), whose ratio against
 x/log x tends to log 2, and the Bertrand sweep pi(2n) > pi(n).
+
+Every pi series here is a sum of pi at floor(x/j), which takes only about
+2 sqrt(x) distinct values; `_quotient_sum` evaluates it exactly over those
+values (Dirichlet hyperbola grouping), never over all x/2 indices j.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import integer_membership_mask, level_prime_count
+from .decomposition import level_prime_count
 from .errors import DomainError, OutOfRangeError
 from .primes import PrimeTable, _binom_divisor_flags, _floor_real
 
@@ -97,21 +100,52 @@ def _check_pair(n: int, m: int, k: int, table: PrimeTable) -> None:
         raise OutOfRangeError(f"n*k = {n * k} exceeds table limit {table.limit}")
 
 
+def _quotient_sum(pp: np.ndarray, x: int, coef=(1,)) -> int:
+    """sum over j >= 1 of c_j * pp[floor(x/j)], with the periodic
+    coefficients c_j = coef[(j - 1) % len(coef)].
+
+    With r = isqrt(x), the head j <= r is gathered directly.  Every j > r
+    has a quotient q = floor(x/j) <= floor(x/(r+1)), and the j sharing q
+    are exactly those in (floor(x/(q+1)), floor(x/q)]; each such q is
+    weighted by the coefficient mass C(hi) - C(lo) of that block (with j > r
+    kept out of the head), where C(v) = sum of c_j over j <= v.  Integer
+    arithmetic throughout, O(sqrt x) work.  With pp = pi_prefix,
+    pp[0] = pp[1] = 0, so summing over every j equals stopping once the
+    argument drops below 2.
+    """
+    if x < 2:
+        return 0
+    c = np.asarray(coef, dtype=np.int64)
+    period = len(c)
+    cum = np.concatenate(([0], np.cumsum(c)))
+    r = math.isqrt(x)
+    j = np.arange(1, r + 1, dtype=np.int64)
+    head = (c[(j - 1) % period] * pp[x // j]).sum()
+    q = np.arange(1, x // (r + 1) + 1, dtype=np.int64)
+    hi = x // q
+    lo = np.maximum(x // (q + 1), r)
+    mass = ((hi // period - lo // period) * cum[-1]
+            + cum[hi % period] - cum[lo % period])
+    return int(head + (mass * pp[q]).sum())
+
+
 def omega_pi_series(n: int, m: int, k: int, table: PrimeTable) -> int:
     """sum_j [pi(nk/j) - pi((n-m)k/j) - pi(mk/j)], summed until every
     argument drops below 2.  All pi arguments are exact rationals, floored
-    by integer division."""
+    by integer division; each of the three series is evaluated over the
+    O(sqrt(nk)) distinct quotients floor(x/j) by `_quotient_sum`."""
     _check_pair(n, m, k, table)
-    big, small, gap = n * k, m * k, (n - m) * k
-    j = np.arange(1, big // 2 + 1, dtype=np.int64)
     pp = table.pi_prefix
-    return int((pp[big // j] - pp[gap // j] - pp[small // j]).sum())
+    return (_quotient_sum(pp, n * k) - _quotient_sum(pp, (n - m) * k)
+            - _quotient_sum(pp, m * k))
 
 
 def omega_pi_series_grouped(n: int, m: int, k: int, table: PrimeTable) -> int:
     """The same series in its grouped form: prime counts at the endpoints
     of the root-level-1 intervals of the decomposition of (nk, mk).  Equals
-    the number of primes those intervals contain."""
+    the number of primes those intervals contain.  This enumerates the
+    O(nk) intervals on purpose: it is the witness `omega_identity_report`
+    checks the quotient-grouped series and the carry oracle against."""
     _check_pair(n, m, k, table)
     return level_prime_count(table, n * k, m * k, 1)
 
@@ -120,12 +154,17 @@ def omega_identity_report(n: int, m: int, k: int, table: PrimeTable) -> Identity
     """Oracle omega(C(nk, mk)) against the prime-count series, with the
     residual broken into exactly computed parts:
 
-    * ``deep_level_primes``: primes dividing C(nk, mk) that no level-1
-      interval witnesses (they sit in [1, sqrt(nk)]);
+    * ``deep_level_primes``: primes dividing C(nk, mk) with no level-1
+      carry, i.e. floor(nk/p) - floor(mk/p) - floor((n-m)k/p) = 0 (they
+      sit in [1, sqrt(nk)]), counted over the primes the carry oracle
+      returns;
     * ``regroup_correction``: series minus grouped form (identically 0,
       since dropped terms all have pi-argument < 2).
 
-    residual == deep_level_primes - regroup_correction holds exactly.
+    residual == deep_level_primes - regroup_correction holds exactly, and
+    is checked with a raise: by the interval criterion the level-1 carry
+    primes are exactly the primes in the level-1 intervals, so the check
+    compares the interval enumeration against the independent oracle.
     """
     _check_pair(n, m, k, table)
     big, small = n * k, m * k
@@ -133,10 +172,8 @@ def omega_identity_report(n: int, m: int, k: int, table: PrimeTable) -> Identity
     lhs = int(divides.sum())
     rhs = omega_pi_series(n, m, k, table)
     grouped = omega_pi_series_grouped(n, m, k, table)
-    if small in (0, big):
-        level1 = 0
-    else:
-        level1 = int(integer_membership_mask(big, small, level=1)[primes].sum())
+    carry = big // primes - small // primes - (big - small) // primes
+    level1 = int((carry > 0).sum())
     deep = lhs - level1
     regroup = rhs - grouped
     residual = lhs - rhs
@@ -162,21 +199,28 @@ def omega_identity_report(n: int, m: int, k: int, table: PrimeTable) -> Identity
 # -- factorial ratios ---------------------------------------------------
 
 _LOGFACT = np.zeros(1, dtype=np.float64)
+_LOGFACT.setflags(write=False)
 
 
 def log_factorial_prefix(limit: int) -> np.ndarray:
-    """log(0!), log(1!), ..., log(limit!) as a float64 array.
+    """log(0!), log(1!), ..., log(limit!) as a read-only float64 array.
 
     Accumulated from the logs themselves in 80-bit extended precision
     (never Stirling), so residuals of exact identities stay pure rounding.
-    The array is cached and grown on demand; treat the view as read-only.
+    The array is cached and grown on demand: a larger table is built
+    whole, made read-only, and only then replaces the cache, so no caller
+    sees a half-built or writeable cache.  A sequential cumsum makes every
+    prefix of a larger table bit-identical to the smaller one.
     """
     global _LOGFACT
-    if len(_LOGFACT) <= limit:
+    cache = _LOGFACT
+    if len(cache) <= limit:
         x = np.arange(0, limit + 1, dtype=np.float64)
         x[0] = 1.0
-        _LOGFACT = np.cumsum(np.log(x.astype(np.longdouble))).astype(np.float64)
-    return _LOGFACT[:limit + 1]
+        cache = np.cumsum(np.log(x.astype(np.longdouble))).astype(np.float64)
+        cache.setflags(write=False)
+        _LOGFACT = cache
+    return cache[:limit + 1]
 
 
 def _psi_series_one(table: PrimeTable, c: int) -> np.longdouble:
@@ -241,7 +285,9 @@ def alternating_pi_sum(x, table: PrimeTable) -> tuple[int, float]:
     """S(x) = sum_i (-1)^(i+1) pi(x/i) and the ratio S(x) / (x / log x).
 
     The ratio tends to log 2.  For x < 2 the sum is empty and the ratio
-    is reported as 0."""
+    is reported as 0.  The sum runs over the O(sqrt x) distinct quotients
+    floor(x/i), each weighted by its count of odd i minus even i
+    (`_quotient_sum` with the period-2 coefficients (1, -1))."""
     v = _floor_real(x)
     if v > table.limit:
         raise OutOfRangeError(f"x={x} exceeds table limit {table.limit}")
@@ -249,9 +295,7 @@ def alternating_pi_sum(x, table: PrimeTable) -> tuple[int, float]:
         return 0, 0.0
     # floor(x/i) == floor(floor(x)/i) for integer i, so integer division
     # on the floored argument is exact for any real x
-    j = np.arange(1, v // 2 + 1, dtype=np.int64)
-    vals = table.pi_prefix[v // j]
-    s = int(vals[0::2].sum() - vals[1::2].sum())
+    s = _quotient_sum(table.pi_prefix, v, (1, -1))
     xf = float(x)
     return s, s / (xf / math.log(xf))
 

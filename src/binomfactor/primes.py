@@ -51,7 +51,7 @@ def _floor_real(x) -> int:
 
 
 def integer_root(x: int, i: int) -> int:
-    """Largest r >= 0 with r**i <= x, computed exactly."""
+    """Largest r >= 0 with r**i <= x, computed exactly for ints of any size."""
     if x < 0:
         raise DomainError("integer_root of a negative number")
     if i == 1:
@@ -60,7 +60,15 @@ def integer_root(x: int, i: int) -> int:
         return math.isqrt(x)
     if x == 0:
         return 0
-    r = int(round(x ** (1.0 / i)))
+    # integer Newton steps from 2^ceil(bits/i), which is above the root,
+    # decrease to the floor of the root and then stop; no float is involved
+    x = int(x)
+    r = 1 << -(-x.bit_length() // i)
+    while True:
+        s = ((i - 1) * r + x // r ** (i - 1)) // i
+        if s >= r:
+            break
+        r = s
     while r > 0 and r ** i > x:
         r -= 1
     while (r + 1) ** i <= x:

@@ -4,8 +4,9 @@ import pytest
 
 from binomfactor import (PI_BOUNDS_SPEC, PI_BOUNDS_SPEC_BROKEN, PSI_RATIO_SPEC,
                          CombinationSpec, CombinationTerm, DomainError,
-                         NonAlternatingError, coefficient_sequence,
-                         combination_constant, derive_bounds,
+                         NonAlternatingError, OutOfRangeError,
+                         coefficient_sequence, combination_constant,
+                         derive_bounds,
                          empirical_bracket_check, omega_pi_series,
                          psi_coefficient_sequence, psi_variant_bounds,
                          reconstruct_series_value, verify_alternating)
@@ -75,6 +76,11 @@ class TestCoefficientSequence:
                 t.sign * omega_pi_series(t.ratio, 1, k // t.b, table_medium)
                 for t in PI_BOUNDS_SPEC.terms)
             assert via_seq == via_terms
+
+    def test_series_value_out_of_range(self, table_small):
+        with pytest.raises(OutOfRangeError):
+            reconstruct_series_value(coefficient_sequence(PI_BOUNDS_SPEC),
+                                     table_small.limit + 1, table_small)
 
 
 class TestAlternation:

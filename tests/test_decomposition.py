@@ -229,6 +229,19 @@ class TestFastPathAgreesWithIntervals:
         for p in table_small.primes_up_to(n).tolist():
             assert mask[p] == prime_divides(dec, p)
 
+    def test_level_one_mask_is_level_one_carry(self, table_medium):
+        # level 1 of the mask holds exactly the primes p with a carry at
+        # p itself: floor(n/p) - floor(k/p) - floor((n-k)/p) = 1
+        rng = random.Random(1709)
+        pairs = [(n, k) for n in range(2, 301) for k in range(1, n)]
+        pairs += [(n, rng.randint(1, n - 1))
+                  for n in (rng.randint(2, 10**6) for _ in range(200))]
+        for n, k in pairs:
+            primes = table_medium.primes_up_to(n)
+            carry = (n // primes - k // primes - (n - k) // primes) > 0
+            mask = integer_membership_mask(n, k, level=1)[primes]
+            assert np.array_equal(mask, carry), (n, k)
+
     @given(st.integers(2, 60))
     @settings(max_examples=60, deadline=None)
     def test_integer_root_vec_exact(self, i):

@@ -1,13 +1,63 @@
 import math
+import random
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 
-from binomfactor import (DomainError, FactorialRatioSpec, OutOfRangeError,
-                         alternating_pi_sum, bertrand_check,
-                         factorial_ratio_report, log_factorial_prefix,
-                         omega_binom_oracle, omega_identity_report,
-                         omega_pi_series, omega_pi_series_grouped)
+from binomfactor import (PI_BOUNDS_SPEC, DomainError, FactorialRatioSpec,
+                         OutOfRangeError, alternating_pi_sum, bertrand_check,
+                         coefficient_sequence, factorial_ratio_report,
+                         log_factorial_prefix, omega_binom_oracle,
+                         omega_identity_report, omega_pi_series,
+                         omega_pi_series_grouped, reconstruct_series_value)
+from binomfactor.identities import _quotient_sum
+
+
+def gather(pp, x):
+    """pp[x // j] for every j <= x/2; later terms have argument < 2."""
+    return pp[x // np.arange(1, x // 2 + 1, dtype=np.int64)]
+
+
+def weighted_sum(vals, coef):
+    """sum of coef[(j - 1) % P] * vals[j - 1], one residue class at a time."""
+    return sum(c * int(vals[r::len(coef)].sum()) for r, c in enumerate(coef))
+
+
+def gather_sum(pp, x, coef=(1,)):
+    """The O(x) reference for `_quotient_sum`."""
+    return weighted_sum(gather(pp, x), coef)
+
+
+COEFFICIENT_SETS = ((1,), (1, -1), coefficient_sequence(PI_BOUNDS_SPEC).values)
+
+
+class TestQuotientSum:
+    def test_every_small_x(self, table_small):
+        pp = table_small.pi_prefix
+        for coef in COEFFICIENT_SETS:
+            for x in range(0, 5001):
+                assert _quotient_sum(pp, x, coef) == gather_sum(pp, x, coef), (x, coef)
+
+    def test_seeded_x_to_ten_million(self, table_large):
+        pp = table_large.pi_prefix
+        rng = random.Random(20071009)
+        for x in (rng.randint(2, 10_000_000) for _ in range(200)):
+            vals = gather(pp, x)
+            for coef in COEFFICIENT_SETS:
+                assert _quotient_sum(pp, x, coef) == weighted_sum(vals, coef), (x, coef)
+
+    def test_callers_match_gather(self, table_medium):
+        pp = table_medium.pi_prefix
+        seq = coefficient_sequence(PI_BOUNDS_SPEC)
+        for x in (2, 3, 97, 1000, 65_536, 999_983):
+            assert alternating_pi_sum(x, table_medium)[0] == gather_sum(pp, x, (1, -1))
+            assert reconstruct_series_value(seq, x, table_medium) == gather_sum(
+                pp, x, seq.values)
+        for n, m, k in [(2, 1, 1), (3, 1, 17), (5, 2, 1000), (10, 3, 99_991)]:
+            assert omega_pi_series(n, m, k, table_medium) == (
+                gather_sum(pp, n * k) - gather_sum(pp, (n - m) * k)
+                - gather_sum(pp, m * k))
 
 
 class TestOmegaPiSeries:
@@ -59,7 +109,45 @@ class TestGroupedForm:
         assert omega_pi_series_grouped(1, 1, 50, table_small) == 0
 
 
+#: omega_identity_report rows, recorded before the pi series were grouped
+#: by quotient: (n, m, k, lhs, rhs, residual, normalized_residual,
+#: grouped_rhs, deep_level_primes, regroup_correction)
+GOLDEN_OMEGA_ROWS = (
+    (2, 1, 1, 1, 1, 0, 0.0, 1, 0, 0),
+    (2, 1, 7, 4, 3, 1, 0.3779644730092272, 3, 1, 0),
+    (2, 1, 1000, 208, 202, 6, 0.18973665961010278, 202, 6, 0),
+    (2, 1, 99991, 12224, 12193, 31, 0.098035019140346, 12193, 31, 0),
+    (3, 1, 1, 1, 1, 0, 0.0, 1, 0, 0),
+    (3, 1, 7, 5, 4, 1, 0.3779644730092272, 4, 1, 0),
+    (3, 1, 1000, 270, 266, 4, 0.12649110640673517, 266, 4, 0),
+    (3, 1, 99991, 16339, 16313, 26, 0.08222291927899987, 16313, 26, 0),
+    (5, 2, 1, 2, 1, 1, 1.0, 1, 1, 0),
+    (5, 2, 7, 8, 6, 2, 0.7559289460184544, 6, 2, 0),
+    (5, 2, 1000, 442, 438, 4, 0.12649110640673517, 438, 4, 0),
+    (5, 2, 99991, 27474, 27432, 42, 0.13282163883530748, 27432, 42, 0),
+    (10, 3, 1, 3, 2, 1, 1.0, 2, 1, 0),
+    (10, 3, 7, 13, 12, 1, 0.3779644730092272, 12, 1, 0),
+    (10, 3, 1000, 742, 737, 5, 0.15811388300841897, 737, 5, 0),
+    (10, 3, 99991, 47438, 47386, 52, 0.16444583855799974, 47386, 52, 0),
+)
+
+
 class TestOmegaIdentityReport:
+    def test_golden_rows(self, table_medium):
+        for n, m, k, lhs, rhs, res, nres, grouped, deep, regroup in GOLDEN_OMEGA_ROWS:
+            assert omega_identity_report(n, m, k, table_medium).to_row() == {
+                "identity_id": "omega_pi",
+                "params": {"n": n, "m": m, "k": k},
+                "lhs": lhs,
+                "rhs": rhs,
+                "residual": res,
+                "normalized_residual": nres,
+                "normalization": "residual/sqrt(k)",
+                "grouped_rhs": grouped,
+                "deep_level_primes": deep,
+                "regroup_correction": regroup,
+            }
+
     def test_worked_value(self, table_small):
         # omega(C(16, 8)) = omega(12870 = 2 * 3^2 * 5 * 11 * 13) = 5
         rep = omega_identity_report(2, 1, 8, table_small)
@@ -164,6 +252,22 @@ class TestFactorialRatio:
         assert lf[0] == 0.0 and lf[1] == 0.0
         assert lf[5] == pytest.approx(math.log(120), rel=1e-15)
         assert lf[30] == pytest.approx(math.log(math.factorial(30)), rel=1e-14)
+
+    def test_log_factorial_prefix_read_only(self):
+        lf = log_factorial_prefix(40)
+        with pytest.raises(ValueError):
+            lf[3] = 0.0
+        assert lf[3] == pytest.approx(math.log(6), rel=1e-15)
+
+    def test_log_factorial_prefix_growth_keeps_prefix(self, monkeypatch):
+        # start from an empty cache so both calls build, the second larger
+        import binomfactor.identities as identities
+        monkeypatch.setattr(identities, "_LOGFACT", np.zeros(0))
+        small = log_factorial_prefix(1000)
+        grown = log_factorial_prefix(6000)
+        assert len(identities._LOGFACT) == 6001
+        assert not grown.flags.writeable
+        assert grown[:1001].tobytes() == small.tobytes()
 
 
 class TestAlternatingPiSum:

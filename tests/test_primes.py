@@ -248,3 +248,16 @@ class TestIntegerRoot:
     def test_floor_property(self, x, i):
         r = integer_root(x, i)
         assert r**i <= x < (r + 1) ** i
+
+    def test_beyond_float_range(self):
+        assert integer_root((10**100 + 7) ** 3, 3) == 10**100 + 7
+        assert integer_root(2**2000, 5) == 2**400
+
+    @pytest.mark.parametrize("r", [2, 3, 12_345, 2**26 - 1, 2**26, 2**26 + 1,
+                                   10**17 + 3, 2**400, 10**100 + 7])
+    @pytest.mark.parametrize("i", [3, 4, 5, 7, 11])
+    def test_power_boundaries(self, r, i):
+        p = r**i
+        assert integer_root(p - 1, i) == r - 1
+        assert integer_root(p, i) == r
+        assert integer_root(p + 1, i) == r
