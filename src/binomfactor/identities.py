@@ -106,9 +106,11 @@ def _quotient_sum(pp: np.ndarray, x: int, coef=(1,)) -> int:
 
     With r = isqrt(x), the head j <= r is gathered directly.  Every j > r
     has a quotient q = floor(x/j) <= floor(x/(r+1)), and the j sharing q
-    are exactly those in (floor(x/(q+1)), floor(x/q)]; each such q is
-    weighted by the coefficient mass C(hi) - C(lo) of that block (with j > r
-    kept out of the head), where C(v) = sum of c_j over j <= v.  Integer
+    are exactly those in (lo, hi] = (floor(x/(q+1)), floor(x/q)]; each
+    such q is weighted by the coefficient mass C(hi) - C(lo) of its block,
+    where C(v) = sum of c_j over j <= v.  No block reaches into the head:
+    floor(x/(r+1)) <= r <= floor(x/r) with at most one equality, so every
+    j of a tail block has floor(x/j) < floor(x/r), i.e. j > r.  Integer
     arithmetic throughout, O(sqrt x) work.  With pp = pi_prefix,
     pp[0] = pp[1] = 0, so summing over every j equals stopping once the
     argument drops below 2.
@@ -123,7 +125,7 @@ def _quotient_sum(pp: np.ndarray, x: int, coef=(1,)) -> int:
     head = (c[(j - 1) % period] * pp[x // j]).sum()
     q = np.arange(1, x // (r + 1) + 1, dtype=np.int64)
     hi = x // q
-    lo = np.maximum(x // (q + 1), r)
+    lo = x // (q + 1)
     mass = ((hi // period - lo // period) * cum[-1]
             + cum[hi % period] - cum[lo % period])
     return int(head + (mass * pp[q]).sum())

@@ -4,9 +4,8 @@ import pytest
 
 from binomfactor import (PI_BOUNDS_SPEC, PI_BOUNDS_SPEC_BROKEN, PSI_RATIO_SPEC,
                          CombinationSpec, CombinationTerm, DomainError,
-                         NonAlternatingError, OutOfRangeError,
-                         coefficient_sequence, combination_constant,
-                         derive_bounds,
+                         NonAlternatingError, OutOfRangeError, coefficient_sequence,
+                         combination_constant, derive_bounds,
                          empirical_bracket_check, omega_pi_series,
                          psi_coefficient_sequence, psi_variant_bounds,
                          reconstruct_series_value, verify_alternating)
