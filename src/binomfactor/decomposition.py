@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError
-from .primes import PrimeTable, _binom_divisor_flags
+from .primes import PrimeTable, _binom_divisor_flags, integer_root
 
 #: Largest n `decompose` accepts.  The columns hold about n intervals in
 #: int64, and the order and degeneracy tests cross-multiply up to n^2.
@@ -265,11 +265,14 @@ def _integer_root_vec(arr: np.ndarray, i: int) -> np.ndarray:
     """Vectorised exact floor of the i-th root of nonnegative int64s."""
     if i == 1:
         return arr
+    # every root is <= rmax, and r <= rmax keeps r ** i inside int64;
+    # (rmax + 1) ** i wraps, so the upward correction skips r == rmax
+    rmax = integer_root(np.iinfo(np.int64).max, i)
     r = np.floor(arr.astype(np.float64) ** (1.0 / i)).astype(np.int64)
-    np.maximum(r, 0, out=r)
+    np.clip(r, 0, rmax, out=r)
     for _ in range(3):
         r[(r > 0) & (r ** i > arr)] -= 1
-        r[(r + 1) ** i <= arr] += 1
+        r[(r < rmax) & ((r + 1) ** i <= arr)] += 1
     return r
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .decomposition import level_prime_count
 from .errors import DomainError, OutOfRangeError
-from .primes import PrimeTable, _binom_divisor_flags, _floor_real
+from .primes import _CHUNK, PrimeTable, _binom_divisor_flags, _floor_real
 
 IDENTITY_OMEGA_PI = "omega_pi"
 IDENTITY_OMEGA_PI_GROUPED = "omega_pi_grouped"
@@ -213,13 +213,27 @@ def log_factorial_prefix(limit: int) -> np.ndarray:
     whole, made read-only, and only then replaces the cache, so no caller
     sees a half-built or writeable cache.  A sequential cumsum makes every
     prefix of a larger table bit-identical to the smaller one.
+
+    The sum runs in chunks, so only one chunk of extended-precision logs
+    is alive at a time.  The running extended-precision carry is added to
+    each chunk's first log before that chunk's cumsum, which performs the
+    very additions of one sequential cumsum over the whole range.
     """
     global _LOGFACT
     cache = _LOGFACT
     if len(cache) <= limit:
-        x = np.arange(0, limit + 1, dtype=np.float64)
-        x[0] = 1.0
-        cache = np.cumsum(np.log(x.astype(np.longdouble))).astype(np.float64)
+        cache = np.empty(limit + 1, dtype=np.float64)
+        carry = np.longdouble(0.0)
+        for lo in range(0, limit + 1, _CHUNK):
+            hi = min(lo + _CHUNK, limit + 1)
+            c = np.arange(lo, hi, dtype=np.longdouble)
+            if lo == 0:
+                c[0] = 1.0  # log(0!) = log(1)
+            np.log(c, out=c)
+            c[0] += carry
+            np.cumsum(c, out=c)
+            cache[lo:hi] = c
+            carry = c[-1]
         cache.setflags(write=False)
         _LOGFACT = cache
     return cache[:limit + 1]

@@ -1,9 +1,10 @@
 """Sieve-backed arithmetic oracles.
 
 A :class:`PrimeTable` answers, for every integer up to a fixed limit:
-primality, the prime counting function pi(x), the Chebyshev summatory
-function psi(x) = sum of log p over prime powers p^j <= x, the Moebius
-function mu(n), and the von Mangoldt weight Lambda(n).  On top of the
+primality, the prime counting function pi(x) and the Chebyshev summatory
+function psi(x) = sum of log p over prime powers p^j <= x from stored
+prefix arrays, and the Moebius function mu(n) and the von Mangoldt
+weight Lambda(n) by factoring n over the stored primes.  On top of the
 table this module provides Legendre's factorial exponents
 e_p(n!) = sum_i floor(n/p^i), the derived exponent of a prime in a
 binomial coefficient, and the brute-force "count the distinct prime
@@ -26,8 +27,13 @@ from .errors import DomainError, OutOfRangeError
 #: Default sieve size; enough for prime counts at arguments up to 10^7.
 DEFAULT_LIMIT = 10_000_000
 
-#: Hard budget: the table costs roughly 30 bytes per integer, so this
-#: ceiling keeps construction under ~6 GB.
+#: Hard budget.  The table stores 13.5 bytes per integer (primality 1,
+#: int32 pi prefix 4, float64 psi prefix 8, the primes ~0.5), ~2.7 GB at
+#: this ceiling.  Building psi also needs a float64 Lambda temporary:
+#: tracemalloc puts the build peak at 54 MB for limit 10^6 and 266 MB for
+#: 10^7, i.e. 23.6 bytes per integer plus ~30 MB of fixed-size chunk
+#: buffers, ~4.7 GB at this ceiling.  pi(x) <= x <= MAX_LIMIT < 2^31
+#: keeps the int32 pi prefix exact.
 MAX_LIMIT = 200_000_000
 
 _CHUNK = 1 << 20
@@ -79,24 +85,25 @@ def integer_root(x: int, i: int) -> int:
 class PrimeTable:
     """Immutable sieve table over [0, limit].
 
+    It stores only what the prime-count and psi series read; mu(n) and
+    Lambda(n) are computed on demand by factoring n over ``primes``.
+    Every array is read-only.
+
     Attributes
     ----------
     limit : int
         Largest integer the table can answer queries about.
     primality : numpy bool array
         ``primality[n]`` is True iff n is prime.
-    pi_prefix : numpy int64 array
+    pi_prefix : numpy int32 array
         ``pi_prefix[n]`` = number of primes <= n.
-    lambda_values : numpy float64 array
-        von Mangoldt weights: log p at prime powers p^j, 0 elsewhere.
-    mu_values : numpy int8 array
-        Moebius function values in {-1, 0, 1}.
     primes : numpy int64 array
         Ascending list of all primes <= limit.
+    psi_prefix : numpy float64 array
+        ``psi_prefix[n]`` = psi(n), accumulated in extended precision.
     """
 
-    __slots__ = ("limit", "primality", "pi_prefix", "lambda_values",
-                 "mu_values", "psi_prefix", "primes")
+    __slots__ = ("limit", "primality", "pi_prefix", "primes", "psi_prefix")
 
     def __init__(self, limit: int):
         if limit < 2:
@@ -106,11 +113,11 @@ class PrimeTable:
                 f"sieve limit {limit} exceeds the memory budget ({MAX_LIMIT})")
         self.limit = int(limit)
         self.primality = _sieve(self.limit)
-        self.pi_prefix = np.cumsum(self.primality, dtype=np.int64)
+        self.pi_prefix = np.cumsum(self.primality, dtype=np.int32)
         self.primes = np.flatnonzero(self.primality).astype(np.int64)
-        self.lambda_values = _von_mangoldt(self.limit, self.primes)
-        self.mu_values = _moebius(self.limit, self.primes)
-        self.psi_prefix = _psi_prefix(self.lambda_values)
+        self.psi_prefix = _psi_prefix(_von_mangoldt(self.limit, self.primes))
+        for arr in (self.primality, self.pi_prefix, self.primes, self.psi_prefix):
+            arr.setflags(write=False)
 
     # -- scalar queries ------------------------------------------------
 
@@ -144,12 +151,42 @@ class PrimeTable:
     def mu(self, n: int) -> int:
         if not 1 <= n <= self.limit:
             raise OutOfRangeError(f"mu({n}) outside [1, {self.limit}]")
-        return int(self.mu_values[n])
+        factors = self._factorization(int(n))
+        if any(e > 1 for _, e in factors):
+            return 0
+        return -1 if len(factors) % 2 else 1
 
     def von_mangoldt(self, n: int) -> float:
+        """log p if n = p^e with p prime and e >= 1, else 0.0.
+
+        A prime weighs ``np.log`` of itself and a higher prime power
+        ``math.log`` of its base, as `_von_mangoldt` (which builds psi)
+        assigns them; the two logs differ in the last bit at some primes.
+        """
         if not 1 <= n <= self.limit:
             raise OutOfRangeError(f"Lambda({n}) outside [1, {self.limit}]")
-        return float(self.lambda_values[n])
+        factors = self._factorization(int(n))
+        if len(factors) != 1:
+            return 0.0
+        p, e = factors[0]
+        return float(np.log(np.float64(p))) if e == 1 else math.log(p)
+
+    def _factorization(self, n: int) -> list[tuple[int, int]]:
+        """(p, e) for each prime power p^e exactly dividing n >= 1, by
+        trial division over the primes <= sqrt(n)."""
+        factors = []
+        for p in self.primes_up_to(math.isqrt(n)).tolist():
+            if p * p > n:
+                break
+            if n % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                factors.append((p, e))
+        if n > 1:
+            factors.append((n, 1))
+        return factors
 
     # -- bulk helpers ----------------------------------------------------
 
@@ -341,7 +378,7 @@ def mobius_partial_sums(table: PrimeTable, k0: int) -> tuple[float, float]:
     if not 1 <= k0 <= table.limit:
         raise OutOfRangeError(f"k0={k0} outside [1, {table.limit}]")
     d = np.arange(1, k0 + 1, dtype=np.float64)
-    mu = table.mu_values[1:k0 + 1].astype(np.float64)
+    mu = _moebius(k0, table.primes_up_to(k0))[1:].astype(np.float64)
     ratio = mu / d
     s_plain = float(np.sum(ratio.astype(np.longdouble)))
     s_log = float(np.sum((ratio * np.log(d)).astype(np.longdouble)))

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import binomfactor.decomposition as decomposition
 from binomfactor import (MAX_DECOMPOSE_N, DomainError, OutOfRangeError,
                          binom_exponent, canonical_integer_form, decompose,
-                         equivalence_check, prime_divides, verify_disjoint)
+                         equivalence_check, integer_root, prime_divides,
+                         verify_disjoint)
 from binomfactor.decomposition import (_integer_root_vec, _level_range_arrays,
                                        integer_membership_mask)
 
@@ -249,6 +250,17 @@ class TestFastPathAgreesWithIntervals:
         r = _integer_root_vec(arr.copy(), i)
         for x, v in zip(arr.tolist(), r.tolist()):
             assert v**i <= x < (v + 1) ** i
+
+    @pytest.mark.parametrize("i", range(2, 8))
+    def test_integer_root_vec_near_int64_max(self, i):
+        top = 2**63 - 1
+        rng = random.Random(6300 + i)
+        rmax = integer_root(top, i)
+        roots = [2, 3, rmax - 1, rmax] + [rng.randint(2, rmax) for _ in range(30)]
+        xs = [top] + [x for r in roots for x in (r**i - 1, r**i, r**i + 1)
+                      if x <= top]
+        got = _integer_root_vec(np.array(xs, dtype=np.int64), i)
+        assert got.tolist() == [integer_root(x, i) for x in xs]
 
 
 class TestEquivalence:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import combinations_with_replacement
@@ -252,6 +253,18 @@ class TestFactorialRatio:
         assert lf[0] == 0.0 and lf[1] == 0.0
         assert lf[5] == pytest.approx(math.log(120), rel=1e-15)
         assert lf[30] == pytest.approx(math.log(math.factorial(30)), rel=1e-14)
+
+    @pytest.mark.parametrize("chunk", [None, 4099])
+    def test_log_factorial_prefix_golden(self, chunk, monkeypatch):
+        # recorded when the table was one cumsum over all entries at once;
+        # a small chunk puts hundreds of chunk boundaries below 10^6
+        import binomfactor.identities as identities
+        if chunk is not None:
+            monkeypatch.setattr(identities, "_CHUNK", chunk)
+            monkeypatch.setattr(identities, "_LOGFACT", np.zeros(0))
+        lf = log_factorial_prefix(10**6)
+        assert hashlib.sha256(lf.tobytes()).hexdigest() == (
+            "a75b3643cd90be8f672209dcbbb881e7d1ae52f39a41f491bc6c8f83ee3dc480")
 
     def test_log_factorial_prefix_read_only(self):
         lf = log_factorial_prefix(40)

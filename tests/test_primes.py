@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomfactor import (DomainError, OutOfRangeError, binom_exponent,
-                         build_table, integer_root, legendre_exponent,
-                         mobius_partial_sums, omega_binom_oracle)
+from binomfactor import (MAX_LIMIT, DomainError, OutOfRangeError,
+                         binom_exponent, build_table, integer_root,
+                         legendre_exponent, mobius_partial_sums,
+                         omega_binom_oracle)
+from binomfactor.primes import _moebius, _von_mangoldt
 from conftest import reference_sieve
 
 
@@ -34,6 +38,35 @@ class TestBuildTable:
         ref = reference_sieve(1_000_000)
         assert np.array_equal(table_medium.primality[:1_000_001], ref)
         assert int(table_medium.pi_prefix[1_000_000]) == 78498
+
+    def test_golden_prefix_digests(self, table_medium):
+        # recorded before the table dropped its stored mu and Lambda
+        # arrays and narrowed pi_prefix to int32: the values are unchanged
+        pi = table_medium.pi_prefix.astype(np.int64).tobytes()
+        assert hashlib.sha256(pi).hexdigest() == (
+            "265a504b995a522aa073aa9bfaf586ca03b11c5351888f47c71ec4957b5a3de3")
+        psi = table_medium.psi_prefix.tobytes()
+        assert hashlib.sha256(psi).hexdigest() == (
+            "a5d0aa4049bb75900c92f600a675a1556c55109a90357d9edb10ac462d3d669b")
+
+    def test_arrays_read_only(self, table_small):
+        for name in ("primality", "pi_prefix", "primes", "psi_prefix"):
+            arr = getattr(table_small, name)
+            before = arr[5]
+            with pytest.raises(ValueError):
+                arr[5] = 0
+            assert arr[5] == before, name
+        view = table_small.primes_up_to(100)
+        with pytest.raises(ValueError):
+            view[0] = 4
+        assert table_small.pi(10) == 4
+
+    def test_memory_budget(self, table_medium):
+        stored = sum(getattr(table_medium, name).nbytes
+                     for name in type(table_medium).__slots__
+                     if isinstance(getattr(table_medium, name), np.ndarray))
+        assert stored <= 14 * (table_medium.limit + 1)
+        assert np.iinfo(table_medium.pi_prefix.dtype).max >= MAX_LIMIT
 
 
 class TestPi:
@@ -82,7 +115,7 @@ class TestPsi:
         assert table_small.psi(10) == pytest.approx(math.log(2520), rel=1e-14)
 
     def test_psi_vs_direct_fsum(self, table_small):
-        direct = math.fsum(float(v) for v in table_small.lambda_values[:5001])
+        direct = math.fsum(table_small.von_mangoldt(n) for n in range(1, 5001))
         assert table_small.psi(5000) == pytest.approx(direct, rel=1e-13)
 
     def test_psi_dominates_pi_log2(self, table_small):
@@ -100,11 +133,38 @@ class TestPsi:
 
 class TestVonMangoldtAndMu:
     def test_lambda_values(self, table_small):
-        lam = table_small.lambda_values
-        assert lam[2] == pytest.approx(math.log(2))
-        assert lam[8] == pytest.approx(math.log(2))
-        assert lam[9] == pytest.approx(math.log(3))
-        assert lam[6] == 0.0 and lam[12] == 0.0 and lam[1] == 0.0
+        lam = table_small.von_mangoldt
+        assert lam(2) == pytest.approx(math.log(2))
+        assert lam(8) == pytest.approx(math.log(2))
+        assert lam(9) == pytest.approx(math.log(3))
+        assert lam(6) == 0.0 and lam(12) == 0.0 and lam(1) == 0.0
+
+    @staticmethod
+    def _check_against_sieves(table, ns):
+        mu = _moebius(table.limit, table.primes)
+        lam = _von_mangoldt(table.limit, table.primes)
+        assert [table.mu(n) for n in ns] == mu[ns].tolist()
+        on_demand = np.array([table.von_mangoldt(n) for n in ns])
+        assert on_demand.tobytes() == lam[ns].tobytes()
+
+    def test_on_demand_match_sieves_small(self, table_small):
+        self._check_against_sieves(table_small, list(range(1, table_small.limit + 1)))
+
+    def test_on_demand_match_sieves_medium(self, table_medium):
+        rng = random.Random(4242)
+        ns = [rng.randint(1, 1_000_000) for _ in range(500)]
+        ns += [2**19, 3**12, 999_983, 999_983 - 2, 1_000_000]
+        # the primes whose np.log and math.log differ in the last bit
+        ns += [p for p in table_medium.primes.tolist()
+               if float(np.log(np.float64(p))) != math.log(p)]
+        self._check_against_sieves(table_medium, ns)
+
+    def test_on_demand_out_of_range(self, table_small):
+        for n in (0, table_small.limit + 1):
+            with pytest.raises(OutOfRangeError):
+                table_small.mu(n)
+            with pytest.raises(OutOfRangeError):
+                table_small.von_mangoldt(n)
 
     def test_mu_small_table(self, table_small):
         assert [table_small.mu(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
@@ -233,6 +293,11 @@ class TestMobiusPartialSums:
         s, sl = mobius_partial_sums(table_small, 2)
         assert s == pytest.approx(0.5, abs=0)
         assert sl == pytest.approx(-math.log(2) / 2, rel=1e-15)
+
+    def test_golden_million(self, table_medium):
+        # recorded when the table still stored its mu array
+        assert mobius_partial_sums(table_medium, 1_000_000) == (
+            0.00020060468538783552, -0.9972146952246955)
 
     def test_six_terms(self, table_small):
         s, sl = mobius_partial_sums(table_small, 6)
