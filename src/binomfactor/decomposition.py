@@ -265,14 +265,15 @@ def _integer_root_vec(arr: np.ndarray, i: int) -> np.ndarray:
     """Vectorised exact floor of the i-th root of nonnegative int64s."""
     if i == 1:
         return arr
-    # every root is <= rmax, and r <= rmax keeps r ** i inside int64;
-    # (rmax + 1) ** i wraps, so the upward correction skips r == rmax
-    rmax = integer_root(np.iinfo(np.int64).max, i)
+    # The float estimate is off by a few ulp, far below 1 for roots under
+    # 2^32, so its floor is within 1 of the root: one step down and one up
+    # make it exact.  Every root is <= rmax, and r <= rmax keeps r ** i
+    # inside int64; (rmax + 1) ** i wraps, so the step up skips r == rmax.
+    rmax = integer_root(2**63 - 1, i)
     r = np.floor(arr.astype(np.float64) ** (1.0 / i)).astype(np.int64)
-    np.clip(r, 0, rmax, out=r)
-    for _ in range(3):
-        r[(r > 0) & (r ** i > arr)] -= 1
-        r[(r < rmax) & ((r + 1) ** i <= arr)] += 1
+    np.minimum(r, rmax, out=r)
+    r[r ** i > arr] -= 1
+    r[(r < rmax) & ((r + 1) ** i <= arr)] += 1
     return r
 
 
