@@ -256,8 +256,8 @@ class TestFactorialRatio:
 
     @pytest.mark.parametrize("chunk", [None, 4099])
     def test_log_factorial_prefix_golden(self, chunk, monkeypatch):
-        # recorded when the table was one cumsum over all entries at once;
-        # a small chunk puts hundreds of chunk boundaries below 10^6
+        # the digest of one unchunked cumsum over all entries; a small
+        # chunk puts hundreds of chunk boundaries below 10^6
         import binomfactor.identities as identities
         if chunk is not None:
             monkeypatch.setattr(identities, "_CHUNK", chunk)

@@ -40,8 +40,7 @@ class TestBuildTable:
         assert int(table_medium.pi_prefix[1_000_000]) == 78498
 
     def test_golden_prefix_digests(self, table_medium):
-        # recorded before the table dropped its stored mu and Lambda
-        # arrays and narrowed pi_prefix to int32: the values are unchanged
+        # the values must not depend on the dtype or layout the table uses
         pi = table_medium.pi_prefix.astype(np.int64).tobytes()
         assert hashlib.sha256(pi).hexdigest() == (
             "265a504b995a522aa073aa9bfaf586ca03b11c5351888f47c71ec4957b5a3de3")
@@ -295,7 +294,7 @@ class TestMobiusPartialSums:
         assert sl == pytest.approx(-math.log(2) / 2, rel=1e-15)
 
     def test_golden_million(self, table_medium):
-        # recorded when the table still stored its mu array
+        # the value with mu sieved over the whole table, not just to k0
         assert mobius_partial_sums(table_medium, 1_000_000) == (
             0.00020060468538783552, -0.9972146952246955)
 
