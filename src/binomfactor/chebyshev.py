@@ -27,8 +27,7 @@ import numpy as np
 
 from .asymptotics import omega_growth_constant
 from .errors import DomainError, NonAlternatingError, OutOfRangeError
-from .identities import (FactorialRatioSpec, _quotient_sum,
-                         log_factorial_prefix, omega_pi_series)
+from .identities import FactorialRatioSpec, _quotient_sum, omega_pi_series
 from .primes import PrimeTable, omega_binom_oracle
 
 
@@ -200,6 +199,15 @@ def verify_alternating(seq: CoefficientSequence) -> int | None:
     return None
 
 
+def _lead_and_anchor(seq: CoefficientSequence) -> tuple[int | None, int | None]:
+    """(first positive, first negative) coefficient index of an
+    alternating sequence; raises NonAlternatingError otherwise."""
+    violation = verify_alternating(seq)
+    if violation is not None:
+        raise NonAlternatingError(violation)
+    return seq.first_index_with_sign(+1), seq.first_index_with_sign(-1)
+
+
 def combination_constant(spec: CombinationSpec) -> float:
     """Leading coefficient of the combination's k/log k growth:
     sum of sign * log(r^r / (r-1)^(r-1)) / b over terms, r = b/a."""
@@ -258,14 +266,10 @@ def derive_bounds(spec: CombinationSpec, anchor_divisor: int | None = None,
     spec).  ``initial_upper`` defaults to the well-known pi(x) <= 2 x/log x.
     """
     seq = coefficient_sequence(spec)
-    violation = verify_alternating(seq)
-    if violation is not None:
-        raise NonAlternatingError(violation)
+    lead, anchor = _lead_and_anchor(seq)
     if seq.is_zero():
         return BoundsLedger(0.0, 0.0, tuple(0.0 for _ in range(iterations)),
                             0, 0, 0.0, initial_upper)
-    lead = seq.first_index_with_sign(+1)
-    anchor = seq.first_index_with_sign(-1)
     if anchor_divisor is not None and anchor_divisor != anchor:
         raise DomainError(
             f"anchor divisor {anchor_divisor} does not match the first "
@@ -295,12 +299,7 @@ def empirical_bracket_check(spec: CombinationSpec, k_grid,
     where every omega comes from the sieve oracle and D is the exactly
     accounted sum of sign * (omega - series) corrections per term.
     """
-    seq = coefficient_sequence(spec)
-    violation = verify_alternating(seq)
-    if violation is not None:
-        raise NonAlternatingError(violation)
-    lead = seq.first_index_with_sign(+1)
-    anchor = seq.first_index_with_sign(-1)
+    lead, anchor = _lead_and_anchor(coefficient_sequence(spec))
     rows = []
     for k in k_grid:
         if k % spec.k_multiple:
@@ -358,24 +357,15 @@ def psi_variant_bounds(k_grid, table: PrimeTable,
     checks the exact bracket psi(Lk) - psi(Lk/anchor) <= log ratio
     <= psi(Lk) on the grid."""
     seq = psi_coefficient_sequence(ratio_spec)
-    violation = verify_alternating(seq)
-    if violation is not None:
-        raise NonAlternatingError(violation)
-    lead = seq.first_index_with_sign(+1)
-    anchor = seq.first_index_with_sign(-1)
+    lead, anchor = _lead_and_anchor(seq)
     L = _lcm(ratio_spec.numerator_multipliers + ratio_spec.denominator_multipliers)
-    constant = math.fsum(
-        [v * math.log(v) for v in ratio_spec.numerator_multipliers]
-        + [-v * math.log(v) for v in ratio_spec.denominator_multipliers]) / L
+    constant = ratio_spec.growth_rate / L
     ledger = _refine_bounds(constant, lead, anchor, initial_upper=2.0, iterations=3)
     rows = []
     for k in k_grid:
         if L * k > table.limit:
             raise OutOfRangeError(f"k={k} needs psi beyond table limit")
-        lf = log_factorial_prefix(ratio_spec.max_multiplier * k)
-        ratio_log = math.fsum(
-            [float(lf[v * k]) for v in ratio_spec.numerator_multipliers]
-            + [-float(lf[v * k]) for v in ratio_spec.denominator_multipliers])
+        ratio_log = ratio_spec.log_ratio(k)
         lo = table.psi(L * k // lead) - table.psi(L * k // anchor)
         hi = table.psi(L * k // lead)
         slack = 1e-9 * max(abs(hi), 1.0)

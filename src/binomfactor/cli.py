@@ -45,7 +45,6 @@ class RunConfig:
     sieve_limit: int
     output_format: str
     out_path: str | None
-    seed: int
 
     def require(self, needed: int) -> int:
         """Validate that `needed` fits the configured budget; returns the
@@ -290,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="pretty", help="output format (json is the contract)")
     common.add_argument("--out", default=None, metavar="FILE",
                         help="write output to FILE instead of stdout")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed recorded for randomized sweeps")
 
     parser = argparse.ArgumentParser(
         prog="binomfactor",
@@ -351,7 +348,7 @@ def main(argv=None) -> int:
         sieve_limit = args.sieve_limit if args.sieve_limit is not None else _env_sieve_limit()
         if sieve_limit < 2 or sieve_limit > MAX_LIMIT:
             raise DomainError(f"sieve limit {sieve_limit} outside [2, {MAX_LIMIT}]")
-        cfg = RunConfig(sieve_limit, args.format, args.out, args.seed)
+        cfg = RunConfig(sieve_limit, args.format, args.out)
         if args.command == "decompose":
             return _cmd_decompose(cfg, args)
         if args.command == "identity":

@@ -1,14 +1,14 @@
 """Exact interval decomposition of the prime divisors of C(n, k).
 
 The set {p prime : p divides C(n, k)} equals the primes p for which some
-power p^i lands in one of finitely many half-open intervals with rational
+power p^i lands in one family of half-open intervals with rational
 endpoints.  Writing e_p for the exponent of p, the criterion
 
     p | C(n, k)  <=>  exists i with
         floor(k/p^i) = j - 1,  floor((n-k)/p^i) = f,  floor(n/p^i) = f + j
 
-pins (j, f) per witness power and turns into two interval families per
-root level i (all endpoint arithmetic exact):
+pins (j, f) per witness power, and the real x with a carry form two
+interval families (all endpoint arithmetic exact):
 
   * branch A, indexed by (j, f) with
     f in [floor((n/k)(j-1)) - j + 1, floor((n/k)j) - j - 1]:
@@ -16,16 +16,19 @@ root level i (all endpoint arithmetic exact):
   * branch B, indexed by j with n*j not divisible by k, f = floor(nj/k) - j:
         interval  (k/j, n/floor(nj/k)]
 
-membership meaning lower < p^i <= upper.  For each fixed root level the
-intervals are pairwise disjoint.
+membership meaning lower < x <= upper.  The intervals are pairwise
+disjoint.  The root index i does not enter them: root level i is the
+family cut down to the intervals with upper >= 2^i (no smaller one holds
+an i-th power >= 2), and as the intervals descend, that is a prefix of
+level 1.
 
-`_level_index` enumerates the (j, f) indices of one root level as int64
-arrays, and everything else reads that one enumeration: `decompose` keeps
-the exact endpoints of every level as integer numerator/denominator
-columns in lowest terms, and the membership mask and prime counts use
-their floors.  Floors lose nothing for primes: an integer q satisfies
-a < q <= b iff floor(a) < q <= floor(b).  `fractions.Fraction` endpoints
-are built only when `Decomposition.levels` is read.
+`_level_index` enumerates the (j, f) indices of level 1 once, as int64
+arrays, and everything else reads that one enumeration: `decompose`
+keeps the exact endpoints as integer numerator/denominator columns in
+lowest terms, with each deeper level a prefix view, and the membership
+mask and prime counts use their floors.  Floors lose nothing for an
+integer q: a < q <= b iff floor(a) < q <= floor(b).  `fractions.Fraction`
+endpoints are built only when `Decomposition.levels` is read.
 """
 
 from __future__ import annotations
@@ -33,14 +36,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError
 from .primes import PrimeTable, _binom_divisor_flags, integer_root
 
-#: Largest n `decompose` accepts.  The columns hold about n intervals in
-#: int64, and the order and degeneracy tests cross-multiply up to n^2.
+#: Largest n `decompose` accepts.  The columns hold about n/2 intervals in
+#: int64 (the deeper levels are views of them), and the order and
+#: degeneracy tests cross-multiply up to n^2.
 MAX_DECOMPOSE_N = 1_000_000
 
 BRANCH_A = "A"
@@ -72,22 +77,22 @@ class CanonicalInterval:
     empty: bool
 
 
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """The full interval family for one pair (n, k), grouped by root level.
 
-    ``columns[i]`` is a read-only int64 array of shape (6, m) holding the
-    m intervals at root level i, ordered by descending lower endpoint.
+    ``columns`` is a read-only mapping; ``columns[i]`` is a read-only
+    int64 array of shape (6, m) holding the m intervals at root level i,
+    ordered by descending lower endpoint, a prefix of ``columns[1]``.
     Its rows are lower numerator, lower denominator, upper numerator,
     upper denominator (both fractions in lowest terms), j and f, with
     f = -1 on branch B.  Intervals at a fixed level are disjoint; across
     levels the same prime may be witnessed repeatedly, so membership is
     the union over all levels.
     """
-
-    def __init__(self, n: int, k: int, columns: dict[int, np.ndarray]):
-        self.n = n
-        self.k = k
-        self.columns = columns
+    n: int
+    k: int
+    columns: MappingProxyType[int, np.ndarray]
 
     @cached_property
     def levels(self) -> dict[int, tuple[DivisorInterval, ...]]:
@@ -101,16 +106,18 @@ class Decomposition:
         }
 
     @cached_property
-    def _floors(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Floored (lower, upper) per level, in ascending order."""
-        return {i: (cols[0, ::-1] // cols[1, ::-1], cols[2, ::-1] // cols[3, ::-1])
-                for i, cols in self.columns.items()}
+    def _floors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Floored (lower, upper) of level 1, in ascending order."""
+        cols = self.columns.get(1, np.zeros((6, 0), dtype=np.int64))[:, ::-1]
+        return cols[0] // cols[1], cols[2] // cols[3]
 
     @cached_property
     def max_root_index(self) -> int:
-        """Deepest root level holding an integer >= 2."""
-        return max((i for i, (lo, hi) in self._floors.items()
-                    if ((hi >= 2) & (hi > lo)).any()), default=0)
+        """Deepest root level holding an integer >= 2: the level of the
+        largest floored upper endpoint above its floored lower."""
+        lo, hi = self._floors
+        hi = hi[hi > lo]
+        return int(hi.max()).bit_length() - 1 if hi.size else 0
 
     def intervals_at(self, i: int) -> tuple[DivisorInterval, ...]:
         return self.levels.get(i, ())
@@ -119,12 +126,14 @@ class Decomposition:
         return [iv for ivs in self.levels.values() for iv in ivs]
 
     def prime_divides(self, p: int) -> bool:
-        """True iff some interval at some root level contains p^i.
+        """True iff some interval contains a power p^i, i.e. (level i
+        being a prefix of level 1) some level-1 interval does.
 
         Floored lowers ascend, and the last one below p^i belongs to the
-        only interval at that level that can contain it.
+        only interval that can contain it.
         """
-        for i, (lo, hi) in self._floors.items():
+        lo, hi = self._floors
+        for i in self.columns:
             q = p ** i
             if q > self.n:
                 break
@@ -157,13 +166,13 @@ class Decomposition:
 # -- enumeration -------------------------------------------------------
 
 
-def _level_index(n: int, k: int, i: int) -> tuple[np.ndarray, ...]:
-    """(j_a, f_a, j_b, t_b): the indices of every interval at root level i,
-    as int64 arrays.  Branch A pairs (j, f) come with f strictly ascending,
+def _level_index(n: int, k: int) -> tuple[np.ndarray, ...]:
+    """(j_a, f_a, j_b, t_b): the indices of every level-1 interval, as
+    int64 arrays.  Branch A pairs (j, f) come with f strictly ascending,
     branch B pairs (j, t = floor(nj/k)) with j ascending.  Only intervals
-    whose upper endpoint can hold a power >= 2^i are kept, i.e. those with
-    upper denominator f + j or t at most floor(n / 2^i)."""
-    d_max = n >> i
+    whose upper endpoint can hold an integer >= 2 are kept, i.e. those
+    with upper denominator f + j or t at most floor(n / 2)."""
+    d_max = n >> 1
     if d_max < 1 or k == 0 or k == n:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty, empty
@@ -188,10 +197,11 @@ def _level_index(n: int, k: int, i: int) -> tuple[np.ndarray, ...]:
 def decompose(n: int, k: int) -> Decomposition:
     """Materialise the interval decomposition of {p : p | C(n, k)}.
 
-    Root levels run from 1 up to floor(log2 n); at level i intervals whose
-    upper endpoint is below 2^i are omitted (no prime power fits).  The
-    cases k = 0 and k = n yield an empty decomposition since C(n, k) = 1.
-    n is capped at MAX_DECOMPOSE_N.
+    Root levels run from 1 up to floor(log2 n); level i holds the level-1
+    intervals whose upper endpoint is at least 2^i (no smaller one holds
+    an i-th power >= 2), a prefix of level 1 and stored as a view of it.
+    The cases k = 0 and k = n yield an empty decomposition since
+    C(n, k) = 1.  n is capped at MAX_DECOMPOSE_N.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -200,26 +210,33 @@ def decompose(n: int, k: int) -> Decomposition:
     if n > MAX_DECOMPOSE_N:
         raise OutOfRangeError(f"decompose needs n <= {MAX_DECOMPOSE_N}, got n={n}")
     if k == 0 or k == n:
-        return Decomposition(n, k, {})
-    columns: dict[int, np.ndarray] = {}
-    for i in range(1, n.bit_length()):
-        ja, fa, jb, tb = _level_index(n, k, i)
-        cols_a = np.stack([np.full_like(fa, n - k), fa + 1, np.full_like(fa, n), fa + ja, ja, fa])
-        cols_b = np.stack([np.full_like(jb, k), jb, np.full_like(jb, n), tb, jb, np.full_like(jb, -1)])
-        # both runs descend by lower endpoint; k/j goes after every
-        # (n-k)/(f+1) above it, i.e. after every f <= ceil((n-k)j/k) - 2
-        at = np.searchsorted(fa, -((-(n - k) * jb) // k) - 2, side="right")
-        cols = np.insert(cols_a, at, cols_b, axis=1)
-        for num, den in (cols[0:2], cols[2:4]):
-            g = np.gcd(num, den)
-            num //= g
-            den //= g
-        if (cols[0] * cols[3] >= cols[2] * cols[1]).any():
-            raise DomainError(f"degenerate interval at level {i} of C({n}, {k}); "
-                              "this indicates an enumeration bug")
-        cols.setflags(write=False)
-        columns[i] = cols
-    return Decomposition(n, k, columns)
+        return Decomposition(n, k, MappingProxyType({}))
+    ja, fa, jb, tb = _level_index(n, k)
+    cols_a = np.stack([np.full_like(fa, n - k), fa + 1, np.full_like(fa, n), fa + ja, ja, fa])
+    cols_b = np.stack([np.full_like(jb, k), jb, np.full_like(jb, n), tb, jb, np.full_like(jb, -1)])
+    # both runs descend by lower endpoint; k/j goes after every
+    # (n-k)/(f+1) above it, i.e. after every f <= ceil((n-k)j/k) - 2
+    at = np.searchsorted(fa, -((-(n - k) * jb) // k) - 2, side="right")
+    cols = np.insert(cols_a, at, cols_b, axis=1)
+    for num, den in (cols[0:2], cols[2:4]):
+        g = np.gcd(num, den)
+        num //= g
+        den //= g
+    if (cols[0] * cols[3] >= cols[2] * cols[1]).any():
+        raise DomainError(f"degenerate interval in C({n}, {k}); "
+                          "this indicates an enumeration bug")
+    # each interval lies wholly below the one before it (with lower <
+    # upper, this makes the uppers strictly descend), so every level is
+    # a prefix
+    if (cols[2, 1:] * cols[1, :-1] > cols[0, :-1] * cols[3, 1:]).any():
+        raise DomainError(f"intervals of C({n}, {k}) out of order; "
+                          "this indicates an enumeration bug")
+    cols.setflags(write=False)
+    # level i keeps the floored uppers >= 2^i
+    hi_asc = cols[2, ::-1] // cols[3, ::-1]
+    sizes = len(hi_asc) - np.searchsorted(hi_asc, 1 << np.arange(1, n.bit_length()))
+    return Decomposition(n, k, MappingProxyType(
+        {i: cols[:, :m] for i, m in enumerate(sizes.tolist(), start=1)}))
 
 
 def prime_divides(dec: Decomposition, p: int) -> bool:
@@ -234,9 +251,10 @@ def canonical_integer_form(dec: Decomposition) -> dict[int, list[CanonicalInterv
     (a, b] maps to (floor(a), floor(b)]; since primes are integers the two
     forms have identical prime membership.  Degenerate floored intervals
     are kept but flagged."""
-    return {i: [CanonicalInterval(a, b, empty=a == b)
-                for a, b in zip(lo[::-1].tolist(), hi[::-1].tolist())]
-            for i, (lo, hi) in dec._floors.items()}
+    lo, hi = dec._floors
+    rows = [CanonicalInterval(a, b, empty=a == b)
+            for a, b in zip(lo[::-1].tolist(), hi[::-1].tolist())]
+    return {i: rows[:cols.shape[1]] for i, cols in dec.columns.items()}
 
 
 def verify_disjoint(dec: Decomposition, i: int) -> tuple[DivisorInterval, DivisorInterval] | None:
@@ -253,28 +271,12 @@ def verify_disjoint(dec: Decomposition, i: int) -> tuple[DivisorInterval, Diviso
 # -- floored endpoints for the membership mask ---------------------------
 
 
-def _level_range_arrays(n: int, k: int, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Floored endpoints (lo, hi] of every interval at root level i,
-    as int64 arrays (branch A first, then branch B)."""
-    ja, fa, jb, tb = _level_index(n, k, i)
+def _level_range_arrays(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Floored endpoints (lo, hi] of every level-1 interval, as int64
+    arrays (branch A first, then branch B)."""
+    ja, fa, jb, tb = _level_index(n, k)
     return (np.concatenate([(n - k) // (fa + 1), k // jb]),
             np.concatenate([n // (fa + ja), n // tb]))
-
-
-def _integer_root_vec(arr: np.ndarray, i: int) -> np.ndarray:
-    """Vectorised exact floor of the i-th root of nonnegative int64s."""
-    if i == 1:
-        return arr
-    # The float estimate is off by a few ulp, far below 1 for roots under
-    # 2^32, so its floor is within 1 of the root: one step down and one up
-    # make it exact.  Every root is <= rmax, and r <= rmax keeps r ** i
-    # inside int64; (rmax + 1) ** i wraps, so the step up skips r == rmax.
-    rmax = integer_root(2**63 - 1, i)
-    r = np.floor(arr.astype(np.float64) ** (1.0 / i)).astype(np.int64)
-    np.minimum(r, rmax, out=r)
-    r[r ** i > arr] -= 1
-    r[(r < rmax) & ((r + 1) ** i <= arr)] += 1
-    return r
 
 
 def integer_membership_mask(n: int, k: int, level: int | None = None) -> np.ndarray:
@@ -283,19 +285,22 @@ def integer_membership_mask(n: int, k: int, level: int | None = None) -> np.ndar
     root levels; ``level=i`` restricts to one level.
 
     Restricted to primes this is exactly the divisor set of C(n, k)."""
-    acc = np.zeros(n + 2, dtype=np.int64)
-    levels = [level] if level is not None else range(1, max(n.bit_length() - 1, 0) + 1)
-    for i in levels:
-        if (1 << i) > n:
-            continue
-        lo, hi = _level_range_arrays(n, k, i)
-        if len(lo) == 0:
-            continue
-        rlo = _integer_root_vec(lo, i)
-        rhi = _integer_root_vec(hi, i)
-        acc += np.bincount(rlo + 1, minlength=n + 2)[:n + 2]
-        acc -= np.bincount(rhi + 1, minlength=n + 2)[:n + 2]
-    return np.cumsum(acc)[:n + 1] > 0
+    if level is not None and level < 1:
+        raise DomainError(f"root level must be >= 1, got {level}")
+    lo, hi = _level_range_arrays(n, k)
+    # level-1 intervals are disjoint, so the running sum is 0 or 1
+    acc = np.bincount(lo + 1, minlength=n + 2)
+    acc -= np.bincount(hi + 1, minlength=n + 2)
+    covered = np.cumsum(acc, out=acc)[:n + 1] > 0
+    if level == 1:
+        return covered
+    # r >= 2 is a level-i witness iff r^i is covered: an interval holding
+    # r^i >= 2^i has upper >= 2^i, so it is one of level i
+    member = covered.copy() if level is None else np.zeros(n + 1, dtype=bool)
+    for i in range(2, n.bit_length()) if level is None else (level,):
+        r = np.arange(2, integer_root(n, i) + 1)
+        member[r] |= covered[r ** i]
+    return member
 
 
 def equivalence_check(n: int, k: int, table: PrimeTable) -> int | None:
@@ -306,10 +311,7 @@ def equivalence_check(n: int, k: int, table: PrimeTable) -> int | None:
         raise DomainError(f"need 0 <= k <= n with n >= 1, got n={n}, k={k}")
     if n > table.limit:
         raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
-    if k == 0 or k == n:
-        member = np.zeros(n + 1, dtype=bool)
-    else:
-        member = integer_membership_mask(n, k)
+    member = integer_membership_mask(n, k)
     primes, oracle = _binom_divisor_flags(table, n, k)
     via_intervals = member[primes]
     disagree = via_intervals != oracle
@@ -318,13 +320,9 @@ def equivalence_check(n: int, k: int, table: PrimeTable) -> int | None:
     return None
 
 
-def level_prime_count(table: PrimeTable, n: int, k: int, i: int) -> int:
-    """Number of primes witnessed by the level-i intervals, via prime
-    counts at the floored endpoints (exact: the level is disjoint)."""
-    lo, hi = _level_range_arrays(n, k, i)
-    if len(lo) == 0:
-        return 0
-    rlo = _integer_root_vec(lo, i)
-    rhi = _integer_root_vec(hi, i)
-    return int((table.pi_prefix[np.minimum(rhi, table.limit)]
-                - table.pi_prefix[np.minimum(rlo, table.limit)]).sum())
+def level_prime_count(table: PrimeTable, n: int, k: int) -> int:
+    """Number of primes in the level-1 intervals, via prime counts at the
+    floored endpoints (exact: the intervals are disjoint)."""
+    lo, hi = _level_range_arrays(n, k)
+    return int((table.pi_prefix[np.minimum(hi, table.limit)]
+                - table.pi_prefix[np.minimum(lo, table.limit)]).sum())

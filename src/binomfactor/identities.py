@@ -90,6 +90,20 @@ class FactorialRatioSpec:
     def max_multiplier(self) -> int:
         return max(self.numerator_multipliers + self.denominator_multipliers)
 
+    @property
+    def growth_rate(self) -> float:
+        """log(prod n^n / prod m^m) = sum n log n - sum m log m."""
+        return math.fsum(
+            [v * math.log(v) for v in self.numerator_multipliers]
+            + [-v * math.log(v) for v in self.denominator_multipliers])
+
+    def log_ratio(self, k: int) -> float:
+        """log of the ratio at k, from the log-factorial table (fsum)."""
+        lf = log_factorial_prefix(self.max_multiplier * k)
+        return math.fsum(
+            [float(lf[v * k]) for v in self.numerator_multipliers]
+            + [-float(lf[v * k]) for v in self.denominator_multipliers])
+
 
 def _check_pair(n: int, m: int, k: int, table: PrimeTable) -> None:
     if not (n >= m >= 1):
@@ -149,7 +163,7 @@ def omega_pi_series_grouped(n: int, m: int, k: int, table: PrimeTable) -> int:
     O(nk) intervals on purpose: it is the witness `omega_identity_report`
     checks the quotient-grouped series and the carry oracle against."""
     _check_pair(n, m, k, table)
-    return level_prime_count(table, n * k, m * k, 1)
+    return level_prime_count(table, n * k, m * k)
 
 
 def omega_identity_report(n: int, m: int, k: int, table: PrimeTable) -> IdentityReport:
@@ -261,19 +275,14 @@ def factorial_ratio_report(spec: FactorialRatioSpec, k: int, table: PrimeTable) 
     if spec.max_multiplier * k > table.limit:
         raise OutOfRangeError(
             f"max argument {spec.max_multiplier * k} exceeds table limit {table.limit}")
-    lf = log_factorial_prefix(spec.max_multiplier * k)
-    lhs = math.fsum(
-        [float(lf[v * k]) for v in spec.numerator_multipliers]
-        + [-float(lf[v * k]) for v in spec.denominator_multipliers])
+    lhs = spec.log_ratio(k)
     acc = np.longdouble(0.0)
     for v in spec.numerator_multipliers:
         acc += _psi_series_one(table, v * k)
     for v in spec.denominator_multipliers:
         acc -= _psi_series_one(table, v * k)
     rhs = float(acc)
-    growth = k * math.fsum(
-        [v * math.log(v) for v in spec.numerator_multipliers]
-        + [-v * math.log(v) for v in spec.denominator_multipliers])
+    growth = k * spec.growth_rate
     residual = lhs - rhs
     return IdentityReport(
         identity_id=IDENTITY_FACTORIAL_RATIO_PSI,

@@ -197,14 +197,6 @@ class PrimeTable:
         idx = int(np.searchsorted(self.primes, n, side="right"))
         return self.primes[:idx]
 
-    def prime_count_between(self, lo: int, hi: int) -> int:
-        """Number of primes in the half-open interval (lo, hi]."""
-        lo = max(lo, 0)
-        hi = min(hi, self.limit)
-        if hi <= lo:
-            return 0
-        return int(self.pi_prefix[hi] - self.pi_prefix[lo])
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"PrimeTable(limit={self.limit}, primes={len(self.primes)})"
 
@@ -225,10 +217,6 @@ def _sieve(limit: int) -> np.ndarray:
         if base[p]:
             base[p * p::p] = False
     base_primes = np.flatnonzero(base).tolist()
-    if limit + 1 <= _CHUNK:
-        for p in base_primes:
-            flags[p * p::p] = False
-        return flags
     # segment the strike loop so each pass stays cache resident
     for lo in range(0, limit + 1, _CHUNK):
         hi = min(lo + _CHUNK, limit + 1)

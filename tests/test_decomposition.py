@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -12,7 +14,7 @@ from binomfactor import (MAX_DECOMPOSE_N, DomainError, OutOfRangeError,
                          binom_exponent, canonical_integer_form, decompose,
                          equivalence_check, integer_root, prime_divides,
                          verify_disjoint)
-from binomfactor.decomposition import (_integer_root_vec, _level_range_arrays,
+from binomfactor.decomposition import (_level_range_arrays,
                                        integer_membership_mask)
 
 
@@ -88,17 +90,45 @@ class TestDegenerateInputs:
 
     def test_degenerate_interval_raises(self, monkeypatch):
         # a branch-B index (j, t) = (1, n) would give the interval (k, 1]
-        def broken(n, k, i):
+        def broken(n, k):
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, np.array([1]), np.array([n])
         monkeypatch.setattr(decomposition, "_level_index", broken)
         with pytest.raises(DomainError, match="degenerate"):
             decompose(10, 3)
 
+    def test_out_of_order_enumeration_raises(self, monkeypatch):
+        # valid intervals in the wrong order would make the level
+        # prefixes wrong; decompose must refuse them
+        real = decomposition._level_index
+
+        def reversed_a(n, k):
+            ja, fa, jb, tb = real(n, k)
+            return ja[::-1], fa[::-1], jb, tb
+        assert len(real(100, 37)[1]) > 1
+        monkeypatch.setattr(decomposition, "_level_index", reversed_a)
+        with pytest.raises(DomainError, match="out of order"):
+            decompose(100, 37)
+
     def test_columns_read_only(self):
         dec = decompose(100, 37)
         with pytest.raises(ValueError):
             dec.columns[1][0, 0] = 1
+
+    def test_decomposition_immutable(self):
+        dec = decompose(100, 37)
+        assert dec.max_root_index == 6 and dec.levels[1]  # cached readers work
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dec.n = 99
+        with pytest.raises(TypeError):
+            dec.columns[1] = None
+        with pytest.raises(TypeError):
+            del dec.columns[2]
+        prefix = dec.columns[3]
+        assert not prefix.flags.writeable
+        assert np.shares_memory(prefix, dec.columns[1])
+        with pytest.raises(ValueError):
+            prefix[0, 0] = 1
 
 
 class TestCanonicalForm:
@@ -214,9 +244,10 @@ class TestFastPathAgreesWithIntervals:
     @pytest.mark.parametrize("n,k", [(60, 25), (100, 37), (541, 108), (2000, 800)])
     def test_level_arrays_match_materialised(self, n, k):
         dec = decompose(n, k)
+        lo, hi = _level_range_arrays(n, k)
         for i, ivs in dec.levels.items():
-            lo, hi = _level_range_arrays(n, k, i)
-            got = sorted(zip(lo.tolist(), hi.tolist()))
+            keep = hi >= 1 << i
+            got = sorted(zip(lo[keep].tolist(), hi[keep].tolist()))
             want = sorted(
                 (iv.lower.numerator // iv.lower.denominator,
                  iv.upper.numerator // iv.upper.denominator)
@@ -242,25 +273,6 @@ class TestFastPathAgreesWithIntervals:
             carry = (n // primes - k // primes - (n - k) // primes) > 0
             mask = integer_membership_mask(n, k, level=1)[primes]
             assert np.array_equal(mask, carry), (n, k)
-
-    @given(st.integers(2, 60))
-    @settings(max_examples=60, deadline=None)
-    def test_integer_root_vec_exact(self, i):
-        arr = np.array([0, 1, 2, 3, 7, 8, 9, 63, 64, 65, 10**6, 10**12], dtype=np.int64)
-        r = _integer_root_vec(arr.copy(), i)
-        for x, v in zip(arr.tolist(), r.tolist()):
-            assert v**i <= x < (v + 1) ** i
-
-    @pytest.mark.parametrize("i", range(2, 8))
-    def test_integer_root_vec_near_int64_max(self, i):
-        top = 2**63 - 1
-        rng = random.Random(6300 + i)
-        rmax = integer_root(top, i)
-        roots = [2, 3, rmax - 1, rmax] + [rng.randint(2, rmax) for _ in range(30)]
-        xs = [top] + [x for r in roots for x in (r**i - 1, r**i, r**i + 1)
-                      if x <= top]
-        got = _integer_root_vec(np.array(xs, dtype=np.int64), i)
-        assert got.tolist() == [integer_root(x, i) for x in xs]
 
 
 class TestEquivalence:
@@ -330,3 +342,103 @@ class TestJsonShape:
             for iv in level["intervals"]:
                 assert math.gcd(iv["lower"]["num"], iv["lower"]["den"]) == 1
                 assert math.gcd(iv["upper"]["num"], iv["upper"]["den"]) == 1
+
+
+def _reference_level_index(n, k, i):
+    """The per-level enumeration: indices of the intervals at root level i
+    with upper denominator at most floor(n / 2^i), enumerated afresh."""
+    d_max = n >> i
+    if d_max < 1 or k == 0 or k == n:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty, empty
+    jmax_a = (k * d_max - 1) // n + 1
+    j = np.arange(1, jmax_a + 1, dtype=np.int64)
+    f0 = (n * (j - 1)) // k - j + 1
+    f1 = np.minimum((n * j) // k - j - 1, d_max - j)
+    lengths = np.maximum(f1 - f0 + 1, 0)
+    total = int(lengths.sum())
+    j_rep = np.repeat(j, lengths)
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    f = (np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)) + np.repeat(f0, lengths)
+    jmax_b = ((d_max + 1) * k - 1) // n
+    jb = np.arange(1, jmax_b + 1, dtype=np.int64)
+    nj = n * jb
+    t = nj // k
+    keep = (nj % k) != 0
+    return j_rep, f, jb[keep], t[keep]
+
+
+def _reference_columns(n, k, i):
+    """Merged, reduced (6, m) columns of root level i from its own
+    enumeration."""
+    ja, fa, jb, tb = _reference_level_index(n, k, i)
+    cols_a = np.stack([np.full_like(fa, n - k), fa + 1, np.full_like(fa, n), fa + ja, ja, fa])
+    cols_b = np.stack([np.full_like(jb, k), jb, np.full_like(jb, n), tb, jb, np.full_like(jb, -1)])
+    at = np.searchsorted(fa, -((-(n - k) * jb) // k) - 2, side="right")
+    cols = np.insert(cols_a, at, cols_b, axis=1)
+    for num, den in (cols[0:2], cols[2:4]):
+        g = np.gcd(num, den)
+        num //= g
+        den //= g
+    return cols
+
+
+def _sha(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+class TestPrefixLevels:
+    """Every root level is read off the one level-1 enumeration; it must
+    equal the level enumerated on its own, and the outputs must keep the
+    bytes recorded when each level was still enumerated separately."""
+
+    @staticmethod
+    def _check(n, k):
+        dec = decompose(n, k)
+        want = range(1, n.bit_length()) if 0 < k < n else ()
+        assert list(dec.columns) == list(want), (n, k)
+        for i in want:
+            ref = _reference_columns(n, k, i)
+            assert dec.columns[i].shape == ref.shape, (n, k, i)
+            assert np.array_equal(dec.columns[i], ref), (n, k, i)
+
+    def test_levels_match_per_level_enumeration_small(self):
+        for n in range(1, 201):
+            for k in range(n + 1):
+                self._check(n, k)
+
+    def test_levels_match_per_level_enumeration_seeded(self):
+        rng = random.Random(5151)
+        for _ in range(100):
+            n = rng.randint(2, 10**5)
+            self._check(n, rng.randint(0, n))
+
+    MASK_GOLDENS = {
+        (10**6, 333333, None): "85f04afdc309144cd6488419a7189059b85231345e2054ba3c42a3e8578c54ff",
+        (10**6, 333333, 1): "cf0e6ff65f4008e4d36bf6126f73d59f41ee83b88e7948c26c501d9f20225660",
+        (10**6, 333333, 2): "186fe277af117d5977d58ef08f5f1dde354320581b766c7ac8dc2261aff2af93",
+        (10**5, 40000, None): "20ec346cf03f2df6988195d5fd07f8d89d71aa5190961fe60e955f794890fd25",
+        (10**5, 40000, 1): "7cd00ef43a587b9ce226b591064d0c40d689ceee32dde1747384e051b2e6f280",
+        (10**5, 40000, 2): "e176b2c4a13762f8b1854a3644f098d73184d4796d6ba6dfd9a31a70023b0bd7",
+        (999, 500, None): "f9dc1b2b3bdb6e6cab89d9b623b87e4fab4b0c6e0c7e751c5e9322b845521f56",
+        (999, 500, 1): "2f4ae3ff61b2b37181e8c40f14e85aad707cec9068510b3d02d933baad6ed814",
+        (999, 500, 2): "99aa381fa0440ef7e53a2e87b0f6d1bb5bb0e5728f9938825ad68b19795ef4a3",
+    }
+
+    @pytest.mark.parametrize("n,k,level", list(MASK_GOLDENS))
+    def test_mask_golden(self, n, k, level):
+        mask = integer_membership_mask(n, k, level=level)
+        assert mask.dtype == bool and mask.shape == (n + 1,)
+        assert _sha(mask) == self.MASK_GOLDENS[n, k, level]
+
+    def test_columns_golden(self):
+        dec = decompose(10**5, 40000)
+        assert [c.shape[1] for c in dec.columns.values()] == [
+            40000, 20000, 10000, 5000, 2500, 1250, 625, 312, 156, 78, 39, 20, 10, 5, 3, 1]
+        cat = np.concatenate(list(dec.columns.values()), axis=1)
+        assert cat.dtype == np.int64
+        assert _sha(cat) == "8c798fdc5f2bd35cb8140f7b90626df94e9cc0894dd3743d133abaff401dc985"
+
+    def test_mask_rejects_level_zero(self):
+        with pytest.raises(DomainError):
+            integer_membership_mask(100, 37, level=0)

@@ -12,7 +12,7 @@ from binomfactor import (MAX_LIMIT, DomainError, OutOfRangeError,
                          binom_exponent, build_table, integer_root,
                          legendre_exponent, mobius_partial_sums,
                          omega_binom_oracle)
-from binomfactor.primes import _moebius, _von_mangoldt
+from binomfactor.primes import _CHUNK, _moebius, _sieve, _von_mangoldt
 from conftest import reference_sieve
 
 
@@ -33,6 +33,13 @@ class TestBuildTable:
     def test_rejects_over_budget(self):
         with pytest.raises(DomainError):
             build_table(10**12)
+
+    @pytest.mark.parametrize("limit", [2, 3, 100, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+    def test_sieve_at_segment_edges(self, limit):
+        # one segmented loop serves every limit, including those that fit
+        # in a single segment
+        assert _CHUNK == 1 << 20
+        assert np.array_equal(_sieve(limit), reference_sieve(limit))
 
     def test_against_independent_sieve(self, table_medium):
         ref = reference_sieve(1_000_000)
