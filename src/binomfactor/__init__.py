@@ -21,7 +21,7 @@ from .chebyshev import (PI_BOUNDS_SPEC, PI_BOUNDS_SPEC_BROKEN, PSI_RATIO_SPEC,
                         verify_alternating)
 from .decomposition import (MAX_DECOMPOSE_N, CanonicalInterval, Decomposition,
                             DivisorInterval, canonical_integer_form, decompose,
-                            equivalence_check, prime_divides, verify_disjoint)
+                            equivalence_check, prime_divides)
 from .errors import (BinomfactorError, DomainError, NonAlternatingError,
                      OutOfRangeError)
 from .identities import (FactorialRatioSpec, IdentityReport,

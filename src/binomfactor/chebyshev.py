@@ -363,6 +363,8 @@ def psi_variant_bounds(k_grid, table: PrimeTable,
     ledger = _refine_bounds(constant, lead, anchor, initial_upper=2.0, iterations=3)
     rows = []
     for k in k_grid:
+        if k < 1:
+            raise DomainError(f"need k >= 1, got k={k}")
         if L * k > table.limit:
             raise OutOfRangeError(f"k={k} needs psi beyond table limit")
         ratio_log = ratio_spec.log_ratio(k)

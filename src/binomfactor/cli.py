@@ -32,7 +32,8 @@ from .identities import (FactorialRatioSpec, alternating_pi_sum,
                          bertrand_check, factorial_ratio_report,
                          omega_identity_report)
 from .logseries import partial_sum
-from .primes import DEFAULT_LIMIT, MAX_LIMIT, build_table, integer_root
+from .primes import (DEFAULT_LIMIT, MAX_LIMIT, _floor_real, build_table,
+                     integer_root)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -98,10 +99,11 @@ def _parse_combination(raw: str) -> CombinationSpec:
             one_b, b = right.split("/")
             if one_a.strip() != "1" or one_b.strip() != "1":
                 raise ValueError
-            terms.append(CombinationTerm(sign, int(a), int(b)))
+            a, b = int(a), int(b)
         except ValueError as exc:
             raise DomainError(
                 f"bad combination term {tok!r}; expected like +1/2:1/6") from exc
+        terms.append(CombinationTerm(sign, a, b))
     return CombinationSpec(tuple(terms))
 
 
@@ -239,7 +241,7 @@ def _cmd_identity(cfg: RunConfig, args) -> int:
     elif kind == "altpi":
         if args.x is None:
             raise DomainError("identity altpi needs --x")
-        x = int(args.x)
+        x = _floor_real(args.x)
         table = build_table(cfg.require(x))
         s, ratio = alternating_pi_sum(x, table)
         payload = {"x": x, "sum": s, "ratio": ratio, "log2": math.log(2),

@@ -1,34 +1,36 @@
 """Exact interval decomposition of the prime divisors of C(n, k).
 
-The set {p prime : p divides C(n, k)} equals the primes p for which some
-power p^i lands in one family of half-open intervals with rational
-endpoints.  Writing e_p for the exponent of p, the criterion
+A prime p divides C(n, k) iff, for some i >= 1, x = p^i carries:
 
-    p | C(n, k)  <=>  exists i with
-        floor(k/p^i) = j - 1,  floor((n-k)/p^i) = f,  floor(n/p^i) = f + j
+    floor(n/x) - floor(k/x) - floor((n-k)/x) = 1.
 
-pins (j, f) per witness power, and the real x with a carry form two
-interval families (all endpoint arithmetic exact):
+The x that carry form one half-open interval (lower, upper] per upper
+denominator d (membership meaning lower < x <= upper).  Every x in the
+cell (n/(d+1), n/d] has floor(n/x) = d.  Put j = floor(kd/n) + 1; since
+k < n, 1 <= j <= d.  At x = n/d the sum floor(k/x) + floor((n-k)/x) is
+d - 1 iff n does not divide kd (otherwise it is d and the cell holds no
+carry), as x falls the sum only rises, and it reaches d where k/x
+reaches j or (n-k)/x reaches d - j + 1.  So the cell's carries are
 
-  * branch A, indexed by (j, f) with
-    f in [floor((n/k)(j-1)) - j + 1, floor((n/k)j) - j - 1]:
-        interval  ((n-k)/(f+1), n/(f+j)]
-  * branch B, indexed by j with n*j not divisible by k, f = floor(nj/k) - j:
-        interval  (k/j, n/floor(nj/k)]
+    (max(k/j, (n-k)/(d-j+1)), n/d],
 
-membership meaning lower < x <= upper.  The intervals are pairwise
-disjoint.  The root index i does not enter them: root level i is the
+all endpoint arithmetic exact.  The lower endpoint is k/j (branch B)
+iff k(d+1) > nj, i.e. iff d = floor(nj/k); otherwise it is
+(n-k)/(d-j+1) (branch A, with f = d - j).  The cells are disjoint, so
+the intervals are, and ascending d lists them in descending order.
+
+The root index i does not enter the intervals: root level i is the
 family cut down to the intervals with upper >= 2^i (no smaller one holds
-an i-th power >= 2), and as the intervals descend, that is a prefix of
-level 1.
+an i-th power >= 2), i.e. d <= n >> i, a prefix of level 1.
 
-`_level_index` enumerates the (j, f) indices of level 1 once, as int64
-arrays, and everything else reads that one enumeration: `decompose`
-keeps the exact endpoints as integer numerator/denominator columns in
-lowest terms, with each deeper level a prefix view, and the membership
-mask and prime counts use their floors.  Floors lose nothing for an
-integer q: a < q <= b iff floor(a) < q <= floor(b).  `fractions.Fraction`
-endpoints are built only when `Decomposition.levels` is read.
+`_level_index` enumerates the (d, j) of level 1 once, as int64 arrays
+(k*d < n^2/2, at most 2*10^16 at the sieve's MAX_LIMIT), and everything
+else reads that one enumeration: `decompose` keeps the exact endpoints
+as integer numerator/denominator columns in lowest terms, with each
+deeper level a prefix view, and the membership mask and prime counts use
+their floors.  Floors lose nothing for an integer q: a < q <= b iff
+floor(a) < q <= floor(b).  `fractions.Fraction` endpoints are built only
+when `Decomposition.levels` is read.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class DivisorInterval:
     """One half-open interval (lower, upper] at a given root level.
 
     A prime p belongs iff lower < p**root_index <= upper.  `f` is None
-    for branch-B intervals, whose index is j alone.
+    for branch-B intervals, whose lower endpoint is k/j.
     """
     lower: Fraction
     upper: Fraction
@@ -119,12 +121,6 @@ class Decomposition:
         hi = hi[hi > lo]
         return int(hi.max()).bit_length() - 1 if hi.size else 0
 
-    def intervals_at(self, i: int) -> tuple[DivisorInterval, ...]:
-        return self.levels.get(i, ())
-
-    def all_intervals(self) -> list[DivisorInterval]:
-        return [iv for ivs in self.levels.values() for iv in ivs]
-
     def prime_divides(self, p: int) -> bool:
         """True iff some interval contains a power p^i, i.e. (level i
         being a prefix of level 1) some level-1 interval does.
@@ -166,32 +162,14 @@ class Decomposition:
 # -- enumeration -------------------------------------------------------
 
 
-def _level_index(n: int, k: int) -> tuple[np.ndarray, ...]:
-    """(j_a, f_a, j_b, t_b): the indices of every level-1 interval, as
-    int64 arrays.  Branch A pairs (j, f) come with f strictly ascending,
-    branch B pairs (j, t = floor(nj/k)) with j ascending.  Only intervals
-    whose upper endpoint can hold an integer >= 2 are kept, i.e. those
-    with upper denominator f + j or t at most floor(n / 2)."""
-    d_max = n >> 1
-    if d_max < 1 or k == 0 or k == n:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty, empty
-    jmax_a = (k * d_max - 1) // n + 1
-    j = np.arange(1, jmax_a + 1, dtype=np.int64)
-    f0 = (n * (j - 1)) // k - j + 1
-    f1 = np.minimum((n * j) // k - j - 1, d_max - j)
-    lengths = np.maximum(f1 - f0 + 1, 0)
-    total = int(lengths.sum())
-    j_rep = np.repeat(j, lengths)
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    f = (np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)) + np.repeat(f0, lengths)
-
-    jmax_b = ((d_max + 1) * k - 1) // n
-    jb = np.arange(1, jmax_b + 1, dtype=np.int64)
-    nj = n * jb
-    t = nj // k
-    keep = (nj % k) != 0
-    return j_rep, f, jb[keep], t[keep]
+def _level_index(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(d, j): the upper denominator d, ascending, and j = floor(kd/n) + 1
+    of every level-1 interval, as int64 arrays.  d runs over 1..n // 2
+    (the uppers n/d that can hold an integer >= 2) and skips the cells
+    with n | kd, which hold no interval."""
+    d = np.arange(1, (n >> 1) + 1, dtype=np.int64)
+    d = d[(k * d) % n != 0]
+    return d, k * d // n + 1
 
 
 def decompose(n: int, k: int) -> Decomposition:
@@ -211,13 +189,10 @@ def decompose(n: int, k: int) -> Decomposition:
         raise OutOfRangeError(f"decompose needs n <= {MAX_DECOMPOSE_N}, got n={n}")
     if k == 0 or k == n:
         return Decomposition(n, k, MappingProxyType({}))
-    ja, fa, jb, tb = _level_index(n, k)
-    cols_a = np.stack([np.full_like(fa, n - k), fa + 1, np.full_like(fa, n), fa + ja, ja, fa])
-    cols_b = np.stack([np.full_like(jb, k), jb, np.full_like(jb, n), tb, jb, np.full_like(jb, -1)])
-    # both runs descend by lower endpoint; k/j goes after every
-    # (n-k)/(f+1) above it, i.e. after every f <= ceil((n-k)j/k) - 2
-    at = np.searchsorted(fa, -((-(n - k) * jb) // k) - 2, side="right")
-    cols = np.insert(cols_a, at, cols_b, axis=1)
+    d, j = _level_index(n, k)
+    b = n * j // k == d  # branch B: the lower endpoint is k/j
+    cols = np.stack([np.where(b, k, n - k), np.where(b, j, d - j + 1),
+                     np.full_like(d, n), d, j, np.where(b, -1, d - j)])
     for num, den in (cols[0:2], cols[2:4]):
         g = np.gcd(num, den)
         num //= g
@@ -232,9 +207,8 @@ def decompose(n: int, k: int) -> Decomposition:
         raise DomainError(f"intervals of C({n}, {k}) out of order; "
                           "this indicates an enumeration bug")
     cols.setflags(write=False)
-    # level i keeps the floored uppers >= 2^i
-    hi_asc = cols[2, ::-1] // cols[3, ::-1]
-    sizes = len(hi_asc) - np.searchsorted(hi_asc, 1 << np.arange(1, n.bit_length()))
+    # level i keeps the uppers n/d >= 2^i, i.e. d <= n >> i
+    sizes = np.searchsorted(d, n >> np.arange(1, n.bit_length()), side="right")
     return Decomposition(n, k, MappingProxyType(
         {i: cols[:, :m] for i, m in enumerate(sizes.tolist(), start=1)}))
 
@@ -257,26 +231,14 @@ def canonical_integer_form(dec: Decomposition) -> dict[int, list[CanonicalInterv
     return {i: rows[:cols.shape[1]] for i, cols in dec.columns.items()}
 
 
-def verify_disjoint(dec: Decomposition, i: int) -> tuple[DivisorInterval, DivisorInterval] | None:
-    """None if the intervals at root level i are pairwise disjoint,
-    otherwise the first overlapping pair in ascending order.  An overlap
-    would be an implementation bug, so this never raises."""
-    asc = sorted(dec.intervals_at(i), key=lambda iv: iv.lower)
-    for a, b in zip(asc, asc[1:]):
-        if not a.upper <= b.lower:
-            return a, b
-    return None
-
-
 # -- floored endpoints for the membership mask ---------------------------
 
 
 def _level_range_arrays(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Floored endpoints (lo, hi] of every level-1 interval, as int64
-    arrays (branch A first, then branch B)."""
-    ja, fa, jb, tb = _level_index(n, k)
-    return (np.concatenate([(n - k) // (fa + 1), k // jb]),
-            np.concatenate([n // (fa + ja), n // tb]))
+    arrays in ascending d (the floor of a max is the max of the floors)."""
+    d, j = _level_index(n, k)
+    return np.maximum(k // j, (n - k) // (d - j + 1)), n // d
 
 
 def integer_membership_mask(n: int, k: int, level: int | None = None) -> np.ndarray:

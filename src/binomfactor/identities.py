@@ -33,9 +33,7 @@ from .errors import DomainError, OutOfRangeError
 from .primes import _CHUNK, PrimeTable, _binom_divisor_flags, _floor_real
 
 IDENTITY_OMEGA_PI = "omega_pi"
-IDENTITY_OMEGA_PI_GROUPED = "omega_pi_grouped"
 IDENTITY_FACTORIAL_RATIO_PSI = "factorial_ratio_psi"
-IDENTITY_ALTERNATING_PI = "alternating_pi"
 
 
 @dataclass

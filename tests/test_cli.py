@@ -231,3 +231,19 @@ class TestEnvironment:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "log 2" in proc.stdout
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv,cause", [
+        pytest.param(("identity", "altpi", "--x", "nan"), "finite", id="altpi-nan"),
+        pytest.param(("identity", "altpi", "--x", "inf"), "finite", id="altpi-inf"),
+        pytest.param(("logk", "2", "--terms", "100000000000"), "terms <=",
+                     id="logk-terms"),
+        pytest.param(("bounds", "--psi", "--k-grid", "-5"), "k >= 1", id="psi-k-neg"),
+        pytest.param(("bounds", "--psi", "--k-grid", "0"), "k >= 1", id="psi-k-zero"),
+        pytest.param(("bounds", "+1/2:1/5"), "must divide", id="term-a-b"),
+    ])
+    def test_exit_2_with_cause(self, capsys, argv, cause):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and cause in err

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 import binomfactor.decomposition as decomposition
 from binomfactor import (MAX_DECOMPOSE_N, DomainError, OutOfRangeError,
                          binom_exponent, canonical_integer_form, decompose,
-                         equivalence_check, integer_root, prime_divides,
-                         verify_disjoint)
+                         equivalence_check, integer_root, prime_divides)
 from binomfactor.decomposition import (_level_range_arrays,
-                                       integer_membership_mask)
+                                       integer_membership_mask,
+                                       level_prime_count)
 
 
 def canonical_level1_pairs(n, k, count=None):
@@ -23,6 +23,16 @@ def canonical_level1_pairs(n, k, count=None):
     rows = canonical_integer_form(dec)[1]
     pairs = [(c.lower, c.upper) for c in rows]
     return pairs[:count] if count else pairs
+
+
+def assert_disjoint(dec):
+    """Sorted by lower endpoint, each interval of a level ends at or below
+    the next one's start (exact `Fraction`s built from the columns)."""
+    for i, cols in dec.columns.items():
+        asc = sorted((Fraction(a, b), Fraction(c, d))
+                     for a, b, c, d in cols[:4].T.tolist())
+        for (_, upper), (lower, _) in zip(asc, asc[1:]):
+            assert upper <= lower, (dec.n, dec.k, i)
 
 
 class TestShowcaseDecompositions:
@@ -62,11 +72,11 @@ class TestShowcaseDecompositions:
 class TestDegenerateInputs:
     def test_diagonal_empty(self):
         dec = decompose(5, 5)
-        assert dec.all_intervals() == []
+        assert not dec.columns
         assert dec.max_root_index == 0
 
     def test_k_zero_empty(self):
-        assert decompose(7, 0).all_intervals() == []
+        assert not decompose(7, 0).columns
 
     def test_k_above_n_rejected(self):
         with pytest.raises(DomainError):
@@ -89,10 +99,9 @@ class TestDegenerateInputs:
             assert prime_divides(dec, p) == (binom_exponent(p, n, k) > 0)
 
     def test_degenerate_interval_raises(self, monkeypatch):
-        # a branch-B index (j, t) = (1, n) would give the interval (k, 1]
+        # (d, j) = (3, 3) at (10, 3) would give the interval (7, 10/3]
         def broken(n, k):
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, np.array([1]), np.array([n])
+            return np.array([3]), np.array([3])
         monkeypatch.setattr(decomposition, "_level_index", broken)
         with pytest.raises(DomainError, match="degenerate"):
             decompose(10, 3)
@@ -102,11 +111,11 @@ class TestDegenerateInputs:
         # prefixes wrong; decompose must refuse them
         real = decomposition._level_index
 
-        def reversed_a(n, k):
-            ja, fa, jb, tb = real(n, k)
-            return ja[::-1], fa[::-1], jb, tb
-        assert len(real(100, 37)[1]) > 1
-        monkeypatch.setattr(decomposition, "_level_index", reversed_a)
+        def reversed_d(n, k):
+            d, j = real(n, k)
+            return d[::-1], j[::-1]
+        assert len(real(100, 37)[0]) > 1
+        monkeypatch.setattr(decomposition, "_level_index", reversed_d)
         with pytest.raises(DomainError, match="out of order"):
             decompose(100, 37)
 
@@ -168,13 +177,10 @@ class TestCanonicalForm:
 class TestDisjointness:
     @pytest.mark.parametrize("n,k", [(2000, 1000), (2000, 800), (977, 333), (144, 89)])
     def test_levels_disjoint(self, n, k):
-        dec = decompose(n, k)
-        for i in dec.levels:
-            assert verify_disjoint(dec, i) is None
+        assert_disjoint(decompose(n, k))
 
     def test_single_interval_trivially_disjoint(self):
-        dec = decompose(3, 2)
-        assert verify_disjoint(dec, 1) is None
+        assert_disjoint(decompose(3, 2))
 
 
 class TestBranchOrderings:
@@ -299,8 +305,7 @@ class TestEquivalence:
                 assert math.gcd(lo["num"], lo["den"]) == 1
                 assert math.gcd(hi["num"], hi["den"]) == 1
                 assert lo["num"] * hi["den"] < hi["num"] * lo["den"]
-        for i in dec.columns:
-            assert verify_disjoint(dec, i) is None
+        assert_disjoint(dec)
 
     def test_random_midsize(self, table_medium):
         rng = random.Random(4242)
@@ -345,8 +350,9 @@ class TestJsonShape:
 
 
 def _reference_level_index(n, k, i):
-    """The per-level enumeration: indices of the intervals at root level i
-    with upper denominator at most floor(n / 2^i), enumerated afresh."""
+    """The two-branch per-level enumeration: branch A indexed by (j, f),
+    branch B by j, holding the intervals at root level i with upper
+    denominator at most floor(n / 2^i), enumerated afresh."""
     d_max = n >> i
     if d_max < 1 or k == 0 or k == n:
         empty = np.empty(0, dtype=np.int64)
@@ -388,9 +394,10 @@ def _sha(arr):
 
 
 class TestPrefixLevels:
-    """Every root level is read off the one level-1 enumeration; it must
-    equal the level enumerated on its own, and the outputs must keep the
-    bytes recorded when each level was still enumerated separately."""
+    """Every root level is read off the one level-1 enumeration by upper
+    denominator; it must equal the level enumerated on its own by the two
+    (j, f) branches, and the outputs must keep the bytes recorded when
+    each level was still enumerated separately."""
 
     @staticmethod
     def _check(n, k):
@@ -412,6 +419,31 @@ class TestPrefixLevels:
         for _ in range(100):
             n = rng.randint(2, 10**5)
             self._check(n, rng.randint(0, n))
+        # the edges of k, and n divisible by 12 with k = n/4 and n/6,
+        # where every 4th or 6th cell d holds no interval
+        for _ in range(20):
+            n = rng.randint(2, 10**4)
+            for k in (1, 2, n - 1, n // 2):
+                self._check(n, k)
+            n = 12 * rng.randint(1, 10**4 // 12)
+            self._check(n, n // 4)
+            self._check(n, n // 6)
+
+    @pytest.mark.parametrize("n", [MAX_DECOMPOSE_N - 1, MAX_DECOMPOSE_N - 12,
+                                   999_983, MAX_DECOMPOSE_N])
+    def test_level_one_matches_near_cap(self, n):
+        for k in (1, n // 3, n // 2, n - 1):
+            ref = _reference_columns(n, k, 1)
+            assert np.array_equal(decompose(n, k).columns[1], ref), (n, k)
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (4, 1), (5, 2), (6, 1), (10, 3)])
+    def test_level_prime_count_is_level_one_carry(self, table_large, n, m):
+        # the benchmark's series ratios, at N = nk close to 10^7
+        k = 10**7 // n
+        big, small = n * k, m * k
+        p = table_large.primes_up_to(big)
+        carry = int((big // p - small // p - (big - small) // p > 0).sum())
+        assert level_prime_count(table_large, big, small) == carry
 
     MASK_GOLDENS = {
         (10**6, 333333, None): "85f04afdc309144cd6488419a7189059b85231345e2054ba3c42a3e8578c54ff",
