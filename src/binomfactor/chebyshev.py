@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -29,6 +28,15 @@ from .asymptotics import omega_growth_constant
 from .errors import DomainError, NonAlternatingError, OutOfRangeError
 from .identities import FactorialRatioSpec, _quotient_sum, omega_pi_series
 from .primes import PrimeTable, omega_binom_oracle
+
+#: Longest coefficient-sequence period (lcm of the expansion divisors): one
+#: int64 per index, and `verify_alternating` scans two periods in Python,
+#: ~1 s in all at this ceiling.  The built-in specs have 60, 420 and 30.
+MAX_PERIOD = 1_000_000
+
+#: Most passes of the sharpening map `derive_bounds` records; each one
+#: contracts the gap to the fixed point by lead/anchor (1/6 classically).
+MAX_ITERATIONS = 1000
 
 
 @dataclass(frozen=True)
@@ -66,10 +74,6 @@ class CombinationTerm:
         return ((self.a, 1), (self.a * self.b // gap, -1), (self.b, -1))
 
 
-def _lcm(values) -> int:
-    return reduce(math.lcm, values, 1)
-
-
 @dataclass(frozen=True)
 class CombinationSpec:
     """A signed combination of scaled omega terms."""
@@ -78,7 +82,7 @@ class CombinationSpec:
     @property
     def k_multiple(self) -> int:
         """Least L with every argument integral for k in L*N."""
-        return _lcm(t.b for t in self.terms)
+        return math.lcm(*(t.b for t in self.terms))
 
 
 #: The combination behind the classical 0.92 / 1.11 pi(x) bounds.
@@ -96,16 +100,20 @@ PI_BOUNDS_SPEC_BROKEN = CombinationSpec(
 PSI_RATIO_SPEC = FactorialRatioSpec((30, 1), (15, 10, 6))
 
 
+@dataclass(frozen=True)
 class CoefficientSequence:
     """Periodic integer coefficients a_n of pi(k/n) (or psi(K/n)) in an
     expanded combination.  ``values[r - 1]`` is the coefficient for
     n congruent to r mod period, with r = period standing for 0."""
+    values: tuple[int, ...]
 
-    def __init__(self, period: int, values: tuple[int, ...]):
-        if period < 1 or len(values) != period:
-            raise DomainError("period and value list length must agree")
-        self.period = period
-        self.values = values
+    def __post_init__(self):
+        if not self.values:
+            raise DomainError("a coefficient sequence needs at least one value")
+
+    @property
+    def period(self) -> int:
+        return len(self.values)
 
     def coefficient(self, n: int) -> int:
         if n < 1:
@@ -115,22 +123,14 @@ class CoefficientSequence:
     def residues_with_sign(self, sign: int) -> frozenset[int]:
         """Residues r in [1, period] (period standing for 0) whose
         coefficient has the given sign."""
-        return frozenset(
-            r for r in range(1, self.period + 1)
-            if (self.values[r - 1] > 0) == (sign > 0) and self.values[r - 1] != 0)
+        return frozenset(r for r, v in enumerate(self.values, start=1)
+                         if v and (v > 0) == (sign > 0))
 
     def first_index_with_sign(self, sign: int) -> int | None:
-        for r in range(1, self.period + 1):
-            v = self.values[r - 1]
-            if v and (v > 0) == (sign > 0):
-                return r
-        return None
+        return min(self.residues_with_sign(sign), default=None)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"CoefficientSequence(period={self.period})"
+        return not any(self.values)
 
 
 def _minimal_period(arr: np.ndarray) -> int:
@@ -149,14 +149,16 @@ def _sequence_from_divisors(weighted_divisors) -> CoefficientSequence:
     lcm of the divisors, then minimised (never assumed)."""
     pairs = list(weighted_divisors)
     if not pairs:
-        return CoefficientSequence(1, (0,))
-    length = _lcm(d for d, _ in pairs)
+        return CoefficientSequence((0,))
+    length = math.lcm(*(d for d, _ in pairs))
+    if length > MAX_PERIOD:
+        raise OutOfRangeError(f"sequence needs period lcm <= {MAX_PERIOD}, got {length}")
     arr = np.zeros(length + 1, dtype=np.int64)
     for d, w in pairs:
         arr[d::d] += w
     body = arr[1:]
     p = _minimal_period(body)
-    return CoefficientSequence(p, tuple(int(v) for v in body[:p]))
+    return CoefficientSequence(tuple(int(v) for v in body[:p]))
 
 
 def coefficient_sequence(spec: CombinationSpec) -> CoefficientSequence:
@@ -171,11 +173,11 @@ def coefficient_sequence(spec: CombinationSpec) -> CoefficientSequence:
 
 def psi_coefficient_sequence(ratio_spec: FactorialRatioSpec) -> CoefficientSequence:
     """Coefficient sequence of psi(Lk/t) in the psi series of a balanced
-    factorial ratio, L = lcm of the multipliers: each multiplier v
+    factorial ratio, L = ``ratio_spec.period``: each multiplier v
     contributes +-1 at every multiple of L/v."""
-    parts = (ratio_spec.numerator_multipliers, ratio_spec.denominator_multipliers)
-    L = _lcm(parts[0] + parts[1])
-    weighted = [(L // v, +1) for v in parts[0]] + [(L // v, -1) for v in parts[1]]
+    L = ratio_spec.period
+    weighted = ([(L // v, +1) for v in ratio_spec.numerator_multipliers]
+                + [(L // v, -1) for v in ratio_spec.denominator_multipliers])
     return _sequence_from_divisors(weighted)
 
 
@@ -189,8 +191,7 @@ def verify_alternating(seq: CoefficientSequence) -> int | None:
     period into the next.
     """
     expected = 1
-    for n in range(1, 2 * seq.period + 1):
-        v = seq.coefficient(n)
+    for n, v in enumerate(seq.values * 2, start=1):
         if v == 0:
             continue
         if abs(v) > 1 or (v > 0) != (expected > 0):
@@ -263,8 +264,13 @@ def derive_bounds(spec: CombinationSpec, anchor_divisor: int | None = None,
     Refuses non-alternating specs: the bracketing step needs monotone
     partial sums.  ``anchor_divisor``, if given, must match the first
     negative coefficient of the computed sequence (12 for the classical
-    spec).  ``initial_upper`` defaults to the well-known pi(x) <= 2 x/log x.
+    spec).  ``initial_upper`` (finite, > 0) defaults to the well-known
+    pi(x) <= 2 x/log x; ``iterations`` runs from 1 to MAX_ITERATIONS.
     """
+    if not 1 <= iterations <= MAX_ITERATIONS:
+        raise OutOfRangeError(f"need 1 <= iterations <= {MAX_ITERATIONS}, got {iterations}")
+    if not (math.isfinite(initial_upper) and initial_upper > 0):
+        raise DomainError(f"initial upper bound must be finite and > 0, got {initial_upper}")
     seq = coefficient_sequence(spec)
     lead, anchor = _lead_and_anchor(seq)
     if seq.is_zero():
@@ -358,7 +364,7 @@ def psi_variant_bounds(k_grid, table: PrimeTable,
     <= psi(Lk) on the grid."""
     seq = psi_coefficient_sequence(ratio_spec)
     lead, anchor = _lead_and_anchor(seq)
-    L = _lcm(ratio_spec.numerator_multipliers + ratio_spec.denominator_multipliers)
+    L = ratio_spec.period
     constant = ratio_spec.growth_rate / L
     ledger = _refine_bounds(constant, lead, anchor, initial_upper=2.0, iterations=3)
     rows = []

@@ -20,10 +20,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
-from .chebyshev import (CombinationSpec, CombinationTerm,
+from .chebyshev import (PSI_RATIO_SPEC, CombinationSpec, CombinationTerm,
                         coefficient_sequence, derive_bounds,
                         psi_variant_bounds)
 from .decomposition import canonical_integer_form, decompose, equivalence_check
@@ -32,30 +31,13 @@ from .identities import (FactorialRatioSpec, alternating_pi_sum,
                          bertrand_check, factorial_ratio_report,
                          omega_identity_report)
 from .logseries import partial_sum
-from .primes import (DEFAULT_LIMIT, MAX_LIMIT, _floor_real, build_table,
-                     integer_root)
+from .primes import (DEFAULT_LIMIT, MAX_LIMIT, PrimeTable, _floor_real,
+                     build_table, integer_root)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
 EXIT_REJECTED = 4
-
-
-@dataclass
-class RunConfig:
-    sieve_limit: int
-    output_format: str
-    out_path: str | None
-
-    def require(self, needed: int) -> int:
-        """Validate that `needed` fits the configured budget; returns the
-        table size to build (never larger than necessary)."""
-        if needed > self.sieve_limit:
-            raise DomainError(
-                f"computation needs sieve limit {needed}, but the configured "
-                f"budget is {self.sieve_limit} (raise --sieve-limit or "
-                f"BINOMFACTOR_SIEVE_LIMIT)")
-        return max(needed, 2)
 
 
 class _VerificationFailure(Exception):
@@ -72,11 +54,29 @@ def _env_sieve_limit() -> int:
         raise DomainError(f"BINOMFACTOR_SIEVE_LIMIT={raw!r} is not an integer") from exc
 
 
-def _parse_grid(raw: str) -> list[int]:
+def _parse_ints(raw: str, what: str) -> list[int]:
     try:
         return [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
-        raise DomainError(f"bad grid {raw!r}; expected comma-separated integers") from exc
+        raise DomainError(f"bad {what} {raw!r}; expected comma-separated integers") from exc
+
+
+def _table(args, needed: int) -> PrimeTable:
+    """A table up to `needed` (no larger), refused past the sieve budget."""
+    if needed > args.sieve_limit:
+        raise DomainError(
+            f"computation needs sieve limit {needed}, but the configured "
+            f"budget is {args.sieve_limit} (raise --sieve-limit or "
+            f"BINOMFACTOR_SIEVE_LIMIT)")
+    return build_table(max(needed, 2))
+
+
+def _k_grid(args, scale: int) -> tuple[list[int], PrimeTable]:
+    """The k of an identity (--grid, else --k) and the table up to scale * max k."""
+    ks = _parse_ints(args.grid, "grid") if args.grid else [args.k]
+    if not ks or any(k is None or k < 1 for k in ks):
+        raise DomainError(f"identity {args.kind} needs --k or --grid")
+    return ks, _table(args, scale * max(ks))
 
 
 def _parse_combination(raw: str) -> CombinationSpec:
@@ -107,21 +107,11 @@ def _parse_combination(raw: str) -> CombinationSpec:
     return CombinationSpec(tuple(terms))
 
 
-def _parse_parts(raw: str) -> tuple[int, ...]:
-    try:
-        vals = tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise DomainError(f"bad multiplier list {raw!r}") from exc
-    if not vals:
-        raise DomainError(f"empty multiplier list {raw!r}")
-    return vals
-
-
-def _emit(cfg: RunConfig, payload: dict, pretty_lines: list[str],
+def _emit(args, payload: dict, pretty_lines: list[str],
           csv_rows: list[dict] | None = None) -> None:
-    if cfg.output_format == "json":
+    if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         rows = csv_rows if csv_rows is not None else [payload]
         buf = io.StringIO()
         fields = sorted({key for row in rows for key in row})
@@ -132,8 +122,8 @@ def _emit(cfg: RunConfig, payload: dict, pretty_lines: list[str],
         text = buf.getvalue()
     else:
         text = "\n".join(pretty_lines) + "\n"
-    if cfg.out_path:
-        with open(cfg.out_path, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -148,23 +138,23 @@ def _csv_cell(value):
 # -- subcommands --------------------------------------------------------
 
 
-def _cmd_decompose(cfg: RunConfig, args) -> int:
+def _cmd_decompose(args) -> int:
     dec = decompose(args.n, args.k)
     payload = rows = None
     lines = []
-    if cfg.output_format == "pretty":
+    if args.format == "pretty":
         lines = _decompose_lines(dec, args.exact)
     else:
         payload = dec.to_json_dict()
-        if cfg.output_format == "csv":
+        if args.format == "csv":
             rows = [{"level": lv["i"], "branch": iv["branch"], "j": iv["j"],
                      "f": iv.get("f", ""),
                      "lower_num": iv["lower"]["num"], "lower_den": iv["lower"]["den"],
                      "upper_num": iv["upper"]["num"], "upper_den": iv["upper"]["den"]}
                     for lv in payload["levels"] for iv in lv["intervals"]]
-    _emit(cfg, payload, lines, rows)
+    _emit(args, payload, lines, rows)
     if args.verify:
-        table = build_table(cfg.require(args.n))
+        table = _table(args, args.n)
         bad = equivalence_check(args.n, args.k, table)
         if bad is not None:
             print(f"verification FAILED: prime {bad} disagrees with the oracle",
@@ -202,15 +192,12 @@ def _decompose_lines(dec, exact: bool) -> list[str]:
     return lines
 
 
-def _cmd_identity(cfg: RunConfig, args) -> int:
+def _cmd_identity(args) -> int:
     kind = args.kind
     if kind == "thm1":
         if args.n is None or args.m is None:
             raise DomainError("identity thm1 needs --n and --m")
-        ks = _parse_grid(args.grid) if args.grid else [args.k]
-        if any(k is None or k < 1 for k in ks):
-            raise DomainError("identity thm1 needs --k or --grid")
-        table = build_table(cfg.require(args.n * max(ks)))
+        ks, table = _k_grid(args, args.n)
         reports = [omega_identity_report(args.n, args.m, k, table) for k in ks]
         rows = [r.to_row() for r in reports]
         lines = [
@@ -219,16 +206,13 @@ def _cmd_identity(cfg: RunConfig, args) -> int:
              f"[{r.normalization}={r.normalized_residual:.4f}]")
             for r in reports
         ]
-        _emit(cfg, {"reports": rows}, lines, rows)
+        _emit(args, {"reports": rows}, lines, rows)
     elif kind == "thm3":
         if not args.num_parts or not args.den_parts:
             raise DomainError("identity thm3 needs --num-parts and --den-parts")
-        spec = FactorialRatioSpec(_parse_parts(args.num_parts),
-                                  _parse_parts(args.den_parts))
-        ks = _parse_grid(args.grid) if args.grid else [args.k]
-        if any(k is None or k < 1 for k in ks):
-            raise DomainError("identity thm3 needs --k or --grid")
-        table = build_table(cfg.require(spec.max_multiplier * max(ks)))
+        spec = FactorialRatioSpec(*(tuple(_parse_ints(raw, "multiplier list"))
+                                    for raw in (args.num_parts, args.den_parts)))
+        ks, table = _k_grid(args, spec.max_multiplier)
         reports = [factorial_ratio_report(spec, k, table) for k in ks]
         rows = [r.to_row() for r in reports]
         lines = [
@@ -237,16 +221,16 @@ def _cmd_identity(cfg: RunConfig, args) -> int:
              f"growth-residual={r.details['asymptotic_residual']:.4f}")
             for r in reports
         ]
-        _emit(cfg, {"reports": rows}, lines, rows)
+        _emit(args, {"reports": rows}, lines, rows)
     elif kind == "altpi":
         if args.x is None:
             raise DomainError("identity altpi needs --x")
         x = _floor_real(args.x)
-        table = build_table(cfg.require(x))
+        table = _table(args, x)
         s, ratio = alternating_pi_sum(x, table)
         payload = {"x": x, "sum": s, "ratio": ratio, "log2": math.log(2),
                    "ratio_minus_log2": ratio - math.log(2)}
-        _emit(cfg, payload,
+        _emit(args, payload,
               [f"sum_i (-1)^(i+1) pi({x}/i) = {s}",
                f"ratio to x/log x = {ratio:.6f} (log 2 = {math.log(2):.6f})"],
               [payload])
@@ -254,10 +238,10 @@ def _cmd_identity(cfg: RunConfig, args) -> int:
         limit = args.limit
         if limit is None or limit < 1:
             raise DomainError("identity bertrand needs --limit >= 1")
-        table = build_table(cfg.require(2 * limit))
+        table = _table(args, 2 * limit)
         bad = bertrand_check(limit, table)
         payload = {"limit": limit, "counterexample": bad}
-        _emit(cfg, payload,
+        _emit(args, payload,
               [f"pi(2n) > pi(n) for all n <= {limit}: "
                + ("verified" if bad is None else f"FAILS at n={bad}")],
               [payload])
@@ -268,14 +252,14 @@ def _cmd_identity(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _cmd_logk(cfg: RunConfig, args) -> int:
+def _cmd_logk(args) -> int:
     state = partial_sum(args.k, args.terms)
     payload = {
         "k": state.k, "terms": state.terms_taken,
         "partial_sum": state.partial_sum, "log_k": math.log(state.k),
         "error": state.error, "tail_bound": state.tail_bound,
     }
-    _emit(cfg, payload,
+    _emit(args, payload,
           [f"sum of {state.terms_taken} blocks for log {state.k}: "
            f"{state.partial_sum:.9f} (log {state.k} = {math.log(state.k):.9f}, "
            f"error {state.error:.3e}, tail bound {state.tail_bound:.3e})"],
@@ -327,8 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="pi/psi bounds ledger from a signed combination")
     p_b.add_argument("spec", nargs="?", default="+1/2:1/6,+1/3:1/12,-1/10:1/60",
                      help="terms as sign 1/a:1/b, comma separated")
+    psi_parts = tuple(",".join(map(str, v)) for v in (
+        PSI_RATIO_SPEC.numerator_multipliers, PSI_RATIO_SPEC.denominator_multipliers))
     p_b.add_argument("--psi", action="store_true",
-                     help="use the psi variant (multipliers 30,1 over 15,10,6)")
+                     help="use the psi variant (multipliers %s over %s)" % psi_parts)
     p_b.add_argument("--iterations", type=int, default=3)
     p_b.add_argument("--initial-upper", type=float, default=2.0)
     p_b.add_argument("--anchor", type=int, default=None,
@@ -347,18 +333,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        sieve_limit = args.sieve_limit if args.sieve_limit is not None else _env_sieve_limit()
-        if sieve_limit < 2 or sieve_limit > MAX_LIMIT:
-            raise DomainError(f"sieve limit {sieve_limit} outside [2, {MAX_LIMIT}]")
-        cfg = RunConfig(sieve_limit, args.format, args.out)
+        if args.sieve_limit is None:
+            args.sieve_limit = _env_sieve_limit()
+        if not 2 <= args.sieve_limit <= MAX_LIMIT:
+            raise DomainError(f"sieve limit {args.sieve_limit} outside [2, {MAX_LIMIT}]")
         if args.command == "decompose":
-            return _cmd_decompose(cfg, args)
+            return _cmd_decompose(args)
         if args.command == "identity":
-            return _cmd_identity(cfg, args)
+            return _cmd_identity(args)
         if args.command == "bounds":
-            return _run_bounds(cfg, args)
+            return _run_bounds(args)
         if args.command == "logk":
-            return _cmd_logk(cfg, args)
+            return _cmd_logk(args)
         raise DomainError(f"unknown command {args.command!r}")  # pragma: no cover
     except NonAlternatingError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
@@ -370,10 +356,10 @@ def main(argv=None) -> int:
         return EXIT_VERIFY
 
 
-def _run_bounds(cfg: RunConfig, args) -> int:
+def _run_bounds(args) -> int:
     if args.psi:
-        k_grid = _parse_grid(args.k_grid) if args.k_grid else []
-        table = build_table(cfg.require(30 * max(k_grid)) if k_grid else 2)
+        k_grid = _parse_ints(args.k_grid or "", "grid")
+        table = _table(args, PSI_RATIO_SPEC.period * max(k_grid, default=0))
         report = psi_variant_bounds(k_grid, table)
         ledger = report.ledger
         payload = _ledger_payload(ledger, report.sequence)
@@ -384,7 +370,7 @@ def _run_bounds(cfg: RunConfig, args) -> int:
         lines += [f"  bracket at k={r.k}: {r.lower:.1f} <= {r.ratio_log:.1f} "
                   f"<= {r.upper:.1f} ({'ok' if r.holds else 'VIOLATED'})"
                   for r in report.rows]
-        _emit(cfg, payload, lines)
+        _emit(args, payload, lines)
         if any(not r.holds for r in report.rows):
             raise _VerificationFailure
         return EXIT_OK
@@ -394,7 +380,7 @@ def _run_bounds(cfg: RunConfig, args) -> int:
                            iterations=args.iterations)
     seq = coefficient_sequence(spec)
     payload = _ledger_payload(ledger, seq)
-    _emit(cfg, payload, _ledger_lines("pi(x)/(x/log x)", ledger, seq))
+    _emit(args, payload, _ledger_lines("pi(x)/(x/log x)", ledger, seq))
     return EXIT_OK
 
 

@@ -43,7 +43,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError
-from .primes import PrimeTable, _binom_divisor_flags, integer_root
+from .primes import (PrimeTable, _binom_divisor_flags, _check_binom_args,
+                     integer_root)
 
 #: Largest n `decompose` accepts.  The columns hold about n/2 intervals in
 #: int64 (the deeper levels are views of them), and the order and
@@ -110,8 +111,8 @@ class Decomposition:
     @cached_property
     def _floors(self) -> tuple[np.ndarray, np.ndarray]:
         """Floored (lower, upper) of level 1, in ascending order."""
-        cols = self.columns.get(1, np.zeros((6, 0), dtype=np.int64))[:, ::-1]
-        return cols[0] // cols[1], cols[2] // cols[3]
+        lo, hi = _level_range_arrays(self.n, self.k)
+        return lo[::-1], hi[::-1]
 
     @cached_property
     def max_root_index(self) -> int:
@@ -140,18 +141,18 @@ class Decomposition:
 
     def to_json_dict(self) -> dict:
         """Wire format: {n, k, levels: [{i, intervals: [...]}]} with exact
-        numerator/denominator endpoint pairs."""
-        levels = []
-        for i, cols in self.columns.items():
-            ivs = []
-            for a, b, c, d, j, f in cols.T.tolist():
-                rec = {"lower": {"num": a, "den": b}, "upper": {"num": c, "den": d},
-                       "branch": BRANCH_A if f >= 0 else BRANCH_B, "j": j}
-                if f >= 0:
-                    rec["f"] = f
-                ivs.append(rec)
-            levels.append({"i": i, "intervals": ivs})
-        return {"n": self.n, "k": self.k, "levels": levels}
+        numerator/denominator endpoint pairs.  Level i lists a prefix of
+        the level-1 records."""
+        ivs = []
+        for a, b, c, d, j, f in (self.columns[1].T.tolist() if self.columns else []):
+            rec = {"lower": {"num": a, "den": b}, "upper": {"num": c, "den": d},
+                   "branch": BRANCH_A if f >= 0 else BRANCH_B, "j": j}
+            if f >= 0:
+                rec["f"] = f
+            ivs.append(rec)
+        return {"n": self.n, "k": self.k,
+                "levels": [{"i": i, "intervals": ivs[:cols.shape[1]]}
+                           for i, cols in self.columns.items()]}
 
     def __repr__(self) -> str:  # pragma: no cover
         total = sum(cols.shape[1] for cols in self.columns.values())
@@ -181,10 +182,7 @@ def decompose(n: int, k: int) -> Decomposition:
     The cases k = 0 and k = n yield an empty decomposition since
     C(n, k) = 1.  n is capped at MAX_DECOMPOSE_N.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if k < 0 or k > n:
-        raise DomainError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
+    _check_binom_args(n, k)
     if n > MAX_DECOMPOSE_N:
         raise OutOfRangeError(f"decompose needs n <= {MAX_DECOMPOSE_N}, got n={n}")
     if k == 0 or k == n:
@@ -269,10 +267,7 @@ def equivalence_check(n: int, k: int, table: PrimeTable) -> int | None:
     """Compare decomposition membership against the sieve oracle for every
     prime p <= n.  Returns None on agreement, otherwise the smallest
     disagreeing prime."""
-    if n < 1 or k < 0 or k > n:
-        raise DomainError(f"need 0 <= k <= n with n >= 1, got n={n}, k={k}")
-    if n > table.limit:
-        raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
+    _check_binom_args(n, k, table)
     member = integer_membership_mask(n, k)
     primes, oracle = _binom_divisor_flags(table, n, k)
     via_intervals = member[primes]
@@ -285,6 +280,6 @@ def equivalence_check(n: int, k: int, table: PrimeTable) -> int | None:
 def level_prime_count(table: PrimeTable, n: int, k: int) -> int:
     """Number of primes in the level-1 intervals, via prime counts at the
     floored endpoints (exact: the intervals are disjoint)."""
+    _check_binom_args(n, k, table)
     lo, hi = _level_range_arrays(n, k)
-    return int((table.pi_prefix[np.minimum(hi, table.limit)]
-                - table.pi_prefix[np.minimum(lo, table.limit)]).sum())
+    return int((table.pi_prefix[hi] - table.pi_prefix[lo]).sum())

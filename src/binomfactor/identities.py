@@ -89,6 +89,11 @@ class FactorialRatioSpec:
         return max(self.numerator_multipliers + self.denominator_multipliers)
 
     @property
+    def period(self) -> int:
+        """lcm of the multipliers, the period of the psi series' coefficients."""
+        return math.lcm(*self.numerator_multipliers, *self.denominator_multipliers)
+
+    @property
     def growth_rate(self) -> float:
         """log(prod n^n / prod m^m) = sum n log n - sum m log m."""
         return math.fsum(

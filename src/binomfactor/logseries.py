@@ -30,6 +30,11 @@ from .errors import DomainError, OutOfRangeError
 #: its peak at 56 bytes per block, ~560 MB at this ceiling.
 MAX_TERMS = 10_000_000
 
+#: Most work `partial_sum` takes, as (k - 1) * (terms + 400): each of its
+#: k - 1 passes costs ~3.5 us (~400 block terms) plus ~8 ns per block term
+#: (2 vCPU, numpy 2.4), ~8 s at this ceiling.  MAX_TERMS bounds the memory.
+MAX_WORK = 1_000_000_000
+
 
 def block_term(k: int, n: int) -> float:
     """One block of the series, its inner terms combined exactly (fsum)."""
@@ -57,7 +62,7 @@ def partial_sum(k: int, terms: int) -> SeriesState:
     """Sum of the first `terms` blocks, with the k/N tail envelope.
 
     k = 1 is the trivial fast path (log 1 = 0, no blocks); otherwise
-    terms is capped at MAX_TERMS.
+    terms is capped at MAX_TERMS and (k - 1) * (terms + 400) at MAX_WORK.
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
@@ -67,6 +72,8 @@ def partial_sum(k: int, terms: int) -> SeriesState:
         return SeriesState(1, 0, 0.0, 0.0)
     if terms > MAX_TERMS:
         raise OutOfRangeError(f"partial_sum needs terms <= {MAX_TERMS}, got {terms}")
+    if (k - 1) * (terms + 400) > MAX_WORK:
+        raise OutOfRangeError(f"partial_sum needs (k - 1) * (terms + 400) <= {MAX_WORK}")
     n = np.arange(1, terms + 1, dtype=np.float64)
     base = (n - 1.0) * k
     blocks = np.zeros(terms, dtype=np.float64)

@@ -1,10 +1,11 @@
 """Sieve-backed arithmetic oracles.
 
 A :class:`PrimeTable` answers, for every integer up to a fixed limit:
-primality, the prime counting function pi(x) and the Chebyshev summatory
-function psi(x) = sum of log p over prime powers p^j <= x from stored
-prefix arrays, and the Moebius function mu(n) and the von Mangoldt
-weight Lambda(n) by factoring n over the stored primes.  On top of the
+the prime counting function pi(x) and the Chebyshev summatory function
+psi(x) = sum of log p over prime powers p^j <= x from stored prefix
+arrays, primality as a unit step of the pi prefix, and the Moebius
+function mu(n) and the von Mangoldt weight Lambda(n) by factoring n over
+the stored primes.  On top of the
 table this module provides Legendre's factorial exponents
 e_p(n!) = sum_i floor(n/p^i), the derived exponent of a prime in a
 binomial coefficient, and the brute-force "count the distinct prime
@@ -27,12 +28,12 @@ from .errors import DomainError, OutOfRangeError
 #: Default sieve size; enough for prime counts at arguments up to 10^7.
 DEFAULT_LIMIT = 10_000_000
 
-#: Hard budget.  The table stores 13.5 bytes per integer (primality 1,
-#: int32 pi prefix 4, float64 psi prefix 8, the primes ~0.5), ~2.7 GB at
-#: this ceiling.  Building psi also needs a float64 Lambda temporary:
-#: tracemalloc puts the build peak at 54 MB for limit 10^6 and 266 MB for
-#: 10^7, i.e. 23.6 bytes per integer plus ~30 MB of fixed-size chunk
-#: buffers, ~4.7 GB at this ceiling.  pi(x) <= x <= MAX_LIMIT < 2^31
+#: Hard budget.  The table stores 12.5 bytes per integer (int32 pi
+#: prefix 4, float64 psi prefix 8, the primes ~0.5), ~2.5 GB at this
+#: ceiling.  Building psi also needs a float64 Lambda temporary:
+#: tracemalloc puts the build peak at 53 MB for limit 10^6 and 256 MB for
+#: 10^7, i.e. 22.6 bytes per integer plus ~30 MB of fixed-size chunk
+#: buffers, ~4.5 GB at this ceiling.  pi(x) <= x <= MAX_LIMIT < 2^31
 #: keeps the int32 pi prefix exact.
 MAX_LIMIT = 200_000_000
 
@@ -85,16 +86,14 @@ def integer_root(x: int, i: int) -> int:
 class PrimeTable:
     """Immutable sieve table over [0, limit].
 
-    It stores only what the prime-count and psi series read; mu(n) and
-    Lambda(n) are computed on demand by factoring n over ``primes``.
-    Every array is read-only.
+    It stores only what the prime-count and psi series read; primality
+    is read off ``pi_prefix``, and mu(n) and Lambda(n) are computed on
+    demand by factoring n over ``primes``.  Every array is read-only.
 
     Attributes
     ----------
     limit : int
         Largest integer the table can answer queries about.
-    primality : numpy bool array
-        ``primality[n]`` is True iff n is prime.
     pi_prefix : numpy int32 array
         ``pi_prefix[n]`` = number of primes <= n.
     primes : numpy int64 array
@@ -103,7 +102,7 @@ class PrimeTable:
         ``psi_prefix[n]`` = psi(n), accumulated in extended precision.
     """
 
-    __slots__ = ("limit", "primality", "pi_prefix", "primes", "psi_prefix")
+    __slots__ = ("limit", "pi_prefix", "primes", "psi_prefix")
 
     def __init__(self, limit: int):
         if limit < 2:
@@ -112,11 +111,12 @@ class PrimeTable:
             raise DomainError(
                 f"sieve limit {limit} exceeds the memory budget ({MAX_LIMIT})")
         self.limit = int(limit)
-        self.primality = _sieve(self.limit)
-        self.pi_prefix = np.cumsum(self.primality, dtype=np.int32)
-        self.primes = np.flatnonzero(self.primality).astype(np.int64)
+        mask = _sieve(self.limit)
+        self.pi_prefix = np.cumsum(mask, dtype=np.int32)
+        self.primes = np.flatnonzero(mask).astype(np.int64)
+        del mask  # freed before the psi build's temporaries
         self.psi_prefix = _psi_prefix(_von_mangoldt(self.limit, self.primes))
-        for arr in (self.primality, self.pi_prefix, self.primes, self.psi_prefix):
+        for arr in (self.pi_prefix, self.primes, self.psi_prefix):
             arr.setflags(write=False)
 
     # -- scalar queries ------------------------------------------------
@@ -127,26 +127,22 @@ class PrimeTable:
         Accepts ints, floats, and exact Fractions; the floor is taken
         with exact arithmetic, never through a float conversion.
         """
-        v = _floor_real(x)
-        if v > self.limit:
-            raise OutOfRangeError(f"pi({x}) exceeds table limit {self.limit}")
-        if v < 2:
-            return 0
-        return int(self.pi_prefix[v])
+        return int(self._lookup("pi", self.pi_prefix, x))
 
     def psi(self, x) -> float:
         """Chebyshev psi(x) = sum of Lambda(n) over n <= x, natural logs."""
+        return float(self._lookup("psi", self.psi_prefix, x))
+
+    def _lookup(self, name: str, prefix: np.ndarray, x):
+        """prefix[floor(x)]; x < 0 reads index 0 (0 in both prefixes)."""
         v = _floor_real(x)
         if v > self.limit:
-            raise OutOfRangeError(f"psi({x}) exceeds table limit {self.limit}")
-        if v < 2:
-            return 0.0
-        return float(self.psi_prefix[v])
+            raise OutOfRangeError(f"{name}({x}) exceeds table limit {self.limit}")
+        return prefix[max(v, 0)]
 
     def is_prime(self, n: int) -> bool:
-        if n > self.limit:
-            raise OutOfRangeError(f"is_prime({n}) exceeds table limit {self.limit}")
-        return n >= 2 and bool(self.primality[n])
+        return n >= 2 and bool(self._lookup("is_prime", self.pi_prefix, n)
+                               > self.pi_prefix[n - 1])
 
     def mu(self, n: int) -> int:
         if not 1 <= n <= self.limit:
@@ -304,6 +300,14 @@ def _legendre_raw(p: int, n: int) -> int:
     return total
 
 
+def _check_binom_args(n: int, k: int, table: PrimeTable | None = None) -> None:
+    """Reject (n, k) naming no C(n, k), or with n past the given table."""
+    if not 0 <= k <= n or n < 1:
+        raise DomainError(f"need 0 <= k <= n with n >= 1, got n={n}, k={k}")
+    if table is not None and n > table.limit:
+        raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
+
+
 def binom_exponent(p: int, n: int, k: int) -> int:
     """Exponent of the prime p in C(n, k).
 
@@ -312,8 +316,7 @@ def binom_exponent(p: int, n: int, k: int) -> int:
     """
     if not _is_prime_int(p):
         raise DomainError(f"{p} is not prime")
-    if not 0 <= k <= n or n < 1:
-        raise DomainError(f"need 0 <= k <= n with n >= 1, got n={n}, k={k}")
+    _check_binom_args(n, k)
     e = _legendre_raw(p, n) - _legendre_raw(p, k) - _legendre_raw(p, n - k)
     if p ** e > n:
         raise RuntimeError(f"exponent {e} of {p} in C({n}, {k}) breaks p^e <= n")
@@ -350,10 +353,7 @@ def omega_binom_oracle(table: PrimeTable, n: int, k: int) -> tuple[int, np.ndarr
     Only primes <= n are enumerated; the coefficient itself is never
     factored (C(2000, 1000) has around 600 digits).
     """
-    if not 0 <= k <= n or n < 1:
-        raise DomainError(f"need 0 <= k <= n with n >= 1, got n={n}, k={k}")
-    if n > table.limit:
-        raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
+    _check_binom_args(n, k, table)
     if k == 0 or k == n:
         return 0, np.empty(0, dtype=np.int64)
     primes, divides = _binom_divisor_flags(table, n, k)

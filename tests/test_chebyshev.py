@@ -3,9 +3,9 @@ import math
 import pytest
 
 from binomfactor import (PI_BOUNDS_SPEC, PI_BOUNDS_SPEC_BROKEN, PSI_RATIO_SPEC,
-                         CombinationSpec, CombinationTerm, DomainError,
-                         NonAlternatingError, OutOfRangeError, coefficient_sequence,
-                         combination_constant, derive_bounds,
+                         CoefficientSequence, CombinationSpec, CombinationTerm,
+                         DomainError, NonAlternatingError, OutOfRangeError,
+                         coefficient_sequence, combination_constant, derive_bounds,
                          empirical_bracket_check, omega_pi_series,
                          psi_coefficient_sequence, psi_variant_bounds,
                          reconstruct_series_value, verify_alternating)
@@ -56,6 +56,8 @@ class TestCoefficientSequence:
         seq = coefficient_sequence(CombinationSpec(()))
         assert seq.is_zero()
         assert verify_alternating(seq) is None
+        with pytest.raises(DomainError):
+            CoefficientSequence(())
 
     def test_period_is_minimised(self):
         # double up a term: coefficients double but the period stays minimal
@@ -172,6 +174,9 @@ class TestEmpiricalBracket:
 
 
 class TestPsiVariant:
+    def test_spec_period_is_multiplier_lcm(self):
+        assert PSI_RATIO_SPEC.period == 30
+
     def test_sequence_shape(self):
         seq = psi_coefficient_sequence(PSI_RATIO_SPEC)
         assert seq.period == 30

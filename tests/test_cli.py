@@ -242,6 +242,20 @@ class TestInputErrors:
         pytest.param(("bounds", "--psi", "--k-grid", "-5"), "k >= 1", id="psi-k-neg"),
         pytest.param(("bounds", "--psi", "--k-grid", "0"), "k >= 1", id="psi-k-zero"),
         pytest.param(("bounds", "+1/2:1/5"), "must divide", id="term-a-b"),
+        pytest.param(("logk", "1000000000", "--terms", "1"), "(terms + 400) <=",
+                     id="logk-work-k"),
+        pytest.param(("logk", "1000000", "--terms", "1000000"), "(terms + 400) <=",
+                     id="logk-work"),
+        pytest.param(("bounds", "+1/1000003:1/2000006,+1/999983:1/1999966"),
+                     "period lcm <=", id="bounds-period"),
+        pytest.param(("bounds", "--iterations", "100000000"), "iterations <=",
+                     id="bounds-iterations-big"),
+        pytest.param(("bounds", "--iterations", "-1"), "iterations <=",
+                     id="bounds-iterations-neg"),
+        pytest.param(("bounds", "--initial-upper", "nan"), "finite",
+                     id="bounds-upper-nan"),
+        pytest.param(("identity", "thm1", "--n", "2", "--m", "1", "--grid", ","),
+                     "--k or --grid", id="thm1-empty-grid"),
     ])
     def test_exit_2_with_cause(self, capsys, argv, cause):
         code, _, err = run_cli(capsys, *argv)

@@ -445,6 +445,11 @@ class TestPrefixLevels:
         carry = int((big // p - small // p - (big - small) // p > 0).sum())
         assert level_prime_count(table_large, big, small) == carry
 
+    def test_level_prime_count_past_table_raises(self, table_small):
+        # counts clamped at the table limit would be wrong, not merely short
+        with pytest.raises(OutOfRangeError):
+            level_prime_count(table_small, table_small.limit + 2, 1)
+
     MASK_GOLDENS = {
         (10**6, 333333, None): "85f04afdc309144cd6488419a7189059b85231345e2054ba3c42a3e8578c54ff",
         (10**6, 333333, 1): "cf0e6ff65f4008e4d36bf6126f73d59f41ee83b88e7948c26c501d9f20225660",

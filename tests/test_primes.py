@@ -43,7 +43,8 @@ class TestBuildTable:
 
     def test_against_independent_sieve(self, table_medium):
         ref = reference_sieve(1_000_000)
-        assert np.array_equal(table_medium.primality[:1_000_001], ref)
+        mask = np.diff(table_medium.pi_prefix[:1_000_001], prepend=0) > 0
+        assert np.array_equal(mask, ref)
         assert int(table_medium.pi_prefix[1_000_000]) == 78498
 
     def test_golden_prefix_digests(self, table_medium):
@@ -56,7 +57,7 @@ class TestBuildTable:
             "a5d0aa4049bb75900c92f600a675a1556c55109a90357d9edb10ac462d3d669b")
 
     def test_arrays_read_only(self, table_small):
-        for name in ("primality", "pi_prefix", "primes", "psi_prefix"):
+        for name in ("pi_prefix", "primes", "psi_prefix"):
             arr = getattr(table_small, name)
             before = arr[5]
             with pytest.raises(ValueError):
@@ -71,7 +72,7 @@ class TestBuildTable:
         stored = sum(getattr(table_medium, name).nbytes
                      for name in type(table_medium).__slots__
                      if isinstance(getattr(table_medium, name), np.ndarray))
-        assert stored <= 14 * (table_medium.limit + 1)
+        assert stored <= 13 * (table_medium.limit + 1)
         assert np.iinfo(table_medium.pi_prefix.dtype).max >= MAX_LIMIT
 
 
@@ -107,7 +108,13 @@ class TestPi:
         assert diffs.min() >= 0 and diffs.max() <= 1
 
     def test_prefix_matches_primality_count(self, table_small):
-        assert int(table_small.pi_prefix[-1]) == int(table_small.primality.sum())
+        assert int(table_small.pi_prefix[-1]) == len(table_small.primes)
+
+    def test_is_prime_matches_reference_sieve(self, table_small):
+        ref = reference_sieve(table_small.limit)
+        assert [table_small.is_prime(n) for n in range(table_small.limit + 1)] == ref.tolist()
+        with pytest.raises(OutOfRangeError):
+            table_small.is_prime(table_small.limit + 1)
 
 
 class TestPsi:
