@@ -267,6 +267,14 @@ def derive_bounds(spec: CombinationSpec, anchor_divisor: int | None = None,
     spec).  ``initial_upper`` (finite, > 0) defaults to the well-known
     pi(x) <= 2 x/log x; ``iterations`` runs from 1 to MAX_ITERATIONS.
     """
+    return _derive_bounds(spec, anchor_divisor, initial_upper, iterations)[0]
+
+
+def _derive_bounds(spec: CombinationSpec, anchor_divisor: int | None,
+                   initial_upper: float, iterations: int,
+                   ) -> tuple[BoundsLedger, CoefficientSequence]:
+    """``derive_bounds`` and the coefficient sequence it expanded, for
+    callers that show both without expanding it twice."""
     if not 1 <= iterations <= MAX_ITERATIONS:
         raise OutOfRangeError(f"need 1 <= iterations <= {MAX_ITERATIONS}, got {iterations}")
     if not (math.isfinite(initial_upper) and initial_upper > 0):
@@ -275,13 +283,13 @@ def derive_bounds(spec: CombinationSpec, anchor_divisor: int | None = None,
     lead, anchor = _lead_and_anchor(seq)
     if seq.is_zero():
         return BoundsLedger(0.0, 0.0, tuple(0.0 for _ in range(iterations)),
-                            0, 0, 0.0, initial_upper)
+                            0, 0, 0.0, initial_upper), seq
     if anchor_divisor is not None and anchor_divisor != anchor:
         raise DomainError(
             f"anchor divisor {anchor_divisor} does not match the first "
             f"negative coefficient index {anchor}")
     constant = combination_constant(spec)
-    return _refine_bounds(constant, lead, anchor, initial_upper, iterations)
+    return _refine_bounds(constant, lead, anchor, initial_upper, iterations), seq
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,7 @@ import sys
 
 from . import __version__
 from .chebyshev import (PSI_RATIO_SPEC, CombinationSpec, CombinationTerm,
-                        coefficient_sequence, derive_bounds,
-                        psi_variant_bounds)
+                        _derive_bounds, psi_variant_bounds)
 from .decomposition import canonical_integer_form, decompose, equivalence_check
 from .errors import DomainError, NonAlternatingError, OutOfRangeError
 from .identities import (FactorialRatioSpec, alternating_pi_sum,
@@ -107,10 +106,16 @@ def _parse_combination(raw: str) -> CombinationSpec:
     return CombinationSpec(tuple(terms))
 
 
-def _emit(args, payload: dict, pretty_lines: list[str],
+def _emit(args, payload, pretty_lines: list[str],
           csv_rows: list[dict] | None = None) -> None:
+    """Write the output in ``args.format`` to ``--out`` or stdout.
+
+    For json, ``payload`` is the object to encode, or an iterable of the
+    text chunks of its encoding, written as they come (decompose streams
+    ``Decomposition.json_chunks``)."""
     if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        chunks = ([json.dumps(payload, sort_keys=True, indent=2) + "\n"]
+                  if isinstance(payload, dict) else payload)
     elif args.format == "csv":
         rows = csv_rows if csv_rows is not None else [payload]
         buf = io.StringIO()
@@ -119,14 +124,14 @@ def _emit(args, payload: dict, pretty_lines: list[str],
         writer.writeheader()
         for row in rows:
             writer.writerow({k: _csv_cell(row.get(k)) for k in fields})
-        text = buf.getvalue()
+        chunks = [buf.getvalue()]
     else:
-        text = "\n".join(pretty_lines) + "\n"
+        chunks = ["\n".join(pretty_lines) + "\n"]
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _csv_cell(value):
@@ -140,19 +145,17 @@ def _csv_cell(value):
 
 def _cmd_decompose(args) -> int:
     dec = decompose(args.n, args.k)
-    payload = rows = None
-    lines = []
-    if args.format == "pretty":
-        lines = _decompose_lines(dec, args.exact)
+    if args.format == "json":
+        _emit(args, dec.json_chunks(), [])
+    elif args.format == "csv":
+        rows = [{"level": lv["i"], "branch": iv["branch"], "j": iv["j"],
+                 "f": iv.get("f", ""),
+                 "lower_num": iv["lower"]["num"], "lower_den": iv["lower"]["den"],
+                 "upper_num": iv["upper"]["num"], "upper_den": iv["upper"]["den"]}
+                for lv in dec.to_json_dict()["levels"] for iv in lv["intervals"]]
+        _emit(args, None, [], rows)
     else:
-        payload = dec.to_json_dict()
-        if args.format == "csv":
-            rows = [{"level": lv["i"], "branch": iv["branch"], "j": iv["j"],
-                     "f": iv.get("f", ""),
-                     "lower_num": iv["lower"]["num"], "lower_den": iv["lower"]["den"],
-                     "upper_num": iv["upper"]["num"], "upper_den": iv["upper"]["den"]}
-                    for lv in payload["levels"] for iv in lv["intervals"]]
-    _emit(args, payload, lines, rows)
+        _emit(args, None, _decompose_lines(dec, args.exact))
     if args.verify:
         table = _table(args, args.n)
         bad = equivalence_check(args.n, args.k, table)
@@ -375,10 +378,8 @@ def _run_bounds(args) -> int:
             raise _VerificationFailure
         return EXIT_OK
     spec = _parse_combination(args.spec)
-    ledger = derive_bounds(spec, anchor_divisor=args.anchor,
-                           initial_upper=args.initial_upper,
-                           iterations=args.iterations)
-    seq = coefficient_sequence(spec)
+    ledger, seq = _derive_bounds(spec, args.anchor, args.initial_upper,
+                                 args.iterations)
     payload = _ledger_payload(ledger, seq)
     _emit(args, payload, _ledger_lines("pi(x)/(x/log x)", ledger, seq))
     return EXIT_OK

@@ -35,6 +35,7 @@ when `Decomposition.levels` is read.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -53,6 +54,21 @@ MAX_DECOMPOSE_N = 1_000_000
 
 BRANCH_A = "A"
 BRANCH_B = "B"
+
+#: One interval of ``Decomposition.json_chunks``, from (f, j, lower den,
+#: lower num, upper den, upper num), laid out as json.dumps with
+#: sort_keys=True and indent=2 lays it out inside a level, with the comma
+#: and newline before it.  Branch B has no "f": its template swallows the
+#: f column (-1) with "%.0s".
+_JSON_RECORD_A = (
+    ',\n        {\n          "branch": "A",\n          "f": %d,\n          "j": %d,\n'
+    '          "lower": {\n            "den": %d,\n            "num": %d\n          },\n'
+    '          "upper": {\n            "den": %d,\n            "num": %d\n          }\n'
+    '        }')
+_JSON_RECORD_B = _JSON_RECORD_A.replace(
+    '"A",\n          "f": %d,', '"B",%.0s')
+#: Records per chunk of ``Decomposition.json_chunks`` (~1 MB of text).
+_JSON_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -142,7 +158,9 @@ class Decomposition:
     def to_json_dict(self) -> dict:
         """Wire format: {n, k, levels: [{i, intervals: [...]}]} with exact
         numerator/denominator endpoint pairs.  Level i lists a prefix of
-        the level-1 records."""
+        the level-1 records.  ``json_chunks`` streams the text
+        ``json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\\n"``
+        byte for byte without building this dict."""
         ivs = []
         for a, b, c, d, j, f in (self.columns[1].T.tolist() if self.columns else []):
             rec = {"lower": {"num": a, "den": b}, "upper": {"num": c, "den": d},
@@ -153,6 +171,30 @@ class Decomposition:
         return {"n": self.n, "k": self.k,
                 "levels": [{"i": i, "intervals": ivs[:cols.shape[1]]}
                            for i, cols in self.columns.items()]}
+
+    def json_chunks(self) -> Iterator[str]:
+        """The wire format of ``to_json_dict`` as text: the chunks join to
+        exactly ``json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        + "\\n"``, built from the columns without that dict or the
+        pure-Python indenting encoder.  Each level-1 record is formatted
+        once and level i lists a prefix of them, in chunks of at most
+        _JSON_BLOCK records, so a consumer that writes as it reads holds
+        the records but never a level's whole text."""
+        yield '{\n  "k": %d,\n  "levels": [' % self.k
+        if self.columns:
+            # rows f, j, lower den, lower num, upper den, upper num: the key order
+            recs = [(_JSON_RECORD_A if t[0] >= 0 else _JSON_RECORD_B) % t
+                    for t in zip(*self.columns[1][[5, 4, 1, 0, 3, 2]].tolist())]
+            if recs:  # every level starts at record 0: no comma before it
+                recs[0] = recs[0][1:]
+            for i, cols in self.columns.items():
+                m = cols.shape[1]
+                yield '%s\n    {\n      "i": %d,\n      "intervals": [' % ("," if i > 1 else "", i)
+                for s in range(0, m, _JSON_BLOCK):
+                    yield "".join(recs[s:min(s + _JSON_BLOCK, m)])
+                yield "\n      ]\n    }" if m else "]\n    }"
+            yield "\n  "
+        yield '],\n  "n": %d\n}\n' % self.n
 
     def __repr__(self) -> str:  # pragma: no cover
         total = sum(cols.shape[1] for cols in self.columns.values())
@@ -245,6 +287,7 @@ def integer_membership_mask(n: int, k: int, level: int | None = None) -> np.ndar
     root levels; ``level=i`` restricts to one level.
 
     Restricted to primes this is exactly the divisor set of C(n, k)."""
+    _check_binom_args(n, k)
     if level is not None and level < 1:
         raise DomainError(f"root level must be >= 1, got {level}")
     lo, hi = _level_range_arrays(n, k)

@@ -95,6 +95,30 @@ class TestDecomposeCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("flags", [["--format", "json"], ["--format", "csv"], []])
+    def test_out_file_bytes_match_stdout(self, capsys, tmp_path, flags):
+        target = tmp_path / "dec.out"
+        _, out, _ = run_cli(capsys, "decompose", "2000", "800", *flags)
+        code, nothing, _ = run_cli(capsys, "decompose", "2000", "800", *flags,
+                                   "--out", str(target))
+        assert code == 0 and nothing == ""
+        assert target.read_bytes() == out.encode()
+
+    def test_json_streams_without_dumps(self, capsys, monkeypatch):
+        # the decompose JSON is written from the columns: neither the
+        # dict nor json.dumps may be on its path
+        import binomfactor.cli as cli_mod
+        from binomfactor.decomposition import Decomposition
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("not on the decompose json path")
+        monkeypatch.setattr(cli_mod.json, "dumps", refuse)
+        monkeypatch.setattr(Decomposition, "to_json_dict", refuse)
+        code, out, _ = run_cli(capsys, "decompose", "2000", "800", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a961b073ae98ead6948abdcc3fbc1ce9595fd4a08a4c4d4530d65eeafe13b3d5")
+
     def test_size_cap_exit_2(self, capsys):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "decompose", "100000000", "50000000")
@@ -187,6 +211,20 @@ class TestBoundsCommand:
     def test_bad_spec_syntax_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "nonsense")
         assert code == 2
+
+    def test_sequence_expanded_once(self, capsys, monkeypatch):
+        import binomfactor.chebyshev as chebyshev
+        calls = []
+        expand = chebyshev._sequence_from_divisors
+
+        def counted(weighted):
+            calls.append(1)
+            return expand(weighted)
+        monkeypatch.setattr(chebyshev, "_sequence_from_divisors", counted)
+        for fmt in ("json", "pretty"):
+            calls.clear()
+            code, _, _ = run_cli(capsys, "bounds", "--format", fmt)
+            assert code == 0 and len(calls) == 1, fmt
 
 
 class TestLogkCommand:

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -349,6 +351,46 @@ class TestJsonShape:
                 assert math.gcd(iv["upper"]["num"], iv["upper"]["den"]) == 1
 
 
+def _reference_json(dec):
+    return json.dumps(dec.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
+class TestJsonChunks:
+    """`json_chunks` must write the bytes of the pure-Python indenting
+    encoder over `to_json_dict`, which it replaces on the CLI."""
+
+    def test_every_pair_up_to_120(self):
+        # covers k = 0 and k = n, whose decompositions are empty; the
+        # reference encoder takes ~2 ms a pair here, so bytes are compared
+        # up to n = 50 and parsed values over the whole range
+        for n in range(1, 121):
+            for k in range(n + 1):
+                dec = decompose(n, k)
+                text = "".join(dec.json_chunks())
+                if n <= 50:
+                    assert text == _reference_json(dec), (n, k)
+                else:
+                    assert json.loads(text) == dec.to_json_dict(), (n, k)
+
+    def test_seeded_and_extreme_pairs(self):
+        rng = random.Random(8)
+        pairs = [(n, rng.randint(1, n - 1))
+                 for n in (rng.randint(121, 5000) for _ in range(40))]
+        for n, k in pairs + [(20000, 1), (20000, 19999)]:
+            dec = decompose(n, k)
+            chunks = list(dec.json_chunks())
+            assert "".join(chunks) == _reference_json(dec), (n, k)
+            assert max(map(len, chunks)) < 300 * decomposition._JSON_BLOCK
+
+    def test_empty_level(self):
+        # decompose never yields one (d = 1 is in every level); the layout
+        # still follows the encoder's
+        dec = decomposition.Decomposition(1, 0, MappingProxyType(
+            {1: np.empty((6, 0), dtype=np.int64)}))
+        assert "".join(dec.json_chunks()) == _reference_json(dec)
+        assert '"intervals": []' in _reference_json(dec)
+
+
 def _reference_level_index(n, k, i):
     """The two-branch per-level enumeration: branch A indexed by (j, f),
     branch B by j, holding the intervals at root level i with upper
@@ -479,3 +521,8 @@ class TestPrefixLevels:
     def test_mask_rejects_level_zero(self):
         with pytest.raises(DomainError):
             integer_membership_mask(100, 37, level=0)
+
+    @pytest.mark.parametrize("n,k", [(10, -3), (10, 11), (0, 0)])
+    def test_mask_rejects_bad_pair(self, n, k):
+        with pytest.raises(DomainError):
+            integer_membership_mask(n, k)
