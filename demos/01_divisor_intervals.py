@@ -9,10 +9,10 @@ decomposition for two showcase coefficients and cross-checks every prime
 against the brute-force sieve oracle.
 """
 
-from binomfactor import (build_table, canonical_integer_form, decompose,
+from binomfactor import (PrimeTable, canonical_integer_form, decompose,
                          equivalence_check, omega_binom_oracle, prime_divides)
 
-table = build_table(10_000)
+table = PrimeTable(10_000)
 
 for n, k in [(2000, 1000), (2000, 800)]:
     dec = decompose(n, k)

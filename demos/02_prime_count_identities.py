@@ -14,11 +14,11 @@ and which also verifies Bertrand's postulate numerically.
 
 import math
 
-from binomfactor import (alternating_pi_sum, bertrand_check, build_table,
+from binomfactor import (PrimeTable, alternating_pi_sum, bertrand_check,
                          factorial_ratio_report, FactorialRatioSpec,
                          omega_identity_report)
 
-table = build_table(2_000_000)
+table = PrimeTable(2_000_000)
 
 print("omega(C(nk, mk)) vs the prime-count series")
 print(f"{'n':>3} {'m':>3} {'k':>7} {'omega':>7} {'series':>7} {'resid':>6} "

@@ -12,21 +12,20 @@ fails: the enlarged combination stops alternating.
 """
 
 from binomfactor import (PI_BOUNDS_SPEC, PI_BOUNDS_SPEC_BROKEN,
-                         NonAlternatingError, build_table,
-                         coefficient_sequence, combination_constant,
-                         derive_bounds, empirical_bracket_check,
-                         psi_variant_bounds, verify_alternating)
+                         NonAlternatingError, PrimeTable,
+                         coefficient_sequence, derive_bounds,
+                         empirical_bracket_check, psi_variant_bounds,
+                         verify_alternating)
 
-seq = coefficient_sequence(PI_BOUNDS_SPEC)
+ledger = derive_bounds(PI_BOUNDS_SPEC, anchor_divisor=12, iterations=6)
+seq = ledger.sequence
 print(f"coefficient sequence: period {seq.period}")
 print(f"  +1 at n = {sorted(seq.residues_with_sign(+1))} (mod 60)")
 print(f"  -1 at n = {sorted(seq.residues_with_sign(-1))} (mod 60)")
 print(f"  alternating: {verify_alternating(seq) is None}")
 
-C = combination_constant(PI_BOUNDS_SPEC)
-print(f"\ncombination constant: {C:.6f}  (0.6365/2 + 0.5623/3 - 0.4505/10)")
-
-ledger = derive_bounds(PI_BOUNDS_SPEC, anchor_divisor=12, iterations=6)
+print(f"\ncombination constant: {ledger.combination_constant:.6f}  "
+      "(0.6365/2 + 0.5623/3 - 0.4505/10)")
 print(f"lower bound: pi(x) > {ledger.lower_bound:.4f} x/log x")
 print("upper bound refinement, starting from the crude pi(x) <= 2 x/log x:")
 for t, u in enumerate(ledger.upper_iterations, 1):
@@ -34,7 +33,7 @@ for t, u in enumerate(ledger.upper_iterations, 1):
 print(f"fixed point of the refinement: {ledger.fixed_point:.4f}")
 
 print("\nnumeric bracket check (everything from the sieve oracle):")
-table = build_table(50_000)
+table = PrimeTable(50_000)
 for row in empirical_bracket_check(PI_BOUNDS_SPEC, [600, 6000, 60_000], table):
     print(f"  k={row.k:>6}: pi(k/2)-pi(k/12)={row.lower:>5} <= "
           f"combination-correction={row.omega_combination - row.correction:>5} "

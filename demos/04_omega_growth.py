@@ -10,14 +10,14 @@ k = o(n) the proportion vanishes.
 
 import math
 
-from binomfactor import (build_table, convergence_sweep,
+from binomfactor import (PrimeTable, convergence_sweep,
                          growth_constant_table, sparse_regime_table)
 
 print("limiting constants for omega C(k, rk) / (k / log k):")
 for r, c in growth_constant_table():
     print(f"  r = {str(r):>5}: {c:.4f}  (prints as 0.{int(c * 100):02d}...)")
 
-table = build_table(2_000_000)
+table = PrimeTable(2_000_000)
 
 print("\ncentral case n=2, m=1: ratio of true omega to the prediction")
 print(f"{'k':>9} {'omega':>8} {'predicted':>11} {'ratio':>7}")

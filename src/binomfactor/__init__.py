@@ -9,9 +9,9 @@ brute-force sieve oracles.
 
 __version__ = "0.1.0"
 
-from .asymptotics import (ConvergenceRow, OmegaGrowthConstant,
-                          convergence_sweep, growth_constant_table,
-                          omega_growth_constant, sparse_regime_table)
+from .asymptotics import (ConvergenceRow, convergence_sweep,
+                          growth_constant_table, omega_growth_constant,
+                          sparse_regime_table)
 from .chebyshev import (PI_BOUNDS_SPEC, PI_BOUNDS_SPEC_BROKEN, PSI_RATIO_SPEC,
                         BoundsLedger, CoefficientSequence, CombinationSpec,
                         CombinationTerm, coefficient_sequence,
@@ -27,12 +27,11 @@ from .errors import (BinomfactorError, DomainError, NonAlternatingError,
 from .identities import (FactorialRatioSpec, IdentityReport,
                          alternating_pi_sum, bertrand_check,
                          factorial_ratio_report, log_factorial_prefix,
-                         omega_identity_report, omega_pi_series,
-                         omega_pi_series_grouped)
+                         omega_identity_report, omega_pi_series)
 from .logseries import (SeriesState, block_term, log3_closed_form_check,
                         partial_sum, ratio_series_residual, telescoping_check)
 from .primes import (DEFAULT_LIMIT, MAX_LIMIT, PrimeTable, binom_exponent,
-                     build_table, integer_root, legendre_exponent,
-                     mobius_partial_sums, omega_binom_oracle)
+                     integer_root, legendre_exponent, mobius_partial_sums,
+                     omega_binom_oracle)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

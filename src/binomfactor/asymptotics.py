@@ -21,22 +21,14 @@ def _xlogx(v: int) -> float:
     return v * math.log(v) if v > 0 else 0.0
 
 
-@dataclass(frozen=True)
-class OmegaGrowthConstant:
-    """log(n^n / (m^m (n-m)^(n-m))), the limit of omega(C(nk, mk)) * log k / k."""
-    n: int
-    m: int
-    value: float
-
-
-def omega_growth_constant(n: int, m: int) -> OmegaGrowthConstant:
-    """Closed-form growth constant; 0 * log 0 reads as 0, and the value is
-    computed with (m, n-m) in sorted order so it is bitwise symmetric
-    under m <-> n-m."""
+def omega_growth_constant(n: int, m: int) -> float:
+    """log(n^n / (m^m (n-m)^(n-m))), the limit of omega(C(nk, mk)) * log k / k,
+    in closed form; 0 * log 0 reads as 0, and the value is computed with
+    (m, n-m) in sorted order so it is bitwise symmetric under m <-> n-m."""
     if not 1 <= m <= n:
         raise DomainError(f"need 1 <= m <= n, got n={n}, m={m}")
     lo, hi = sorted((m, n - m))
-    return OmegaGrowthConstant(n, m, _xlogx(n) - _xlogx(lo) - _xlogx(hi))
+    return _xlogx(n) - _xlogx(lo) - _xlogx(hi)
 
 
 def growth_constant_table() -> list[tuple[Fraction, float]]:
@@ -48,8 +40,8 @@ def growth_constant_table() -> list[tuple[Fraction, float]]:
     """
     rows: list[tuple[Fraction, float]] = []
     for d in (2, 3, 4, 5, 10, 100):
-        rows.append((Fraction(1, d), omega_growth_constant(d, 1).value / d))
-    rows.append((Fraction(2, 5), omega_growth_constant(5, 2).value / 5))
+        rows.append((Fraction(1, d), omega_growth_constant(d, 1) / d))
+    rows.append((Fraction(2, 5), omega_growth_constant(5, 2) / 5))
     return rows
 
 
@@ -68,7 +60,7 @@ def convergence_sweep(n: int, m: int, k_grid, table: PrimeTable) -> list[Converg
     """omega from the sieve oracle (authoritative) against the predicted
     growth constant * k / log k, with the prime-count series recorded
     alongside for comparison."""
-    const = omega_growth_constant(n, m).value
+    const = omega_growth_constant(n, m)
     rows = []
     for k in k_grid:
         if k < 2:

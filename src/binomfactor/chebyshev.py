@@ -171,13 +171,13 @@ def coefficient_sequence(spec: CombinationSpec) -> CoefficientSequence:
     return _sequence_from_divisors(weighted)
 
 
-def psi_coefficient_sequence(ratio_spec: FactorialRatioSpec) -> CoefficientSequence:
+def psi_coefficient_sequence(spec: FactorialRatioSpec) -> CoefficientSequence:
     """Coefficient sequence of psi(Lk/t) in the psi series of a balanced
-    factorial ratio, L = ``ratio_spec.period``: each multiplier v
-    contributes +-1 at every multiple of L/v."""
-    L = ratio_spec.period
-    weighted = ([(L // v, +1) for v in ratio_spec.numerator_multipliers]
-                + [(L // v, -1) for v in ratio_spec.denominator_multipliers])
+    factorial ratio, L = ``spec.period``: each multiplier v contributes
+    +-1 at every multiple of L/v."""
+    L = spec.period
+    weighted = ([(L // v, +1) for v in spec.numerator_multipliers]
+                + [(L // v, -1) for v in spec.denominator_multipliers])
     return _sequence_from_divisors(weighted)
 
 
@@ -215,7 +215,7 @@ def combination_constant(spec: CombinationSpec) -> float:
     for term in spec.terms:
         term.expansion_divisors()   # reject non-integral scalings
     return math.fsum(
-        term.sign * omega_growth_constant(term.ratio, 1).value / term.b
+        term.sign * omega_growth_constant(term.ratio, 1) / term.b
         for term in spec.terms)
 
 
@@ -229,6 +229,7 @@ class BoundsLedger:
     cut).  upper_iterations records each pass of the sharpening map
     U -> lead_index * (C + U / anchor_index), which contracts to
     fixed_point = lead_index * C / (1 - lead_index / anchor_index).
+    ``sequence`` is the coefficient sequence the ledger was derived from.
     """
     combination_constant: float
     lower_bound: float
@@ -237,10 +238,27 @@ class BoundsLedger:
     anchor_index: int
     fixed_point: float
     initial_upper: float
+    sequence: CoefficientSequence
 
 
-def _refine_bounds(constant: float, lead: int, anchor: int,
-                   initial_upper: float, iterations: int) -> BoundsLedger:
+def _bounds_ledger(sequence: CoefficientSequence, constant: float,
+                   anchor_divisor: int | None, initial_upper: float,
+                   iterations: int) -> BoundsLedger:
+    """The ledger of an alternating coefficient sequence whose
+    combination grows with the given constant; both variants build
+    theirs here, under the same checks."""
+    if not 1 <= iterations <= MAX_ITERATIONS:
+        raise OutOfRangeError(f"need 1 <= iterations <= {MAX_ITERATIONS}, got {iterations}")
+    if not (math.isfinite(initial_upper) and initial_upper > 0):
+        raise DomainError(f"initial upper bound must be finite and > 0, got {initial_upper}")
+    lead, anchor = _lead_and_anchor(sequence)
+    if sequence.is_zero():
+        return BoundsLedger(0.0, 0.0, (0.0,) * iterations, 0, 0, 0.0,
+                            initial_upper, sequence)
+    if anchor_divisor is not None and anchor_divisor != anchor:
+        raise DomainError(
+            f"anchor divisor {anchor_divisor} does not match the first "
+            f"negative coefficient index {anchor}")
     uppers = []
     u = initial_upper
     for _ in range(iterations):
@@ -254,6 +272,7 @@ def _refine_bounds(constant: float, lead: int, anchor: int,
         anchor_index=anchor,
         fixed_point=lead * constant / (1.0 - lead / anchor),
         initial_upper=initial_upper,
+        sequence=sequence,
     )
 
 
@@ -267,29 +286,8 @@ def derive_bounds(spec: CombinationSpec, anchor_divisor: int | None = None,
     spec).  ``initial_upper`` (finite, > 0) defaults to the well-known
     pi(x) <= 2 x/log x; ``iterations`` runs from 1 to MAX_ITERATIONS.
     """
-    return _derive_bounds(spec, anchor_divisor, initial_upper, iterations)[0]
-
-
-def _derive_bounds(spec: CombinationSpec, anchor_divisor: int | None,
-                   initial_upper: float, iterations: int,
-                   ) -> tuple[BoundsLedger, CoefficientSequence]:
-    """``derive_bounds`` and the coefficient sequence it expanded, for
-    callers that show both without expanding it twice."""
-    if not 1 <= iterations <= MAX_ITERATIONS:
-        raise OutOfRangeError(f"need 1 <= iterations <= {MAX_ITERATIONS}, got {iterations}")
-    if not (math.isfinite(initial_upper) and initial_upper > 0):
-        raise DomainError(f"initial upper bound must be finite and > 0, got {initial_upper}")
-    seq = coefficient_sequence(spec)
-    lead, anchor = _lead_and_anchor(seq)
-    if seq.is_zero():
-        return BoundsLedger(0.0, 0.0, tuple(0.0 for _ in range(iterations)),
-                            0, 0, 0.0, initial_upper), seq
-    if anchor_divisor is not None and anchor_divisor != anchor:
-        raise DomainError(
-            f"anchor divisor {anchor_divisor} does not match the first "
-            f"negative coefficient index {anchor}")
-    constant = combination_constant(spec)
-    return _refine_bounds(constant, lead, anchor, initial_upper, iterations), seq
+    return _bounds_ledger(coefficient_sequence(spec), combination_constant(spec),
+                          anchor_divisor, initial_upper, iterations)
 
 
 @dataclass(frozen=True)
@@ -357,34 +355,32 @@ class PsiBracketRow:
 
 @dataclass(frozen=True)
 class PsiBoundsReport:
-    sequence: CoefficientSequence
     ledger: BoundsLedger
     rows: tuple[PsiBracketRow, ...]
 
 
-def psi_variant_bounds(k_grid, table: PrimeTable,
-                       ratio_spec: FactorialRatioSpec = PSI_RATIO_SPEC) -> PsiBoundsReport:
-    """psi(x)/x bounds from the psi series of a balanced factorial ratio.
+def psi_variant_bounds(k_grid, table: PrimeTable) -> PsiBoundsReport:
+    """psi(x)/x bounds from the psi series of the balanced factorial
+    ratio ``PSI_RATIO_SPEC``.
 
     Builds the coefficient sequence, requires alternation, derives the
-    ledger (lead index 1 for the classical spec, so no doubling), and
-    checks the exact bracket psi(Lk) - psi(Lk/anchor) <= log ratio
-    <= psi(Lk) on the grid."""
-    seq = psi_coefficient_sequence(ratio_spec)
-    lead, anchor = _lead_and_anchor(seq)
-    L = ratio_spec.period
-    constant = ratio_spec.growth_rate / L
-    ledger = _refine_bounds(constant, lead, anchor, initial_upper=2.0, iterations=3)
+    ledger (initial upper 2.0, 3 iterations; lead index 1, so no
+    doubling), and checks the exact bracket psi(Lk) - psi(Lk/anchor)
+    <= log ratio <= psi(Lk) on the grid."""
+    L = PSI_RATIO_SPEC.period
+    ledger = _bounds_ledger(psi_coefficient_sequence(PSI_RATIO_SPEC),
+                            PSI_RATIO_SPEC.growth_rate / L, None, 2.0, 3)
+    lead, anchor = ledger.lead_index, ledger.anchor_index
     rows = []
     for k in k_grid:
         if k < 1:
             raise DomainError(f"need k >= 1, got k={k}")
         if L * k > table.limit:
             raise OutOfRangeError(f"k={k} needs psi beyond table limit")
-        ratio_log = ratio_spec.log_ratio(k)
+        ratio_log = PSI_RATIO_SPEC.log_ratio(k)
         lo = table.psi(L * k // lead) - table.psi(L * k // anchor)
         hi = table.psi(L * k // lead)
         slack = 1e-9 * max(abs(hi), 1.0)
         rows.append(PsiBracketRow(int(k), ratio_log, lo, hi,
                                   holds=lo - slack <= ratio_log <= hi + slack))
-    return PsiBoundsReport(seq, ledger, tuple(rows))
+    return PsiBoundsReport(ledger, tuple(rows))

@@ -23,7 +23,7 @@ import sys
 
 from . import __version__
 from .chebyshev import (PSI_RATIO_SPEC, CombinationSpec, CombinationTerm,
-                        _derive_bounds, psi_variant_bounds)
+                        derive_bounds, psi_variant_bounds)
 from .decomposition import canonical_integer_form, decompose, equivalence_check
 from .errors import DomainError, NonAlternatingError, OutOfRangeError
 from .identities import (FactorialRatioSpec, alternating_pi_sum,
@@ -31,12 +31,16 @@ from .identities import (FactorialRatioSpec, alternating_pi_sum,
                          omega_identity_report)
 from .logseries import partial_sum
 from .primes import (DEFAULT_LIMIT, MAX_LIMIT, PrimeTable, _floor_real,
-                     build_table, integer_root)
+                     integer_root)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
 EXIT_REJECTED = 4
+
+
+#: The default `bounds` spec, the classical pi(x) combination.
+_CLASSICAL_SPEC = "+1/2:1/6,+1/3:1/12,-1/10:1/60"
 
 
 class _VerificationFailure(Exception):
@@ -67,7 +71,7 @@ def _table(args, needed: int) -> PrimeTable:
             f"computation needs sieve limit {needed}, but the configured "
             f"budget is {args.sieve_limit} (raise --sieve-limit or "
             f"BINOMFACTOR_SIEVE_LIMIT)")
-    return build_table(max(needed, 2))
+    return PrimeTable(max(needed, 2))
 
 
 def _k_grid(args, scale: int) -> tuple[list[int], PrimeTable]:
@@ -145,6 +149,8 @@ def _csv_cell(value):
 
 def _cmd_decompose(args) -> int:
     dec = decompose(args.n, args.k)
+    # the budget is checked before anything is written
+    table = _table(args, args.n) if args.verify else None
     if args.format == "json":
         _emit(args, dec.json_chunks(), [])
     elif args.format == "csv":
@@ -157,7 +163,6 @@ def _cmd_decompose(args) -> int:
     else:
         _emit(args, None, _decompose_lines(dec, args.exact))
     if args.verify:
-        table = _table(args, args.n)
         bad = equivalence_check(args.n, args.k, table)
         if bad is not None:
             print(f"verification FAILED: prime {bad} disagrees with the oracle",
@@ -235,9 +240,8 @@ def _cmd_identity(args) -> int:
                    "ratio_minus_log2": ratio - math.log(2)}
         _emit(args, payload,
               [f"sum_i (-1)^(i+1) pi({x}/i) = {s}",
-               f"ratio to x/log x = {ratio:.6f} (log 2 = {math.log(2):.6f})"],
-              [payload])
-    elif kind == "bertrand":
+               f"ratio to x/log x = {ratio:.6f} (log 2 = {math.log(2):.6f})"])
+    else:  # bertrand
         limit = args.limit
         if limit is None or limit < 1:
             raise DomainError("identity bertrand needs --limit >= 1")
@@ -246,12 +250,9 @@ def _cmd_identity(args) -> int:
         payload = {"limit": limit, "counterexample": bad}
         _emit(args, payload,
               [f"pi(2n) > pi(n) for all n <= {limit}: "
-               + ("verified" if bad is None else f"FAILS at n={bad}")],
-              [payload])
+               + ("verified" if bad is None else f"FAILS at n={bad}")])
         if bad is not None:
             raise _VerificationFailure
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown identity kind {kind!r}")
     return EXIT_OK
 
 
@@ -265,8 +266,7 @@ def _cmd_logk(args) -> int:
     _emit(args, payload,
           [f"sum of {state.terms_taken} blocks for log {state.k}: "
            f"{state.partial_sum:.9f} (log {state.k} = {math.log(state.k):.9f}, "
-           f"error {state.error:.3e}, tail bound {state.tail_bound:.3e})"],
-          [payload])
+           f"error {state.error:.3e}, tail bound {state.tail_bound:.3e})"])
     return EXIT_OK
 
 
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_b = sub.add_parser("bounds", parents=[common],
                          help="pi/psi bounds ledger from a signed combination")
-    p_b.add_argument("spec", nargs="?", default="+1/2:1/6,+1/3:1/12,-1/10:1/60",
+    p_b.add_argument("spec", nargs="?", default=_CLASSICAL_SPEC,
                      help="terms as sign 1/a:1/b, comma separated")
     psi_parts = tuple(",".join(map(str, v)) for v in (
         PSI_RATIO_SPEC.numerator_multipliers, PSI_RATIO_SPEC.denominator_multipliers))
@@ -346,9 +346,7 @@ def main(argv=None) -> int:
             return _cmd_identity(args)
         if args.command == "bounds":
             return _run_bounds(args)
-        if args.command == "logk":
-            return _cmd_logk(args)
-        raise DomainError(f"unknown command {args.command!r}")  # pragma: no cover
+        return _cmd_logk(args)
     except NonAlternatingError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
@@ -360,32 +358,41 @@ def main(argv=None) -> int:
 
 
 def _run_bounds(args) -> int:
-    if args.psi:
-        k_grid = _parse_ints(args.k_grid or "", "grid")
-        table = _table(args, PSI_RATIO_SPEC.period * max(k_grid, default=0))
-        report = psi_variant_bounds(k_grid, table)
-        ledger = report.ledger
-        payload = _ledger_payload(ledger, report.sequence)
-        payload["bracket_rows"] = [
-            {"k": r.k, "ratio_log": r.ratio_log, "lower": r.lower,
-             "upper": r.upper, "holds": r.holds} for r in report.rows]
-        lines = _ledger_lines("psi(x)/x", ledger, report.sequence)
-        lines += [f"  bracket at k={r.k}: {r.lower:.1f} <= {r.ratio_log:.1f} "
-                  f"<= {r.upper:.1f} ({'ok' if r.holds else 'VIOLATED'})"
-                  for r in report.rows]
-        _emit(args, payload, lines)
-        if any(not r.holds for r in report.rows):
-            raise _VerificationFailure
+    k_grid = _parse_ints(args.k_grid or "", "grid")
+    if not args.psi:
+        if k_grid:
+            raise DomainError("--k-grid applies only to bounds --psi")
+        ledger = derive_bounds(_parse_combination(args.spec), args.anchor,
+                               args.initial_upper, args.iterations)
+        _emit(args, _ledger_payload(ledger), _ledger_lines("pi(x)/(x/log x)", ledger))
         return EXIT_OK
-    spec = _parse_combination(args.spec)
-    ledger, seq = _derive_bounds(spec, args.anchor, args.initial_upper,
-                                 args.iterations)
-    payload = _ledger_payload(ledger, seq)
-    _emit(args, payload, _ledger_lines("pi(x)/(x/log x)", ledger, seq))
+    if args.spec != _CLASSICAL_SPEC:
+        raise DomainError(f"bounds --psi takes no combination spec, got {args.spec!r}")
+    table = _table(args, PSI_RATIO_SPEC.period * max(k_grid, default=0))
+    report = psi_variant_bounds(k_grid, table)
+    ledger = report.ledger
+    # the psi ledger is fixed: a flag may only restate what it uses
+    for flag, given, used in (("--iterations", args.iterations, len(ledger.upper_iterations)),
+                              ("--initial-upper", args.initial_upper, ledger.initial_upper),
+                              ("--anchor", args.anchor, ledger.anchor_index)):
+        if given is not None and given != used:
+            raise DomainError(f"bounds --psi uses {flag} {used}, got {given}")
+    payload = _ledger_payload(ledger)
+    payload["bracket_rows"] = [
+        {"k": r.k, "ratio_log": r.ratio_log, "lower": r.lower,
+         "upper": r.upper, "holds": r.holds} for r in report.rows]
+    lines = _ledger_lines("psi(x)/x", ledger)
+    lines += [f"  bracket at k={r.k}: {r.lower:.1f} <= {r.ratio_log:.1f} "
+              f"<= {r.upper:.1f} ({'ok' if r.holds else 'VIOLATED'})"
+              for r in report.rows]
+    _emit(args, payload, lines)
+    if any(not r.holds for r in report.rows):
+        raise _VerificationFailure
     return EXIT_OK
 
 
-def _ledger_payload(ledger, seq) -> dict:
+def _ledger_payload(ledger) -> dict:
+    seq = ledger.sequence
     return {
         "combination_constant": ledger.combination_constant,
         "lower_bound": ledger.lower_bound,
@@ -402,7 +409,8 @@ def _ledger_payload(ledger, seq) -> dict:
     }
 
 
-def _ledger_lines(what: str, ledger, seq) -> list[str]:
+def _ledger_lines(what: str, ledger) -> list[str]:
+    seq = ledger.sequence
     iters = " -> ".join(f"{u:.4f}" for u in ledger.upper_iterations)
     return [
         f"combination constant: {ledger.combination_constant:.6f}",

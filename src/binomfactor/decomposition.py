@@ -114,20 +114,23 @@ class Decomposition:
     columns: MappingProxyType[int, np.ndarray]
 
     @cached_property
-    def levels(self) -> dict[int, tuple[DivisorInterval, ...]]:
-        """``levels[i]``: the level-i intervals as objects, in column order."""
-        return {
+    def levels(self) -> MappingProxyType[int, tuple[DivisorInterval, ...]]:
+        """``levels[i]``: the level-i intervals as objects, in column
+        order, in a read-only mapping."""
+        return MappingProxyType({
             i: tuple(DivisorInterval(Fraction(a, b), Fraction(c, d), i,
                                      BRANCH_A if f >= 0 else BRANCH_B, j,
                                      f if f >= 0 else None)
                      for a, b, c, d, j, f in cols.T.tolist())
             for i, cols in self.columns.items()
-        }
+        })
 
     @cached_property
     def _floors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Floored (lower, upper) of level 1, in ascending order."""
+        """Floored (lower, upper) of level 1, in ascending order, read-only."""
         lo, hi = _level_range_arrays(self.n, self.k)
+        for arr in (lo, hi):
+            arr.setflags(write=False)
         return lo[::-1], hi[::-1]
 
     @cached_property
@@ -137,23 +140,6 @@ class Decomposition:
         lo, hi = self._floors
         hi = hi[hi > lo]
         return int(hi.max()).bit_length() - 1 if hi.size else 0
-
-    def prime_divides(self, p: int) -> bool:
-        """True iff some interval contains a power p^i, i.e. (level i
-        being a prefix of level 1) some level-1 interval does.
-
-        Floored lowers ascend, and the last one below p^i belongs to the
-        only interval that can contain it.
-        """
-        lo, hi = self._floors
-        for i in self.columns:
-            q = p ** i
-            if q > self.n:
-                break
-            t = int(np.searchsorted(lo, q))
-            if t and q <= hi[t - 1]:
-                return True
-        return False
 
     def to_json_dict(self) -> dict:
         """Wire format: {n, k, levels: [{i, intervals: [...]}]} with exact
@@ -255,8 +241,21 @@ def decompose(n: int, k: int) -> Decomposition:
 
 def prime_divides(dec: Decomposition, p: int) -> bool:
     """Exact membership of the prime p in the decomposition (union over
-    root levels)."""
-    return dec.prime_divides(p)
+    root levels): true iff some interval contains a power p^i, i.e.
+    (level i being a prefix of level 1) some level-1 interval does.
+
+    Floored lowers ascend, and the last one below p^i belongs to the only
+    interval that can contain it.
+    """
+    lo, hi = dec._floors
+    for i in dec.columns:
+        q = p ** i
+        if q > dec.n:
+            break
+        t = int(np.searchsorted(lo, q))
+        if t and q <= hi[t - 1]:
+            return True
+    return False
 
 
 def canonical_integer_form(dec: Decomposition) -> dict[int, list[CanonicalInterval]]:

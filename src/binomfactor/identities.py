@@ -24,7 +24,7 @@ values (Dirichlet hyperbola grouping), never over all x/2 indices j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,9 +48,9 @@ class IdentityReport:
     lhs: float
     rhs: float
     residual: float
-    normalized_residual: float | None = None
-    normalization: str | None = None
-    details: dict = field(default_factory=dict)
+    normalized_residual: float
+    normalization: str
+    details: dict
 
     def to_row(self) -> dict:
         row = {
@@ -159,16 +159,6 @@ def omega_pi_series(n: int, m: int, k: int, table: PrimeTable) -> int:
             - _quotient_sum(pp, m * k))
 
 
-def omega_pi_series_grouped(n: int, m: int, k: int, table: PrimeTable) -> int:
-    """The same series in its grouped form: prime counts at the endpoints
-    of the root-level-1 intervals of the decomposition of (nk, mk).  Equals
-    the number of primes those intervals contain.  This enumerates the
-    O(nk) intervals on purpose: it is the witness `omega_identity_report`
-    checks the quotient-grouped series and the carry oracle against."""
-    _check_pair(n, m, k, table)
-    return level_prime_count(table, n * k, m * k)
-
-
 def omega_identity_report(n: int, m: int, k: int, table: PrimeTable) -> IdentityReport:
     """Oracle omega(C(nk, mk)) against the prime-count series, with the
     residual broken into exactly computed parts:
@@ -177,8 +167,9 @@ def omega_identity_report(n: int, m: int, k: int, table: PrimeTable) -> Identity
       carry, i.e. floor(nk/p) - floor(mk/p) - floor((n-m)k/p) = 0 (they
       sit in [1, sqrt(nk)]), counted over the primes the carry oracle
       returns;
-    * ``regroup_correction``: series minus grouped form (identically 0,
-      since dropped terms all have pi-argument < 2).
+    * ``regroup_correction``: series minus its grouped form, the prime
+      counts at the endpoints of the level-1 intervals of (nk, mk)
+      (identically 0, since dropped terms all have pi-argument < 2).
 
     residual == deep_level_primes - regroup_correction holds exactly, and
     is checked with a raise: by the interval criterion the level-1 carry
@@ -190,7 +181,10 @@ def omega_identity_report(n: int, m: int, k: int, table: PrimeTable) -> Identity
     primes, divides = _binom_divisor_flags(table, big, small)
     lhs = int(divides.sum())
     rhs = omega_pi_series(n, m, k, table)
-    grouped = omega_pi_series_grouped(n, m, k, table)
+    # the grouped form enumerates the O(nk) intervals on purpose: it is
+    # the witness the quotient-grouped series and the carry oracle are
+    # checked against
+    grouped = level_prime_count(table, big, small)
     carry = big // primes - small // primes - (big - small) // primes
     level1 = int((carry > 0).sum())
     deep = lhs - level1

@@ -112,9 +112,9 @@ def ratio_series_residual(n: int, truncation: int) -> float:
     return abs(lhs - float(total))
 
 
-def telescoping_check(upper: int, tolerance: float = 1e-10) -> int | None:
+def telescoping_check(upper: int) -> int | None:
     """Verify that the per-step ratios log(m^m / (m-1)^(m-1)) telescope:
-    their sum up to every k <= upper equals k log k within tolerance.
+    their sum up to every k <= upper equals k log k within 1e-10.
 
     The ratios are computed from exact integer powers (correctly rounded
     big-int division), not from the telescoped form itself.  Returns None
@@ -125,6 +125,6 @@ def telescoping_check(upper: int, tolerance: float = 1e-10) -> int | None:
     steps: list[float] = []
     for k in range(2, upper + 1):
         steps.append(math.log(k ** k / (k - 1) ** (k - 1)))
-        if abs(math.fsum(steps) - k * math.log(k)) > tolerance:
+        if abs(math.fsum(steps) - k * math.log(k)) > 1e-10:
             return k
     return None

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, OutOfRangeError
 
-#: Default sieve size; enough for prime counts at arguments up to 10^7.
+#: The CLI's default sieve budget; enough for prime counts at arguments up to 10^7.
 DEFAULT_LIMIT = 10_000_000
 
 #: Hard budget.  The table stores 12.5 bytes per integer (int32 pi
@@ -195,11 +195,6 @@ class PrimeTable:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PrimeTable(limit={self.limit}, primes={len(self.primes)})"
-
-
-def build_table(limit: int = DEFAULT_LIMIT) -> PrimeTable:
-    """Construct a :class:`PrimeTable` for [0, limit]."""
-    return PrimeTable(limit)
 
 
 def _sieve(limit: int) -> np.ndarray:

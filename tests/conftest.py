@@ -1,25 +1,25 @@
 import numpy as np
 import pytest
 
-from binomfactor import build_table
+from binomfactor import PrimeTable
 
 
 @pytest.fixture(scope="session")
 def table_small():
     """Enough for the worked decomposition examples and unit checks."""
-    return build_table(20_000)
+    return PrimeTable(20_000)
 
 
 @pytest.fixture(scope="session")
 def table_medium():
     """Covers identity grids up to n*k = 10^6."""
-    return build_table(1_000_000)
+    return PrimeTable(1_000_000)
 
 
 @pytest.fixture(scope="session")
 def table_large():
     """Acceptance scale: pi up to 10^7."""
-    return build_table(10_000_000)
+    return PrimeTable(10_000_000)
 
 
 def reference_sieve(limit: int) -> np.ndarray:

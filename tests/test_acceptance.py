@@ -130,9 +130,9 @@ def test_criterion_05_pi_bounds_pipeline():
     0.92 +- 0.005 with upper iterations 1.26/1.135/1.11 (+- 0.01); the
     augmented spec is rejected for non-alternation."""
     with criterion(5, "pi-bounds pipeline reproduces all published constants"):
-        assert abs(omega_growth_constant(3, 1).value / 3 - 0.6365) <= 1e-4
-        assert abs(omega_growth_constant(4, 1).value / 4 - 0.5623) <= 1e-4
-        assert abs(omega_growth_constant(6, 1).value / 6 - 0.4505) <= 1e-4
+        assert abs(omega_growth_constant(3, 1) / 3 - 0.6365) <= 1e-4
+        assert abs(omega_growth_constant(4, 1) / 4 - 0.5623) <= 1e-4
+        assert abs(omega_growth_constant(6, 1) / 6 - 0.4505) <= 1e-4
         assert abs(combination_constant(PI_BOUNDS_SPEC) - 0.460) <= 1e-3
 
         seq = coefficient_sequence(PI_BOUNDS_SPEC)

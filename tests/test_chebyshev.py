@@ -103,9 +103,9 @@ class TestAlternation:
 class TestCombinationConstant:
     def test_intermediate_constants(self):
         from binomfactor import omega_growth_constant
-        assert omega_growth_constant(3, 1).value / 3 == pytest.approx(0.6365, abs=1e-4)
-        assert omega_growth_constant(4, 1).value / 4 == pytest.approx(0.5623, abs=1e-4)
-        assert omega_growth_constant(6, 1).value / 6 == pytest.approx(0.4505, abs=1e-4)
+        assert omega_growth_constant(3, 1) / 3 == pytest.approx(0.6365, abs=1e-4)
+        assert omega_growth_constant(4, 1) / 4 == pytest.approx(0.5623, abs=1e-4)
+        assert omega_growth_constant(6, 1) / 6 == pytest.approx(0.4505, abs=1e-4)
 
     def test_classical_value(self):
         assert combination_constant(PI_BOUNDS_SPEC) == pytest.approx(0.460, abs=1e-3)
@@ -146,6 +146,9 @@ class TestDeriveBounds:
     def test_anchor_mismatch_rejected(self):
         with pytest.raises(DomainError):
             derive_bounds(PI_BOUNDS_SPEC, anchor_divisor=10)
+
+    def test_ledger_holds_its_sequence(self):
+        assert derive_bounds(PI_BOUNDS_SPEC).sequence == coefficient_sequence(PI_BOUNDS_SPEC)
 
     def test_empty_spec_all_zero(self):
         ledger = derive_bounds(CombinationSpec(()))
@@ -196,6 +199,11 @@ class TestPsiVariant:
         assert report.ledger.anchor_index == 6
         assert report.ledger.fixed_point == pytest.approx(
             report.ledger.combination_constant / (1 - 1 / 6), rel=1e-15)
+
+    def test_ledger_holds_its_sequence(self, table_small):
+        ledger = psi_variant_bounds([], table_small).ledger
+        assert ledger.sequence == psi_coefficient_sequence(PSI_RATIO_SPEC)
+        assert ledger.initial_upper == 2.0 and len(ledger.upper_iterations) == 3
 
     def test_bracket_rows_hold(self, table_medium):
         report = psi_variant_bounds([7, 1000, 30_000], table_medium)

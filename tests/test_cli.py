@@ -119,6 +119,13 @@ class TestDecomposeCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "a961b073ae98ead6948abdcc3fbc1ce9595fd4a08a4c4d4530d65eeafe13b3d5")
 
+    @pytest.mark.parametrize("flags", [["--format", "json"], [], ["--format", "csv"]])
+    def test_verify_budget_checked_before_output(self, capsys, flags):
+        code, out, err = run_cli(capsys, "decompose", "100", "40", "--verify",
+                                 "--sieve-limit", "50", *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "sieve limit 100" in err
+
     def test_size_cap_exit_2(self, capsys):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "decompose", "100000000", "50000000")
@@ -208,6 +215,16 @@ class TestBoundsCommand:
         assert code == 0
         assert "0.921292" in out
 
+    @pytest.mark.parametrize("flags", [
+        ("--anchor", "6"), ("--iterations", "3"), ("--initial-upper", "2"),
+        ("+1/2:1/6,+1/3:1/12,-1/10:1/60",),
+    ])
+    def test_psi_restated_flags_keep_bytes(self, capsys, flags):
+        # a flag that restates what the psi ledger uses is accepted
+        _, plain, _ = run_cli(capsys, "bounds", "--psi", "--format", "json")
+        code, out, _ = run_cli(capsys, "bounds", "--psi", "--format", "json", *flags)
+        assert code == 0 and out == plain
+
     def test_bad_spec_syntax_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "nonsense")
         assert code == 2
@@ -294,6 +311,16 @@ class TestInputErrors:
                      id="bounds-upper-nan"),
         pytest.param(("identity", "thm1", "--n", "2", "--m", "1", "--grid", ","),
                      "--k or --grid", id="thm1-empty-grid"),
+        pytest.param(("bounds", "--psi", "--iterations", "6", "--initial-upper", "5",
+                      "--anchor", "99", "--format", "json"), "--iterations",
+                     id="psi-flags"),
+        pytest.param(("bounds", "--psi", "--iterations", "0"), "--iterations",
+                     id="psi-iterations-zero"),
+        pytest.param(("bounds", "--psi", "--initial-upper", "5"), "--initial-upper",
+                     id="psi-initial-upper"),
+        pytest.param(("bounds", "--psi", "--anchor", "99"), "--anchor", id="psi-anchor"),
+        pytest.param(("bounds", "--psi", "+1/2:1/6"), "--psi", id="psi-spec"),
+        pytest.param(("bounds", "--k-grid", "100"), "--k-grid", id="k-grid-without-psi"),
     ])
     def test_exit_2_with_cause(self, capsys, argv, cause):
         code, _, err = run_cli(capsys, *argv)

@@ -140,6 +140,20 @@ class TestDegenerateInputs:
         assert np.shares_memory(prefix, dec.columns[1])
         with pytest.raises(ValueError):
             prefix[0, 0] = 1
+        # neither the floors behind prime_divides and max_root_index nor
+        # the levels mapping can be changed from outside
+        dec = decompose(2000, 1000)
+        assert prime_divides(dec, 1999) and dec.max_root_index == 10
+        for arr in dec._floors:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[:] = 0
+        assert prime_divides(dec, 1999) and dec.max_root_index == 10
+        assert isinstance(dec.levels, MappingProxyType)
+        first = dec.levels[1]
+        with pytest.raises(TypeError):
+            dec.levels[1] = ()
+        assert dec.levels[1] is first and len(first) == dec.columns[1].shape[1]
 
 
 class TestCanonicalForm:

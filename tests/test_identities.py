@@ -11,7 +11,8 @@ from binomfactor import (PI_BOUNDS_SPEC, DomainError, FactorialRatioSpec,
                          coefficient_sequence, factorial_ratio_report,
                          log_factorial_prefix, omega_binom_oracle,
                          omega_identity_report, omega_pi_series,
-                         omega_pi_series_grouped, reconstruct_series_value)
+                         reconstruct_series_value)
+from binomfactor.decomposition import level_prime_count
 from binomfactor.identities import _quotient_sum
 
 
@@ -93,7 +94,7 @@ class TestGroupedForm:
         # intervals, here recomputed by scanning primality directly
         from binomfactor.decomposition import integer_membership_mask
         for n, m, k in [(2, 1, 8), (3, 1, 20), (5, 2, 30), (6, 1, 11)]:
-            grouped = omega_pi_series_grouped(n, m, k, table_small)
+            grouped = level_prime_count(table_small, n * k, m * k)
             mask = integer_membership_mask(n * k, m * k, level=1)
             direct = int(mask[table_small.primes_up_to(n * k)].sum())
             assert grouped == direct
@@ -104,10 +105,10 @@ class TestGroupedForm:
         for n, m in [(2, 1), (3, 1), (4, 1), (6, 1), (5, 2), (7, 3)]:
             for k in (1, 2, 10, 100, 1000):
                 assert (omega_pi_series(n, m, k, table_medium)
-                        == omega_pi_series_grouped(n, m, k, table_medium)), (n, m, k)
+                        == level_prime_count(table_medium, n * k, m * k)), (n, m, k)
 
     def test_equal_pair_zero(self, table_small):
-        assert omega_pi_series_grouped(1, 1, 50, table_small) == 0
+        assert level_prime_count(table_small, 50, 50) == 0
 
 
 #: omega_identity_report rows, recorded before the pi series were grouped

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binomfactor import (MAX_LIMIT, DomainError, OutOfRangeError,
-                         binom_exponent, build_table, integer_root,
+                         PrimeTable, binom_exponent, integer_root,
                          legendre_exponent, mobius_partial_sums,
                          omega_binom_oracle)
 from binomfactor.primes import _CHUNK, _moebius, _sieve, _von_mangoldt
@@ -18,21 +18,21 @@ from conftest import reference_sieve
 
 class TestBuildTable:
     def test_first_primes(self):
-        table = build_table(10)
+        table = PrimeTable(10)
         assert [int(p) for p in table.primes] == [2, 3, 5, 7]
 
     def test_boundary_limit_two(self):
-        table = build_table(2)
+        table = PrimeTable(2)
         assert table.pi(2) == 1
         assert [int(p) for p in table.primes] == [2]
 
     def test_rejects_tiny_limit(self):
         with pytest.raises(DomainError):
-            build_table(1)
+            PrimeTable(1)
 
     def test_rejects_over_budget(self):
         with pytest.raises(DomainError):
-            build_table(10**12)
+            PrimeTable(10**12)
 
     @pytest.mark.parametrize("limit", [2, 3, 100, _CHUNK - 1, _CHUNK, _CHUNK + 1])
     def test_sieve_at_segment_edges(self, limit):
