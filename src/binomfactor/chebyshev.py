@@ -19,6 +19,7 @@ a balanced factorial ratio (classically: multipliers 30, 1 over
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -359,17 +360,25 @@ class PsiBoundsReport:
     rows: tuple[PsiBracketRow, ...]
 
 
+@functools.cache
+def _psi_ledger() -> BoundsLedger:
+    """The fixed ledger of ``PSI_RATIO_SPEC``'s psi series (initial upper
+    2.0, 3 iterations; lead index 1, so no doubling), derived once: it
+    needs no table, so the CLI can check its flags against it first."""
+    return _bounds_ledger(psi_coefficient_sequence(PSI_RATIO_SPEC),
+                          PSI_RATIO_SPEC.growth_rate / PSI_RATIO_SPEC.period,
+                          None, 2.0, 3)
+
+
 def psi_variant_bounds(k_grid, table: PrimeTable) -> PsiBoundsReport:
     """psi(x)/x bounds from the psi series of the balanced factorial
     ratio ``PSI_RATIO_SPEC``.
 
-    Builds the coefficient sequence, requires alternation, derives the
-    ledger (initial upper 2.0, 3 iterations; lead index 1, so no
-    doubling), and checks the exact bracket psi(Lk) - psi(Lk/anchor)
+    Takes the ledger of its alternating coefficient sequence
+    (`_psi_ledger`) and checks the exact bracket psi(Lk) - psi(Lk/anchor)
     <= log ratio <= psi(Lk) on the grid."""
     L = PSI_RATIO_SPEC.period
-    ledger = _bounds_ledger(psi_coefficient_sequence(PSI_RATIO_SPEC),
-                            PSI_RATIO_SPEC.growth_rate / L, None, 2.0, 3)
+    ledger = _psi_ledger()
     lead, anchor = ledger.lead_index, ledger.anchor_index
     rows = []
     for k in k_grid:

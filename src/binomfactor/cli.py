@@ -23,7 +23,7 @@ import sys
 
 from . import __version__
 from .chebyshev import (PSI_RATIO_SPEC, CombinationSpec, CombinationTerm,
-                        derive_bounds, psi_variant_bounds)
+                        _psi_ledger, derive_bounds, psi_variant_bounds)
 from .decomposition import canonical_integer_form, decompose, equivalence_check
 from .errors import DomainError, NonAlternatingError, OutOfRangeError
 from .identities import (FactorialRatioSpec, alternating_pi_sum,
@@ -114,13 +114,16 @@ def _emit(args, payload, pretty_lines: list[str],
           csv_rows: list[dict] | None = None) -> None:
     """Write the output in ``args.format`` to ``--out`` or stdout.
 
-    For json, ``payload`` is the object to encode, or an iterable of the
-    text chunks of its encoding, written as they come (decompose streams
-    ``Decomposition.json_chunks``)."""
-    if args.format == "json":
-        chunks = ([json.dumps(payload, sort_keys=True, indent=2) + "\n"]
-                  if isinstance(payload, dict) else payload)
-    elif args.format == "csv":
+    For json and csv, ``payload`` is the object to encode, or an iterable
+    of the text chunks of its encoding, written as they come (decompose
+    streams ``Decomposition.json_chunks`` and ``csv_chunks``)."""
+    if args.format == "pretty":
+        chunks = ["\n".join(pretty_lines) + "\n"]
+    elif not isinstance(payload, dict):
+        chunks = payload
+    elif args.format == "json":
+        chunks = [json.dumps(payload, sort_keys=True, indent=2) + "\n"]
+    else:
         rows = csv_rows if csv_rows is not None else [payload]
         buf = io.StringIO()
         fields = sorted({key for row in rows for key in row})
@@ -129,8 +132,6 @@ def _emit(args, payload, pretty_lines: list[str],
         for row in rows:
             writer.writerow({k: _csv_cell(row.get(k)) for k in fields})
         chunks = [buf.getvalue()]
-    else:
-        chunks = ["\n".join(pretty_lines) + "\n"]
     if args.out:
         with open(args.out, "w") as fh:
             fh.writelines(chunks)
@@ -154,12 +155,7 @@ def _cmd_decompose(args) -> int:
     if args.format == "json":
         _emit(args, dec.json_chunks(), [])
     elif args.format == "csv":
-        rows = [{"level": lv["i"], "branch": iv["branch"], "j": iv["j"],
-                 "f": iv.get("f", ""),
-                 "lower_num": iv["lower"]["num"], "lower_den": iv["lower"]["den"],
-                 "upper_num": iv["upper"]["num"], "upper_den": iv["upper"]["den"]}
-                for lv in dec.to_json_dict()["levels"] for iv in lv["intervals"]]
-        _emit(args, None, [], rows)
+        _emit(args, dec.csv_chunks(), [])
     else:
         _emit(args, None, _decompose_lines(dec, args.exact))
     if args.verify:
@@ -368,15 +364,16 @@ def _run_bounds(args) -> int:
         return EXIT_OK
     if args.spec != _CLASSICAL_SPEC:
         raise DomainError(f"bounds --psi takes no combination spec, got {args.spec!r}")
-    table = _table(args, PSI_RATIO_SPEC.period * max(k_grid, default=0))
-    report = psi_variant_bounds(k_grid, table)
-    ledger = report.ledger
-    # the psi ledger is fixed: a flag may only restate what it uses
+    ledger = _psi_ledger()
+    # the psi ledger is fixed: a flag may only restate what it uses, and
+    # is checked before any table is built
     for flag, given, used in (("--iterations", args.iterations, len(ledger.upper_iterations)),
                               ("--initial-upper", args.initial_upper, ledger.initial_upper),
                               ("--anchor", args.anchor, ledger.anchor_index)):
         if given is not None and given != used:
             raise DomainError(f"bounds --psi uses {flag} {used}, got {given}")
+    table = _table(args, PSI_RATIO_SPEC.period * max(k_grid, default=0))
+    report = psi_variant_bounds(k_grid, table)
     payload = _ledger_payload(ledger)
     payload["bracket_rows"] = [
         {"k": r.k, "ratio_log": r.ratio_log, "lower": r.lower,

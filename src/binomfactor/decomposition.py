@@ -23,7 +23,7 @@ The root index i does not enter the intervals: root level i is the
 family cut down to the intervals with upper >= 2^i (no smaller one holds
 an i-th power >= 2), i.e. d <= n >> i, a prefix of level 1.
 
-`_level_index` enumerates the (d, j) of level 1 once, as int64 arrays
+`_level_index` enumerates the (d, j) of level 1, as int64 arrays
 (k*d < n^2/2, at most 2*10^16 at the sieve's MAX_LIMIT), and everything
 else reads that one enumeration: `decompose` keeps the exact endpoints
 as integer numerator/denominator columns in lowest terms, with each
@@ -31,6 +31,13 @@ deeper level a prefix view, and the membership mask and prime counts use
 their floors.  Floors lose nothing for an integer q: a < q <= b iff
 floor(a) < q <= floor(b).  `fractions.Fraction` endpoints are built only
 when `Decomposition.levels` is read.
+
+The cells are independent, so the enumeration can also be taken over any
+range [d0, d1) of upper denominators.  `level_prime_count`, which needs
+only a sum over the intervals, walks d in fixed blocks of _LEVEL_BLOCK
+and keeps one block's arrays at a time: its transient memory is then a
+constant (~0.5 MB) instead of ~24 bytes per interval, and it is faster
+for it, since each block's arrays stay in cache.
 """
 
 from __future__ import annotations
@@ -67,8 +74,17 @@ _JSON_RECORD_A = (
     '        }')
 _JSON_RECORD_B = _JSON_RECORD_A.replace(
     '"A",\n          "f": %d,', '"B",%.0s')
-#: Records per chunk of ``Decomposition.json_chunks`` (~1 MB of text).
-_JSON_BLOCK = 4096
+#: One row of ``Decomposition.csv_chunks``, from the same six columns, in
+#: the sorted column order branch, f, j, level, lower_den, lower_num,
+#: upper_den, upper_num.  The level is left as "%d" for each level to fill
+#: in; branch B's f cell is empty.
+_CSV_RECORD_A = "A,%d,%d,%%d,%d,%d,%d,%d\r\n"
+_CSV_RECORD_B = _CSV_RECORD_A.replace("A,%d", "B,%.0s")
+#: Records per chunk of ``Decomposition.json_chunks`` and ``csv_chunks``
+#: (~1 MB of JSON text).
+_TEXT_BLOCK = 4096
+#: Upper denominators per block of ``level_prime_count``.
+_LEVEL_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -164,23 +180,47 @@ class Decomposition:
         + "\\n"``, built from the columns without that dict or the
         pure-Python indenting encoder.  Each level-1 record is formatted
         once and level i lists a prefix of them, in chunks of at most
-        _JSON_BLOCK records, so a consumer that writes as it reads holds
+        _TEXT_BLOCK records, so a consumer that writes as it reads holds
         the records but never a level's whole text."""
         yield '{\n  "k": %d,\n  "levels": [' % self.k
         if self.columns:
-            # rows f, j, lower den, lower num, upper den, upper num: the key order
-            recs = [(_JSON_RECORD_A if t[0] >= 0 else _JSON_RECORD_B) % t
-                    for t in zip(*self.columns[1][[5, 4, 1, 0, 3, 2]].tolist())]
+            recs = self._records(_JSON_RECORD_A, _JSON_RECORD_B)
             if recs:  # every level starts at record 0: no comma before it
                 recs[0] = recs[0][1:]
             for i, cols in self.columns.items():
                 m = cols.shape[1]
                 yield '%s\n    {\n      "i": %d,\n      "intervals": [' % ("," if i > 1 else "", i)
-                for s in range(0, m, _JSON_BLOCK):
-                    yield "".join(recs[s:min(s + _JSON_BLOCK, m)])
+                for s in range(0, m, _TEXT_BLOCK):
+                    yield "".join(recs[s:min(s + _TEXT_BLOCK, m)])
                 yield "\n      ]\n    }" if m else "]\n    }"
             yield "\n  "
         yield '],\n  "n": %d\n}\n' % self.n
+
+    def csv_chunks(self) -> Iterator[str]:
+        """The CLI's CSV text, one row per record of every level of
+        ``to_json_dict``: the chunks join to exactly what ``csv.DictWriter``
+        writes for those rows under their sorted keys (CRLF line ends, an
+        empty f on branch B, and a header that is just CRLF when there is
+        no row).  Each level-1 record is formatted once, with its level
+        left open, and level i fills it in over the prefix of records it
+        lists, in chunks of at most _TEXT_BLOCK records."""
+        if not (self.columns and self.columns[1].shape[1]):
+            yield "\r\n"
+            return
+        yield "branch,f,j,level,lower_den,lower_num,upper_den,upper_num\r\n"
+        recs = self._records(_CSV_RECORD_A, _CSV_RECORD_B)
+        for i, cols in self.columns.items():
+            m = cols.shape[1]
+            for s in range(0, m, _TEXT_BLOCK):
+                e = min(s + _TEXT_BLOCK, m)
+                yield "".join(recs[s:e]) % ((i,) * (e - s))
+
+    def _records(self, branch_a: str, branch_b: str) -> list[str]:
+        """Every level-1 record formatted with the template of its branch,
+        from the rows f, j, lower den, lower num, upper den, upper num
+        (the order of the sorted keys)."""
+        return [(branch_a if t[0] >= 0 else branch_b) % t
+                for t in zip(*self.columns[1][[5, 4, 1, 0, 3, 2]].tolist())]
 
     def __repr__(self) -> str:  # pragma: no cover
         total = sum(cols.shape[1] for cols in self.columns.values())
@@ -191,12 +231,13 @@ class Decomposition:
 # -- enumeration -------------------------------------------------------
 
 
-def _level_index(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _level_index(n: int, k: int, d0: int = 1,
+                 d1: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(d, j): the upper denominator d, ascending, and j = floor(kd/n) + 1
-    of every level-1 interval, as int64 arrays.  d runs over 1..n // 2
-    (the uppers n/d that can hold an integer >= 2) and skips the cells
-    with n | kd, which hold no interval."""
-    d = np.arange(1, (n >> 1) + 1, dtype=np.int64)
+    of every level-1 interval with d in [d0, d1), as int64 arrays.  By
+    default d runs over 1..n // 2 (the uppers n/d that can hold an
+    integer >= 2); the cells with n | kd hold no interval and are skipped."""
+    d = np.arange(d0, (n >> 1) + 1 if d1 is None else d1, dtype=np.int64)
     d = d[(k * d) % n != 0]
     return d, k * d // n + 1
 
@@ -273,10 +314,12 @@ def canonical_integer_form(dec: Decomposition) -> dict[int, list[CanonicalInterv
 # -- floored endpoints for the membership mask ---------------------------
 
 
-def _level_range_arrays(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Floored endpoints (lo, hi] of every level-1 interval, as int64
-    arrays in ascending d (the floor of a max is the max of the floors)."""
-    d, j = _level_index(n, k)
+def _level_range_arrays(n: int, k: int, d0: int = 1,
+                        d1: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Floored endpoints (lo, hi] of the level-1 intervals with upper
+    denominator d in [d0, d1) (by default all of them), as int64 arrays
+    in ascending d (the floor of a max is the max of the floors)."""
+    d, j = _level_index(n, k, d0, d1)
     return np.maximum(k // j, (n - k) // (d - j + 1)), n // d
 
 
@@ -321,7 +364,16 @@ def equivalence_check(n: int, k: int, table: PrimeTable) -> int | None:
 
 def level_prime_count(table: PrimeTable, n: int, k: int) -> int:
     """Number of primes in the level-1 intervals, via prime counts at the
-    floored endpoints (exact: the intervals are disjoint)."""
+    floored endpoints (exact: the intervals are disjoint).
+
+    Every interval is enumerated, in blocks of _LEVEL_BLOCK upper
+    denominators, and each block's pi differences are summed before the
+    next is built, so the transient arrays stay a fixed size for any n."""
     _check_binom_args(n, k, table)
-    lo, hi = _level_range_arrays(n, k)
-    return int((table.pi_prefix[hi] - table.pi_prefix[lo]).sum())
+    pp = table.pi_prefix
+    end = (n >> 1) + 1
+    total = 0
+    for d0 in range(1, end, _LEVEL_BLOCK):
+        lo, hi = _level_range_arrays(n, k, d0, min(d0 + _LEVEL_BLOCK, end))
+        total += int((pp[hi] - pp[lo]).sum())
+    return total

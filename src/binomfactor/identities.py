@@ -19,6 +19,14 @@ x/log x tends to log 2, and the Bertrand sweep pi(2n) > pi(n).
 Every pi series here is a sum of pi at floor(x/j), which takes only about
 2 sqrt(x) distinct values; `_quotient_sum` evaluates it exactly over those
 values (Dirichlet hyperbola grouping), never over all x/2 indices j.
+
+The psi series is a float sum, and regrouping its terms would move the
+last bits of the result.  `_psi_series_one` therefore still sums all c/2
+terms psi(floor(c/i)), in order, with one extended-precision np.sum, but
+it looks psi up only once per distinct quotient and expands the runs of
+equal quotients with np.repeat: the terms, their order and the reduction
+are those of the direct gather, so the sum is bit-identical, and the
+O(c) int64 index array and its O(c) divisions are gone.
 """
 
 from __future__ import annotations
@@ -251,11 +259,24 @@ def log_factorial_prefix(limit: int) -> np.ndarray:
 
 
 def _psi_series_one(table: PrimeTable, c: int) -> np.longdouble:
-    """sum_i psi(c / i) over i >= 1 until the argument drops below 2."""
+    """sum_i psi(c / i) over i >= 1 until the argument drops below 2.
+
+    The terms psi(floor(c/i)), i = 1..c/2, are laid out in order from one
+    gather per distinct quotient: the head i <= r = isqrt(c) has a
+    quotient of its own, and every tail quotient q = floor(c/(r+1)), ..., 2
+    covers the floor(c/q) - floor(c/(q+1)) consecutive i that share it
+    (no tail run reaches into the head, as in `_quotient_sum`).  np.repeat
+    expands those runs into the very float64 terms, in the very order, of
+    the direct gather over every i, and one np.sum reduces them as it did,
+    so the sum is unchanged to the bit.
+    """
     if c < 2:
         return np.longdouble(0.0)
-    i = np.arange(1, c // 2 + 1, dtype=np.int64)
-    return np.sum(table.psi_prefix[c // i], dtype=np.longdouble)
+    r = math.isqrt(c)
+    tail = np.arange(c // (r + 1), 1, -1, dtype=np.int64)
+    q = np.concatenate((c // np.arange(1, r + 1, dtype=np.int64), tail))
+    runs = np.concatenate((np.ones(r, dtype=np.int64), c // tail - c // (tail + 1)))
+    return np.sum(np.repeat(table.psi_prefix[q], runs), dtype=np.longdouble)
 
 
 def factorial_ratio_report(spec: FactorialRatioSpec, k: int, table: PrimeTable) -> IdentityReport:

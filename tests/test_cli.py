@@ -119,6 +119,24 @@ class TestDecomposeCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "a961b073ae98ead6948abdcc3fbc1ce9595fd4a08a4c4d4530d65eeafe13b3d5")
 
+    def test_csv_streams_without_dict(self, capsys, monkeypatch):
+        # the decompose CSV is written from the columns, not from the
+        # wire-format dict
+        from binomfactor.decomposition import Decomposition
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("not on the decompose csv path")
+        monkeypatch.setattr(Decomposition, "to_json_dict", refuse)
+        code, out, _ = run_cli(capsys, "decompose", "2000", "800", "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ebba1f34b016b67ade246298ce1f62f8ff22d13b66f4c72131f2661c47da6d7a")
+
+    @pytest.mark.parametrize("k", ["0", "7"])
+    def test_csv_empty_decomposition(self, capsys, k):
+        code, out, _ = run_cli(capsys, "decompose", "7", k, "--format", "csv")
+        assert code == 0 and out == "\r\n"
+
     @pytest.mark.parametrize("flags", [["--format", "json"], [], ["--format", "csv"]])
     def test_verify_budget_checked_before_output(self, capsys, flags):
         code, out, err = run_cli(capsys, "decompose", "100", "40", "--verify",
@@ -224,6 +242,20 @@ class TestBoundsCommand:
         _, plain, _ = run_cli(capsys, "bounds", "--psi", "--format", "json")
         code, out, _ = run_cli(capsys, "bounds", "--psi", "--format", "json", *flags)
         assert code == 0 and out == plain
+
+    @pytest.mark.parametrize("flags", [("--anchor", "99"), ("--iterations", "4"),
+                                       ("--initial-upper", "3")])
+    def test_psi_flags_checked_before_table(self, capsys, monkeypatch, flags):
+        # the psi ledger needs no table: a flag it contradicts is refused
+        # before the --k-grid table would be built
+        import binomfactor.cli as cli_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("table built before the flags were checked")
+        monkeypatch.setattr(cli_mod, "PrimeTable", refuse)
+        code, out, err = run_cli(capsys, "bounds", "--psi", "--k-grid", "300000", *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and flags[0] in err
 
     def test_bad_spec_syntax_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "nonsense")

@@ -1,8 +1,11 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -394,7 +397,7 @@ class TestJsonChunks:
             dec = decompose(n, k)
             chunks = list(dec.json_chunks())
             assert "".join(chunks) == _reference_json(dec), (n, k)
-            assert max(map(len, chunks)) < 300 * decomposition._JSON_BLOCK
+            assert max(map(len, chunks)) < 300 * decomposition._TEXT_BLOCK
 
     def test_empty_level(self):
         # decompose never yields one (d = 1 is in every level); the layout
@@ -403,6 +406,52 @@ class TestJsonChunks:
             {1: np.empty((6, 0), dtype=np.int64)}))
         assert "".join(dec.json_chunks()) == _reference_json(dec)
         assert '"intervals": []' in _reference_json(dec)
+
+
+def _reference_csv(dec):
+    """The CSV the CLI wrote through csv.DictWriter: one row dict per
+    record per level of `to_json_dict`, under the sorted keys."""
+    rows = [{"level": lv["i"], "branch": iv["branch"], "j": iv["j"],
+             "f": iv.get("f", ""),
+             "lower_num": iv["lower"]["num"], "lower_den": iv["lower"]["den"],
+             "upper_num": iv["upper"]["num"], "upper_den": iv["upper"]["den"]}
+            for lv in dec.to_json_dict()["levels"] for iv in lv["intervals"]]
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=sorted({key for row in rows for key in row}))
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+class TestCsvChunks:
+    """`csv_chunks` must write the bytes of csv.DictWriter over the rows
+    of `to_json_dict`, which it replaces on the CLI."""
+
+    def test_every_pair_up_to_60(self):
+        # covers k = 0 and k = n, whose header is just the line end
+        for n in range(1, 61):
+            for k in range(n + 1):
+                dec = decompose(n, k)
+                assert "".join(dec.csv_chunks()) == _reference_csv(dec), (n, k)
+        assert "".join(decompose(9, 0).csv_chunks()) == "\r\n"
+
+    def test_seeded_and_extreme_pairs(self, monkeypatch):
+        # a small block puts many chunk edges inside every level
+        rng = random.Random(9)
+        pairs = [(n, rng.randint(1, n - 1))
+                 for n in (rng.randint(61, 5000) for _ in range(20))]
+        for block in (decomposition._TEXT_BLOCK, 7):
+            monkeypatch.setattr(decomposition, "_TEXT_BLOCK", block)
+            for n, k in pairs + [(20000, 1), (20000, 19999)]:
+                dec = decompose(n, k)
+                chunks = list(dec.csv_chunks())
+                assert "".join(chunks) == _reference_csv(dec), (n, k, block)
+                assert max(map(len, chunks)) < 100 * block
+
+    def test_empty_level(self):
+        dec = decomposition.Decomposition(1, 0, MappingProxyType(
+            {1: np.empty((6, 0), dtype=np.int64)}))
+        assert "".join(dec.csv_chunks()) == _reference_csv(dec) == "\r\n"
 
 
 def _reference_level_index(n, k, i):
@@ -540,3 +589,71 @@ class TestPrefixLevels:
     def test_mask_rejects_bad_pair(self, n, k):
         with pytest.raises(DomainError):
             integer_membership_mask(n, k)
+
+
+class TestLevelBlocks:
+    """`level_prime_count` walks the upper denominators in blocks; it must
+    equal the count over one unblocked enumeration, and read every cell
+    of it through `_level_range_arrays`."""
+
+    @staticmethod
+    def _one_shot(table, n, k):
+        lo, hi = _level_range_arrays(n, k)
+        return int((table.pi_prefix[hi] - table.pi_prefix[lo]).sum())
+
+    def test_every_pair_up_to_300(self, table_small):
+        for n in range(1, 301):
+            for k in range(n + 1):
+                assert level_prime_count(table_small, n, k) == (
+                    self._one_shot(table_small, n, k)), (n, k)
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_small_blocks(self, table_small, monkeypatch, block):
+        # many block edges inside every small pair
+        monkeypatch.setattr(decomposition, "_LEVEL_BLOCK", block)
+        for n in range(1, 61):
+            for k in range(n + 1):
+                assert level_prime_count(table_small, n, k) == (
+                    self._one_shot(table_small, n, k)), (n, k)
+
+    def test_block_edges(self, table_large):
+        b = decomposition._LEVEL_BLOCK
+        rng = random.Random(1414)
+        for half in (b - 1, b, b + 1, 2 * b, 2 * b + 1):
+            for n in (2 * half, 2 * half + 1):
+                for k in (1, 2, n // 3, n // 2, n - 1, rng.randint(1, n - 1)):
+                    assert level_prime_count(table_large, n, k) == (
+                        self._one_shot(table_large, n, k)), (n, k)
+
+    def test_seeded_pairs_to_ten_million(self, table_large):
+        rng = random.Random(777)
+        for _ in range(30):
+            n = rng.randint(2, 10**7)
+            k = rng.randint(0, n)
+            assert level_prime_count(table_large, n, k) == (
+                self._one_shot(table_large, n, k)), (n, k)
+
+    def test_every_cell_read_through_range_arrays(self, table_large, monkeypatch):
+        # bench/tracer.py counts the cells by wrapping this module global
+        seen = []
+        blocks = decomposition._level_range_arrays
+
+        def counted(*args):
+            out = blocks(*args)
+            seen.append(len(out[0]))
+            return out
+        monkeypatch.setattr(decomposition, "_level_range_arrays", counted)
+        n, k = 10**7, 5 * 10**6
+        level_prime_count(table_large, n, k)
+        assert len(seen) > 1
+        assert sum(seen) == len(blocks(n, k)[0])
+
+    def test_transient_memory_bounded(self, table_large):
+        # one unblocked enumeration at this pair peaks at ~114 MiB
+        tracemalloc.start()
+        try:
+            level_prime_count(table_large, 10**7, 5 * 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

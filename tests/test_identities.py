@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -12,8 +13,9 @@ from binomfactor import (PI_BOUNDS_SPEC, DomainError, FactorialRatioSpec,
                          log_factorial_prefix, omega_binom_oracle,
                          omega_identity_report, omega_pi_series,
                          reconstruct_series_value)
+from binomfactor.chebyshev import PSI_RATIO_SPEC
 from binomfactor.decomposition import level_prime_count
-from binomfactor.identities import _quotient_sum
+from binomfactor.identities import _psi_series_one, _quotient_sum
 
 
 def gather(pp, x):
@@ -282,6 +284,49 @@ class TestFactorialRatio:
         assert len(identities._LOGFACT) == 6001
         assert not grown.flags.writeable
         assert grown[:1001].tobytes() == small.tobytes()
+
+
+def psi_gather_sum(table, c):
+    """The O(c) reference for `_psi_series_one`: one gather per i."""
+    i = np.arange(1, c // 2 + 1, dtype=np.int64)
+    return np.sum(table.psi_prefix[c // i], dtype=np.longdouble)
+
+
+class TestPsiSeriesRuns:
+    """`_psi_series_one` gathers psi once per distinct quotient and expands
+    the runs; its extended-precision sum must equal the gather over every
+    i to the bit."""
+
+    def test_every_small_c(self, table_small):
+        for c in range(3000):
+            assert _psi_series_one(table_small, c).tobytes() == (
+                psi_gather_sum(table_small, c).tobytes()), c
+
+    def test_square_and_pronic_edges(self, table_medium):
+        # r^2 and r(r+1) are where isqrt and the first tail quotient step
+        for r in list(range(2, 200)) + [316, 500, 707, 999]:
+            for c in (r * r, r * (r + 1)):
+                for e in (-1, 0, 1):
+                    assert _psi_series_one(table_medium, c + e).tobytes() == (
+                        psi_gather_sum(table_medium, c + e).tobytes()), c + e
+
+    def test_seeded_c_to_ten_million(self, table_large):
+        rng = random.Random(3300)
+        for c in [rng.randint(2, 10**7) for _ in range(300)] + [10**7]:
+            assert _psi_series_one(table_large, c).tobytes() == (
+                psi_gather_sum(table_large, c).tobytes()), c
+
+    def test_transient_memory_bounded(self, table_large):
+        # the gather over every i peaked at ~114 MiB here; the first call
+        # grows the log-factorial cache, which is held, not transient
+        factorial_ratio_report(PSI_RATIO_SPEC, 333333, table_large)
+        tracemalloc.start()
+        try:
+            factorial_ratio_report(PSI_RATIO_SPEC, 333333, table_large)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
 
 class TestAlternatingPiSum:
