@@ -33,15 +33,32 @@ floor(a) < q <= floor(b).  `fractions.Fraction` endpoints are built only
 when `Decomposition.levels` is read.
 
 The cells are independent, so the enumeration can also be taken over any
-range [d0, d1) of upper denominators.  `level_prime_count`, which needs
-only a sum over the intervals, walks d in fixed blocks of _LEVEL_BLOCK
-and keeps one block's arrays at a time: its transient memory is then a
-constant (~0.5 MB) instead of ~24 bytes per interval, and it is faster
-for it, since each block's arrays stay in cache.
+ascending set of upper denominators, and the membership mask and
+`level_prime_count` take it over the ~2*sqrt(n) cells that hold an
+integer.  That loses nothing:
+
+* an integer x >= 2 lies in exactly one cell, the one with d = floor(n/x);
+* any other cell holds no integer, so floor(n/(d+1)) = floor(n/d); its
+  interval lies inside it, so the floored interval (lo, hi] is empty
+  (lo = hi), adding nothing to the mask and pi(hi) - pi(lo) = 0 to the
+  count;
+* the cells that hold an integer are D(n) = {floor(n/x) : 2 <= x <= n}.
+  Put r = isqrt(n) and s = floor(n/(r+1)) <= r.  Every x > r gives
+  floor(n/x) <= s, and every v <= s is reached (v(v+1) <= n, so
+  x = floor(n/v) >= r + 1 has floor(n/x) = v).  The x in [2, r] give
+  values above s (floor(n/r) >= r, and >= r + 1 when s = r) that
+  strictly fall as x rises (x(x+1) < n for x < r).  So D(n) is {1..s}
+  followed by floor(n/x) for x = r down to 2: `_integer_cells` lists it
+  ascending, without duplicates, in O(sqrt n) work, at most 2*sqrt(n)
+  values.
+
+`decompose`, `prime_divides` and `canonical_integer_form` still take
+every cell, since they list the intervals that hold no integer too.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,8 +68,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError
-from .primes import (PrimeTable, _binom_divisor_flags, _check_binom_args,
-                     integer_root)
+from .primes import (MAX_LIMIT, PrimeTable, _binom_divisor_flags,
+                     _check_binom_args, integer_root)
 
 #: Largest n `decompose` accepts.  The columns hold about n/2 intervals in
 #: int64 (the deeper levels are views of them), and the order and
@@ -83,8 +100,6 @@ _CSV_RECORD_B = _CSV_RECORD_A.replace("A,%d", "B,%.0s")
 #: Records per chunk of ``Decomposition.json_chunks`` and ``csv_chunks``
 #: (~1 MB of JSON text).
 _TEXT_BLOCK = 4096
-#: Upper denominators per block of ``level_prime_count``.
-_LEVEL_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -231,15 +246,25 @@ class Decomposition:
 # -- enumeration -------------------------------------------------------
 
 
-def _level_index(n: int, k: int, d0: int = 1,
-                 d1: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(d, j): the upper denominator d, ascending, and j = floor(kd/n) + 1
-    of every level-1 interval with d in [d0, d1), as int64 arrays.  By
-    default d runs over 1..n // 2 (the uppers n/d that can hold an
-    integer >= 2); the cells with n | kd hold no interval and are skipped."""
-    d = np.arange(d0, (n >> 1) + 1 if d1 is None else d1, dtype=np.int64)
+def _level_index(n: int, k: int,
+                 d: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(d, j): the upper denominator d and j = floor(kd/n) + 1 of every
+    level-1 interval with d in the given ascending int64 array, by default
+    all of 1..n // 2 (the uppers n/d that can hold an integer >= 2); the
+    cells with n | kd hold no interval and are skipped."""
+    if d is None:
+        d = np.arange(1, (n >> 1) + 1, dtype=np.int64)
     d = d[(k * d) % n != 0]
     return d, k * d // n + 1
+
+
+def _integer_cells(n: int) -> np.ndarray:
+    """D(n) = {floor(n/x) : 2 <= x <= n}, ascending int64: the upper
+    denominators whose cell (n/(d+1), n/d] holds an integer (see the
+    module docstring)."""
+    r = math.isqrt(n)
+    return np.concatenate([np.arange(1, n // (r + 1) + 1, dtype=np.int64),
+                           n // np.arange(r, 1, -1, dtype=np.int64)])
 
 
 def decompose(n: int, k: int) -> Decomposition:
@@ -314,12 +339,13 @@ def canonical_integer_form(dec: Decomposition) -> dict[int, list[CanonicalInterv
 # -- floored endpoints for the membership mask ---------------------------
 
 
-def _level_range_arrays(n: int, k: int, d0: int = 1,
-                        d1: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _level_range_arrays(n: int, k: int,
+                        d: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Floored endpoints (lo, hi] of the level-1 intervals with upper
-    denominator d in [d0, d1) (by default all of them), as int64 arrays
-    in ascending d (the floor of a max is the max of the floors)."""
-    d, j = _level_index(n, k, d0, d1)
+    denominator in the ascending array d (by default all of them), as
+    int64 arrays in ascending d (the floor of a max is the max of the
+    floors)."""
+    d, j = _level_index(n, k, d)
     return np.maximum(k // j, (n - k) // (d - j + 1)), n // d
 
 
@@ -328,15 +354,29 @@ def integer_membership_mask(n: int, k: int, level: int | None = None) -> np.ndar
     roots of interval members.  ``level=None`` takes the union over all
     root levels; ``level=i`` restricts to one level.
 
-    Restricted to primes this is exactly the divisor set of C(n, k)."""
+    Restricted to primes this is exactly the divisor set of C(n, k).
+    Only the level-1 cells that hold an integer are enumerated
+    (`_integer_cells`, ~2*sqrt(n) of them), and their disjoint floored
+    intervals are painted as runs, so the work past the n + 1 mask bytes
+    is O(sqrt n).  n is capped at `MAX_LIMIT`, the largest table
+    `equivalence_check` can pair the mask with."""
     _check_binom_args(n, k)
+    if n > MAX_LIMIT:
+        raise OutOfRangeError(f"membership mask needs n <= {MAX_LIMIT}, got n={n}")
     if level is not None and level < 1:
         raise DomainError(f"root level must be >= 1, got {level}")
-    lo, hi = _level_range_arrays(n, k)
-    # level-1 intervals are disjoint, so the running sum is 0 or 1
-    acc = np.bincount(lo + 1, minlength=n + 2)
-    acc -= np.bincount(hi + 1, minlength=n + 2)
-    covered = np.cumsum(acc, out=acc)[:n + 1] > 0
+    lo, hi = _level_range_arrays(n, k, _integer_cells(n))
+    # ascending, the intervals alternate with the gaps between them:
+    # [0, lo], (lo, hi], (hi, lo'], ..., (hi'', n]
+    edges = np.empty(2 * lo.size + 2, dtype=np.int64)
+    edges[0], edges[-1] = -1, n
+    edges[1:-1:2] = lo[::-1]
+    edges[2:-1:2] = hi[::-1]
+    runs = np.diff(edges)
+    if (runs < 0).any():
+        raise DomainError(f"overlapping intervals in C({n}, {k}); "
+                          "this indicates an enumeration bug")
+    covered = np.repeat(np.arange(runs.size) % 2 == 1, runs)
     if level == 1:
         return covered
     # r >= 2 is a level-i witness iff r^i is covered: an interval holding
@@ -366,14 +406,10 @@ def level_prime_count(table: PrimeTable, n: int, k: int) -> int:
     """Number of primes in the level-1 intervals, via prime counts at the
     floored endpoints (exact: the intervals are disjoint).
 
-    Every interval is enumerated, in blocks of _LEVEL_BLOCK upper
-    denominators, and each block's pi differences are summed before the
-    next is built, so the transient arrays stay a fixed size for any n."""
+    Only the cells that hold an integer (`_integer_cells`, ~2*sqrt(n) of
+    them) are enumerated, in one call; every other interval holds no
+    integer and adds pi(hi) - pi(lo) = 0."""
     _check_binom_args(n, k, table)
+    lo, hi = _level_range_arrays(n, k, _integer_cells(n))
     pp = table.pi_prefix
-    end = (n >> 1) + 1
-    total = 0
-    for d0 in range(1, end, _LEVEL_BLOCK):
-        lo, hi = _level_range_arrays(n, k, d0, min(d0 + _LEVEL_BLOCK, end))
-        total += int((pp[hi] - pp[lo]).sum())
-    return total
+    return int((pp[hi] - pp[lo]).sum())

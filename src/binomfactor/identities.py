@@ -189,9 +189,9 @@ def omega_identity_report(n: int, m: int, k: int, table: PrimeTable) -> Identity
     primes, divides = _binom_divisor_flags(table, big, small)
     lhs = int(divides.sum())
     rhs = omega_pi_series(n, m, k, table)
-    # the grouped form enumerates the O(nk) intervals on purpose: it is
-    # the witness the quotient-grouped series and the carry oracle are
-    # checked against
+    # the grouped form evaluates the paper's interval endpoints on purpose
+    # (over the O(sqrt(nk)) cells that hold an integer): it is the witness
+    # the quotient-grouped series and the carry oracle are checked against
     grouped = level_prime_count(table, big, small)
     carry = big // primes - small // primes - (big - small) // primes
     level1 = int((carry > 0).sum())

@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import binomfactor.decomposition as decomposition
-from binomfactor import (MAX_DECOMPOSE_N, DomainError, OutOfRangeError,
-                         binom_exponent, canonical_integer_form, decompose,
-                         equivalence_check, integer_root, prime_divides)
+from binomfactor import (MAX_DECOMPOSE_N, MAX_LIMIT, DomainError,
+                         OutOfRangeError, binom_exponent,
+                         canonical_integer_form, decompose, equivalence_check,
+                         integer_root, prime_divides)
 from binomfactor.decomposition import (_level_range_arrays,
                                        integer_membership_mask,
                                        level_prime_count)
@@ -592,9 +593,9 @@ class TestPrefixLevels:
 
 
 class TestLevelBlocks:
-    """`level_prime_count` walks the upper denominators in blocks; it must
-    equal the count over one unblocked enumeration, and read every cell
-    of it through `_level_range_arrays`."""
+    """`level_prime_count` reads only the cells that hold an integer; it
+    must equal the count over the full enumeration, and read its cells in
+    one call through `_level_range_arrays`."""
 
     @staticmethod
     def _one_shot(table, n, k):
@@ -607,24 +608,6 @@ class TestLevelBlocks:
                 assert level_prime_count(table_small, n, k) == (
                     self._one_shot(table_small, n, k)), (n, k)
 
-    @pytest.mark.parametrize("block", [1, 2, 7])
-    def test_small_blocks(self, table_small, monkeypatch, block):
-        # many block edges inside every small pair
-        monkeypatch.setattr(decomposition, "_LEVEL_BLOCK", block)
-        for n in range(1, 61):
-            for k in range(n + 1):
-                assert level_prime_count(table_small, n, k) == (
-                    self._one_shot(table_small, n, k)), (n, k)
-
-    def test_block_edges(self, table_large):
-        b = decomposition._LEVEL_BLOCK
-        rng = random.Random(1414)
-        for half in (b - 1, b, b + 1, 2 * b, 2 * b + 1):
-            for n in (2 * half, 2 * half + 1):
-                for k in (1, 2, n // 3, n // 2, n - 1, rng.randint(1, n - 1)):
-                    assert level_prime_count(table_large, n, k) == (
-                        self._one_shot(table_large, n, k)), (n, k)
-
     def test_seeded_pairs_to_ten_million(self, table_large):
         rng = random.Random(777)
         for _ in range(30):
@@ -633,23 +616,23 @@ class TestLevelBlocks:
             assert level_prime_count(table_large, n, k) == (
                 self._one_shot(table_large, n, k)), (n, k)
 
-    def test_every_cell_read_through_range_arrays(self, table_large, monkeypatch):
+    def test_witness_reads_cells_in_one_call(self, table_large, monkeypatch):
         # bench/tracer.py counts the cells by wrapping this module global
         seen = []
-        blocks = decomposition._level_range_arrays
+        real = decomposition._level_range_arrays
 
         def counted(*args):
-            out = blocks(*args)
+            out = real(*args)
             seen.append(len(out[0]))
             return out
         monkeypatch.setattr(decomposition, "_level_range_arrays", counted)
         n, k = 10**7, 5 * 10**6
         level_prime_count(table_large, n, k)
-        assert len(seen) > 1
-        assert sum(seen) == len(blocks(n, k)[0])
+        assert seen == [len(real(n, k, decomposition._integer_cells(n))[0])]
+        assert 0 < seen[0] <= 2 * math.isqrt(n)
 
     def test_transient_memory_bounded(self, table_large):
-        # one unblocked enumeration at this pair peaks at ~114 MiB
+        # one full enumeration at this pair peaks at ~114 MiB
         tracemalloc.start()
         try:
             level_prime_count(table_large, 10**7, 5 * 10**6)
@@ -657,3 +640,122 @@ class TestLevelBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def _sqrt_edges(r):
+    return (r * r - 1, r * r, r * r + r - 1, r * r + r, r * r + r + 1)
+
+
+class TestIntegerCells:
+    """`_integer_cells(n)` is D(n) = {floor(n/x) : 2 <= x <= n}, ascending,
+    and every cell outside it holds no integer."""
+
+    @staticmethod
+    def _check(n):
+        cells = decomposition._integer_cells(n)
+        assert cells.dtype == np.int64
+        assert np.array_equal(cells, np.unique(n // np.arange(2, n + 1))), n
+        assert (np.diff(cells) > 0).all(), n
+        assert cells.size <= 2 * math.isqrt(n), n
+
+    def test_every_n_up_to_3000(self):
+        for n in range(1, 3001):
+            self._check(n)
+
+    def test_sqrt_edges(self):
+        for r in [*range(2, 101), 316, 317, 999, 1000, 3162, 3163]:
+            for n in _sqrt_edges(r):
+                self._check(n)
+
+    @pytest.mark.parametrize("n", [10**7 - 1, 10**7])
+    def test_ten_million(self, n):
+        self._check(n)
+
+    def test_other_cells_hold_no_integer(self):
+        for n in range(1, 2001):
+            d = np.arange(1, (n >> 1) + 1)
+            other = d[~np.isin(d, decomposition._integer_cells(n))]
+            assert np.array_equal(n // other, n // (other + 1)), n
+
+
+def _reference_masks(n, k, levels):
+    """The membership masks at the given root levels over the full
+    enumeration, every cell painted with bincount and cumsum."""
+    lo, hi = _level_range_arrays(n, k)
+    acc = np.bincount(lo + 1, minlength=n + 2)
+    acc -= np.bincount(hi + 1, minlength=n + 2)
+    covered = np.cumsum(acc, out=acc)[:n + 1] > 0
+    roots = {i: np.arange(2, integer_root(n, i) + 1)
+             for i in range(2, max(n.bit_length(), 4))}
+    masks = {1: covered}
+    for i, r in roots.items():
+        masks[i] = np.zeros(n + 1, dtype=bool)
+        masks[i][r] = covered[r ** i]
+    masks[None] = np.logical_or.reduce([masks[i] for i in range(1, n.bit_length())]
+                                       + [covered])
+    return [masks[level] for level in levels]
+
+
+class TestMaskOverIntegerCells:
+    """`integer_membership_mask` reads only the cells that hold an integer;
+    it must equal the full enumeration wherever both can run."""
+
+    @staticmethod
+    def _check(n, k, levels=(None, 1, 2, 3)):
+        for level, want in zip(levels, _reference_masks(n, k, levels)):
+            assert np.array_equal(integer_membership_mask(n, k, level),
+                                  want), (n, k, level)
+
+    def test_every_pair_up_to_300(self):
+        for n in range(1, 301):
+            for k in range(n + 1):
+                self._check(n, k)
+
+    def test_seeded_pairs_to_a_million(self):
+        rng = random.Random(2718)
+        for _ in range(200):
+            n = rng.randint(2, 10**6)
+            self._check(n, rng.randint(0, n), levels=(None,))
+
+    def test_sqrt_edges(self):
+        rng = random.Random(3141)
+        for r in (2, 3, 7, 31, 100, 316, 1000):
+            for n in _sqrt_edges(r):
+                for k in {1, 2, n // 3, n // 2, n - 1, rng.randint(0, n)}:
+                    self._check(n, k)
+
+    def test_overlapping_runs_raise(self, monkeypatch):
+        # valid intervals read twice overlap; the mask must refuse them
+        real = decomposition._level_range_arrays
+
+        def doubled(n, k, d=None):
+            lo, hi = real(n, k, d)
+            return np.repeat(lo, 2), np.repeat(hi, 2)
+        monkeypatch.setattr(decomposition, "_level_range_arrays", doubled)
+        with pytest.raises(DomainError, match="overlapping"):
+            integer_membership_mask(100, 37)
+
+    def test_budget(self, monkeypatch):
+        # the limit reaches the painting; one past it is refused before
+        # anything n-sized is allocated
+        class Painted(Exception):
+            pass
+
+        def repeat(*args, **kwargs):
+            raise Painted
+        monkeypatch.setattr(np, "repeat", repeat)
+        with pytest.raises(Painted):
+            integer_membership_mask(MAX_LIMIT, MAX_LIMIT // 3)
+        for n in (MAX_LIMIT + 1, 10**12):
+            with pytest.raises(OutOfRangeError):
+                integer_membership_mask(n, 5)
+
+    def test_transient_memory_bounded(self):
+        # the full enumeration painted with bincount peaked at ~210 MiB
+        tracemalloc.start()
+        try:
+            integer_membership_mask(10**7, 5 * 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
