@@ -69,7 +69,7 @@ import numpy as np
 
 from .errors import DomainError, OutOfRangeError
 from .primes import (MAX_LIMIT, PrimeTable, _binom_divisor_flags,
-                     _check_binom_args, integer_root)
+                     _check_binom_args, _power_ladder)
 
 #: Largest n `decompose` accepts.  The columns hold about n/2 intervals in
 #: int64 (the deeper levels are views of them), and the order and
@@ -193,20 +193,18 @@ class Decomposition:
         """The wire format of ``to_json_dict`` as text: the chunks join to
         exactly ``json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
         + "\\n"``, built from the columns without that dict or the
-        pure-Python indenting encoder.  Each level-1 record is formatted
-        once and level i lists a prefix of them, in chunks of at most
-        _TEXT_BLOCK records, so a consumer that writes as it reads holds
-        the records but never a level's whole text."""
+        pure-Python indenting encoder, one chunk per block of
+        `_record_blocks`."""
         yield '{\n  "k": %d,\n  "levels": [' % self.k
         if self.columns:
-            recs = self._records(_JSON_RECORD_A, _JSON_RECORD_B)
-            if recs:  # every level starts at record 0: no comma before it
-                recs[0] = recs[0][1:]
+            blocks = self._record_blocks(_JSON_RECORD_A, _JSON_RECORD_B)
             for i, cols in self.columns.items():
                 m = cols.shape[1]
                 yield '%s\n    {\n      "i": %d,\n      "intervals": [' % ("," if i > 1 else "", i)
                 for s in range(0, m, _TEXT_BLOCK):
-                    yield "".join(recs[s:min(s + _TEXT_BLOCK, m)])
+                    text = "".join(next(blocks))
+                    # every level starts at record 0: no comma before it
+                    yield text if s else text[1:]
                 yield "\n      ]\n    }" if m else "]\n    }"
             yield "\n  "
         yield '],\n  "n": %d\n}\n' % self.n
@@ -216,26 +214,41 @@ class Decomposition:
         ``to_json_dict``: the chunks join to exactly what ``csv.DictWriter``
         writes for those rows under their sorted keys (CRLF line ends, an
         empty f on branch B, and a header that is just CRLF when there is
-        no row).  Each level-1 record is formatted once, with its level
-        left open, and level i fills it in over the prefix of records it
-        lists, in chunks of at most _TEXT_BLOCK records."""
+        no row).  Each record of `_record_blocks` leaves its level open,
+        and each chunk fills it in over one block."""
         if not (self.columns and self.columns[1].shape[1]):
             yield "\r\n"
             return
         yield "branch,f,j,level,lower_den,lower_num,upper_den,upper_num\r\n"
-        recs = self._records(_CSV_RECORD_A, _CSV_RECORD_B)
+        blocks = self._record_blocks(_CSV_RECORD_A, _CSV_RECORD_B)
         for i, cols in self.columns.items():
-            m = cols.shape[1]
-            for s in range(0, m, _TEXT_BLOCK):
-                e = min(s + _TEXT_BLOCK, m)
-                yield "".join(recs[s:e]) % ((i,) * (e - s))
+            for _ in range(0, cols.shape[1], _TEXT_BLOCK):
+                recs = next(blocks)
+                yield "".join(recs) % ((i,) * len(recs))
 
-    def _records(self, branch_a: str, branch_b: str) -> list[str]:
-        """Every level-1 record formatted with the template of its branch,
-        from the rows f, j, lower den, lower num, upper den, upper num
-        (the order of the sorted keys)."""
-        return [(branch_a if t[0] >= 0 else branch_b) % t
-                for t in zip(*self.columns[1][[5, 4, 1, 0, 3, 2]].tolist())]
+    def _record_blocks(self, branch_a: str, branch_b: str) -> Iterator[list[str]]:
+        """The records of every level, level after level, each level cut
+        at the multiples of _TEXT_BLOCK into blocks.  A record is formatted
+        with the template of its branch from the rows f, j, lower den,
+        lower num, upper den, upper num (the order of the sorted keys).
+
+        Each record is formatted once.  Level 1 is formatted block by
+        block as it is read; level i >= 2 lists a prefix of level 1, so
+        only the prefix that level 2 lists is kept, and every deeper level
+        reads a prefix of that."""
+        level1 = self.columns[1]
+        keep = self.columns[2].shape[1] if 2 in self.columns else 0
+        kept: list[str] = []
+        for s in range(0, level1.shape[1], _TEXT_BLOCK):
+            rows = level1[[5, 4, 1, 0, 3, 2], s:s + _TEXT_BLOCK].tolist()
+            recs = [(branch_a if t[0] >= 0 else branch_b) % t for t in zip(*rows)]
+            kept += recs[:max(keep - s, 0)]
+            yield recs
+        for i, cols in self.columns.items():
+            if i > 1:
+                m = cols.shape[1]
+                for s in range(0, m, _TEXT_BLOCK):
+                    yield kept[s:min(s + _TEXT_BLOCK, m)]
 
     def __repr__(self) -> str:  # pragma: no cover
         total = sum(cols.shape[1] for cols in self.columns.values())
@@ -357,9 +370,11 @@ def integer_membership_mask(n: int, k: int, level: int | None = None) -> np.ndar
     Restricted to primes this is exactly the divisor set of C(n, k).
     Only the level-1 cells that hold an integer are enumerated
     (`_integer_cells`, ~2*sqrt(n) of them), and their disjoint floored
-    intervals are painted as runs, so the work past the n + 1 mask bytes
-    is O(sqrt n).  n is capped at `MAX_LIMIT`, the largest table
-    `equivalence_check` can pair the mask with."""
+    intervals are painted as runs; the powers r^i <= n with i >= 2 of
+    every r <= isqrt(n) are listed at once by `_power_ladder`.  So the
+    work past the n + 1 mask bytes is O(sqrt n).  n is capped at
+    `MAX_LIMIT`, the largest table `equivalence_check` can pair the mask
+    with."""
     _check_binom_args(n, k)
     if n > MAX_LIMIT:
         raise OutOfRangeError(f"membership mask needs n <= {MAX_LIMIT}, got n={n}")
@@ -381,10 +396,15 @@ def integer_membership_mask(n: int, k: int, level: int | None = None) -> np.ndar
         return covered
     # r >= 2 is a level-i witness iff r^i is covered: an interval holding
     # r^i >= 2^i has upper >= 2^i, so it is one of level i
-    member = covered.copy() if level is None else np.zeros(n + 1, dtype=bool)
-    for i in range(2, n.bit_length()) if level is None else (level,):
-        r = np.arange(2, integer_root(n, i) + 1)
-        member[r] |= covered[r ** i]
+    r = math.isqrt(n)
+    base, exponent, power, start = _power_ladder(np.arange(2, r + 1, dtype=np.int64), n)
+    if level is None:
+        member = covered.copy()
+        member[2:r + 1] |= np.logical_or.reduceat(covered[power], start)
+    else:
+        member = np.zeros(n + 1, dtype=bool)
+        at = exponent == level
+        member[base[at]] = covered[power[at]]
     return member
 
 
@@ -394,7 +414,7 @@ def equivalence_check(n: int, k: int, table: PrimeTable) -> int | None:
     disagreeing prime."""
     _check_binom_args(n, k, table)
     member = integer_membership_mask(n, k)
-    primes, oracle = _binom_divisor_flags(table, n, k)
+    primes, oracle, _ = _binom_divisor_flags(table, n, k)
     via_intervals = member[primes]
     disagree = via_intervals != oracle
     if disagree.any():

@@ -173,8 +173,8 @@ def omega_identity_report(n: int, m: int, k: int, table: PrimeTable) -> Identity
 
     * ``deep_level_primes``: primes dividing C(nk, mk) with no level-1
       carry, i.e. floor(nk/p) - floor(mk/p) - floor((n-m)k/p) = 0 (they
-      sit in [1, sqrt(nk)]), counted over the primes the carry oracle
-      returns;
+      sit in [1, sqrt(nk)]), counted from the carry oracle's own
+      level-1 flags;
     * ``regroup_correction``: series minus its grouped form, the prime
       counts at the endpoints of the level-1 intervals of (nk, mk)
       (identically 0, since dropped terms all have pi-argument < 2).
@@ -186,16 +186,14 @@ def omega_identity_report(n: int, m: int, k: int, table: PrimeTable) -> Identity
     """
     _check_pair(n, m, k, table)
     big, small = n * k, m * k
-    primes, divides = _binom_divisor_flags(table, big, small)
+    _, divides, level1 = _binom_divisor_flags(table, big, small)
     lhs = int(divides.sum())
     rhs = omega_pi_series(n, m, k, table)
     # the grouped form evaluates the paper's interval endpoints on purpose
     # (over the O(sqrt(nk)) cells that hold an integer): it is the witness
     # the quotient-grouped series and the carry oracle are checked against
     grouped = level_prime_count(table, big, small)
-    carry = big // primes - small // primes - (big - small) // primes
-    level1 = int((carry > 0).sum())
-    deep = lhs - level1
+    deep = lhs - int(level1.sum())
     regroup = rhs - grouped
     residual = lhs - rhs
     if residual != deep - regroup:

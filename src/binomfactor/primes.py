@@ -10,7 +10,12 @@ table this module provides Legendre's factorial exponents
 e_p(n!) = sum_i floor(n/p^i), the derived exponent of a prime in a
 binomial coefficient, and the brute-force "count the distinct prime
 divisors of C(n, k)" oracle that every identity in the package is
-validated against.
+validated against.  That oracle is Kummer's carry test: p divides
+C(n, k) iff some power q = p^i <= n has k mod q > n mod q, which equals
+the floor-difference carry floor(n/q) - floor(k/q) - floor((n-k)/q) = 1.
+It runs as one array test over the primes (level 1) and one over every
+higher power p^i <= n at once (`_power_ladder`), with no loop over root
+levels.
 
 The table is immutable after construction and safe to share between
 threads; every query is pure.
@@ -318,27 +323,66 @@ def binom_exponent(p: int, n: int, k: int) -> int:
     return e
 
 
-def _binom_divisor_flags(table: PrimeTable, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(primes <= n, boolean "divides C(n,k)" per prime), fully vectorised.
+def _power_ladder(bases: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray,
+                                                    np.ndarray, np.ndarray]:
+    """Every power b^i <= n with i >= 2 of the ascending int64 bases
+    2 <= b <= isqrt(n), in one shot: (base, exponent, power, start), the
+    first three per power, grouped by base in ascending exponent, and
+    ``start[t]`` the offset of the t-th base's first power (b^2 <= n, so
+    no group is empty).
 
-    Uses the carry criterion: p divides C(n, k) iff some power p^i has
-    floor(n/p^i) - floor(k/p^i) - floor((n-k)/p^i) = 1.
+    The top exponent e of a base, the largest with b^e <= n, is guessed
+    from floating-point logs, raised by one where that is exact and
+    checked with a raise, all by exact int64 powers, so no float decides
+    which powers are listed (b^e <= n < b^(e+1) iff b^e <= n and
+    b^e > floor(n/b)).  Unless n is a power of b, log n / log b lies at
+    least log(1 + 1/n) / log b > 5e-10 from every integer for
+    n <= MAX_LIMIT, far beyond the logs' rounding, so the guess is exact
+    there and falls short by at most one at a power of b.  No power formed
+    exceeds b * n < 2^63.
+    """
+    if n > MAX_LIMIT:
+        raise OutOfRangeError(f"power ladder needs n <= {MAX_LIMIT}, got n={n}")
+    cut = n // bases
+    e = (math.log(n) / np.log(bases)).astype(np.int64)
+    e += bases ** e <= cut
+    top = bases ** e
+    if ((top > n) | (top <= cut) | (e < 2)).any():
+        raise RuntimeError(f"power ladder exponents wrong at n={n}; "
+                           "this indicates a rounding bug")
+    count = e - 1
+    start = np.cumsum(count) - count
+    base = np.repeat(bases, count)
+    exponent = np.arange(2, base.size + 2) - np.repeat(start, count)
+    return base, exponent, base ** exponent, start
+
+
+def _binom_divisor_flags(table: PrimeTable, n: int, k: int) -> tuple[np.ndarray, np.ndarray,
+                                                                    np.ndarray]:
+    """(primes <= n, "divides C(n, k)" per prime, "carries at p itself"
+    per prime), fully vectorised, with no loop over root levels.
+
+    p divides C(n, k) iff some power q = p^i carries, i.e. has
+    floor(n/q) - floor(k/q) - floor((n-k)/q) = 1, and by Kummer's theorem
+    (J. reine angew. Math. 44, 1852) that carry is the test
+    k mod q > n mod q.  Proof, for 0 <= k <= n: write n = aq + r and
+    k = bq + s with 0 <= r, s < q.  Then n - k = (a - b)q + (r - s).  If
+    s <= r, then 0 <= r - s < q, so floor((n-k)/q) = a - b and the
+    difference is 0; if s > r, then n - k = (a - b - 1)q + (q + r - s) with
+    0 < q + r - s < q, so floor((n-k)/q) = a - b - 1 and the difference
+    is 1.
+
+    Level 1 is one such test over all primes <= n.  The powers p^i <= n
+    with i >= 2 belong to the primes <= isqrt(n) only; `_power_ladder`
+    lists them all at once and their carries are or-reduced per prime.
     """
     primes = table.primes_up_to(n)
-    divides = np.zeros(len(primes), dtype=bool)
-    i = 1
-    while True:
-        bound = integer_root(n, i)
-        if bound < 2:
-            break
-        idx = int(np.searchsorted(primes, bound, side="right"))
-        if idx == 0:
-            break
-        q = primes[:idx] ** i
-        carries = (n // q) - (k // q) - ((n - k) // q)
-        divides[:idx] |= carries > 0
-        i += 1
-    return primes, divides
+    level1 = k % primes > n % primes
+    small = primes[:int(np.searchsorted(primes, math.isqrt(n), side="right"))]
+    _, _, q, start = _power_ladder(small, n)
+    divides = level1.copy()
+    divides[:small.size] |= np.logical_or.reduceat(k % q > n % q, start)
+    return primes, divides, level1
 
 
 def omega_binom_oracle(table: PrimeTable, n: int, k: int) -> tuple[int, np.ndarray]:
@@ -351,7 +395,7 @@ def omega_binom_oracle(table: PrimeTable, n: int, k: int) -> tuple[int, np.ndarr
     _check_binom_args(n, k, table)
     if k == 0 or k == n:
         return 0, np.empty(0, dtype=np.int64)
-    primes, divides = _binom_divisor_flags(table, n, k)
+    primes, divides, _ = _binom_divisor_flags(table, n, k)
     hits = primes[divides]
     return len(hits), hits
 

@@ -12,7 +12,8 @@ from binomfactor import (MAX_LIMIT, DomainError, OutOfRangeError,
                          PrimeTable, binom_exponent, integer_root,
                          legendre_exponent, mobius_partial_sums,
                          omega_binom_oracle)
-from binomfactor.primes import _CHUNK, _moebius, _sieve, _von_mangoldt
+from binomfactor.primes import (_CHUNK, _binom_divisor_flags, _moebius,
+                               _power_ladder, _sieve, _von_mangoldt)
 from conftest import reference_sieve
 
 
@@ -296,6 +297,107 @@ class TestOmegaOracle:
     def test_out_of_range(self, table_small):
         with pytest.raises(OutOfRangeError):
             omega_binom_oracle(table_small, 20_001, 5)
+
+
+def _reference_flags(table, n, k):
+    """The per-level carry loop the Kummer oracle replaces: for each root
+    level i, the primes p <= n^(1/i) and the three-floor carry at p^i."""
+    primes = table.primes_up_to(n)
+    level1 = np.zeros(len(primes), dtype=bool)
+    divides = np.zeros(len(primes), dtype=bool)
+    i = 1
+    while True:
+        bound = integer_root(n, i)
+        if bound < 2:
+            break
+        idx = int(np.searchsorted(primes, bound, side="right"))
+        if idx == 0:
+            break
+        q = primes[:idx] ** i
+        carries = (n // q) - (k // q) - ((n - k) // q) > 0
+        if i == 1:
+            level1 = carries
+        divides[:idx] |= carries
+        i += 1
+    return primes, divides, level1
+
+
+class TestKummerOracle:
+    """`_binom_divisor_flags` tests k mod p^i > n mod p^i over every power
+    at once; it must equal the per-level three-floor loop, level-1 flags
+    included."""
+
+    @staticmethod
+    def _check(table, n, k):
+        got = _binom_divisor_flags(table, n, k)
+        want = _reference_flags(table, n, k)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), (n, k)
+
+    def test_every_pair_up_to_300(self, table_small):
+        for n in range(1, 301):
+            for k in range(n + 1):
+                self._check(table_small, n, k)
+
+    def test_seeded_pairs_to_a_million(self, table_medium):
+        rng = random.Random(1852)
+        for _ in range(300):
+            n = rng.randint(2, 10**6)
+            self._check(table_medium, n, rng.randint(0, n))
+
+    def test_seeded_pairs_near_ten_million(self, table_large):
+        rng = random.Random(44)
+        for _ in range(6):
+            n = rng.randint(10**7 - 1000, 10**7)
+            self._check(table_large, n, rng.randint(0, n))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 997])
+    def test_around_prime_powers(self, table_medium, p):
+        rng = random.Random(p)
+        q = p
+        while q + 1 <= 10**6:
+            for n in (q - 1, q, q + 1):
+                ks = {1, n // 2, n - 1, n - q // p, rng.randint(0, n)}
+                for k in sorted(x for x in ks if 0 <= x <= n):
+                    self._check(table_medium, n, k)
+            q *= p
+
+
+class TestPowerLadder:
+    """`_power_ladder` lists b^2, ..., b^e <= n per base, with exponents
+    from float logs fixed up exactly; checked against `integer_root` and
+    Python ints, with no table."""
+
+    @staticmethod
+    def _check(n, bases):
+        base, exponent, power, start = _power_ladder(bases, n)
+        assert power.tolist() == [b**i for b, i in zip(base.tolist(), exponent.tolist())]
+        tops = np.append(start, base.size)[1:] - 1
+        assert np.array_equal(base[start], bases)
+        for b, e in zip(bases.tolist(), exponent[tops].tolist()):
+            assert b**e <= n < b ** (e + 1), (n, b, e)
+        assert exponent.tolist() == [i for e in exponent[tops].tolist()
+                                     for i in range(2, e + 1)]
+        # the bases with an i-th power <= n are 2..integer_root(n, i)
+        for i in range(2, n.bit_length()):
+            at = base[exponent == i]
+            want = bases[bases <= integer_root(n, i)]
+            assert np.array_equal(at, want), (n, i)
+
+    def test_every_n_up_to_300(self):
+        for n in range(1, 301):
+            self._check(n, np.arange(2, math.isqrt(n) + 1, dtype=np.int64))
+
+    @pytest.mark.parametrize("n", [2**27 - 1, 2**27, 3**17 - 1, 3**17,
+                                   14142**2 - 1, 14142**2, MAX_LIMIT])
+    def test_exact_power_edges(self, n):
+        bases = np.arange(2, math.isqrt(n) + 1, dtype=np.int64)
+        self._check(n, bases)
+        self._check(n, bases[reference_sieve(math.isqrt(n))[2:]])
+
+    def test_refuses_past_the_budget(self):
+        with pytest.raises(OutOfRangeError):
+            _power_ladder(np.arange(2, 4, dtype=np.int64), MAX_LIMIT + 1)
 
 
 class TestMobiusPartialSums:
