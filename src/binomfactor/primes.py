@@ -323,8 +323,8 @@ def binom_exponent(p: int, n: int, k: int) -> int:
     return e
 
 
-def _power_ladder(bases: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray,
-                                                    np.ndarray, np.ndarray]:
+def _power_ladder(bases: np.ndarray,
+                  n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every power b^i <= n with i >= 2 of the ascending int64 bases
     2 <= b <= isqrt(n), in one shot: (base, exponent, power, start), the
     first three per power, grouped by base in ascending exponent, and
@@ -357,8 +357,8 @@ def _power_ladder(bases: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray,
     return base, exponent, base ** exponent, start
 
 
-def _binom_divisor_flags(table: PrimeTable, n: int, k: int) -> tuple[np.ndarray, np.ndarray,
-                                                                    np.ndarray]:
+def _binom_divisor_flags(table: PrimeTable, n: int,
+                         k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(primes <= n, "divides C(n, k)" per prime, "carries at p itself"
     per prime), fully vectorised, with no loop over root levels.
 
