@@ -31,7 +31,6 @@ from .identities import (FactorialRatioSpec, IdentityReport,
 from .logseries import (SeriesState, block_term, log3_closed_form_check,
                         partial_sum, ratio_series_residual, telescoping_check)
 from .primes import (DEFAULT_LIMIT, MAX_LIMIT, PrimeTable, binom_exponent,
-                     integer_root, legendre_exponent, mobius_partial_sums,
-                     omega_binom_oracle)
+                     integer_root, legendre_exponent, omega_binom_oracle)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -20,18 +20,18 @@ import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 
 from . import __version__
 from .chebyshev import (PSI_RATIO_SPEC, CombinationSpec, CombinationTerm,
                         _psi_ledger, derive_bounds, psi_variant_bounds)
-from .decomposition import canonical_integer_form, decompose, equivalence_check
+from .decomposition import decompose, equivalence_check
 from .errors import DomainError, NonAlternatingError, OutOfRangeError
 from .identities import (FactorialRatioSpec, alternating_pi_sum,
                          bertrand_check, factorial_ratio_report,
                          omega_identity_report)
 from .logseries import partial_sum
-from .primes import (DEFAULT_LIMIT, MAX_LIMIT, PrimeTable, _floor_real,
-                     integer_root)
+from .primes import DEFAULT_LIMIT, MAX_LIMIT, PrimeTable, _floor_real
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -110,17 +110,17 @@ def _parse_combination(raw: str) -> CombinationSpec:
     return CombinationSpec(tuple(terms))
 
 
-def _emit(args, payload, pretty_lines: list[str],
+def _emit(args, payload, pretty_lines: Sequence[str] = (),
           csv_rows: list[dict] | None = None) -> None:
     """Write the output in ``args.format`` to ``--out`` or stdout.
 
-    For json and csv, ``payload`` is the object to encode, or an iterable
-    of the text chunks of its encoding, written as they come (decompose
-    streams ``Decomposition.json_chunks`` and ``csv_chunks``)."""
-    if args.format == "pretty":
-        chunks = ["\n".join(pretty_lines) + "\n"]
-    elif not isinstance(payload, dict):
+    ``payload`` is the object to encode, or an iterable of the text chunks
+    of the output in ``args.format``, written as they come (decompose
+    streams the renderers of ``Decomposition``)."""
+    if not isinstance(payload, dict):
         chunks = payload
+    elif args.format == "pretty":
+        chunks = ["\n".join(pretty_lines) + "\n"]
     elif args.format == "json":
         chunks = [json.dumps(payload, sort_keys=True, indent=2) + "\n"]
     else:
@@ -153,11 +153,11 @@ def _cmd_decompose(args) -> int:
     # the budget is checked before anything is written
     table = _table(args, args.n) if args.verify else None
     if args.format == "json":
-        _emit(args, dec.json_chunks(), [])
+        _emit(args, dec.json_chunks())
     elif args.format == "csv":
-        _emit(args, dec.csv_chunks(), [])
+        _emit(args, dec.csv_chunks())
     else:
-        _emit(args, None, _decompose_lines(dec, args.exact))
+        _emit(args, dec.pretty_chunks(args.exact))
     if args.verify:
         bad = equivalence_check(args.n, args.k, table)
         if bad is not None:
@@ -167,33 +167,6 @@ def _cmd_decompose(args) -> int:
         print(f"verified against the sieve oracle: all primes <= {args.n} agree",
               file=sys.stderr)
     return EXIT_OK
-
-
-def _ratio(end: dict) -> str:
-    return str(end["num"]) if end["den"] == 1 else f"{end['num']}/{end['den']}"
-
-
-def _decompose_lines(dec, exact: bool) -> list[str]:
-    lines = [f"prime divisors of C({dec.n}, {dec.k}) lie in:"]
-    canonical = canonical_integer_form(dec)
-    if exact:
-        shown = {lv["i"]: [f"({_ratio(iv['lower'])}, {_ratio(iv['upper'])}]"
-                           for iv in lv["intervals"]]
-                 for lv in dec.to_json_dict()["levels"]}
-    else:
-        # at level i the members are primes whose i-th power lands in the
-        # interval; show the equivalent prime range
-        shown = {}
-        for i, rows in canonical.items():
-            roots = [(integer_root(c.lower, i), integer_root(c.upper, i)) for c in rows]
-            shown[i] = [f"({lo}, {hi}]" for lo, hi in roots if hi > lo and hi >= 2]
-    for i, parts in shown.items():
-        if parts:
-            label = f"  level {i}: " if i == 1 else f"  level {i} (p^{i} witnesses): p in "
-            lines.append(label + " u ".join(parts))
-    if not any(canonical.values()):
-        lines.append("  (empty: the coefficient is 1)")
-    return lines
 
 
 def _cmd_identity(args) -> int:

@@ -54,12 +54,16 @@ integer.  That loses nothing:
 
 `decompose`, `prime_divides` and `canonical_integer_form` still take
 every cell, since they list the intervals that hold no integer too.
+
+Every text form of a decomposition (`Decomposition.json_chunks`,
+`csv_chunks` and `pretty_chunks`) is rendered here, straight from the
+columns or their floors.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -69,7 +73,7 @@ import numpy as np
 
 from .errors import DomainError, OutOfRangeError
 from .primes import (MAX_LIMIT, PrimeTable, _binom_divisor_flags,
-                     _check_binom_args, _power_ladder)
+                     _check_binom_args, _is_prime_int, _power_ladder)
 
 #: Largest n `decompose` accepts.  The columns hold about n/2 intervals in
 #: int64 (the deeper levels are views of them), and the order and
@@ -97,8 +101,14 @@ _JSON_RECORD_B = _JSON_RECORD_A.replace(
 #: in; branch B's f cell is empty.
 _CSV_RECORD_A = "A,%d,%d,%%d,%d,%d,%d,%d\r\n"
 _CSV_RECORD_B = _CSV_RECORD_A.replace("A,%d", "B,%.0s")
-#: Records per chunk of ``Decomposition.json_chunks`` and ``csv_chunks``
-#: (~1 MB of JSON text).
+#: One interval of ``Decomposition.pretty_chunks(exact=True)``, from
+#: (lower num, lower den, upper num, upper den), with the " u " before it;
+#: indexed by 2 * (lower den != 1) + (upper den != 1), since an endpoint
+#: with denominator 1 is shown as its bare numerator.
+_EXACT_RECORD = tuple(" u (%s, %s]" % (lower, upper)
+                      for lower in ("%d%.0s", "%d/%d") for upper in ("%d%.0s", "%d/%d"))
+#: Records per chunk of ``Decomposition.json_chunks``, ``csv_chunks`` and
+#: ``pretty_chunks(exact=True)`` (~1 MB of JSON text).
 _TEXT_BLOCK = 4096
 
 
@@ -172,32 +182,17 @@ class Decomposition:
         hi = hi[hi > lo]
         return int(hi.max()).bit_length() - 1 if hi.size else 0
 
-    def to_json_dict(self) -> dict:
-        """Wire format: {n, k, levels: [{i, intervals: [...]}]} with exact
-        numerator/denominator endpoint pairs.  Level i lists a prefix of
-        the level-1 records.  ``json_chunks`` streams the text
-        ``json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\\n"``
-        byte for byte without building this dict."""
-        ivs = []
-        for a, b, c, d, j, f in (self.columns[1].T.tolist() if self.columns else []):
-            rec = {"lower": {"num": a, "den": b}, "upper": {"num": c, "den": d},
-                   "branch": BRANCH_A if f >= 0 else BRANCH_B, "j": j}
-            if f >= 0:
-                rec["f"] = f
-            ivs.append(rec)
-        return {"n": self.n, "k": self.k,
-                "levels": [{"i": i, "intervals": ivs[:cols.shape[1]]}
-                           for i, cols in self.columns.items()]}
-
     def json_chunks(self) -> Iterator[str]:
-        """The wire format of ``to_json_dict`` as text: the chunks join to
-        exactly ``json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-        + "\\n"``, built from the columns without that dict or the
-        pure-Python indenting encoder, one chunk per block of
-        `_record_blocks`."""
+        """The wire format as text: {n, k, levels: [{i, intervals: [...]}]}
+        with exact numerator/denominator endpoint pairs, level i listing a
+        prefix of the level-1 records.  The chunks join to exactly what
+        ``json.dumps(..., sort_keys=True, indent=2) + "\\n"`` writes for
+        that document (``to_json_dict`` in tests/test_decomposition.py
+        builds it as the byte reference), formatted from the columns, one
+        chunk per block of `_record_blocks`."""
         yield '{\n  "k": %d,\n  "levels": [' % self.k
         if self.columns:
-            blocks = self._record_blocks(_JSON_RECORD_A, _JSON_RECORD_B)
+            blocks = self._record_blocks(_branch_records(_JSON_RECORD_A, _JSON_RECORD_B))
             for i, cols in self.columns.items():
                 m = cols.shape[1]
                 yield '%s\n    {\n      "i": %d,\n      "intervals": [' % ("," if i > 1 else "", i)
@@ -210,27 +205,67 @@ class Decomposition:
         yield '],\n  "n": %d\n}\n' % self.n
 
     def csv_chunks(self) -> Iterator[str]:
-        """The CLI's CSV text, one row per record of every level of
-        ``to_json_dict``: the chunks join to exactly what ``csv.DictWriter``
+        """The CLI's CSV text, one row per record of every level of the
+        wire format: the chunks join to exactly what ``csv.DictWriter``
         writes for those rows under their sorted keys (CRLF line ends, an
         empty f on branch B, and a header that is just CRLF when there is
-        no row).  Each record of `_record_blocks` leaves its level open,
-        and each chunk fills it in over one block."""
+        no row), as ``_reference_csv`` in tests/test_decomposition.py writes
+        them.  Each record of `_record_blocks` leaves its level open, and
+        each chunk fills it in over one block."""
         if not (self.columns and self.columns[1].shape[1]):
             yield "\r\n"
             return
         yield "branch,f,j,level,lower_den,lower_num,upper_den,upper_num\r\n"
-        blocks = self._record_blocks(_CSV_RECORD_A, _CSV_RECORD_B)
+        blocks = self._record_blocks(_branch_records(_CSV_RECORD_A, _CSV_RECORD_B))
         for i, cols in self.columns.items():
             for _ in range(0, cols.shape[1], _TEXT_BLOCK):
                 recs = next(blocks)
                 yield "".join(recs) % ((i,) * len(recs))
 
-    def _record_blocks(self, branch_a: str, branch_b: str) -> Iterator[list[str]]:
+    def pretty_chunks(self, exact: bool = False) -> Iterator[str]:
+        """The CLI's pretty text: a heading, then one line per root level
+        that shows an interval, or a note that the coefficient is 1.
+
+        Level i shows the primes p whose i-th power it holds: each floored
+        interval (lo, hi] of `_floors` as (iroot(lo, i), iroot(hi, i)],
+        skipping the ranges holding no integer >= 2.  The i-th roots are
+        counts of the i-th powers <= lo and hi among 1 and `_power_ladder`
+        over 2..isqrt(n), which lists every r^i <= n with r >= 2.  With
+        ``exact``, level i shows each of its intervals with the exact
+        endpoints instead, formatted once by `_record_blocks`."""
+        yield "prime divisors of C(%d, %d) lie in:\n" % (self.n, self.k)
+        if not any(cols.shape[1] for cols in self.columns.values()):
+            yield "  (empty: the coefficient is 1)\n"
+            return
+        if exact:
+            blocks = self._record_blocks(_exact_records)
+            for i, cols in self.columns.items():
+                for s in range(0, cols.shape[1], _TEXT_BLOCK):
+                    text = "".join(next(blocks))
+                    # every level starts at record 0: no " u " before it
+                    yield text if s else _pretty_label(i) + text[3:]
+                if cols.shape[1]:
+                    yield "\n"
+            return
+        lo, hi = (a[::-1] for a in self._floors)  # back in column order
+        _, exponent, power, _ = _power_ladder(
+            np.arange(2, math.isqrt(self.n) + 1, dtype=np.int64), self.n)
+        for i, cols in self.columns.items():
+            a, b = lo[:cols.shape[1]], hi[:cols.shape[1]]
+            if i > 1:
+                powers = np.concatenate(([1], power[exponent == i]))
+                a, b = (np.searchsorted(powers, x, side="right") for x in (a, b))
+            shown = (b > a) & (b >= 2)
+            if shown.any():
+                yield (_pretty_label(i) + " u ".join(
+                    ["(%d, %d]" % t for t in zip(a[shown].tolist(), b[shown].tolist())])
+                    + "\n")
+
+    def _record_blocks(self, records: Callable[[np.ndarray], list[str]]
+                       ) -> Iterator[list[str]]:
         """The records of every level, level after level, each level cut
-        at the multiples of _TEXT_BLOCK into blocks.  A record is formatted
-        with the template of its branch from the rows f, j, lower den,
-        lower num, upper den, upper num (the order of the sorted keys).
+        at the multiples of _TEXT_BLOCK into blocks; ``records`` formats a
+        (6, b) block of level-1 columns as its b records.
 
         Each record is formatted once.  Level 1 is formatted block by
         block as it is read; level i >= 2 lists a prefix of level 1, so
@@ -240,8 +275,7 @@ class Decomposition:
         keep = self.columns[2].shape[1] if 2 in self.columns else 0
         kept: list[str] = []
         for s in range(0, level1.shape[1], _TEXT_BLOCK):
-            rows = level1[[5, 4, 1, 0, 3, 2], s:s + _TEXT_BLOCK].tolist()
-            recs = [(branch_a if t[0] >= 0 else branch_b) % t for t in zip(*rows)]
+            recs = records(level1[:, s:s + _TEXT_BLOCK])
             kept += recs[:max(keep - s, 0)]
             yield recs
         for i, cols in self.columns.items():
@@ -254,6 +288,29 @@ class Decomposition:
         total = sum(cols.shape[1] for cols in self.columns.values())
         return (f"Decomposition(n={self.n}, k={self.k}, "
                 f"levels={len(self.columns)}, intervals={total})")
+
+
+def _branch_records(branch_a: str,
+                    branch_b: str) -> Callable[[np.ndarray], list[str]]:
+    """Records for `Decomposition._record_blocks`: each interval with the
+    template of its branch, from the rows f, j, lower den, lower num,
+    upper den, upper num (the order of the sorted keys)."""
+    def records(block: np.ndarray) -> list[str]:
+        rows = block[[5, 4, 1, 0, 3, 2]].tolist()
+        return [(branch_a if t[0] >= 0 else branch_b) % t for t in zip(*rows)]
+    return records
+
+
+def _exact_records(block: np.ndarray) -> list[str]:
+    """Records for `Decomposition._record_blocks`: each interval as
+    `_EXACT_RECORD`, from the rows lower num, lower den, upper num, upper
+    den."""
+    pick = (2 * (block[1] != 1) + (block[3] != 1)).tolist()
+    return [_EXACT_RECORD[s] % t for s, t in zip(pick, zip(*block[:4].tolist()))]
+
+
+def _pretty_label(i: int) -> str:
+    return "  level 1: " if i == 1 else f"  level {i} (p^{i} witnesses): p in "
 
 
 # -- enumeration -------------------------------------------------------
@@ -324,8 +381,10 @@ def prime_divides(dec: Decomposition, p: int) -> bool:
     (level i being a prefix of level 1) some level-1 interval does.
 
     Floored lowers ascend, and the last one below p^i belongs to the only
-    interval that can contain it.
+    interval that can contain it.  Raises `DomainError` if p is not prime.
     """
+    if not _is_prime_int(p):
+        raise DomainError(f"{p} is not prime")
     lo, hi = dec._floors
     for i in dec.columns:
         q = p ** i

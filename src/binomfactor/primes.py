@@ -3,9 +3,7 @@
 A :class:`PrimeTable` answers, for every integer up to a fixed limit:
 the prime counting function pi(x) and the Chebyshev summatory function
 psi(x) = sum of log p over prime powers p^j <= x from stored prefix
-arrays, primality as a unit step of the pi prefix, and the Moebius
-function mu(n) and the von Mangoldt weight Lambda(n) by factoring n over
-the stored primes.  On top of the
+arrays, and primality as a unit step of the pi prefix.  On top of the
 table this module provides Legendre's factorial exponents
 e_p(n!) = sum_i floor(n/p^i), the derived exponent of a prime in a
 binomial coefficient, and the brute-force "count the distinct prime
@@ -92,8 +90,7 @@ class PrimeTable:
     """Immutable sieve table over [0, limit].
 
     It stores only what the prime-count and psi series read; primality
-    is read off ``pi_prefix``, and mu(n) and Lambda(n) are computed on
-    demand by factoring n over ``primes``.  Every array is read-only.
+    is read off ``pi_prefix``.  Every array is read-only.
 
     Attributes
     ----------
@@ -149,46 +146,6 @@ class PrimeTable:
         return n >= 2 and bool(self._lookup("is_prime", self.pi_prefix, n)
                                > self.pi_prefix[n - 1])
 
-    def mu(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise OutOfRangeError(f"mu({n}) outside [1, {self.limit}]")
-        factors = self._factorization(int(n))
-        if any(e > 1 for _, e in factors):
-            return 0
-        return -1 if len(factors) % 2 else 1
-
-    def von_mangoldt(self, n: int) -> float:
-        """log p if n = p^e with p prime and e >= 1, else 0.0.
-
-        A prime weighs ``np.log`` of itself and a higher prime power
-        ``math.log`` of its base, as `_von_mangoldt` (which builds psi)
-        assigns them; the two logs differ in the last bit at some primes.
-        """
-        if not 1 <= n <= self.limit:
-            raise OutOfRangeError(f"Lambda({n}) outside [1, {self.limit}]")
-        factors = self._factorization(int(n))
-        if len(factors) != 1:
-            return 0.0
-        p, e = factors[0]
-        return float(np.log(np.float64(p))) if e == 1 else math.log(p)
-
-    def _factorization(self, n: int) -> list[tuple[int, int]]:
-        """(p, e) for each prime power p^e exactly dividing n >= 1, by
-        trial division over the primes <= sqrt(n)."""
-        factors = []
-        for p in self.primes_up_to(math.isqrt(n)).tolist():
-            if p * p > n:
-                break
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                factors.append((p, e))
-        if n > 1:
-            factors.append((n, 1))
-        return factors
-
     # -- bulk helpers ----------------------------------------------------
 
     def primes_up_to(self, n: int) -> np.ndarray:
@@ -224,6 +181,10 @@ def _sieve(limit: int) -> np.ndarray:
 
 
 def _von_mangoldt(limit: int, primes: np.ndarray) -> np.ndarray:
+    """Lambda(n) for every 0 <= n <= limit: log p at n = p^e (e >= 1), else
+    0.  A prime weighs ``np.log`` of itself and a higher prime power
+    ``math.log`` of its base; the two logs differ in the last bit at some
+    primes."""
     lam = np.zeros(limit + 1, dtype=np.float64)
     lam[primes] = np.log(primes.astype(np.float64))
     root = math.isqrt(limit)
@@ -234,17 +195,6 @@ def _von_mangoldt(limit: int, primes: np.ndarray) -> np.ndarray:
             lam[q] = lp
             q *= p
     return lam
-
-
-def _moebius(limit: int, primes: np.ndarray) -> np.ndarray:
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    for p in primes.tolist():
-        mu[p::p] *= -1
-    root = math.isqrt(limit)
-    for p in primes[primes <= root].tolist():
-        mu[p * p::p * p] = 0
-    return mu
 
 
 def _psi_prefix(lam: np.ndarray) -> np.ndarray:
@@ -398,15 +348,3 @@ def omega_binom_oracle(table: PrimeTable, n: int, k: int) -> tuple[int, np.ndarr
     primes, divides, _ = _binom_divisor_flags(table, n, k)
     hits = primes[divides]
     return len(hits), hits
-
-
-def mobius_partial_sums(table: PrimeTable, k0: int) -> tuple[float, float]:
-    """(sum of mu(d)/d, sum of mu(d)*log(d)/d) over d <= k0."""
-    if not 1 <= k0 <= table.limit:
-        raise OutOfRangeError(f"k0={k0} outside [1, {table.limit}]")
-    d = np.arange(1, k0 + 1, dtype=np.float64)
-    mu = _moebius(k0, table.primes_up_to(k0))[1:].astype(np.float64)
-    ratio = mu / d
-    s_plain = float(np.sum(ratio.astype(np.longdouble)))
-    s_log = float(np.sum((ratio * np.log(d)).astype(np.longdouble)))
-    return s_plain, s_log

@@ -104,33 +104,52 @@ class TestDecomposeCommand:
         assert code == 0 and nothing == ""
         assert target.read_bytes() == out.encode()
 
-    def test_json_streams_without_dumps(self, capsys, monkeypatch):
-        # the decompose JSON is written from the columns: neither the
-        # dict nor json.dumps may be on its path
-        import binomfactor.cli as cli_mod
-        from binomfactor.decomposition import Decomposition
+    @staticmethod
+    def _refuse_object_views(monkeypatch, what):
+        """Make the object views of a decomposition raise, the `Fraction`
+        view `Decomposition.levels` and the `CanonicalInterval` rows of
+        `canonical_integer_form`: every decompose output is rendered from
+        the columns."""
+        import binomfactor.decomposition as dec_mod
 
         def refuse(*args, **kwargs):
-            raise AssertionError("not on the decompose json path")
+            raise AssertionError(f"not on the decompose {what} path")
+        monkeypatch.setattr(dec_mod.Decomposition, "levels", property(refuse))
+        monkeypatch.setattr(dec_mod, "CanonicalInterval", refuse)
+        return refuse
+
+    def test_json_streams_without_dumps(self, capsys, monkeypatch):
+        # the decompose JSON is written from the columns: neither the
+        # object views nor json.dumps may be on its path
+        import binomfactor.cli as cli_mod
+        refuse = self._refuse_object_views(monkeypatch, "json")
         monkeypatch.setattr(cli_mod.json, "dumps", refuse)
-        monkeypatch.setattr(Decomposition, "to_json_dict", refuse)
         code, out, _ = run_cli(capsys, "decompose", "2000", "800", "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "a961b073ae98ead6948abdcc3fbc1ce9595fd4a08a4c4d4530d65eeafe13b3d5")
 
     def test_csv_streams_without_dict(self, capsys, monkeypatch):
-        # the decompose CSV is written from the columns, not from the
-        # wire-format dict
-        from binomfactor.decomposition import Decomposition
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("not on the decompose csv path")
-        monkeypatch.setattr(Decomposition, "to_json_dict", refuse)
+        # the decompose CSV is written from the columns, not from row
+        # dicts through csv.DictWriter
+        import binomfactor.cli as cli_mod
+        refuse = self._refuse_object_views(monkeypatch, "csv")
+        monkeypatch.setattr(cli_mod.csv, "DictWriter", refuse)
         code, out, _ = run_cli(capsys, "decompose", "2000", "800", "--format", "csv")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "ebba1f34b016b67ade246298ce1f62f8ff22d13b66f4c72131f2661c47da6d7a")
+
+    @pytest.mark.parametrize("flags,digest", [
+        ([], "57af9921ce415ed037b3833ffbab2c8ece0140a49b58e0f4fddb1d643efb8cda"),
+        (["--exact"],
+         "85c586528b622717daf9dcc0068dbfdfb5012446b5b42966c376e94655e1bb00"),
+    ])
+    def test_pretty_renders_from_columns(self, capsys, monkeypatch, flags, digest):
+        self._refuse_object_views(monkeypatch, "pretty")
+        code, out, _ = run_cli(capsys, "decompose", "2000", "800", *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("k", ["0", "7"])
     def test_csv_empty_decomposition(self, capsys, k):

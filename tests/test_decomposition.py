@@ -31,6 +31,23 @@ def canonical_level1_pairs(n, k, count=None):
     return pairs[:count] if count else pairs
 
 
+def to_json_dict(dec):
+    """The decompose wire format as a dict: {n, k, levels: [{i, intervals:
+    [...]}]} with exact numerator/denominator endpoint pairs, level i
+    listing a prefix of the level-1 records.  The byte reference of
+    `Decomposition.json_chunks` and `csv_chunks`."""
+    ivs = []
+    for a, b, c, d, j, f in (dec.columns[1].T.tolist() if dec.columns else []):
+        rec = {"lower": {"num": a, "den": b}, "upper": {"num": c, "den": d},
+               "branch": "A" if f >= 0 else "B", "j": j}
+        if f >= 0:
+            rec["f"] = f
+        ivs.append(rec)
+    return {"n": dec.n, "k": dec.k,
+            "levels": [{"i": i, "intervals": ivs[:cols.shape[1]]}
+                       for i, cols in dec.columns.items()]}
+
+
 def assert_disjoint(dec):
     """Sorted by lower endpoint, each interval of a level ends at or below
     the next one's start (exact `Fraction`s built from the columns)."""
@@ -97,6 +114,11 @@ class TestDegenerateInputs:
             decompose(MAX_DECOMPOSE_N + 1, 1)
         with pytest.raises(OutOfRangeError):
             decompose(100_000_000, 50_000_000)
+
+    @pytest.mark.parametrize("p", [-2, 0, 1, 4])
+    def test_prime_divides_refuses_non_primes(self, p):
+        with pytest.raises(DomainError):
+            prime_divides(decompose(2000, 1000), p)
 
     def test_cap_itself_accepted(self):
         n, k = MAX_DECOMPOSE_N, MAX_DECOMPOSE_N // 3
@@ -319,7 +341,7 @@ class TestEquivalence:
         dec = decompose(n, k)
         for p in table_small.primes_up_to(n).tolist():
             assert prime_divides(dec, p) == (binom_exponent(p, n, k) > 0), p
-        for level in dec.to_json_dict()["levels"]:
+        for level in to_json_dict(dec)["levels"]:
             for iv in level["intervals"]:
                 lo, hi = iv["lower"], iv["upper"]
                 assert math.gcd(lo["num"], lo["den"]) == 1
@@ -348,7 +370,7 @@ class TestEquivalence:
 
 class TestJsonShape:
     def test_schema(self):
-        doc = decompose(12, 5).to_json_dict()
+        doc = json.loads("".join(decompose(12, 5).json_chunks()))
         assert set(doc) == {"n", "k", "levels"}
         assert doc["n"] == 12 and doc["k"] == 5
         for level in doc["levels"]:
@@ -362,7 +384,7 @@ class TestJsonShape:
                     assert "f" not in iv
 
     def test_endpoints_in_lowest_terms(self):
-        doc = decompose(2000, 800).to_json_dict()
+        doc = json.loads("".join(decompose(2000, 800).json_chunks()))
         for level in doc["levels"]:
             for iv in level["intervals"]:
                 assert math.gcd(iv["lower"]["num"], iv["lower"]["den"]) == 1
@@ -370,7 +392,7 @@ class TestJsonShape:
 
 
 def _reference_json(dec):
-    return json.dumps(dec.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    return json.dumps(to_json_dict(dec), sort_keys=True, indent=2) + "\n"
 
 
 class TestJsonChunks:
@@ -388,7 +410,7 @@ class TestJsonChunks:
                 if n <= 50:
                     assert text == _reference_json(dec), (n, k)
                 else:
-                    assert json.loads(text) == dec.to_json_dict(), (n, k)
+                    assert json.loads(text) == to_json_dict(dec), (n, k)
 
     def test_seeded_and_extreme_pairs(self):
         rng = random.Random(8)
@@ -416,7 +438,7 @@ def _reference_csv(dec):
              "f": iv.get("f", ""),
              "lower_num": iv["lower"]["num"], "lower_den": iv["lower"]["den"],
              "upper_num": iv["upper"]["num"], "upper_den": iv["upper"]["den"]}
-            for lv in dec.to_json_dict()["levels"] for iv in lv["intervals"]]
+            for lv in to_json_dict(dec)["levels"] for iv in lv["intervals"]]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=sorted({key for row in rows for key in row}))
     writer.writeheader()
@@ -453,6 +475,77 @@ class TestCsvChunks:
         dec = decomposition.Decomposition(1, 0, MappingProxyType(
             {1: np.empty((6, 0), dtype=np.int64)}))
         assert "".join(dec.csv_chunks()) == _reference_csv(dec) == "\r\n"
+
+
+def _reference_pretty(dec, exact):
+    """The pretty text the CLI wrote through the `canonical_integer_form`
+    rows and the `to_json_dict` records, with one `integer_root` per
+    interval per level."""
+    def ratio(end):
+        return str(end["num"]) if end["den"] == 1 else f"{end['num']}/{end['den']}"
+    lines = [f"prime divisors of C({dec.n}, {dec.k}) lie in:"]
+    canonical = canonical_integer_form(dec)
+    if exact:
+        shown = {lv["i"]: [f"({ratio(iv['lower'])}, {ratio(iv['upper'])}]"
+                           for iv in lv["intervals"]]
+                 for lv in to_json_dict(dec)["levels"]}
+    else:
+        shown = {}
+        for i, rows in canonical.items():
+            roots = [(integer_root(c.lower, i), integer_root(c.upper, i)) for c in rows]
+            shown[i] = [f"({lo}, {hi}]" for lo, hi in roots if hi > lo and hi >= 2]
+    for i, parts in shown.items():
+        if parts:
+            label = f"  level {i}: " if i == 1 else f"  level {i} (p^{i} witnesses): p in "
+            lines.append(label + " u ".join(parts))
+    if not any(canonical.values()):
+        lines.append("  (empty: the coefficient is 1)")
+    return "\n".join(lines) + "\n"
+
+
+class TestPrettyChunks:
+    """`pretty_chunks`, with and without ``exact``, must write the text of
+    `_reference_pretty`, which it replaces on the CLI."""
+
+    def test_every_pair_up_to_120(self):
+        # covers k = 0 and k = n, whose decompositions are empty
+        for n in range(1, 121):
+            for k in range(n + 1):
+                dec = decompose(n, k)
+                for exact in (False, True):
+                    assert "".join(dec.pretty_chunks(exact)) == \
+                        _reference_pretty(dec, exact), (n, k, exact)
+
+    @pytest.mark.parametrize("n,k", [(2**17, 2**16), (3**10, 3**9)])
+    def test_perfect_powers(self, n, k):
+        # the floored endpoints hit exact powers, where an i-th root
+        # read one power off would show
+        dec = decompose(n, k)
+        for exact in (False, True):
+            assert "".join(dec.pretty_chunks(exact)) == _reference_pretty(dec, exact)
+
+    def test_seeded_pairs(self, monkeypatch):
+        # n log-uniform up to 2*10^5, the reference's cost growing with n;
+        # a small block puts many chunk edges inside every exact level
+        rng = random.Random(13)
+        pairs = [(n, rng.randint(1, n - 1))
+                 for n in (int(10 ** rng.uniform(2.1, math.log10(2e5))) for _ in range(20))]
+        for n, k in pairs:
+            dec = decompose(n, k)
+            assert "".join(dec.pretty_chunks()) == _reference_pretty(dec, False), (n, k)
+            want = _reference_pretty(dec, True)
+            for block in (decomposition._TEXT_BLOCK, 7):
+                monkeypatch.setattr(decomposition, "_TEXT_BLOCK", block)
+                assert "".join(dec.pretty_chunks(exact=True)) == want, (n, k, block)
+            monkeypatch.undo()
+
+    def test_empty_level(self):
+        dec = decomposition.Decomposition(1, 0, MappingProxyType(
+            {1: np.empty((6, 0), dtype=np.int64)}))
+        for exact in (False, True):
+            text = "".join(dec.pretty_chunks(exact))
+            assert text == _reference_pretty(dec, exact)
+            assert text.endswith("(empty: the coefficient is 1)\n")
 
 
 def _reference_level_index(n, k, i):

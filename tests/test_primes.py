@@ -10,11 +10,25 @@ from hypothesis import strategies as st
 
 from binomfactor import (MAX_LIMIT, DomainError, OutOfRangeError,
                          PrimeTable, binom_exponent, integer_root,
-                         legendre_exponent, mobius_partial_sums,
-                         omega_binom_oracle)
-from binomfactor.primes import (_CHUNK, _binom_divisor_flags, _moebius,
-                               _power_ladder, _sieve, _von_mangoldt)
+                         legendre_exponent, omega_binom_oracle)
+from binomfactor.primes import (_CHUNK, _binom_divisor_flags, _power_ladder,
+                               _sieve, _von_mangoldt)
 from conftest import reference_sieve
+
+
+def direct_lambda(table, n):
+    """Lambda(n) for n >= 1 by trial division over the table's primes:
+    log p if n = p^e with e >= 1, else 0.0.  A prime weighs ``np.log`` of
+    itself and a higher prime power ``math.log`` of its base, as
+    `_von_mangoldt` assigns them; the two logs differ in the last bit at
+    some primes."""
+    for p in table.primes_up_to(math.isqrt(n)).tolist():
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            # p <= sqrt(n), so a power of p here has e >= 2
+            return math.log(p) if n == 1 else 0.0
+    return float(np.log(np.float64(n))) if n > 1 else 0.0
 
 
 class TestBuildTable:
@@ -129,7 +143,7 @@ class TestPsi:
         assert table_small.psi(10) == pytest.approx(math.log(2520), rel=1e-14)
 
     def test_psi_vs_direct_fsum(self, table_small):
-        direct = math.fsum(table_small.von_mangoldt(n) for n in range(1, 5001))
+        direct = math.fsum(direct_lambda(table_small, n) for n in range(1, 5001))
         assert table_small.psi(5000) == pytest.approx(direct, rel=1e-13)
 
     def test_psi_dominates_pi_log2(self, table_small):
@@ -146,20 +160,21 @@ class TestPsi:
 
 
 class TestVonMangoldtAndMu:
+    """`_von_mangoldt`, the Lambda array psi is built from, against
+    `direct_lambda`."""
+
     def test_lambda_values(self, table_small):
-        lam = table_small.von_mangoldt
-        assert lam(2) == pytest.approx(math.log(2))
-        assert lam(8) == pytest.approx(math.log(2))
-        assert lam(9) == pytest.approx(math.log(3))
-        assert lam(6) == 0.0 and lam(12) == 0.0 and lam(1) == 0.0
+        lam = _von_mangoldt(table_small.limit, table_small.primes)
+        assert lam[2] == pytest.approx(math.log(2))
+        assert lam[8] == pytest.approx(math.log(2))
+        assert lam[9] == pytest.approx(math.log(3))
+        assert lam[6] == 0.0 and lam[12] == 0.0 and lam[1] == 0.0
 
     @staticmethod
     def _check_against_sieves(table, ns):
-        mu = _moebius(table.limit, table.primes)
         lam = _von_mangoldt(table.limit, table.primes)
-        assert [table.mu(n) for n in ns] == mu[ns].tolist()
-        on_demand = np.array([table.von_mangoldt(n) for n in ns])
-        assert on_demand.tobytes() == lam[ns].tobytes()
+        direct = np.array([direct_lambda(table, n) for n in ns])
+        assert direct.tobytes() == lam[ns].tobytes()
 
     def test_on_demand_match_sieves_small(self, table_small):
         self._check_against_sieves(table_small, list(range(1, table_small.limit + 1)))
@@ -169,41 +184,11 @@ class TestVonMangoldtAndMu:
         ns = [rng.randint(1, 1_000_000) for _ in range(500)]
         ns += [2**19, 3**12, 999_983, 999_983 - 2, 1_000_000]
         # the primes whose np.log and math.log differ in the last bit
-        ns += [p for p in table_medium.primes.tolist()
-               if float(np.log(np.float64(p))) != math.log(p)]
+        differ = [p for p in table_medium.primes.tolist()
+                  if float(np.log(np.float64(p))) != math.log(p)]
+        assert differ
+        ns += differ
         self._check_against_sieves(table_medium, ns)
-
-    def test_on_demand_out_of_range(self, table_small):
-        for n in (0, table_small.limit + 1):
-            with pytest.raises(OutOfRangeError):
-                table_small.mu(n)
-            with pytest.raises(OutOfRangeError):
-                table_small.von_mangoldt(n)
-
-    def test_mu_small_table(self, table_small):
-        assert [table_small.mu(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
-
-    def test_mu_zero_iff_squareful(self, table_small):
-        for n in range(1, 2000):
-            squareful = any(n % (p * p) == 0
-                            for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
-                            if p * p <= n)
-            assert (table_small.mu(n) == 0) == squareful
-
-    def test_mu_is_minus_one_at_primes(self, table_small):
-        for p in table_small.primes_up_to(500).tolist():
-            assert table_small.mu(p) == -1
-
-    def test_mu_multiplicative_on_coprimes(self, table_medium):
-        import random
-        rng = random.Random(99)
-        checked = 0
-        while checked < 2000:
-            m, n = rng.randint(1, 1000), rng.randint(1, 1000)
-            if math.gcd(m, n) != 1:
-                continue
-            assert table_medium.mu(m * n) == table_medium.mu(m) * table_medium.mu(n)
-            checked += 1
 
 
 class TestLegendre:
@@ -398,28 +383,6 @@ class TestPowerLadder:
     def test_refuses_past_the_budget(self):
         with pytest.raises(OutOfRangeError):
             _power_ladder(np.arange(2, 4, dtype=np.int64), MAX_LIMIT + 1)
-
-
-class TestMobiusPartialSums:
-    def test_single_term(self, table_small):
-        assert mobius_partial_sums(table_small, 1) == (1.0, 0.0)
-
-    def test_two_terms(self, table_small):
-        s, sl = mobius_partial_sums(table_small, 2)
-        assert s == pytest.approx(0.5, abs=0)
-        assert sl == pytest.approx(-math.log(2) / 2, rel=1e-15)
-
-    def test_golden_million(self, table_medium):
-        # the value with mu sieved over the whole table, not just to k0
-        assert mobius_partial_sums(table_medium, 1_000_000) == (
-            0.00020060468538783552, -0.9972146952246955)
-
-    def test_six_terms(self, table_small):
-        s, sl = mobius_partial_sums(table_small, 6)
-        assert s == pytest.approx(1 - 1 / 2 - 1 / 3 - 1 / 5 + 1 / 6, rel=1e-15)
-        expected = (-math.log(2) / 2 - math.log(3) / 3
-                    - math.log(5) / 5 + math.log(6) / 6)
-        assert sl == pytest.approx(expected, rel=1e-13)
 
 
 class TestIntegerRoot:
