@@ -35,25 +35,16 @@ when `Decomposition.levels` is read.
 The cells are independent, so the enumeration can also be taken over any
 ascending set of upper denominators, and the membership mask and
 `level_prime_count` take it over the ~2*sqrt(n) cells that hold an
-integer.  That loses nothing:
+integer.  An integer x >= 2 lies in exactly one cell, the one with
+d = floor(n/x), so those cells are `primes._quotients(n)[:0:-1]`, the
+values floor(n/x), 2 <= x <= n, ascending.  Any other cell holds no
+integer, and its interval lies inside it, so the floored interval
+(lo, hi] is empty (lo = hi), adding nothing to the mask and
+pi(hi) - pi(lo) = 0 to the count.
 
-* an integer x >= 2 lies in exactly one cell, the one with d = floor(n/x);
-* any other cell holds no integer, so floor(n/(d+1)) = floor(n/d); its
-  interval lies inside it, so the floored interval (lo, hi] is empty
-  (lo = hi), adding nothing to the mask and pi(hi) - pi(lo) = 0 to the
-  count;
-* the cells that hold an integer are D(n) = {floor(n/x) : 2 <= x <= n}.
-  Put r = isqrt(n) and s = floor(n/(r+1)) <= r.  Every x > r gives
-  floor(n/x) <= s, and every v <= s is reached (v(v+1) <= n, so
-  x = floor(n/v) >= r + 1 has floor(n/x) = v).  The x in [2, r] give
-  values above s (floor(n/r) >= r, and >= r + 1 when s = r) that
-  strictly fall as x rises (x(x+1) < n for x < r).  So D(n) is {1..s}
-  followed by floor(n/x) for x = r down to 2: `_integer_cells` lists it
-  ascending, without duplicates, in O(sqrt n) work, at most 2*sqrt(n)
-  values.
-
-`decompose`, `prime_divides` and `canonical_integer_form` still take
-every cell, since they list the intervals that hold no integer too.
+`decompose` still takes every cell, since it lists the intervals that
+hold no integer too; `prime_divides`, `canonical_integer_form` and the
+pretty form read the floors of its columns (`Decomposition._floors`).
 
 Every text form of a decomposition (`Decomposition.json_chunks`,
 `csv_chunks` and `pretty_chunks`) is rendered here, straight from the
@@ -73,7 +64,8 @@ import numpy as np
 
 from .errors import DomainError, OutOfRangeError
 from .primes import (MAX_LIMIT, PrimeTable, _binom_divisor_flags,
-                     _check_binom_args, _is_prime_int, _power_ladder)
+                     _check_binom_args, _is_prime_int, _power_ladder,
+                     _quotients)
 
 #: Largest n `decompose` accepts.  The columns hold about n/2 intervals in
 #: int64 (the deeper levels are views of them), and the order and
@@ -168,11 +160,12 @@ class Decomposition:
 
     @cached_property
     def _floors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Floored (lower, upper) of level 1, in ascending order, read-only."""
-        lo, hi = _level_range_arrays(self.n, self.k)
-        for arr in (lo, hi):
-            arr.setflags(write=False)
-        return lo[::-1], hi[::-1]
+        """Floored (lower, upper) of level 1, num // den of the columns, in
+        ascending order, read-only."""
+        cols = self.columns[1] if self.columns else np.empty((4, 0), dtype=np.int64)
+        floors = cols[0:4:2] // cols[1:4:2]
+        floors.setflags(write=False)
+        return floors[0, ::-1], floors[1, ::-1]
 
     @cached_property
     def max_root_index(self) -> int:
@@ -328,15 +321,6 @@ def _level_index(n: int, k: int,
     return d, k * d // n + 1
 
 
-def _integer_cells(n: int) -> np.ndarray:
-    """D(n) = {floor(n/x) : 2 <= x <= n}, ascending int64: the upper
-    denominators whose cell (n/(d+1), n/d] holds an integer (see the
-    module docstring)."""
-    r = math.isqrt(n)
-    return np.concatenate([np.arange(1, n // (r + 1) + 1, dtype=np.int64),
-                           n // np.arange(r, 1, -1, dtype=np.int64)])
-
-
 def decompose(n: int, k: int) -> Decomposition:
     """Materialise the interval decomposition of {p : p | C(n, k)}.
 
@@ -412,11 +396,10 @@ def canonical_integer_form(dec: Decomposition) -> dict[int, list[CanonicalInterv
 
 
 def _level_range_arrays(n: int, k: int,
-                        d: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                        d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Floored endpoints (lo, hi] of the level-1 intervals with upper
-    denominator in the ascending array d (by default all of them), as
-    int64 arrays in ascending d (the floor of a max is the max of the
-    floors)."""
+    denominator in the ascending int64 array d, in ascending d (the floor
+    of a max is the max of the floors)."""
     d, j = _level_index(n, k, d)
     return np.maximum(k // j, (n - k) // (d - j + 1)), n // d
 
@@ -428,8 +411,8 @@ def integer_membership_mask(n: int, k: int, level: int | None = None) -> np.ndar
 
     Restricted to primes this is exactly the divisor set of C(n, k).
     Only the level-1 cells that hold an integer are enumerated
-    (`_integer_cells`, ~2*sqrt(n) of them), and their disjoint floored
-    intervals are painted as runs; the powers r^i <= n with i >= 2 of
+    (``_quotients(n)[:0:-1]``, ~2*sqrt(n) of them), and their disjoint
+    floored intervals are painted as runs; the powers r^i <= n with i >= 2 of
     every r <= isqrt(n) are listed at once by `_power_ladder`.  So the
     work past the n + 1 mask bytes is O(sqrt n).  n is capped at
     `MAX_LIMIT`, the largest table `equivalence_check` can pair the mask
@@ -439,7 +422,7 @@ def integer_membership_mask(n: int, k: int, level: int | None = None) -> np.ndar
         raise OutOfRangeError(f"membership mask needs n <= {MAX_LIMIT}, got n={n}")
     if level is not None and level < 1:
         raise DomainError(f"root level must be >= 1, got {level}")
-    lo, hi = _level_range_arrays(n, k, _integer_cells(n))
+    lo, hi = _level_range_arrays(n, k, _quotients(n)[:0:-1])
     # ascending, the intervals alternate with the gaps between them:
     # [0, lo], (lo, hi], (hi, lo'], ..., (hi'', n]
     edges = np.empty(2 * lo.size + 2, dtype=np.int64)
@@ -485,10 +468,10 @@ def level_prime_count(table: PrimeTable, n: int, k: int) -> int:
     """Number of primes in the level-1 intervals, via prime counts at the
     floored endpoints (exact: the intervals are disjoint).
 
-    Only the cells that hold an integer (`_integer_cells`, ~2*sqrt(n) of
-    them) are enumerated, in one call; every other interval holds no
-    integer and adds pi(hi) - pi(lo) = 0."""
+    Only the cells that hold an integer (``_quotients(n)[:0:-1]``,
+    ~2*sqrt(n) of them) are enumerated, in one call; every other interval
+    holds no integer and adds pi(hi) - pi(lo) = 0."""
     _check_binom_args(n, k, table)
-    lo, hi = _level_range_arrays(n, k, _integer_cells(n))
+    lo, hi = _level_range_arrays(n, k, _quotients(n)[:0:-1])
     pp = table.pi_prefix
     return int((pp[hi] - pp[lo]).sum())

@@ -16,17 +16,17 @@ oracle:
 Also: the alternating sum sum_i (-1)^(i+1) pi(x/i), whose ratio against
 x/log x tends to log 2, and the Bertrand sweep pi(2n) > pi(n).
 
-Every pi series here is a sum of pi at floor(x/j), which takes only about
-2 sqrt(x) distinct values; `_quotient_sum` evaluates it exactly over those
-values (Dirichlet hyperbola grouping), never over all x/2 indices j.
+Every pi series here is a sum of pi at floor(x/j), whose ~2 sqrt(x)
+values are `primes._quotients(x)`; `_quotient_sum` evaluates it exactly
+over them (Dirichlet hyperbola grouping), never over all x/2 indices j.
 
 The psi series is a float sum, and regrouping its terms would move the
 last bits of the result.  `_psi_series_one` therefore still sums all c/2
 terms psi(floor(c/i)), in order, with one extended-precision np.sum, but
-it looks psi up only once per distinct quotient and expands the runs of
-equal quotients with np.repeat: the terms, their order and the reduction
-are those of the direct gather, so the sum is bit-identical, and the
-O(c) int64 index array and its O(c) divisions are gone.
+it looks psi up only once per quotient and expands the runs of equal
+quotients with np.repeat: the terms, their order and the reduction are
+those of the direct gather, so the sum is bit-identical, and the O(c)
+int64 index array and its O(c) divisions are gone.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ import numpy as np
 
 from .decomposition import level_prime_count
 from .errors import DomainError, OutOfRangeError
-from .primes import _CHUNK, PrimeTable, _binom_divisor_flags, _floor_real
+from .primes import (_CHUNK, MAX_LIMIT, PrimeTable, _binom_divisor_flags,
+                     _floor_real, _quotients)
 
 IDENTITY_OMEGA_PI = "omega_pi"
 IDENTITY_FACTORIAL_RATIO_PSI = "factorial_ratio_psi"
@@ -109,7 +110,9 @@ class FactorialRatioSpec:
             + [-v * math.log(v) for v in self.denominator_multipliers])
 
     def log_ratio(self, k: int) -> float:
-        """log of the ratio at k, from the log-factorial table (fsum)."""
+        """log of the ratio at k >= 0, from the log-factorial table (fsum)."""
+        if k < 0:
+            raise DomainError(f"need k >= 0, got k={k}")
         lf = log_factorial_prefix(self.max_multiplier * k)
         return math.fsum(
             [float(lf[v * k]) for v in self.numerator_multipliers]
@@ -129,31 +132,23 @@ def _quotient_sum(pp: np.ndarray, x: int, coef=(1,)) -> int:
     """sum over j >= 1 of c_j * pp[floor(x/j)], with the periodic
     coefficients c_j = coef[(j - 1) % len(coef)].
 
-    With r = isqrt(x), the head j <= r is gathered directly.  Every j > r
-    has a quotient q = floor(x/j) <= floor(x/(r+1)), and the j sharing q
-    are exactly those in (lo, hi] = (floor(x/(q+1)), floor(x/q)]; each
-    such q is weighted by the coefficient mass C(hi) - C(lo) of its block,
-    where C(v) = sum of c_j over j <= v.  No block reaches into the head:
-    floor(x/(r+1)) <= r <= floor(x/r) with at most one equality, so every
-    j of a tail block has floor(x/j) < floor(x/r), i.e. j > r.  Integer
-    arithmetic throughout, O(sqrt x) work.  With pp = pi_prefix,
-    pp[0] = pp[1] = 0, so summing over every j equals stopping once the
-    argument drops below 2.
+    One pass over the values q of `_quotients(x)`: the j sharing q are
+    (lo, hi] with hi = floor(x/q) and lo the previous value's hi (0 for
+    the first), so q is weighted by the coefficient mass C(hi) - C(lo) of
+    its run, where C(v) = sum of c_j over j <= v.  Integer arithmetic
+    throughout, O(sqrt x) work.  With pp = pi_prefix, pp[0] = pp[1] = 0,
+    so summing over every j equals stopping once the argument drops
+    below 2.
     """
     if x < 2:
         return 0
     c = np.asarray(coef, dtype=np.int64)
     period = len(c)
     cum = np.concatenate(([0], np.cumsum(c)))
-    r = math.isqrt(x)
-    j = np.arange(1, r + 1, dtype=np.int64)
-    head = (c[(j - 1) % period] * pp[x // j]).sum()
-    q = np.arange(1, x // (r + 1) + 1, dtype=np.int64)
+    q = _quotients(x)
     hi = x // q
-    lo = x // (q + 1)
-    mass = ((hi // period - lo // period) * cum[-1]
-            + cum[hi % period] - cum[lo % period])
-    return int(head + (mass * pp[q]).sum())
+    mass = np.diff(hi // period * cum[-1] + cum[hi % period], prepend=0)
+    return int((mass * pp[q]).sum())
 
 
 def omega_pi_series(n: int, m: int, k: int, table: PrimeTable) -> int:
@@ -235,8 +230,16 @@ def log_factorial_prefix(limit: int) -> np.ndarray:
     is alive at a time.  The running extended-precision carry is added to
     each chunk's first log before that chunk's cumsum, which performs the
     very additions of one sequential cumsum over the whole range.
+
+    ``limit`` lies in [0, `MAX_LIMIT`] (1.6 GB of float64 at the top),
+    the range of the tables its psi series are checked against.
     """
     global _LOGFACT
+    if limit < 0:
+        raise DomainError(f"log-factorial table needs limit >= 0, got {limit}")
+    if limit > MAX_LIMIT:
+        raise OutOfRangeError(
+            f"log-factorial table needs limit <= {MAX_LIMIT}, got {limit}")
     cache = _LOGFACT
     if len(cache) <= limit:
         cache = np.empty(limit + 1, dtype=np.float64)
@@ -260,20 +263,16 @@ def _psi_series_one(table: PrimeTable, c: int) -> np.longdouble:
     """sum_i psi(c / i) over i >= 1 until the argument drops below 2.
 
     The terms psi(floor(c/i)), i = 1..c/2, are laid out in order from one
-    gather per distinct quotient: the head i <= r = isqrt(c) has a
-    quotient of its own, and every tail quotient q = floor(c/(r+1)), ..., 2
-    covers the floor(c/q) - floor(c/(q+1)) consecutive i that share it
-    (no tail run reaches into the head, as in `_quotient_sum`).  np.repeat
-    expands those runs into the very float64 terms, in the very order, of
-    the direct gather over every i, and one np.sum reduces them as it did,
-    so the sum is unchanged to the bit.
+    gather per value q >= 2 of `_quotients(c)`, each repeated over its
+    run of floor(c/q) - floor(c/q') consecutive i (q' the value before
+    q).  np.repeat expands those runs into the very float64 terms, in the
+    very order, of the direct gather over every i, and one np.sum reduces
+    them as it did, so the sum is unchanged to the bit.
     """
     if c < 2:
         return np.longdouble(0.0)
-    r = math.isqrt(c)
-    tail = np.arange(c // (r + 1), 1, -1, dtype=np.int64)
-    q = np.concatenate((c // np.arange(1, r + 1, dtype=np.int64), tail))
-    runs = np.concatenate((np.ones(r, dtype=np.int64), c // tail - c // (tail + 1)))
+    q = _quotients(c)[:-1]
+    runs = np.diff(c // q, prepend=0)
     return np.sum(np.repeat(table.psi_prefix[q], runs), dtype=np.longdouble)
 
 

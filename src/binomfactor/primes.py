@@ -15,6 +15,10 @@ It runs as one array test over the primes (level 1) and one over every
 higher power p^i <= n at once (`_power_ladder`), with no loop over root
 levels.
 
+`_quotients(x)`, the distinct floor(x/j), is the one quotient set that the
+pi and psi series and the level-1 cells holding an integer all read.  The
+exponent functions test a single p < 2^64 for primality by Miller-Rabin.
+
 The table is immutable after construction and safe to share between
 threads; every query is pure.
 """
@@ -22,6 +26,7 @@ threads; every query is pure.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -86,6 +91,25 @@ def integer_root(x: int, i: int) -> int:
     return r
 
 
+def _quotients(x: int) -> np.ndarray:
+    """The distinct floor(x/j), j >= 1, of an int x >= 1, descending, as
+    int64: the one quotient set behind the pi and psi series and the
+    level-1 cells that hold an integer (``_quotients(n)[:0:-1]``).
+
+    With r = isqrt(x), the head floor(x/j), j <= r, strictly falls
+    (x/j - x/(j+1) = x/(j(j+1)) > 1 for j < r) and stays >= r.  The tail
+    is 1..s, s = floor(x/(r+1)) <= r: every j > r gives a value <= s, and
+    each v <= s comes from j = floor(x/v) > r, as v(v+1) <= v(r+1) <= x.
+    The two never meet: floor(x/r) = s needs s = r, i.e. r(r+1) <= x, and
+    then floor(x/r) > r.  So there are at most 2r values, and with no
+    value strictly between q and the value q' before it, the j sharing q
+    are (floor(x/q'), floor(x/q)] ((0, 1] for q = x): one j per head value.
+    """
+    r = math.isqrt(x)
+    return np.concatenate((x // np.arange(1, r + 1, dtype=np.int64),
+                           np.arange(x // (r + 1), 0, -1, dtype=np.int64)))
+
+
 class PrimeTable:
     """Immutable sieve table over [0, limit].
 
@@ -143,6 +167,9 @@ class PrimeTable:
         return prefix[max(v, 0)]
 
     def is_prime(self, n: int) -> bool:
+        """Primality of an integer n <= limit, read off ``pi_prefix``."""
+        if not isinstance(n, (int, np.integer)):
+            raise DomainError(f"is_prime needs an integer, got {n!r}")
         return n >= 2 and bool(self._lookup("is_prime", self.pi_prefix, n)
                                > self.pi_prefix[n - 1])
 
@@ -217,18 +244,40 @@ def _psi_prefix(lam: np.ndarray) -> np.ndarray:
 # -- factorial and binomial exponents ----------------------------------
 
 
+#: The first twelve primes.  No composite below 3.18e23 is a strong
+#: probable prime to all of them (Sorenson and Webster, Math. Comp. 86,
+#: 2017), so `_is_prime_int` is exact on all of its range p < 2^64.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime_int(p: int) -> bool:
+    """Primality of an integer p < 2^64, by a deterministic Miller-Rabin
+    test to `_MILLER_RABIN_BASES` (at most 12 modular powers).  Raises `DomainError` for a non-integer and
+    `OutOfRangeError` for p >= 2^64."""
+    try:
+        p = operator.index(p)
+    except TypeError:
+        raise DomainError(f"primality needs an integer, got {p!r}") from None
+    if p >= 1 << 64:
+        raise OutOfRangeError(f"primality test needs p < 2^64, got {p}")
+    for b in _MILLER_RABIN_BASES:
+        if p % b == 0:
+            return p == b
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    # p - 1 = d * 2^s with d odd
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> s
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -22,6 +22,7 @@ from binomfactor import (MAX_DECOMPOSE_N, MAX_LIMIT, DomainError,
 from binomfactor.decomposition import (_level_range_arrays,
                                        integer_membership_mask,
                                        level_prime_count)
+from binomfactor.primes import _quotients
 
 
 def canonical_level1_pairs(n, k, count=None):
@@ -292,7 +293,11 @@ class TestFastPathAgreesWithIntervals:
     @pytest.mark.parametrize("n,k", [(60, 25), (100, 37), (541, 108), (2000, 800)])
     def test_level_arrays_match_materialised(self, n, k):
         dec = decompose(n, k)
-        lo, hi = _level_range_arrays(n, k)
+        lo, hi = _level_range_arrays(n, k, np.arange(1, n // 2 + 1))
+        # the floors behind prime_divides and the pretty form, read from
+        # the columns, are the full enumeration's in ascending order
+        assert np.array_equal(dec._floors[0], lo[::-1])
+        assert np.array_equal(dec._floors[1], hi[::-1])
         for i, ivs in dec.levels.items():
             keep = hi >= 1 << i
             got = sorted(zip(lo[keep].tolist(), hi[keep].tolist()))
@@ -692,7 +697,7 @@ class TestLevelBlocks:
 
     @staticmethod
     def _one_shot(table, n, k):
-        lo, hi = _level_range_arrays(n, k)
+        lo, hi = _level_range_arrays(n, k, np.arange(1, n // 2 + 1))
         return int((table.pi_prefix[hi] - table.pi_prefix[lo]).sum())
 
     def test_every_pair_up_to_300(self, table_small):
@@ -721,7 +726,7 @@ class TestLevelBlocks:
         monkeypatch.setattr(decomposition, "_level_range_arrays", counted)
         n, k = 10**7, 5 * 10**6
         level_prime_count(table_large, n, k)
-        assert seen == [len(real(n, k, decomposition._integer_cells(n))[0])]
+        assert seen == [len(real(n, k, _quotients(n)[:0:-1])[0])]
         assert 0 < seen[0] <= 2 * math.isqrt(n)
 
     def test_transient_memory_bounded(self, table_large):
@@ -739,42 +744,47 @@ def _sqrt_edges(r):
     return (r * r - 1, r * r, r * r + r - 1, r * r + r, r * r + r + 1)
 
 
-class TestIntegerCells:
-    """`_integer_cells(n)` is D(n) = {floor(n/x) : 2 <= x <= n}, ascending,
-    and every cell outside it holds no integer."""
+class TestQuotients:
+    """`_quotients(x)` is the set {floor(x/j) : j >= 1}, strictly
+    descending, in at most 2*isqrt(x) int64 values."""
 
     @staticmethod
-    def _check(n):
-        cells = decomposition._integer_cells(n)
-        assert cells.dtype == np.int64
-        assert np.array_equal(cells, np.unique(n // np.arange(2, n + 1))), n
-        assert (np.diff(cells) > 0).all(), n
-        assert cells.size <= 2 * math.isqrt(n), n
+    def _check(x):
+        q = _quotients(x)
+        assert q.dtype == np.int64
+        assert np.array_equal(q, np.unique(x // np.arange(1, x + 1))[::-1]), x
+        assert (np.diff(q) < 0).all(), x
+        assert q.size <= 2 * math.isqrt(x), x
 
-    def test_every_n_up_to_3000(self):
-        for n in range(1, 3001):
-            self._check(n)
+    def test_every_x_up_to_3000(self):
+        for x in range(1, 3001):
+            self._check(x)
 
     def test_sqrt_edges(self):
         for r in [*range(2, 101), 316, 317, 999, 1000, 3162, 3163]:
-            for n in _sqrt_edges(r):
-                self._check(n)
+            for x in _sqrt_edges(r):
+                self._check(x)
 
-    @pytest.mark.parametrize("n", [10**7 - 1, 10**7])
-    def test_ten_million(self, n):
-        self._check(n)
+    @pytest.mark.parametrize("x", [10**7 - 1, 10**7])
+    def test_ten_million(self, x):
+        self._check(x)
+
+
+class TestIntegerCells:
+    """The level-1 cells that hold an integer are `_quotients(n)[:0:-1]`;
+    every other cell holds none."""
 
     def test_other_cells_hold_no_integer(self):
         for n in range(1, 2001):
             d = np.arange(1, (n >> 1) + 1)
-            other = d[~np.isin(d, decomposition._integer_cells(n))]
+            other = d[~np.isin(d, _quotients(n)[:0:-1])]
             assert np.array_equal(n // other, n // (other + 1)), n
 
 
 def _reference_masks(n, k, levels):
     """The membership masks at the given root levels over the full
     enumeration, every cell painted with bincount and cumsum."""
-    lo, hi = _level_range_arrays(n, k)
+    lo, hi = _level_range_arrays(n, k, np.arange(1, n // 2 + 1))
     acc = np.bincount(lo + 1, minlength=n + 2)
     acc -= np.bincount(hi + 1, minlength=n + 2)
     covered = np.cumsum(acc, out=acc)[:n + 1] > 0
@@ -821,7 +831,7 @@ class TestMaskOverIntegerCells:
         # valid intervals read twice overlap; the mask must refuse them
         real = decomposition._level_range_arrays
 
-        def doubled(n, k, d=None):
+        def doubled(n, k, d):
             lo, hi = real(n, k, d)
             return np.repeat(lo, 2), np.repeat(hi, 2)
         monkeypatch.setattr(decomposition, "_level_range_arrays", doubled)

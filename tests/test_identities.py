@@ -7,8 +7,9 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from binomfactor import (PI_BOUNDS_SPEC, DomainError, FactorialRatioSpec,
-                         OutOfRangeError, alternating_pi_sum, bertrand_check,
+from binomfactor import (MAX_LIMIT, PI_BOUNDS_SPEC, DomainError,
+                         FactorialRatioSpec, OutOfRangeError,
+                         alternating_pi_sum, bertrand_check,
                          coefficient_sequence, factorial_ratio_report,
                          log_factorial_prefix, omega_binom_oracle,
                          omega_identity_report, omega_pi_series,
@@ -274,6 +275,24 @@ class TestFactorialRatio:
         with pytest.raises(ValueError):
             lf[3] = 0.0
         assert lf[3] == pytest.approx(math.log(6), rel=1e-15)
+
+    def test_log_factorial_prefix_budget(self):
+        # refused before anything limit-sized is allocated
+        with pytest.raises(DomainError):
+            log_factorial_prefix(-1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfRangeError):
+                log_factorial_prefix(MAX_LIMIT + 1)
+            with pytest.raises(OutOfRangeError):
+                PSI_RATIO_SPEC.log_ratio(10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        with pytest.raises(DomainError):
+            PSI_RATIO_SPEC.log_ratio(-1)
+        assert PSI_RATIO_SPEC.log_ratio(0) == 0.0
 
     def test_log_factorial_prefix_growth_keeps_prefix(self, monkeypatch):
         # start from an empty cache so both calls build, the second larger

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from binomfactor import (MAX_LIMIT, DomainError, OutOfRangeError,
                          PrimeTable, binom_exponent, integer_root,
                          legendre_exponent, omega_binom_oracle)
-from binomfactor.primes import (_CHUNK, _binom_divisor_flags, _power_ladder,
-                               _sieve, _von_mangoldt)
+from binomfactor.primes import (_CHUNK, _binom_divisor_flags, _is_prime_int,
+                               _power_ladder, _sieve, _von_mangoldt)
 from conftest import reference_sieve
 
 
@@ -131,6 +131,11 @@ class TestPi:
         with pytest.raises(OutOfRangeError):
             table_small.is_prime(table_small.limit + 1)
 
+    @pytest.mark.parametrize("n", [7.0, 7.5, Fraction(7), "7"])
+    def test_is_prime_rejects_non_integer(self, table_small, n):
+        with pytest.raises(DomainError):
+            table_small.is_prime(n)
+
 
 class TestPsi:
     def test_empty_sum(self, table_small):
@@ -189,6 +194,40 @@ class TestVonMangoldtAndMu:
         assert differ
         ns += differ
         self._check_against_sieves(table_medium, ns)
+
+
+class TestIsPrimeInt:
+    """`_is_prime_int`, the Miller-Rabin test behind the exponent
+    functions and `prime_divides`, is exact below 2^64 and refuses the
+    rest."""
+
+    def test_matches_the_table(self, table_medium):
+        assert [_is_prime_int(p) for p in range(-5, table_medium.limit + 1)] == (
+            [False] * 5 + [table_medium.is_prime(p) for p in range(table_medium.limit + 1)])
+
+    @pytest.mark.parametrize("p", [
+        3215031751,            # strong pseudoprime to the bases 2, 3, 5, 7
+        2152302898747,         # ... to the bases 2 through 11
+        3825123056546413051,   # ... to the bases 2 through 23
+    ])
+    def test_rejects_strong_pseudoprimes(self, p):
+        assert not _is_prime_int(p)
+
+    @pytest.mark.parametrize("p", [10**14 + 31, 2**61 - 1, 2**64 - 59])
+    def test_large_primes(self, p):
+        # 2^64 - 59 is the largest prime below 2^64
+        assert _is_prime_int(p)
+        assert legendre_exponent(p, 3 * p) == 3
+
+    def test_budget(self):
+        assert not _is_prime_int(2**64 - 1)
+        with pytest.raises(OutOfRangeError):
+            _is_prime_int(2**64)
+        with pytest.raises(OutOfRangeError):
+            legendre_exponent(2**89 - 1, 10)
+        for p in (7.0, Fraction(7), "7"):
+            with pytest.raises(DomainError):
+                _is_prime_int(p)
 
 
 class TestLegendre:
