@@ -53,7 +53,7 @@ columns or their floors.
 
 from __future__ import annotations
 
-import math
+import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import DomainError, OutOfRangeError
 from .primes import (MAX_LIMIT, PrimeTable, _binom_divisor_flags,
-                     _check_binom_args, _is_prime_int, _power_ladder,
+                     _check_binom_args, _is_prime_int, _powers_up_to,
                      _quotients)
 
 #: Largest n `decompose` accepts.  The columns hold about n/2 intervals in
@@ -222,8 +222,9 @@ class Decomposition:
         Level i shows the primes p whose i-th power it holds: each floored
         interval (lo, hi] of `_floors` as (iroot(lo, i), iroot(hi, i)],
         skipping the ranges holding no integer >= 2.  The i-th roots are
-        counts of the i-th powers <= lo and hi among 1 and `_power_ladder`
-        over 2..isqrt(n), which lists every r^i <= n with r >= 2.  With
+        counts of the i-th powers <= lo and hi among 1 and the powers of
+        exponent i in `_powers_up_to(n)`, which lists every r^i <= n with
+        r >= 2 by ascending value.  With
         ``exact``, level i shows each of its intervals with the exact
         endpoints instead, formatted once by `_record_blocks`."""
         yield "prime divisors of C(%d, %d) lie in:\n" % (self.n, self.k)
@@ -241,8 +242,7 @@ class Decomposition:
                     yield "\n"
             return
         lo, hi = (a[::-1] for a in self._floors)  # back in column order
-        _, exponent, power, _ = _power_ladder(
-            np.arange(2, math.isqrt(self.n) + 1, dtype=np.int64), self.n)
+        _, exponent, power = _powers_up_to(self.n)
         for i, cols in self.columns.items():
             a, b = lo[:cols.shape[1]], hi[:cols.shape[1]]
             if i > 1:
@@ -330,7 +330,7 @@ def decompose(n: int, k: int) -> Decomposition:
     The cases k = 0 and k = n yield an empty decomposition since
     C(n, k) = 1.  n is capped at MAX_DECOMPOSE_N.
     """
-    _check_binom_args(n, k)
+    n, k = _check_binom_args(n, k)
     if n > MAX_DECOMPOSE_N:
         raise OutOfRangeError(f"decompose needs n <= {MAX_DECOMPOSE_N}, got n={n}")
     if k == 0 or k == n:
@@ -412,16 +412,22 @@ def integer_membership_mask(n: int, k: int, level: int | None = None) -> np.ndar
     Restricted to primes this is exactly the divisor set of C(n, k).
     Only the level-1 cells that hold an integer are enumerated
     (``_quotients(n)[:0:-1]``, ~2*sqrt(n) of them), and their disjoint
-    floored intervals are painted as runs; the powers r^i <= n with i >= 2 of
-    every r <= isqrt(n) are listed at once by `_power_ladder`.  So the
-    work past the n + 1 mask bytes is O(sqrt n).  n is capped at
-    `MAX_LIMIT`, the largest table `equivalence_check` can pair the mask
-    with."""
-    _check_binom_args(n, k)
+    floored intervals are painted as runs.  The powers r^i <= n with
+    i >= 2 are the prefix `_powers_up_to(n)`: r is a witness at every
+    level where r^i is covered, and ``level=i`` keeps the powers of
+    exponent i.  So the work past the n + 1 mask bytes is O(sqrt n).
+    n is capped at `MAX_LIMIT`, the largest table `equivalence_check`
+    can pair the mask with; a level must be an integer >= 1."""
+    n, k = _check_binom_args(n, k)
     if n > MAX_LIMIT:
         raise OutOfRangeError(f"membership mask needs n <= {MAX_LIMIT}, got n={n}")
-    if level is not None and level < 1:
-        raise DomainError(f"root level must be >= 1, got {level}")
+    if level is not None:
+        try:
+            level = operator.index(level)
+        except TypeError:
+            raise DomainError(f"root level must be an integer, got {level!r}") from None
+        if level < 1:
+            raise DomainError(f"root level must be >= 1, got {level}")
     lo, hi = _level_range_arrays(n, k, _quotients(n)[:0:-1])
     # ascending, the intervals alternate with the gaps between them:
     # [0, lo], (lo, hi], (hi, lo'], ..., (hi'', n]
@@ -438,11 +444,10 @@ def integer_membership_mask(n: int, k: int, level: int | None = None) -> np.ndar
         return covered
     # r >= 2 is a level-i witness iff r^i is covered: an interval holding
     # r^i >= 2^i has upper >= 2^i, so it is one of level i
-    r = math.isqrt(n)
-    base, exponent, power, start = _power_ladder(np.arange(2, r + 1, dtype=np.int64), n)
+    base, exponent, power = _powers_up_to(n)
     if level is None:
         member = covered.copy()
-        member[2:r + 1] |= np.logical_or.reduceat(covered[power], start)
+        member[base[covered[power]]] = True
     else:
         member = np.zeros(n + 1, dtype=bool)
         at = exponent == level
@@ -454,7 +459,7 @@ def equivalence_check(n: int, k: int, table: PrimeTable) -> int | None:
     """Compare decomposition membership against the sieve oracle for every
     prime p <= n.  Returns None on agreement, otherwise the smallest
     disagreeing prime."""
-    _check_binom_args(n, k, table)
+    n, k = _check_binom_args(n, k, table)
     member = integer_membership_mask(n, k)
     primes, oracle, _ = _binom_divisor_flags(table, n, k)
     via_intervals = member[primes]
@@ -471,7 +476,7 @@ def level_prime_count(table: PrimeTable, n: int, k: int) -> int:
     Only the cells that hold an integer (``_quotients(n)[:0:-1]``,
     ~2*sqrt(n) of them) are enumerated, in one call; every other interval
     holds no integer and adds pi(hi) - pi(lo) = 0."""
-    _check_binom_args(n, k, table)
+    n, k = _check_binom_args(n, k, table)
     lo, hi = _level_range_arrays(n, k, _quotients(n)[:0:-1])
     pp = table.pi_prefix
     return int((pp[hi] - pp[lo]).sum())

@@ -12,8 +12,10 @@ validated against.  That oracle is Kummer's carry test: p divides
 C(n, k) iff some power q = p^i <= n has k mod q > n mod q, which equals
 the floor-difference carry floor(n/q) - floor(k/q) - floor((n-k)/q) = 1.
 It runs as one array test over the primes (level 1) and one over every
-higher power p^i <= n at once (`_power_ladder`), with no loop over root
-levels.
+higher power q <= n at once, with no loop over root levels.  Those powers
+are a prefix of `_power_table`, every b^i <= MAX_LIMIT with b, i >= 2
+sorted by value, which is built once, on first use, and also gives the
+membership mask its level-i witnesses and the pretty form its i-th roots.
 
 `_quotients(x)`, the distinct floor(x/j), is the one quotient set that the
 pi and psi series and the level-1 cells holding an integer all read.  The
@@ -25,6 +27,7 @@ threads; every query is pure.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -299,12 +302,19 @@ def _legendre_raw(p: int, n: int) -> int:
     return total
 
 
-def _check_binom_args(n: int, k: int, table: PrimeTable | None = None) -> None:
-    """Reject (n, k) naming no C(n, k), or with n past the given table."""
+def _check_binom_args(n: int, k: int,
+                      table: PrimeTable | None = None) -> tuple[int, int]:
+    """(n, k) as Python ints; rejects a non-integer n or k, a pair naming
+    no C(n, k), or n past the given table.  Numpy integers are accepted."""
+    try:
+        n, k = operator.index(n), operator.index(k)
+    except TypeError:
+        raise DomainError(f"n and k must be integers, got n={n!r}, k={k!r}") from None
     if not 0 <= k <= n or n < 1:
         raise DomainError(f"need 0 <= k <= n with n >= 1, got n={n}, k={k}")
     if table is not None and n > table.limit:
         raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
+    return n, k
 
 
 def binom_exponent(p: int, n: int, k: int) -> int:
@@ -315,45 +325,41 @@ def binom_exponent(p: int, n: int, k: int) -> int:
     """
     if not _is_prime_int(p):
         raise DomainError(f"{p} is not prime")
-    _check_binom_args(n, k)
+    n, k = _check_binom_args(n, k)
     e = _legendre_raw(p, n) - _legendre_raw(p, k) - _legendre_raw(p, n - k)
     if p ** e > n:
         raise RuntimeError(f"exponent {e} of {p} in C({n}, {k}) breaks p^e <= n")
     return e
 
 
-def _power_ladder(bases: np.ndarray,
-                  n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every power b^i <= n with i >= 2 of the ascending int64 bases
-    2 <= b <= isqrt(n), in one shot: (base, exponent, power, start), the
-    first three per power, grouped by base in ascending exponent, and
-    ``start[t]`` the offset of the t-th base's first power (b^2 <= n, so
-    no group is empty).
+@functools.cache
+def _power_table() -> np.ndarray:
+    """Every power b^i <= MAX_LIMIT with b >= 2 and i >= 2, as a read-only
+    (3, m) int64 array of rows base, exponent, power, sorted by power and
+    then base (16 = 4^2 comes before 2^4).
 
-    The top exponent e of a base, the largest with b^e <= n, is guessed
-    from floating-point logs, raised by one where that is exact and
-    checked with a raise, all by exact int64 powers, so no float decides
-    which powers are listed (b^e <= n < b^(e+1) iff b^e <= n and
-    b^e > floor(n/b)).  Unless n is a power of b, log n / log b lies at
-    least log(1 + 1/n) / log b > 5e-10 from every integer for
-    n <= MAX_LIMIT, far beyond the logs' rounding, so the guess is exact
-    there and falls short by at most one at a power of b.  No power formed
-    exceeds b * n < 2^63.
-    """
+    Exponent i contributes the bases 2..integer_root(MAX_LIMIT, i), and
+    every power is an exact int64 product (MAX_LIMIT < 2^63).  There are
+    14,971 entries in 359 KB; the table is built on the first call and
+    shared, read-only, by every later one."""
+    parts = []
+    for i in range(2, MAX_LIMIT.bit_length()):
+        base = np.arange(2, integer_root(MAX_LIMIT, i) + 1, dtype=np.int64)
+        parts.append(np.stack((base, np.full_like(base, i), base ** i)))
+    table = np.concatenate(parts, axis=1)
+    table = table[:, np.lexsort((table[0], table[2]))]
+    table.setflags(write=False)
+    return table
+
+
+def _powers_up_to(n: int) -> np.ndarray:
+    """The prefix of `_power_table` holding every b^i <= n (b, i >= 2):
+    a read-only (3, m) view of rows base, exponent, power, ascending in
+    power.  Refuses n > MAX_LIMIT, past which the table is incomplete."""
     if n > MAX_LIMIT:
-        raise OutOfRangeError(f"power ladder needs n <= {MAX_LIMIT}, got n={n}")
-    cut = n // bases
-    e = (math.log(n) / np.log(bases)).astype(np.int64)
-    e += bases ** e <= cut
-    top = bases ** e
-    if ((top > n) | (top <= cut) | (e < 2)).any():
-        raise RuntimeError(f"power ladder exponents wrong at n={n}; "
-                           "this indicates a rounding bug")
-    count = e - 1
-    start = np.cumsum(count) - count
-    base = np.repeat(bases, count)
-    exponent = np.arange(2, base.size + 2) - np.repeat(start, count)
-    return base, exponent, base ** exponent, start
+        raise OutOfRangeError(f"power table needs n <= {MAX_LIMIT}, got n={n}")
+    table = _power_table()
+    return table[:, :int(np.searchsorted(table[2], n, side="right"))]
 
 
 def _binom_divisor_flags(table: PrimeTable, n: int,
@@ -371,16 +377,21 @@ def _binom_divisor_flags(table: PrimeTable, n: int,
     0 < q + r - s < q, so floor((n-k)/q) = a - b - 1 and the difference
     is 1.
 
-    Level 1 is one such test over all primes <= n.  The powers p^i <= n
-    with i >= 2 belong to the primes <= isqrt(n) only; `_power_ladder`
-    lists them all at once and their carries are or-reduced per prime.
+    Level 1 is one such test over all primes <= n.  The powers b^i <= n
+    with i >= 2 have bases b <= isqrt(n) and are the prefix
+    `_powers_up_to(n)`: their carries are scattered onto the bases over
+    0..isqrt(n), and that array is read at the primes <= isqrt(n) (the
+    composite bases are tested too, and never read).
     """
     primes = table.primes_up_to(n)
     level1 = k % primes > n % primes
-    small = primes[:int(np.searchsorted(primes, math.isqrt(n), side="right"))]
-    _, _, q, start = _power_ladder(small, n)
+    r = math.isqrt(n)
+    base, _, q = _powers_up_to(n)
+    carries = np.zeros(r + 1, dtype=bool)
+    carries[base[k % q > n % q]] = True
+    small = table.primes_up_to(r)
     divides = level1.copy()
-    divides[:small.size] |= np.logical_or.reduceat(k % q > n % q, start)
+    divides[:small.size] |= carries[small]
     return primes, divides, level1
 
 
@@ -391,7 +402,7 @@ def omega_binom_oracle(table: PrimeTable, n: int, k: int) -> tuple[int, np.ndarr
     Only primes <= n are enumerated; the coefficient itself is never
     factored (C(2000, 1000) has around 600 digits).
     """
-    _check_binom_args(n, k, table)
+    n, k = _check_binom_args(n, k, table)
     if k == 0 or k == n:
         return 0, np.empty(0, dtype=np.int64)
     primes, divides, _ = _binom_divisor_flags(table, n, k)

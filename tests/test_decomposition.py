@@ -18,7 +18,7 @@ import binomfactor.decomposition as decomposition
 from binomfactor import (MAX_DECOMPOSE_N, MAX_LIMIT, DomainError,
                          OutOfRangeError, binom_exponent,
                          canonical_integer_form, decompose, equivalence_check,
-                         integer_root, prime_divides)
+                         integer_root, omega_binom_oracle, prime_divides)
 from binomfactor.decomposition import (_level_range_arrays,
                                        integer_membership_mask,
                                        level_prime_count)
@@ -224,6 +224,43 @@ class TestDisjointness:
 
     def test_single_interval_trivially_disjoint(self):
         assert_disjoint(decompose(3, 2))
+
+
+#: Every entry point that takes a pair (n, k), as f(table, n, k).
+PAIR_ENTRY_POINTS = {
+    "decompose": lambda table, n, k: decompose(n, k),
+    "mask": lambda table, n, k: integer_membership_mask(n, k),
+    "level_prime_count": level_prime_count,
+    "omega_binom_oracle": omega_binom_oracle,
+    "equivalence_check": lambda table, n, k: equivalence_check(n, k, table),
+}
+
+
+class TestIntegerPair:
+    """n and k must be integers: a float, a string or None is refused with
+    `DomainError`, and numpy integers give what the equal ints give."""
+
+    @pytest.mark.parametrize("entry", sorted(PAIR_ENTRY_POINTS))
+    @pytest.mark.parametrize("n,k", [(10.0, 3), (10, 3.0), (10, "3"), (None, 3),
+                                     (np.float64(10), 3), (Fraction(10), 3)])
+    def test_refuses_non_integer(self, table_small, entry, n, k):
+        with pytest.raises(DomainError):
+            PAIR_ENTRY_POINTS[entry](table_small, n, k)
+
+    @pytest.mark.parametrize("entry", sorted(PAIR_ENTRY_POINTS))
+    def test_takes_numpy_integers(self, table_small, entry):
+        f = PAIR_ENTRY_POINTS[entry]
+        want = f(table_small, 100, 37)
+        for n, k in [(np.int64(100), np.int64(37)), (np.int32(100), 37),
+                     (100, np.uint16(37))]:
+            got = f(table_small, n, k)
+            if entry == "decompose":
+                assert (got.n, got.k) == (100, 37) and type(got.n) is int
+                assert "".join(got.json_chunks()) == "".join(want.json_chunks())
+            elif entry == "omega_binom_oracle":
+                assert got[0] == want[0] and np.array_equal(got[1], want[1])
+            else:
+                assert np.array_equal(got, want)
 
 
 class TestBranchOrderings:
@@ -681,8 +718,11 @@ class TestPrefixLevels:
         assert _sha(cat) == "8c798fdc5f2bd35cb8140f7b90626df94e9cc0894dd3743d133abaff401dc985"
 
     def test_mask_rejects_level_zero(self):
-        with pytest.raises(DomainError):
-            integer_membership_mask(100, 37, level=0)
+        # and every level that is not an integer, which would match no
+        # exponent and give an all-False mask
+        for level in (0, 1.5, "2", np.float64(2.0)):
+            with pytest.raises(DomainError):
+                integer_membership_mask(100, 37, level=level)
 
     @pytest.mark.parametrize("n,k", [(10, -3), (10, 11), (0, 0)])
     def test_mask_rejects_bad_pair(self, n, k):

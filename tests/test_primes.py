@@ -12,7 +12,8 @@ from binomfactor import (MAX_LIMIT, DomainError, OutOfRangeError,
                          PrimeTable, binom_exponent, integer_root,
                          legendre_exponent, omega_binom_oracle)
 from binomfactor.primes import (_CHUNK, _binom_divisor_flags, _is_prime_int,
-                               _power_ladder, _sieve, _von_mangoldt)
+                               _power_table, _powers_up_to, _sieve,
+                               _von_mangoldt)
 from conftest import reference_sieve
 
 
@@ -388,40 +389,44 @@ class TestKummerOracle:
 
 
 class TestPowerLadder:
-    """`_power_ladder` lists b^2, ..., b^e <= n per base, with exponents
-    from float logs fixed up exactly; checked against `integer_root` and
-    Python ints, with no table."""
+    """`_powers_up_to(n)` is the prefix of `_power_table` holding every
+    b^i <= n with b, i >= 2, as rows base, exponent, power sorted by power
+    and then base; checked against powers formed from Python ints."""
 
     @staticmethod
-    def _check(n, bases):
-        base, exponent, power, start = _power_ladder(bases, n)
-        assert power.tolist() == [b**i for b, i in zip(base.tolist(), exponent.tolist())]
-        tops = np.append(start, base.size)[1:] - 1
-        assert np.array_equal(base[start], bases)
-        for b, e in zip(bases.tolist(), exponent[tops].tolist()):
-            assert b**e <= n < b ** (e + 1), (n, b, e)
-        assert exponent.tolist() == [i for e in exponent[tops].tolist()
-                                     for i in range(2, e + 1)]
-        # the bases with an i-th power <= n are 2..integer_root(n, i)
-        for i in range(2, n.bit_length()):
-            at = base[exponent == i]
-            want = bases[bases <= integer_root(n, i)]
-            assert np.array_equal(at, want), (n, i)
+    def _check(n):
+        want = []
+        for b in range(2, math.isqrt(n) + 1):
+            i, q = 2, b * b
+            while q <= n:
+                want.append((b, i, q))
+                i, q = i + 1, q * b
+        want.sort(key=lambda t: (t[2], t[0]))
+        got = _powers_up_to(n)
+        assert got.dtype == np.int64
+        assert got.T.tolist() == [list(t) for t in want], n
 
     def test_every_n_up_to_300(self):
         for n in range(1, 301):
-            self._check(n, np.arange(2, math.isqrt(n) + 1, dtype=np.int64))
+            self._check(n)
 
-    @pytest.mark.parametrize("n", [2**27 - 1, 2**27, 3**17 - 1, 3**17,
-                                   14142**2 - 1, 14142**2, MAX_LIMIT])
+    @pytest.mark.parametrize("n", [2**27 - 1, 2**27, 2**27 + 1,
+                                   3**17 - 1, 3**17, 3**17 + 1,
+                                   14142**2 - 1, 14142**2, 14142**2 + 1,
+                                   MAX_LIMIT])
     def test_exact_power_edges(self, n):
-        bases = np.arange(2, math.isqrt(n) + 1, dtype=np.int64)
-        self._check(n, bases)
-        self._check(n, bases[reference_sieve(math.isqrt(n))[2:]])
+        self._check(n)
+
+    def test_read_only(self):
+        table = _power_table()
+        assert table.shape == (3, 14_971) and table.nbytes == 359_304
+        for arr in (table, _powers_up_to(1000)):
+            with pytest.raises(ValueError):
+                arr[2, 0] = 5
 
     def test_refuses_past_the_budget(self):
         with pytest.raises(OutOfRangeError):
-            _power_ladder(np.arange(2, 4, dtype=np.int64), MAX_LIMIT + 1)
+            _powers_up_to(MAX_LIMIT + 1)
 
 
 class TestIntegerRoot:
