@@ -263,17 +263,17 @@ def _psi_series_one(table: PrimeTable, c: int) -> np.longdouble:
     """sum_i psi(c / i) over i >= 1 until the argument drops below 2.
 
     The terms psi(floor(c/i)), i = 1..c/2, are laid out in order from one
-    gather per value q >= 2 of `_quotients(c)`, each repeated over its
-    run of floor(c/q) - floor(c/q') consecutive i (q' the value before
-    q).  np.repeat expands those runs into the very float64 terms, in the
-    very order, of the direct gather over every i, and one np.sum reduces
-    them as it did, so the sum is unchanged to the bit.
+    `PrimeTable.psi_at` read of the values q >= 2 of `_quotients(c)`, each
+    repeated over its run of floor(c/q) - floor(c/q') consecutive i (q' the
+    value before q).  np.repeat expands those runs into the very float64
+    terms, in the very order, of the direct gather over every i, and one
+    np.sum reduces them as it did, so the sum is unchanged to the bit.
     """
     if c < 2:
         return np.longdouble(0.0)
     q = _quotients(c)[:-1]
     runs = np.diff(c // q, prepend=0)
-    return np.sum(np.repeat(table.psi_prefix[q], runs), dtype=np.longdouble)
+    return np.sum(np.repeat(table.psi_at(q), runs), dtype=np.longdouble)
 
 
 def factorial_ratio_report(spec: FactorialRatioSpec, k: int, table: PrimeTable) -> IdentityReport:

@@ -1,9 +1,11 @@
 """Sieve-backed arithmetic oracles.
 
 A :class:`PrimeTable` answers, for every integer up to a fixed limit:
-the prime counting function pi(x) and the Chebyshev summatory function
-psi(x) = sum of log p over prime powers p^j <= x from stored prefix
-arrays, and primality as a unit step of the pi prefix.  On top of the
+the prime counting function pi(x) from a stored prefix array, primality
+as a unit step of that prefix, and the Chebyshev summatory function
+psi(x) = sum of log p over prime powers p^j <= x from its values at the
+prime powers alone: the prime powers <= x number pi(x) plus the higher
+powers p^e <= x (e >= 2), and that count indexes psi.  On top of the
 table this module provides Legendre's factorial exponents
 e_p(n!) = sum_i floor(n/p^i), the derived exponent of a prime in a
 binomial coefficient, and the brute-force "count the distinct prime
@@ -39,13 +41,14 @@ from .errors import DomainError, OutOfRangeError
 #: The CLI's default sieve budget; enough for prime counts at arguments up to 10^7.
 DEFAULT_LIMIT = 10_000_000
 
-#: Hard budget.  The table stores 12.5 bytes per integer (int32 pi
-#: prefix 4, float64 psi prefix 8, the primes ~0.5), ~2.5 GB at this
-#: ceiling.  Building psi also needs a float64 Lambda temporary:
-#: tracemalloc puts the build peak at 53 MB for limit 10^6 and 256 MB for
-#: 10^7, i.e. 22.6 bytes per integer plus ~30 MB of fixed-size chunk
-#: buffers, ~4.5 GB at this ceiling.  pi(x) <= x <= MAX_LIMIT < 2^31
-#: keeps the int32 pi prefix exact.
+#: Hard budget.  The table stores ~5 bytes per integer: the int32 pi
+#: prefix 4, plus 8 per prime for the primes and 8 per prime power for psi
+#: at the prime powers (5.26 B at limit 10^6, 5.06 B at 10^7, ~4.9 B or
+#: ~1 GB at this ceiling).  The pi prefix's cumsum holds an int32 cast of
+#: the sieve mask beside the mask and the prefix: tracemalloc puts the
+#: build peak at 9.0 MB for limit 10^6 and 90 MB for 10^7, 9 bytes per
+#: integer or ~1.8 GB at this ceiling.
+#: pi(x) <= x <= MAX_LIMIT < 2^31 keeps the int32 pi prefix exact.
 MAX_LIMIT = 200_000_000
 
 _CHUNK = 1 << 20
@@ -69,9 +72,16 @@ def _floor_real(x) -> int:
 
 
 def integer_root(x: int, i: int) -> int:
-    """Largest r >= 0 with r**i <= x, computed exactly for ints of any size."""
+    """Largest r >= 0 with r**i <= x, computed exactly for ints of any size.
+    Raises `DomainError` for a non-integer x or i, x < 0 or i < 1."""
+    try:
+        x, i = operator.index(x), operator.index(i)
+    except TypeError:
+        raise DomainError(f"integer_root needs integers, got x={x!r}, i={i!r}") from None
     if x < 0:
         raise DomainError("integer_root of a negative number")
+    if i < 1:
+        raise DomainError(f"integer_root needs i >= 1, got {i}")
     if i == 1:
         return x
     if i == 2:
@@ -80,7 +90,6 @@ def integer_root(x: int, i: int) -> int:
         return 0
     # integer Newton steps from 2^ceil(bits/i), which is above the root,
     # decrease to the floor of the root and then stop; no float is involved
-    x = int(x)
     r = 1 << -(-x.bit_length() // i)
     while True:
         s = ((i - 1) * r + x // r ** (i - 1)) // i
@@ -117,7 +126,8 @@ class PrimeTable:
     """Immutable sieve table over [0, limit].
 
     It stores only what the prime-count and psi series read; primality
-    is read off ``pi_prefix``.  Every array is read-only.
+    is read off ``pi_prefix``, and psi is stored once per prime power.
+    Every array is read-only.
 
     Attributes
     ----------
@@ -127,25 +137,34 @@ class PrimeTable:
         ``pi_prefix[n]`` = number of primes <= n.
     primes : numpy int64 array
         Ascending list of all primes <= limit.
-    psi_prefix : numpy float64 array
-        ``psi_prefix[n]`` = psi(n), accumulated in extended precision.
+    higher_powers : numpy int64 array
+        Ascending list of the prime powers p^e <= limit with e >= 2.
+    psi_values : numpy float64 array
+        0, then psi at each prime power <= limit in ascending order,
+        accumulated in extended precision; `psi_at` reads it.
     """
 
-    __slots__ = ("limit", "pi_prefix", "primes", "psi_prefix")
+    __slots__ = ("limit", "pi_prefix", "primes", "higher_powers", "psi_values")
 
     def __init__(self, limit: int):
+        try:
+            limit = operator.index(limit)
+        except TypeError:
+            raise DomainError(f"sieve limit must be an integer, got {limit!r}") from None
         if limit < 2:
             raise DomainError(f"sieve limit must be >= 2, got {limit}")
         if limit > MAX_LIMIT:
             raise DomainError(
                 f"sieve limit {limit} exceeds the memory budget ({MAX_LIMIT})")
-        self.limit = int(limit)
-        mask = _sieve(self.limit)
+        self.limit = limit
+        mask = _sieve(limit)
         self.pi_prefix = np.cumsum(mask, dtype=np.int32)
         self.primes = np.flatnonzero(mask).astype(np.int64)
-        del mask  # freed before the psi build's temporaries
-        self.psi_prefix = _psi_prefix(_von_mangoldt(self.limit, self.primes))
-        for arr in (self.pi_prefix, self.primes, self.psi_prefix):
+        del mask
+        self.higher_powers, self.psi_values = _psi_at_prime_powers(
+            self.pi_prefix, self.primes)
+        for arr in (self.pi_prefix, self.primes, self.higher_powers,
+                    self.psi_values):
             arr.setflags(write=False)
 
     # -- scalar queries ------------------------------------------------
@@ -156,24 +175,42 @@ class PrimeTable:
         Accepts ints, floats, and exact Fractions; the floor is taken
         with exact arithmetic, never through a float conversion.
         """
-        return int(self._lookup("pi", self.pi_prefix, x))
+        return int(self.pi_prefix[self._index("pi", x)])
 
     def psi(self, x) -> float:
         """Chebyshev psi(x) = sum of Lambda(n) over n <= x, natural logs."""
-        return float(self._lookup("psi", self.psi_prefix, x))
+        return float(self.psi_at(self._index("psi", x)))
 
-    def _lookup(self, name: str, prefix: np.ndarray, x):
-        """prefix[floor(x)]; x < 0 reads index 0 (0 in both prefixes)."""
+    def psi_at(self, x) -> np.ndarray:
+        """psi at each integer of x, 0 <= x <= limit, as float64.
+
+        The prime powers <= x number pi(x) plus the higher powers <= x,
+        and that count indexes `psi_values`; a ``searchsorted`` over the
+        few higher powers (555 at 10^7) stands in for one over all of the
+        prime powers.  Raises `OutOfRangeError` for x outside [0, limit],
+        where ``pi_prefix[x]`` would wrap or fail."""
+        x = np.asarray(x)
+        if x.dtype.kind not in "iu":
+            raise DomainError(f"psi_at needs integers, got dtype {x.dtype}")
+        if x.size and (x.min() < 0 or x.max() > self.limit):
+            raise OutOfRangeError(
+                f"psi_at needs 0 <= x <= {self.limit}, got [{x.min()}, {x.max()}]")
+        count = self.pi_prefix[x] + np.searchsorted(self.higher_powers, x, side="right")
+        return self.psi_values[count]
+
+    def _index(self, name: str, x) -> int:
+        """floor(x), clamped below to 0 (pi and psi vanish there); refuses
+        floor(x) > limit."""
         v = _floor_real(x)
         if v > self.limit:
             raise OutOfRangeError(f"{name}({x}) exceeds table limit {self.limit}")
-        return prefix[max(v, 0)]
+        return max(v, 0)
 
     def is_prime(self, n: int) -> bool:
         """Primality of an integer n <= limit, read off ``pi_prefix``."""
         if not isinstance(n, (int, np.integer)):
             raise DomainError(f"is_prime needs an integer, got {n!r}")
-        return n >= 2 and bool(self._lookup("is_prime", self.pi_prefix, n)
+        return n >= 2 and bool(self.pi_prefix[self._index("is_prime", n)]
                                > self.pi_prefix[n - 1])
 
     # -- bulk helpers ----------------------------------------------------
@@ -210,38 +247,43 @@ def _sieve(limit: int) -> np.ndarray:
     return flags
 
 
-def _von_mangoldt(limit: int, primes: np.ndarray) -> np.ndarray:
-    """Lambda(n) for every 0 <= n <= limit: log p at n = p^e (e >= 1), else
-    0.  A prime weighs ``np.log`` of itself and a higher prime power
-    ``math.log`` of its base; the two logs differ in the last bit at some
-    primes."""
-    lam = np.zeros(limit + 1, dtype=np.float64)
-    lam[primes] = np.log(primes.astype(np.float64))
-    root = math.isqrt(limit)
-    for p in primes[primes <= root].tolist():
-        lp = math.log(p)
-        q = p * p
-        while q <= limit:
-            lam[q] = lp
-            q *= p
-    return lam
+def _psi_at_prime_powers(pi_prefix: np.ndarray,
+                         primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the prime powers p^e <= limit with e >= 2, ascending; 0 and then
+    psi at each prime power in ascending order, as float64) for the table
+    whose pi prefix runs to limit.
 
-
-def _psi_prefix(lam: np.ndarray) -> np.ndarray:
-    """Cumulative sums of Lambda, accumulated in 80-bit extended precision.
-
-    The worst-case rounding of the chunked extended-precision cumsum is
-    below 1e-13 relative, comfortably inside the 1e-12 contract for psi.
+    The higher powers are the rows of `_powers_up_to(limit)` with a prime
+    base, and pi(h) primes precede a higher power h.  Lambda is log p at
+    p^e: ``np.log`` of a prime and ``math.log`` of the base of a higher
+    power (the two differ in the last bit at some primes).  psi(x) is the
+    sum of Lambda(n) over n <= x, accumulated in 80-bit extended precision
+    over 2^20-wide chunks of n, each chunk's total carried into the next.
+    Adding a zero is exact, so one cumsum per chunk over its prime powers
+    alone, plus the same carry, gives the dense sum's every value to the
+    bit; the prime powers <= e number pi(e) plus the higher powers <= e.
+    The worst-case rounding is below 1e-13 relative, inside the 1e-12
+    contract for psi.
     """
-    out = np.empty(lam.shape, dtype=np.float64)
+    limit = len(pi_prefix) - 1
+    base, _, power = _powers_up_to(limit)
+    prime_base = pi_prefix[base] > pi_prefix[base - 1]
+    higher = power[prime_base]
+    lam = np.insert(np.log(primes.astype(np.float64)), pi_prefix[higher],
+                    [math.log(p) for p in base[prime_base].tolist()])
+    edges = np.minimum(np.arange(_CHUNK - 1, limit + _CHUNK, _CHUNK), limit)
+    cuts = pi_prefix[edges] + np.searchsorted(higher, edges, side="right")
+    psi = np.zeros(lam.size + 1, dtype=np.float64)
     carry = np.longdouble(0.0)
-    for lo in range(0, len(lam), _CHUNK):
-        hi = min(lo + _CHUNK, len(lam))
-        c = np.cumsum(lam[lo:hi], dtype=np.longdouble)
-        c += carry
-        out[lo:hi] = c
-        carry = c[-1]
-    return out
+    lo = 0
+    for hi in cuts.tolist():
+        if hi > lo:
+            c = np.cumsum(lam[lo:hi], dtype=np.longdouble)
+            c += carry
+            psi[lo + 1:hi + 1] = c
+            carry = c[-1]
+            lo = hi
+    return higher, psi
 
 
 # -- factorial and binomial exponents ----------------------------------
@@ -288,6 +330,10 @@ def legendre_exponent(p: int, n: int) -> int:
     """Exponent of the prime p in n!, via e_p(n!) = sum_i floor(n / p^i)."""
     if not _is_prime_int(p):
         raise DomainError(f"{p} is not prime")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"n must be an integer, got {n!r}") from None
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     return _legendre_raw(p, n)

@@ -1,7 +1,11 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
 from binomfactor import PrimeTable
+from binomfactor.primes import _CHUNK
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +48,44 @@ def reference_sieve(limit: int) -> np.ndarray:
     odd_values = 2 * np.arange(len(sieve), dtype=np.int64) + 1
     flags[odd_values[odds]] = True
     return flags
+
+
+def _von_mangoldt(limit: int, primes: np.ndarray) -> np.ndarray:
+    """Lambda(n) for every 0 <= n <= limit: log p at n = p^e (e >= 1), else
+    0.  A prime weighs ``np.log`` of itself and a higher prime power
+    ``math.log`` of its base; the two logs differ in the last bit at some
+    primes."""
+    lam = np.zeros(limit + 1, dtype=np.float64)
+    lam[primes] = np.log(primes.astype(np.float64))
+    root = math.isqrt(limit)
+    for p in primes[primes <= root].tolist():
+        lp = math.log(p)
+        q = p * p
+        while q <= limit:
+            lam[q] = lp
+            q *= p
+    return lam
+
+
+def _psi_prefix(lam: np.ndarray) -> np.ndarray:
+    """The dense psi oracle: cumulative sums of Lambda, accumulated in
+    80-bit extended precision over 2^20-wide chunks, each chunk's total
+    carried into the next.  `PrimeTable.psi_at` must equal it to the bit."""
+    out = np.empty(lam.shape, dtype=np.float64)
+    carry = np.longdouble(0.0)
+    for lo in range(0, len(lam), _CHUNK):
+        hi = min(lo + _CHUNK, len(lam))
+        c = np.cumsum(lam[lo:hi], dtype=np.longdouble)
+        c += carry
+        out[lo:hi] = c
+        carry = c[-1]
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def dense_psi(limit: int) -> np.ndarray:
+    """psi(n) for every 0 <= n <= limit from the dense oracle over the
+    primes of `reference_sieve`, read-only; the latest limit is kept."""
+    psi = _psi_prefix(_von_mangoldt(limit, np.flatnonzero(reference_sieve(limit))))
+    psi.setflags(write=False)
+    return psi

@@ -17,6 +17,7 @@ from binomfactor import (MAX_LIMIT, PI_BOUNDS_SPEC, DomainError,
 from binomfactor.chebyshev import PSI_RATIO_SPEC
 from binomfactor.decomposition import level_prime_count
 from binomfactor.identities import _psi_series_one, _quotient_sum
+from conftest import dense_psi
 
 
 def gather(pp, x):
@@ -306,9 +307,10 @@ class TestFactorialRatio:
 
 
 def psi_gather_sum(table, c):
-    """The O(c) reference for `_psi_series_one`: one gather per i."""
+    """The O(c) reference for `_psi_series_one`: one gather per i from the
+    dense psi oracle."""
     i = np.arange(1, c // 2 + 1, dtype=np.int64)
-    return np.sum(table.psi_prefix[c // i], dtype=np.longdouble)
+    return np.sum(dense_psi(table.limit)[c // i], dtype=np.longdouble)
 
 
 class TestPsiSeriesRuns:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +13,8 @@ from binomfactor import (MAX_LIMIT, DomainError, OutOfRangeError,
                          PrimeTable, binom_exponent, integer_root,
                          legendre_exponent, omega_binom_oracle)
 from binomfactor.primes import (_CHUNK, _binom_divisor_flags, _is_prime_int,
-                               _power_table, _powers_up_to, _sieve,
-                               _von_mangoldt)
-from conftest import reference_sieve
+                               _power_table, _powers_up_to, _sieve)
+from conftest import _von_mangoldt, dense_psi, reference_sieve
 
 
 def direct_lambda(table, n):
@@ -50,6 +50,17 @@ class TestBuildTable:
         with pytest.raises(DomainError):
             PrimeTable(10**12)
 
+    @pytest.mark.parametrize("limit", [100.5, 100.0, np.float64(100), "100",
+                                       Fraction(100), None])
+    def test_rejects_non_integer_limit(self, limit):
+        with pytest.raises(DomainError):
+            PrimeTable(limit)
+
+    def test_accepts_numpy_integer_limit(self):
+        table = PrimeTable(np.int64(100))
+        assert type(table.limit) is int and table.limit == 100
+        assert table.pi(100) == 25
+
     @pytest.mark.parametrize("limit", [2, 3, 100, _CHUNK - 1, _CHUNK, _CHUNK + 1])
     def test_sieve_at_segment_edges(self, limit):
         # one segmented loop serves every limit, including those that fit
@@ -68,12 +79,12 @@ class TestBuildTable:
         pi = table_medium.pi_prefix.astype(np.int64).tobytes()
         assert hashlib.sha256(pi).hexdigest() == (
             "265a504b995a522aa073aa9bfaf586ca03b11c5351888f47c71ec4957b5a3de3")
-        psi = table_medium.psi_prefix.tobytes()
+        psi = table_medium.psi_at(np.arange(table_medium.limit + 1)).tobytes()
         assert hashlib.sha256(psi).hexdigest() == (
             "a5d0aa4049bb75900c92f600a675a1556c55109a90357d9edb10ac462d3d669b")
 
     def test_arrays_read_only(self, table_small):
-        for name in ("pi_prefix", "primes", "psi_prefix"):
+        for name in ("pi_prefix", "primes", "higher_powers", "psi_values"):
             arr = getattr(table_small, name)
             before = arr[5]
             with pytest.raises(ValueError):
@@ -88,8 +99,20 @@ class TestBuildTable:
         stored = sum(getattr(table_medium, name).nbytes
                      for name in type(table_medium).__slots__
                      if isinstance(getattr(table_medium, name), np.ndarray))
-        assert stored <= 13 * (table_medium.limit + 1)
+        assert stored <= 6 * (table_medium.limit + 1)
         assert np.iinfo(table_medium.pi_prefix.dtype).max >= MAX_LIMIT
+
+    def test_build_peak(self):
+        # ~9.0 MB here; the dense psi build peaked at ~53 MB
+        limit = 10**6
+        PrimeTable(1000)  # builds the shared power table first
+        tracemalloc.start()
+        try:
+            PrimeTable(limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * (limit + 1)
 
 
 class TestPi:
@@ -162,12 +185,72 @@ class TestPsi:
             assert jump == pytest.approx(math.log(p), rel=1e-12)
 
     def test_nondecreasing(self, table_small):
-        assert np.all(np.diff(table_small.psi_prefix[:10000]) >= -1e-12)
+        assert np.all(np.diff(table_small.psi_at(np.arange(10000))) >= -1e-12)
+
+
+class TestPsiAt:
+    """`psi_at` reads psi from its values at the prime powers; it must
+    equal the dense oracle `dense_psi` to the bit at every x."""
+
+    @staticmethod
+    def _check(table):
+        want = dense_psi(table.limit)
+        for lo in range(0, table.limit + 1, _CHUNK):
+            got = table.psi_at(np.arange(lo, min(lo + _CHUNK, table.limit + 1)))
+            assert got.dtype == np.float64
+            assert got.tobytes() == want[lo:lo + _CHUNK].tobytes(), lo
+
+    # 3 * 2^20: the last chunk, {3 * 2^20}, holds no prime power
+    @pytest.mark.parametrize("limit", [2, 3, 4, 100, _CHUNK - 1, _CHUNK,
+                                       _CHUNK + 1, 2 * _CHUNK, 3 * _CHUNK,
+                                       3 * _CHUNK + 1])
+    def test_matches_dense_oracle_at_chunk_edges(self, limit):
+        self._check(PrimeTable(limit))
+
+    def test_matches_dense_oracle_to_ten_million(self, table_large):
+        self._check(table_large)
+
+    def test_higher_powers(self, table_small):
+        want = sorted(p ** e for p in table_small.primes_up_to(141).tolist()
+                      for e in range(2, 15) if p ** e <= table_small.limit)
+        assert table_small.higher_powers.tolist() == want
+        assert table_small.psi_values.size == (
+            1 + table_small.primes.size + table_small.higher_powers.size)
+
+    def test_scalar_and_psi(self, table_small):
+        assert table_small.psi_at(9) == table_small.psi(9.5) == table_small.psi(Fraction(19, 2))
+        assert table_small.psi(-3) == table_small.psi_at(0) == 0.0
+
+    @pytest.mark.parametrize("x", [-1, 20_001, [5, -1], [20_001, 3]])
+    def test_refuses_out_of_range(self, table_small, x):
+        with pytest.raises(OutOfRangeError):
+            table_small.psi_at(np.asarray(x))
+
+    def test_refuses_non_integer(self, table_small):
+        with pytest.raises(DomainError):
+            table_small.psi_at(np.array([2.0, 3.0]))
+
+    def test_reads_pi_prefix_when_called(self, table_small):
+        # element reads of the pi prefix stand for psi lookups, so a
+        # counting view put in its place must see one read per argument
+        reads = []
+
+        class Counting(np.ndarray):
+            def __getitem__(self, idx):
+                out = super().__getitem__(idx)
+                reads.append(np.size(out))
+                return out
+
+        table = PrimeTable(table_small.limit)
+        table.pi_prefix = table.pi_prefix.view(Counting)
+        assert table.psi_at(np.arange(50)).tobytes() == (
+            table_small.psi_at(np.arange(50)).tobytes())
+        assert reads == [50]
 
 
 class TestVonMangoldtAndMu:
-    """`_von_mangoldt`, the Lambda array psi is built from, against
-    `direct_lambda`."""
+    """`_von_mangoldt`, the dense Lambda array behind the tests' psi
+    oracle `dense_psi`, against `direct_lambda`."""
 
     def test_lambda_values(self, table_small):
         lam = _von_mangoldt(table_small.limit, table_small.primes)
@@ -245,6 +328,15 @@ class TestLegendre:
     def test_rejects_composite(self):
         with pytest.raises(DomainError):
             legendre_exponent(4, 10)
+
+    @pytest.mark.parametrize("n", [10.5, 10.0, np.float64(10), Fraction(10), "10"])
+    def test_rejects_non_integer_n(self, n):
+        with pytest.raises(DomainError):
+            legendre_exponent(2, n)
+
+    def test_accepts_numpy_integer_n(self):
+        e = legendre_exponent(2, np.int64(10))
+        assert type(e) is int and e == 8
 
     @given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 400))
     @settings(max_examples=100, deadline=None)
@@ -439,6 +531,17 @@ class TestIntegerRoot:
     def test_beyond_float_range(self):
         assert integer_root((10**100 + 7) ** 3, 3) == 10**100 + 7
         assert integer_root(2**2000, 5) == 2**400
+
+    @pytest.mark.parametrize("x, i", [(10.5, 3), (10.5, 2), (10.0, 1), (10, 2.0),
+                                      ("10", 2), (10, 0), (10, -1), (-1, 2)])
+    def test_refuses_bad_input(self, x, i):
+        with pytest.raises(DomainError):
+            integer_root(x, i)
+
+    def test_accepts_numpy_integers(self):
+        for i in (1, 2, 3):
+            r = integer_root(np.int64(1000), np.int64(i))
+            assert type(r) is int and r == [1000, 31, 10][i - 1]
 
     @pytest.mark.parametrize("r", [2, 3, 12_345, 2**26 - 1, 2**26, 2**26 + 1,
                                    10**17 + 3, 2**400, 10**100 + 7])
