@@ -342,14 +342,28 @@ def alternating_pi_sum(x, table: PrimeTable) -> tuple[int, float]:
 
 def bertrand_check(limit: int, table: PrimeTable) -> int | None:
     """Verify pi(2n) - pi(n) > 0 for all n in [1, limit].  Returns None on
-    success, else the first counterexample n."""
+    success, else the first counterexample n.
+
+    Read over consecutive primes p_0 < p_1 < ... <= 2*limit rather than
+    over every n: n = 1 needs p_0 = 2.  An n >= 2 has a largest prime
+    p_i <= n, and (n, 2n] holds a prime iff p_{i+1} <= 2n; on
+    [p_i, p_{i+1}) that fails first at n = p_i, and fails there iff
+    p_{i+1} > 2 p_i.  So the first counterexample is the first p_i <= limit
+    whose successor exceeds 2 p_i, or has none in the table (the table
+    reaches 2*limit >= 2 p_i)."""
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
     if 2 * limit > table.limit:
         raise OutOfRangeError(
             f"2*limit = {2 * limit} exceeds table limit {table.limit}")
-    n = np.arange(1, limit + 1, dtype=np.int64)
-    good = table.pi_prefix[2 * n] > table.pi_prefix[n]
-    if good.all():
-        return None
-    return int(n[int(np.argmin(good))])
+    p = table.primes_up_to(2 * limit)
+    if p.size == 0 or p[0] != 2:
+        return 1
+    head = p[:int(np.searchsorted(p, limit, side="right"))]
+    succ = p[1:head.size + 1]
+    bad = np.flatnonzero(succ > 2 * head[:succ.size])
+    if bad.size:
+        return int(head[bad[0]])
+    if succ.size < head.size:
+        return int(head[-1])
+    return None

@@ -13,11 +13,15 @@ divisors of C(n, k)" oracle that every identity in the package is
 validated against.  That oracle is Kummer's carry test: p divides
 C(n, k) iff some power q = p^i <= n has k mod q > n mod q, which equals
 the floor-difference carry floor(n/q) - floor(k/q) - floor((n-k)/q) = 1.
-It runs as one array test over the primes (level 1) and one over every
-higher power q <= n at once, with no loop over root levels.  Those powers
-are a prefix of `_power_table`, every b^i <= MAX_LIMIT with b, i >= 2
-sorted by value, which is built once, on first use, and also gives the
-membership mask its level-i witnesses and the pretty form its i-th roots.
+Level 1 (q = p) runs as one array test over the primes for small n, and
+from `_GROUPED_FROM` on as one three-floor carry per block of integers
+on which floor(n/x), floor(k/x) and floor((n-k)/x) are all constant
+(O(sqrt n) blocks), spread over the primes in each block.  One more test
+covers every higher power q <= n at once, with no loop over root
+levels.  Those powers are a prefix of `_power_table`, every
+b^i <= MAX_LIMIT with b, i >= 2 sorted by value, which is built once, on
+first use, and also gives the membership mask its level-i witnesses and
+the pretty form its i-th roots.
 
 `_quotients(x)`, the distinct floor(x/j), is the one quotient set that the
 pi and psi series and the level-1 cells holding an integer all read.  The
@@ -408,6 +412,43 @@ def _powers_up_to(n: int) -> np.ndarray:
     return table[:, :int(np.searchsorted(table[2], n, side="right"))]
 
 
+#: From this n on, `_binom_divisor_flags` runs the level-1 carry once per
+#: block of constant floors (`_grouped_level1`) instead of once per prime.
+#: Below it the grouped path's dozen numpy calls cost more than the
+#: per-prime test: the two take the same time near n = 5 * 10^4 (2 vCPU,
+#: numpy 2.4; BENCH_grouped_oracle.json holds the crossover table).
+_GROUPED_FROM = 1 << 16
+
+
+def _grouped_level1(table: PrimeTable, n: int, k: int) -> np.ndarray:
+    """The level-1 carry floor(n/p) - floor(k/p) - floor((n-k)/p) = 1 at
+    each prime p <= n, as one bool per prime, for 0 <= k <= n <= limit:
+    evaluated once per block of integers on which all three floors are
+    constant, then spread over the primes in each block.
+
+    With R = isqrt(n), the sorted nonzero values of 1..R and of y // j
+    for y in (n, k, n - k) and j <= R cut (0, n] into blocks (v', v], v'
+    the value before v (0 before the first); the last value is n // 1.
+    No floor(y/x) changes inside a block: if floor(y/(x+1)) < q =
+    floor(y/x), then qx <= y < q(x+1), so x = y // q is in the quotient
+    set of y (`_quotients`), its head y // j with j <= isqrt(y) or its
+    tail 1..y // (isqrt(y) + 1).  Both parts are among the values, as
+    isqrt(y) <= R, so x is a value itself and x, x + 1 lie in different
+    blocks.  y = 0 has floor 0 everywhere, and its 0 values are dropped.
+    A repeated value makes an empty block, which holds no prime, so a
+    plain sort suffices.  Each block's floors are read at its right end v,
+    and it holds pi(v) - pi(v') primes.
+    """
+    r = math.isqrt(n)
+    j = np.arange(1, r + 1, dtype=np.int64)
+    y = np.array([[n], [k], [n - k]], dtype=np.int64)
+    v = np.sort(np.concatenate((j, (y // j).ravel())))
+    v = v[np.searchsorted(v, 0, side="right"):]
+    f = y // v
+    counts = np.diff(table.pi_prefix[v], prepend=0)
+    return np.repeat(f[0] > f[1] + f[2], counts)
+
+
 def _binom_divisor_flags(table: PrimeTable, n: int,
                          k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(primes <= n, "divides C(n, k)" per prime, "carries at p itself"
@@ -423,14 +464,19 @@ def _binom_divisor_flags(table: PrimeTable, n: int,
     0 < q + r - s < q, so floor((n-k)/q) = a - b - 1 and the difference
     is 1.
 
-    Level 1 is one such test over all primes <= n.  The powers b^i <= n
+    Level 1 runs that test over all primes <= n below `_GROUPED_FROM`,
+    and from there the three-floor carry once per block of constant
+    floors (`_grouped_level1`, O(sqrt n) blocks).  The powers b^i <= n
     with i >= 2 have bases b <= isqrt(n) and are the prefix
     `_powers_up_to(n)`: their carries are scattered onto the bases over
     0..isqrt(n), and that array is read at the primes <= isqrt(n) (the
     composite bases are tested too, and never read).
     """
     primes = table.primes_up_to(n)
-    level1 = k % primes > n % primes
+    if n < _GROUPED_FROM:
+        level1 = k % primes > n % primes
+    else:
+        level1 = _grouped_level1(table, n, k)
     r = math.isqrt(n)
     base, _, q = _powers_up_to(n)
     carries = np.zeros(r + 1, dtype=bool)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from binomfactor import (MAX_LIMIT, PI_BOUNDS_SPEC, DomainError,
-                         FactorialRatioSpec, OutOfRangeError,
+                         FactorialRatioSpec, OutOfRangeError, PrimeTable,
                          alternating_pi_sum, bertrand_check,
                          coefficient_sequence, factorial_ratio_report,
                          log_factorial_prefix, omega_binom_oracle,
@@ -17,7 +17,8 @@ from binomfactor import (MAX_LIMIT, PI_BOUNDS_SPEC, DomainError,
 from binomfactor.chebyshev import PSI_RATIO_SPEC
 from binomfactor.decomposition import level_prime_count
 from binomfactor.identities import _psi_series_one, _quotient_sum
-from conftest import dense_psi
+from binomfactor.primes import _GROUPED_FROM
+from conftest import dense_psi, reference_sieve
 
 
 def gather(pp, x):
@@ -163,6 +164,14 @@ class TestOmegaIdentityReport:
     def test_zero_residual_for_equal_pair(self, table_small):
         rep = omega_identity_report(1, 1, 50, table_small)
         assert rep.lhs == rep.rhs == 0 and rep.residual == 0
+
+    def test_equal_pair_past_the_grouped_crossover(self, table_medium):
+        # n - k = 0 there, so the grouped oracle must drop the 0 quotients
+        # before it divides by them
+        for n, k in ((1, _GROUPED_FROM + 1), (3, 100_003)):
+            assert n * k > _GROUPED_FROM
+            rep = omega_identity_report(n, n, k, table_medium)
+            assert rep.lhs == rep.rhs == 0 and rep.residual == 0
 
     def test_residual_accounting_exact(self, table_medium):
         for n, m in [(2, 1), (3, 1), (4, 1), (6, 1), (5, 2)]:
@@ -379,10 +388,60 @@ class TestAlternatingPiSum:
         assert abs(ratio - math.log(2)) < 0.05
 
 
+def dense_bertrand(limit, table):
+    """The O(limit) reference for `bertrand_check`: pi(2n) > pi(n) read
+    off the pi prefix at every n <= limit."""
+    n = np.arange(1, limit + 1, dtype=np.int64)
+    good = table.pi_prefix[2 * n] > table.pi_prefix[n]
+    return None if good.all() else int(n[int(np.argmin(good))])
+
+
+def stand_in_table(limit, dropped):
+    """A `PrimeTable` over [0, limit] whose primes omit `dropped`, so that
+    Bertrand's postulate can fail on it."""
+    mask = reference_sieve(limit)
+    mask[list(dropped)] = False
+    table = object.__new__(PrimeTable)
+    table.limit = limit
+    table.pi_prefix = np.cumsum(mask, dtype=np.int32)
+    table.primes = np.flatnonzero(mask).astype(np.int64)
+    return table
+
+
 class TestBertrand:
     def test_tiny_cases(self, table_small):
         assert bertrand_check(1, table_small) is None
         assert bertrand_check(4, table_small) is None
+
+    def test_matches_dense_form_at_every_small_limit(self, table_small):
+        for limit in range(1, 5001):
+            assert bertrand_check(limit, table_small) == dense_bertrand(limit, table_small)
+
+    @pytest.mark.parametrize("dropped, limit, first", [
+        ((2,), 10, 1),                                  # n = 1 needs p_0 = 2
+        ((3,), 10, 2),                                  # 2 -> 5 > 4
+        ((23, 29, 31, 37, 41, 43, 47), 100, 19),        # 19 -> 53 > 38
+        (tuple(range(101, 201)), 100, 97),              # 97 has no successor
+        ((), 100, None),
+    ])
+    def test_stand_in_table_with_a_gap(self, dropped, limit, first):
+        table = stand_in_table(200, dropped)
+        assert bertrand_check(limit, table) == dense_bertrand(limit, table) == first
+
+    def test_seeded_gaps_match_dense_form(self):
+        # a run of dropped primes after `start`, reaching past 2 * start
+        # about half the time, plus a few dropped at random
+        rng = random.Random(1845)
+        primes = reference_sieve(4000).nonzero()[0].tolist()
+        for _ in range(200):
+            dropped = rng.sample(primes, rng.randint(0, 6))
+            start = rng.choice(primes[:303])                # primes <= 2000
+            end = start * rng.uniform(1.5, 2.5)
+            dropped += [p for p in primes if start < p < end]
+            table = stand_in_table(4000, dropped)
+            for limit in (1, 2, start - 1, start, rng.randint(1, 2000), 2000):
+                assert bertrand_check(limit, table) == dense_bertrand(limit, table), (
+                    sorted(dropped), limit)
 
     def test_moderate_sweep(self, table_medium):
         assert bertrand_check(500_000, table_medium) is None

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from binomfactor import (MAX_LIMIT, DomainError, OutOfRangeError,
                          PrimeTable, binom_exponent, integer_root,
                          legendre_exponent, omega_binom_oracle)
-from binomfactor.primes import (_CHUNK, _binom_divisor_flags, _is_prime_int,
-                               _power_table, _powers_up_to, _sieve)
+from binomfactor.primes import (_CHUNK, _GROUPED_FROM, _binom_divisor_flags,
+                               _grouped_level1, _is_prime_int, _power_table,
+                               _powers_up_to, _sieve)
 from conftest import _von_mangoldt, dense_psi, reference_sieve
 
 
@@ -478,6 +479,59 @@ class TestKummerOracle:
                 for k in sorted(x for x in ks if 0 <= x <= n):
                     self._check(table_medium, n, k)
             q *= p
+
+
+class TestGroupedLevel1:
+    """`_grouped_level1` runs the level-1 carry once per block of constant
+    floors; at every n it can be called on, including n below
+    `_GROUPED_FROM` where the oracle itself runs the per-prime test, it
+    must equal the reference loop's level-1 flags."""
+
+    @staticmethod
+    def _check(table, n, k):
+        got = _grouped_level1(table, n, k)
+        want = _reference_flags(table, n, k)[2]
+        assert got.dtype == bool and np.array_equal(got, want), (n, k)
+
+    @staticmethod
+    def _edge_ks(n, rng):
+        return sorted(k for k in {0, 1, n - 1, n, n // 2, rng.randint(0, n)} if k >= 0)
+
+    def test_every_pair_up_to_300(self, table_small):
+        for n in range(1, 301):
+            for k in range(n + 1):
+                self._check(table_small, n, k)
+
+    def test_seeded_pairs_to_ten_million(self, table_large):
+        rng = random.Random(1852)
+        for _ in range(200):
+            n = int(10 ** rng.uniform(2, 7))
+            self._check(table_large, n, rng.randint(0, n))
+
+    def test_around_the_crossover(self, table_medium):
+        rng = random.Random(_GROUPED_FROM)
+        for n in (_GROUPED_FROM - 1, _GROUPED_FROM, _GROUPED_FROM + 1):
+            for k in self._edge_ks(n, rng):
+                self._check(table_medium, n, k)
+                got = _binom_divisor_flags(table_medium, n, k)
+                for g, w in zip(got, _reference_flags(table_medium, n, k)):
+                    assert np.array_equal(g, w), (n, k)
+
+    @pytest.mark.parametrize("s", [2, 3, 17, 256, 1000, 3161])
+    def test_quotient_head_tail_boundary(self, table_large, s):
+        # isqrt(n) changes at s^2; floor(n/(r+1)) reaches r at s(s+1)
+        rng = random.Random(s)
+        for n in (s * s - 1, s * s, s * s + 1, s * (s + 1) - 1, s * (s + 1),
+                  s * (s + 1) + 1):
+            for k in self._edge_ks(n, rng):
+                self._check(table_large, n, k)
+
+    def test_at_the_table_limit(self, table_small, table_medium, table_large):
+        rng = random.Random(3)
+        for table in (table_small, table_medium, table_large):
+            n = table.limit
+            for k in self._edge_ks(n, rng):
+                self._check(table, n, k)
 
 
 class TestPowerLadder:
