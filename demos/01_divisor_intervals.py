@@ -9,22 +9,25 @@ decomposition for two showcase coefficients and cross-checks every prime
 against the brute-force sieve oracle.
 """
 
-from binomfactor import (PrimeTable, canonical_integer_form, decompose,
-                         equivalence_check, omega_binom_oracle, prime_divides)
+from binomfactor import (PrimeTable, decompose, equivalence_check,
+                         omega_binom_oracle, prime_divides)
+from binomfactor.decomposition import integer_membership_mask
 
 table = PrimeTable(10_000)
 
 for n, k in [(2000, 1000), (2000, 800)]:
     dec = decompose(n, k)
-    rows = canonical_integer_form(dec)[1]
-    shown = " u ".join(f"({c.lower}, {c.upper}]" for c in rows[:6] if not c.empty)
+    # the level-1 endpoints as exact numerator/denominator columns, floored
+    cols = dec.columns[1][:, :6]
+    rows = zip((cols[0] // cols[1]).tolist(), (cols[2] // cols[3]).tolist())
+    shown = " u ".join(f"({lo}, {hi}]" for lo, hi in rows if lo < hi)
     print(f"primes dividing C({n}, {k}):")
     print(f"  level 1: {shown} u ...")
 
     # higher root levels catch small primes whose square/cube/... is the witness
     count, primes = omega_binom_oracle(table, n, k)
-    deep = [p for p in primes.tolist() if not any(
-        iv.lower < p <= iv.upper for iv in dec.levels[1])]
+    level1 = integer_membership_mask(n, k, level=1)
+    deep = [p for p in primes.tolist() if not level1[p]]
     print(f"  omega = {count} distinct prime divisors; "
           f"{len(deep)} of them witnessed only at root level >= 2: {deep}")
 

@@ -19,9 +19,8 @@ from .chebyshev import (PI_BOUNDS_SPEC, PI_BOUNDS_SPEC_BROKEN, PSI_RATIO_SPEC,
                         empirical_bracket_check, psi_coefficient_sequence,
                         psi_variant_bounds, reconstruct_series_value,
                         verify_alternating)
-from .decomposition import (MAX_DECOMPOSE_N, CanonicalInterval, Decomposition,
-                            DivisorInterval, canonical_integer_form, decompose,
-                            equivalence_check, prime_divides)
+from .decomposition import (MAX_DECOMPOSE_N, Decomposition, DivisorInterval,
+                            decompose, equivalence_check, prime_divides)
 from .errors import (BinomfactorError, DomainError, NonAlternatingError,
                      OutOfRangeError)
 from .identities import (FactorialRatioSpec, IdentityReport,

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .identities import omega_pi_series
-from .primes import PrimeTable, omega_binom_oracle
+from .primes import PrimeTable, _as_int, omega_binom_oracle
 
 
 def _xlogx(v: int) -> float:
@@ -25,6 +25,7 @@ def omega_growth_constant(n: int, m: int) -> float:
     """log(n^n / (m^m (n-m)^(n-m))), the limit of omega(C(nk, mk)) * log k / k,
     in closed form; 0 * log 0 reads as 0, and the value is computed with
     (m, n-m) in sorted order so it is bitwise symmetric under m <-> n-m."""
+    n, m = _as_int(n, "n"), _as_int(m, "m")
     if not 1 <= m <= n:
         raise DomainError(f"need 1 <= m <= n, got n={n}, m={m}")
     lo, hi = sorted((m, n - m))

@@ -28,7 +28,7 @@ import numpy as np
 from .asymptotics import omega_growth_constant
 from .errors import DomainError, NonAlternatingError, OutOfRangeError
 from .identities import FactorialRatioSpec, _quotient_sum, omega_pi_series
-from .primes import PrimeTable, omega_binom_oracle
+from .primes import PrimeTable, _as_int, omega_binom_oracle
 
 #: Longest coefficient-sequence period (lcm of the expansion divisors): one
 #: int64 per index, and `verify_alternating` scans two periods in Python,
@@ -46,13 +46,16 @@ class CombinationTerm:
 
     Expands over pi(k/t) as +1 on multiples of a, -1 on multiples of
     a*b/(b-a), and -1 on multiples of b; the middle divisor must be an
-    integer or the expansion leaves the pi(k/t) lattice.
+    integer or the expansion leaves the pi(k/t) lattice.  The three are
+    stored as Python ints.
     """
     sign: int
     a: int
     b: int
 
     def __post_init__(self):
+        for name in ("sign", "a", "b"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.sign not in (1, -1):
             raise DomainError(f"sign must be +1 or -1, got {self.sign}")
         if self.a < 1 or self.b <= self.a:
@@ -117,6 +120,7 @@ class CoefficientSequence:
         return len(self.values)
 
     def coefficient(self, n: int) -> int:
+        n = _as_int(n, "index")
         if n < 1:
             raise DomainError(f"index must be >= 1, got {n}")
         return self.values[(n - 1) % self.period]
@@ -248,6 +252,7 @@ def _bounds_ledger(sequence: CoefficientSequence, constant: float,
     """The ledger of an alternating coefficient sequence whose
     combination grows with the given constant; both variants build
     theirs here, under the same checks."""
+    iterations = _as_int(iterations, "iterations")
     if not 1 <= iterations <= MAX_ITERATIONS:
         raise OutOfRangeError(f"need 1 <= iterations <= {MAX_ITERATIONS}, got {iterations}")
     if not (math.isfinite(initial_upper) and initial_upper > 0):
@@ -340,6 +345,7 @@ def reconstruct_series_value(seq: CoefficientSequence, k: int,
     """sum over t of a_t * pi(k/t): the combination's series value
     recomputed directly from the coefficient sequence, over the O(sqrt k)
     distinct quotients floor(k/t)."""
+    k = _as_int(k, "k")
     if k > table.limit:
         raise OutOfRangeError(f"k={k} exceeds table limit {table.limit}")
     return _quotient_sum(table.pi_prefix, k, seq.values)
@@ -382,6 +388,7 @@ def psi_variant_bounds(k_grid, table: PrimeTable) -> PsiBoundsReport:
     lead, anchor = ledger.lead_index, ledger.anchor_index
     rows = []
     for k in k_grid:
+        k = _as_int(k, "k")
         if k < 1:
             raise DomainError(f"need k >= 1, got k={k}")
         if L * k > table.limit:
@@ -390,6 +397,6 @@ def psi_variant_bounds(k_grid, table: PrimeTable) -> PsiBoundsReport:
         lo = table.psi(L * k // lead) - table.psi(L * k // anchor)
         hi = table.psi(L * k // lead)
         slack = 1e-9 * max(abs(hi), 1.0)
-        rows.append(PsiBracketRow(int(k), ratio_log, lo, hi,
+        rows.append(PsiBracketRow(k, ratio_log, lo, hi,
                                   holds=lo - slack <= ratio_log <= hi + slack))
     return PsiBoundsReport(ledger, tuple(rows))

@@ -43,8 +43,8 @@ integer, and its interval lies inside it, so the floored interval
 pi(hi) - pi(lo) = 0 to the count.
 
 `decompose` still takes every cell, since it lists the intervals that
-hold no integer too; `prime_divides`, `canonical_integer_form` and the
-pretty form read the floors of its columns (`Decomposition._floors`).
+hold no integer too; `prime_divides` and the pretty form read the floors
+of its columns (`Decomposition._floors`).
 
 Every text form of a decomposition (`Decomposition.json_chunks`,
 `csv_chunks` and `pretty_chunks`) is rendered here, straight from the
@@ -53,7 +53,6 @@ columns or their floors.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,7 +62,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError
-from .primes import (MAX_LIMIT, PrimeTable, _binom_divisor_flags,
+from .primes import (MAX_LIMIT, PrimeTable, _as_int, _binom_divisor_flags,
                      _check_binom_args, _is_prime_int, _powers_up_to,
                      _quotients)
 
@@ -119,16 +118,6 @@ class DivisorInterval:
     f: int | None
 
 
-@dataclass(frozen=True)
-class CanonicalInterval:
-    """Floored integer form (lower, upper]; prime-membership equivalent
-    to the rational original.  `empty` flags floor(a) == floor(b), i.e.
-    no integer at all lies inside."""
-    lower: int
-    upper: int
-    empty: bool
-
-
 @dataclass(frozen=True, eq=False)
 class Decomposition:
     """The full interval family for one pair (n, k), grouped by root level.
@@ -166,14 +155,6 @@ class Decomposition:
         floors = cols[0:4:2] // cols[1:4:2]
         floors.setflags(write=False)
         return floors[0, ::-1], floors[1, ::-1]
-
-    @cached_property
-    def max_root_index(self) -> int:
-        """Deepest root level holding an integer >= 2: the level of the
-        largest floored upper endpoint above its floored lower."""
-        lo, hi = self._floors
-        hi = hi[hi > lo]
-        return int(hi.max()).bit_length() - 1 if hi.size else 0
 
     def json_chunks(self) -> Iterator[str]:
         """The wire format as text: {n, k, levels: [{i, intervals: [...]}]}
@@ -309,14 +290,10 @@ def _pretty_label(i: int) -> str:
 # -- enumeration -------------------------------------------------------
 
 
-def _level_index(n: int, k: int,
-                 d: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _level_index(n: int, k: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d, j): the upper denominator d and j = floor(kd/n) + 1 of every
-    level-1 interval with d in the given ascending int64 array, by default
-    all of 1..n // 2 (the uppers n/d that can hold an integer >= 2); the
-    cells with n | kd hold no interval and are skipped."""
-    if d is None:
-        d = np.arange(1, (n >> 1) + 1, dtype=np.int64)
+    level-1 interval with d in the given ascending int64 array; the cells
+    with n | kd hold no interval and are skipped."""
     d = d[(k * d) % n != 0]
     return d, k * d // n + 1
 
@@ -335,7 +312,8 @@ def decompose(n: int, k: int) -> Decomposition:
         raise OutOfRangeError(f"decompose needs n <= {MAX_DECOMPOSE_N}, got n={n}")
     if k == 0 or k == n:
         return Decomposition(n, k, MappingProxyType({}))
-    d, j = _level_index(n, k)
+    # d <= n // 2: the uppers n/d that can hold an integer >= 2
+    d, j = _level_index(n, k, np.arange(1, (n >> 1) + 1, dtype=np.int64))
     b = n * j // k == d  # branch B: the lower endpoint is k/j
     cols = np.stack([np.where(b, k, n - k), np.where(b, j, d - j + 1),
                      np.full_like(d, n), d, j, np.where(b, -1, d - j)])
@@ -380,18 +358,6 @@ def prime_divides(dec: Decomposition, p: int) -> bool:
     return False
 
 
-def canonical_integer_form(dec: Decomposition) -> dict[int, list[CanonicalInterval]]:
-    """Floored endpoint display form, per root level.
-
-    (a, b] maps to (floor(a), floor(b)]; since primes are integers the two
-    forms have identical prime membership.  Degenerate floored intervals
-    are kept but flagged."""
-    lo, hi = dec._floors
-    rows = [CanonicalInterval(a, b, empty=a == b)
-            for a, b in zip(lo[::-1].tolist(), hi[::-1].tolist())]
-    return {i: rows[:cols.shape[1]] for i, cols in dec.columns.items()}
-
-
 # -- floored endpoints for the membership mask ---------------------------
 
 
@@ -422,10 +388,7 @@ def integer_membership_mask(n: int, k: int, level: int | None = None) -> np.ndar
     if n > MAX_LIMIT:
         raise OutOfRangeError(f"membership mask needs n <= {MAX_LIMIT}, got n={n}")
     if level is not None:
-        try:
-            level = operator.index(level)
-        except TypeError:
-            raise DomainError(f"root level must be an integer, got {level!r}") from None
+        level = _as_int(level, "root level")
         if level < 1:
             raise DomainError(f"root level must be >= 1, got {level}")
     lo, hi = _level_range_arrays(n, k, _quotients(n)[:0:-1])
@@ -446,12 +409,12 @@ def integer_membership_mask(n: int, k: int, level: int | None = None) -> np.ndar
     # r^i >= 2^i has upper >= 2^i, so it is one of level i
     base, exponent, power = _powers_up_to(n)
     if level is None:
-        member = covered.copy()
-        member[base[covered[power]]] = True
-    else:
-        member = np.zeros(n + 1, dtype=bool)
-        at = exponent == level
-        member[base[at]] = covered[power[at]]
+        # in place: the index covered[power] is read whole before the store
+        covered[base[covered[power]]] = True
+        return covered
+    member = np.zeros(n + 1, dtype=bool)
+    at = exponent == level
+    member[base[at]] = covered[power[at]]
     return member
 
 

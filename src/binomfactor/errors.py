@@ -21,6 +21,6 @@ class NonAlternatingError(BinomfactorError, ValueError):
     """A sign combination does not produce an alternating coefficient
     sequence, so the monotone bracketing argument is unavailable."""
 
-    def __init__(self, index: int, message: str | None = None):
+    def __init__(self, index: int):
         self.index = index
-        super().__init__(message or f"coefficient sequence breaks alternation at n={index}")
+        super().__init__(f"coefficient sequence breaks alternation at n={index}")

@@ -38,8 +38,8 @@ import numpy as np
 
 from .decomposition import level_prime_count
 from .errors import DomainError, OutOfRangeError
-from .primes import (_CHUNK, MAX_LIMIT, PrimeTable, _binom_divisor_flags,
-                     _floor_real, _quotients)
+from .primes import (_CHUNK, MAX_LIMIT, PrimeTable, _as_int,
+                     _binom_divisor_flags, _floor_real, _quotients)
 
 IDENTITY_OMEGA_PI = "omega_pi"
 IDENTITY_FACTORIAL_RATIO_PSI = "factorial_ratio_psi"
@@ -79,12 +79,16 @@ class IdentityReport:
 class FactorialRatioSpec:
     """Multipliers (n_1..n_j ; m_1..m_l) for the balanced factorial ratio
     (n_1 k)! ... (n_j k)! / ((m_1 k)! ... (m_l k)!).  Balance means the
-    two multiplier sums agree, which is validated at construction."""
+    two multiplier sums agree, which is validated at construction, where
+    the multipliers are stored as tuples of Python ints."""
     numerator_multipliers: tuple[int, ...]
     denominator_multipliers: tuple[int, ...]
 
     def __post_init__(self):
-        ns, ms = self.numerator_multipliers, self.denominator_multipliers
+        ns, ms = (tuple(_as_int(v, "multiplier") for v in vs)
+                  for vs in (self.numerator_multipliers, self.denominator_multipliers))
+        object.__setattr__(self, "numerator_multipliers", ns)
+        object.__setattr__(self, "denominator_multipliers", ms)
         if not ns or not ms:
             raise DomainError("both multiplier lists must be nonempty")
         if any(v < 1 for v in ns + ms):
@@ -111,6 +115,7 @@ class FactorialRatioSpec:
 
     def log_ratio(self, k: int) -> float:
         """log of the ratio at k >= 0, from the log-factorial table (fsum)."""
+        k = _as_int(k, "k")
         if k < 0:
             raise DomainError(f"need k >= 0, got k={k}")
         lf = log_factorial_prefix(self.max_multiplier * k)
@@ -119,13 +124,17 @@ class FactorialRatioSpec:
             + [-float(lf[v * k]) for v in self.denominator_multipliers])
 
 
-def _check_pair(n: int, m: int, k: int, table: PrimeTable) -> None:
+def _check_pair(n: int, m: int, k: int, table: PrimeTable) -> tuple[int, int, int]:
+    """(n, m, k) as Python ints; refuses a non-integer, n >= m >= 1 or
+    k >= 1 failing, or nk past the table."""
+    n, m, k = _as_int(n, "n"), _as_int(m, "m"), _as_int(k, "k")
     if not (n >= m >= 1):
         raise DomainError(f"need n >= m >= 1, got n={n}, m={m}")
     if k < 1:
         raise DomainError(f"need k >= 1, got k={k}")
     if n * k > table.limit:
         raise OutOfRangeError(f"n*k = {n * k} exceeds table limit {table.limit}")
+    return n, m, k
 
 
 def _quotient_sum(pp: np.ndarray, x: int, coef=(1,)) -> int:
@@ -156,7 +165,7 @@ def omega_pi_series(n: int, m: int, k: int, table: PrimeTable) -> int:
     argument drops below 2.  All pi arguments are exact rationals, floored
     by integer division; each of the three series is evaluated over the
     O(sqrt(nk)) distinct quotients floor(x/j) by `_quotient_sum`."""
-    _check_pair(n, m, k, table)
+    n, m, k = _check_pair(n, m, k, table)
     pp = table.pi_prefix
     return (_quotient_sum(pp, n * k) - _quotient_sum(pp, (n - m) * k)
             - _quotient_sum(pp, m * k))
@@ -179,7 +188,7 @@ def omega_identity_report(n: int, m: int, k: int, table: PrimeTable) -> Identity
     primes are exactly the primes in the level-1 intervals, so the check
     compares the interval enumeration against the independent oracle.
     """
-    _check_pair(n, m, k, table)
+    n, m, k = _check_pair(n, m, k, table)
     big, small = n * k, m * k
     _, divides, level1 = _binom_divisor_flags(table, big, small)
     lhs = int(divides.sum())
@@ -235,6 +244,7 @@ def log_factorial_prefix(limit: int) -> np.ndarray:
     the range of the tables its psi series are checked against.
     """
     global _LOGFACT
+    limit = _as_int(limit, "limit")
     if limit < 0:
         raise DomainError(f"log-factorial table needs limit >= 0, got {limit}")
     if limit > MAX_LIMIT:
@@ -285,6 +295,7 @@ def factorial_ratio_report(spec: FactorialRatioSpec, k: int, table: PrimeTable) 
     Also records the linear-growth value k*log(prod n^n / prod m^m) and
     its residual, which grows like log k.
     """
+    k = _as_int(k, "k")
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     if spec.max_multiplier * k > table.limit:
@@ -351,6 +362,7 @@ def bertrand_check(limit: int, table: PrimeTable) -> int | None:
     p_{i+1} > 2 p_i.  So the first counterexample is the first p_i <= limit
     whose successor exceeds 2 p_i, or has none in the table (the table
     reaches 2*limit >= 2 p_i)."""
+    limit = _as_int(limit, "limit")
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
     if 2 * limit > table.limit:

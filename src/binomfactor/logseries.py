@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError
+from .primes import _as_int
 
 #: Most blocks `partial_sum` takes.  It holds three float64 arrays over the
 #: blocks and the list of Python floats that fsum reads: tracemalloc puts
@@ -38,6 +39,7 @@ MAX_WORK = 1_000_000_000
 
 def block_term(k: int, n: int) -> float:
     """One block of the series, its inner terms combined exactly (fsum)."""
+    k, n = _as_int(k, "k"), _as_int(n, "n")
     if k < 2:
         raise DomainError("blocks need k >= 2 (k=1 is the empty identity log 1 = 0)")
     if n < 1:
@@ -64,6 +66,7 @@ def partial_sum(k: int, terms: int) -> SeriesState:
     k = 1 is the trivial fast path (log 1 = 0, no blocks); otherwise
     terms is capped at MAX_TERMS and (k - 1) * (terms + 400) at MAX_WORK.
     """
+    k, terms = _as_int(k, "k"), _as_int(terms, "terms")
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     if terms < 1:
@@ -85,6 +88,7 @@ def partial_sum(k: int, terms: int) -> SeriesState:
 
 def log3_closed_form_check(terms: int) -> float:
     """Max |block(3, j) - (9j-4)/((3j-2)(3j-1)(3j))| over j <= terms."""
+    terms = _as_int(terms, "terms")
     worst = 0.0
     for j in range(1, terms + 1):
         closed = (9 * j - 4) / ((3 * j - 2) * (3 * j - 1) * (3 * j))
@@ -99,6 +103,7 @@ def ratio_series_residual(n: int, truncation: int) -> float:
 
     The per-j term is ~ 1/(2 j^2), so the residual decays like 1/(2J).
     """
+    n, truncation = _as_int(n, "n"), _as_int(truncation, "truncation")
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     if truncation < 1:
@@ -120,6 +125,7 @@ def telescoping_check(upper: int) -> int | None:
     big-int division), not from the telescoped form itself.  Returns None
     on success, else the first failing k.
     """
+    upper = _as_int(upper, "upper")
     if upper < 2:
         raise DomainError(f"need upper >= 2, got {upper}")
     steps: list[float] = []

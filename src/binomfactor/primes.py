@@ -75,13 +75,20 @@ def _floor_real(x) -> int:
     raise DomainError(f"unsupported argument type {type(x).__name__}")
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as a Python int: ints and numpy integers are taken as the
+    ints they equal; a float (even 10.0), a str, a Fraction or None raises
+    `DomainError` naming the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def integer_root(x: int, i: int) -> int:
     """Largest r >= 0 with r**i <= x, computed exactly for ints of any size.
     Raises `DomainError` for a non-integer x or i, x < 0 or i < 1."""
-    try:
-        x, i = operator.index(x), operator.index(i)
-    except TypeError:
-        raise DomainError(f"integer_root needs integers, got x={x!r}, i={i!r}") from None
+    x, i = _as_int(x, "x"), _as_int(i, "i")
     if x < 0:
         raise DomainError("integer_root of a negative number")
     if i < 1:
@@ -151,10 +158,7 @@ class PrimeTable:
     __slots__ = ("limit", "pi_prefix", "primes", "higher_powers", "psi_values")
 
     def __init__(self, limit: int):
-        try:
-            limit = operator.index(limit)
-        except TypeError:
-            raise DomainError(f"sieve limit must be an integer, got {limit!r}") from None
+        limit = _as_int(limit, "sieve limit")
         if limit < 2:
             raise DomainError(f"sieve limit must be >= 2, got {limit}")
         if limit > MAX_LIMIT:
@@ -212,8 +216,7 @@ class PrimeTable:
 
     def is_prime(self, n: int) -> bool:
         """Primality of an integer n <= limit, read off ``pi_prefix``."""
-        if not isinstance(n, (int, np.integer)):
-            raise DomainError(f"is_prime needs an integer, got {n!r}")
+        n = _as_int(n, "n")
         return n >= 2 and bool(self.pi_prefix[self._index("is_prime", n)]
                                > self.pi_prefix[n - 1])
 
@@ -303,10 +306,7 @@ def _is_prime_int(p: int) -> bool:
     """Primality of an integer p < 2^64, by a deterministic Miller-Rabin
     test to `_MILLER_RABIN_BASES` (at most 12 modular powers).  Raises `DomainError` for a non-integer and
     `OutOfRangeError` for p >= 2^64."""
-    try:
-        p = operator.index(p)
-    except TypeError:
-        raise DomainError(f"primality needs an integer, got {p!r}") from None
+    p = _as_int(p, "p")
     if p >= 1 << 64:
         raise OutOfRangeError(f"primality test needs p < 2^64, got {p}")
     for b in _MILLER_RABIN_BASES:
@@ -334,10 +334,7 @@ def legendre_exponent(p: int, n: int) -> int:
     """Exponent of the prime p in n!, via e_p(n!) = sum_i floor(n / p^i)."""
     if not _is_prime_int(p):
         raise DomainError(f"{p} is not prime")
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise DomainError(f"n must be an integer, got {n!r}") from None
+    n = _as_int(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     return _legendre_raw(p, n)
@@ -356,10 +353,7 @@ def _check_binom_args(n: int, k: int,
                       table: PrimeTable | None = None) -> tuple[int, int]:
     """(n, k) as Python ints; rejects a non-integer n or k, a pair naming
     no C(n, k), or n past the given table.  Numpy integers are accepted."""
-    try:
-        n, k = operator.index(n), operator.index(k)
-    except TypeError:
-        raise DomainError(f"n and k must be integers, got n={n!r}, k={k!r}") from None
+    n, k = _as_int(n, "n"), _as_int(k, "k")
     if not 0 <= k <= n or n < 1:
         raise DomainError(f"need 0 <= k <= n with n >= 1, got n={n}, k={k}")
     if table is not None and n > table.limit:

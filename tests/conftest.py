@@ -89,3 +89,9 @@ def dense_psi(limit: int) -> np.ndarray:
     psi = _psi_prefix(_von_mangoldt(limit, np.flatnonzero(reference_sieve(limit))))
     psi.setflags(write=False)
     return psi
+
+
+def floored_pairs(cols):
+    """(floor(lower), floor(upper)) of each interval of a (6, m) block of
+    decomposition columns, num // den, in column order."""
+    return list(zip((cols[0] // cols[1]).tolist(), (cols[2] // cols[3]).tolist()))

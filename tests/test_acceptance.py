@@ -15,13 +15,14 @@ import pytest
 from binomfactor import (PI_BOUNDS_SPEC, PI_BOUNDS_SPEC_BROKEN,
                          FactorialRatioSpec, NonAlternatingError,
                          alternating_pi_sum, bertrand_check, binom_exponent,
-                         canonical_integer_form, coefficient_sequence,
-                         combination_constant, convergence_sweep, decompose,
+                         coefficient_sequence, combination_constant,
+                         convergence_sweep, decompose,
                          derive_bounds, equivalence_check,
                          factorial_ratio_report, growth_constant_table,
                          log3_closed_form_check, omega_growth_constant,
                          omega_identity_report, partial_sum,
                          ratio_series_residual, verify_alternating)
+from conftest import floored_pairs
 
 
 @contextlib.contextmanager
@@ -59,11 +60,11 @@ def test_criterion_02_showcase_decompositions():
     """The two worked decompositions open with the exact floored interval
     lists."""
     with criterion(2, "showcase decompositions match the known interval lists"):
-        first = canonical_integer_form(decompose(2000, 1000))[1]
-        assert [(c.lower, c.upper) for c in first[:4]] == [
+        first = floored_pairs(decompose(2000, 1000).columns[1])
+        assert first[:4] == [
             (1000, 2000), (500, 666), (333, 400), (250, 285)]
-        second = canonical_integer_form(decompose(2000, 800))[1]
-        assert [(c.lower, c.upper) for c in second[:6]] == [
+        second = floored_pairs(decompose(2000, 800).columns[1])
+        assert second[:6] == [
             (1200, 2000), (800, 1000), (600, 666), (400, 500),
             (300, 333), (266, 285)]
 

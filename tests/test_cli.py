@@ -1,9 +1,12 @@
 import hashlib
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -106,16 +109,14 @@ class TestDecomposeCommand:
 
     @staticmethod
     def _refuse_object_views(monkeypatch, what):
-        """Make the object views of a decomposition raise, the `Fraction`
-        view `Decomposition.levels` and the `CanonicalInterval` rows of
-        `canonical_integer_form`: every decompose output is rendered from
-        the columns."""
+        """Make the object view of a decomposition, the `Fraction` view
+        `Decomposition.levels`, raise: every decompose output is rendered
+        from the columns."""
         import binomfactor.decomposition as dec_mod
 
         def refuse(*args, **kwargs):
             raise AssertionError(f"not on the decompose {what} path")
         monkeypatch.setattr(dec_mod.Decomposition, "levels", property(refuse))
-        monkeypatch.setattr(dec_mod, "CanonicalInterval", refuse)
         return refuse
 
     def test_json_streams_without_dumps(self, capsys, monkeypatch):
@@ -377,3 +378,35 @@ class TestInputErrors:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert err.startswith("error:") and cause in err
+
+
+def _readme_commands():
+    """(argv, documented exit code) of each ``binomfactor ...`` line of the
+    README: a trailing "# ... exit N" comment documents N, any other line 0."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    commands = []
+    for line in readme.read_text().splitlines():
+        if line.startswith("binomfactor "):
+            documented = re.search(r"\bexit (\d+)", line.partition("#")[2])
+            commands.append((shlex.split(line, comments=True)[1:],
+                             int(documented.group(1)) if documented else 0))
+    return commands
+
+
+README_COMMANDS = _readme_commands()
+
+
+class TestReadmeCommands:
+    """Every command line the README shows runs and exits as documented."""
+
+    def test_block_found(self):
+        assert len(README_COMMANDS) >= 11
+        assert sorted({code for _, code in README_COMMANDS}) == [0, 4]
+
+    @pytest.mark.parametrize("argv,code", README_COMMANDS,
+                             ids=[" ".join(argv) for argv, _ in README_COMMANDS])
+    def test_exit_code(self, capsys, monkeypatch, argv, code):
+        monkeypatch.delenv("BINOMFACTOR_SIEVE_LIMIT", raising=False)
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code, err
+        assert out if code == 0 else err

@@ -16,19 +16,18 @@ from hypothesis import strategies as st
 
 import binomfactor.decomposition as decomposition
 from binomfactor import (MAX_DECOMPOSE_N, MAX_LIMIT, DomainError,
-                         OutOfRangeError, binom_exponent,
-                         canonical_integer_form, decompose, equivalence_check,
-                         integer_root, omega_binom_oracle, prime_divides)
+                         OutOfRangeError, binom_exponent, decompose,
+                         equivalence_check, integer_root, omega_binom_oracle,
+                         prime_divides)
 from binomfactor.decomposition import (_level_range_arrays,
                                        integer_membership_mask,
                                        level_prime_count)
 from binomfactor.primes import _quotients
+from conftest import floored_pairs
 
 
 def canonical_level1_pairs(n, k, count=None):
-    dec = decompose(n, k)
-    rows = canonical_integer_form(dec)[1]
-    pairs = [(c.lower, c.upper) for c in rows]
+    pairs = floored_pairs(decompose(n, k).columns[1])
     return pairs[:count] if count else pairs
 
 
@@ -97,7 +96,6 @@ class TestDegenerateInputs:
     def test_diagonal_empty(self):
         dec = decompose(5, 5)
         assert not dec.columns
-        assert dec.max_root_index == 0
 
     def test_k_zero_empty(self):
         assert not decompose(7, 0).columns
@@ -129,7 +127,7 @@ class TestDegenerateInputs:
 
     def test_degenerate_interval_raises(self, monkeypatch):
         # (d, j) = (3, 3) at (10, 3) would give the interval (7, 10/3]
-        def broken(n, k):
+        def broken(n, k, d):
             return np.array([3]), np.array([3])
         monkeypatch.setattr(decomposition, "_level_index", broken)
         with pytest.raises(DomainError, match="degenerate"):
@@ -140,10 +138,10 @@ class TestDegenerateInputs:
         # prefixes wrong; decompose must refuse them
         real = decomposition._level_index
 
-        def reversed_d(n, k):
-            d, j = real(n, k)
+        def reversed_d(n, k, d):
+            d, j = real(n, k, d)
             return d[::-1], j[::-1]
-        assert len(real(100, 37)[0]) > 1
+        assert len(real(100, 37, np.arange(1, 51))[0]) > 1
         monkeypatch.setattr(decomposition, "_level_index", reversed_d)
         with pytest.raises(DomainError, match="out of order"):
             decompose(100, 37)
@@ -155,7 +153,7 @@ class TestDegenerateInputs:
 
     def test_decomposition_immutable(self):
         dec = decompose(100, 37)
-        assert dec.max_root_index == 6 and dec.levels[1]  # cached readers work
+        assert max(dec.columns) == 6 and dec.levels[1]  # cached readers work
         with pytest.raises(dataclasses.FrozenInstanceError):
             dec.n = 99
         with pytest.raises(TypeError):
@@ -167,15 +165,15 @@ class TestDegenerateInputs:
         assert np.shares_memory(prefix, dec.columns[1])
         with pytest.raises(ValueError):
             prefix[0, 0] = 1
-        # neither the floors behind prime_divides and max_root_index nor
-        # the levels mapping can be changed from outside
+        # neither the floors behind prime_divides nor the levels mapping
+        # can be changed from outside
         dec = decompose(2000, 1000)
-        assert prime_divides(dec, 1999) and dec.max_root_index == 10
+        assert prime_divides(dec, 1999)
         for arr in dec._floors:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[:] = 0
-        assert prime_divides(dec, 1999) and dec.max_root_index == 10
+        assert prime_divides(dec, 1999)
         assert isinstance(dec.levels, MappingProxyType)
         first = dec.levels[1]
         with pytest.raises(TypeError):
@@ -184,36 +182,33 @@ class TestDegenerateInputs:
 
 
 class TestCanonicalForm:
+    """The floored endpoints num // den of the columns."""
+
     def test_floored_endpoint(self):
         dec = decompose(2000, 1000)
-        # the 2000/3 endpoint displays as 666
-        second = canonical_integer_form(dec)[1][1]
-        assert second.upper == 666
+        # the 2000/3 endpoint floors to 666
+        assert floored_pairs(dec.columns[1])[1][1] == 666
         assert dec.levels[1][1].upper == Fraction(2000, 3)
 
     def test_integer_endpoints_unchanged(self):
-        first = canonical_integer_form(decompose(2000, 1000))[1][0]
-        assert (first.lower, first.upper) == (1000, 2000)
+        assert floored_pairs(decompose(2000, 1000).columns[1])[0] == (1000, 2000)
 
     def test_degenerate_flagged(self):
-        # hunt a degenerate floored interval in a few decompositions
+        # hunt a floored interval holding no integer in a few decompositions
         found = False
         for n, k in [(50, 21), (101, 43), (211, 90), (499, 201)]:
-            for rows in canonical_integer_form(decompose(n, k)).values():
-                for c in rows:
-                    if c.empty:
-                        assert c.lower == c.upper
-                        found = True
+            for cols in decompose(n, k).columns.values():
+                found |= any(lo == hi for lo, hi in floored_pairs(cols))
         assert found
 
     def test_membership_equivalent(self, table_small):
         # floored intervals hold exactly the same primes as the rationals
         dec = decompose(997, 401)
-        rows = canonical_integer_form(dec)[1]
+        rows = floored_pairs(dec.columns[1])
         ivs = dec.levels[1]
         for p in table_small.primes_up_to(997).tolist():
             exact = any(iv.lower < p <= iv.upper for iv in ivs)
-            floored = any(c.lower < p <= c.upper for c in rows)
+            floored = any(lo < p <= hi for lo, hi in rows)
             assert exact == floored
 
 
@@ -313,12 +308,15 @@ class TestCentralSpecialisation:
 class TestTruncationSoundness:
     @pytest.mark.parametrize("n,k", [(2, 1), (100, 37), (2000, 800), (4096, 1)])
     def test_no_power_beyond_max_level(self, n, k):
+        # the deepest level is that of the largest floored upper above its
+        # floored lower, and no power 2^(i+1) past it reaches n
         dec = decompose(n, k)
-        assert 2 ** (dec.max_root_index + 1) > n
+        top = max(hi for lo, hi in floored_pairs(dec.columns[1]) if hi > lo).bit_length() - 1
+        assert top == max(dec.columns) and 2 ** (top + 1) > n
 
     def test_max_level_has_integer_content(self):
         dec = decompose(2000, 1000)
-        top = dec.levels[dec.max_root_index]
+        top = dec.levels[max(dec.columns)]
         assert any(
             iv.upper.numerator // iv.upper.denominator >= 2
             and iv.upper.numerator // iv.upper.denominator
@@ -520,27 +518,27 @@ class TestCsvChunks:
 
 
 def _reference_pretty(dec, exact):
-    """The pretty text the CLI wrote through the `canonical_integer_form`
-    rows and the `to_json_dict` records, with one `integer_root` per
-    interval per level."""
+    """The pretty text the CLI wrote through the floored `Fraction`
+    endpoints of `Decomposition.levels` and the `to_json_dict` records,
+    with one `integer_root` per interval per level."""
     def ratio(end):
         return str(end["num"]) if end["den"] == 1 else f"{end['num']}/{end['den']}"
     lines = [f"prime divisors of C({dec.n}, {dec.k}) lie in:"]
-    canonical = canonical_integer_form(dec)
     if exact:
         shown = {lv["i"]: [f"({ratio(iv['lower'])}, {ratio(iv['upper'])}]"
                            for iv in lv["intervals"]]
                  for lv in to_json_dict(dec)["levels"]}
     else:
         shown = {}
-        for i, rows in canonical.items():
-            roots = [(integer_root(c.lower, i), integer_root(c.upper, i)) for c in rows]
+        for i, ivs in dec.levels.items():
+            roots = [(integer_root(math.floor(iv.lower), i), integer_root(math.floor(iv.upper), i))
+                     for iv in ivs]
             shown[i] = [f"({lo}, {hi}]" for lo, hi in roots if hi > lo and hi >= 2]
     for i, parts in shown.items():
         if parts:
             label = f"  level {i}: " if i == 1 else f"  level {i} (p^{i} witnesses): p in "
             lines.append(label + " u ".join(parts))
-    if not any(canonical.values()):
+    if not any(dec.levels.values()):
         lines.append("  (empty: the coefficient is 1)")
     return "\n".join(lines) + "\n"
 
@@ -902,3 +900,16 @@ class TestMaskOverIntegerCells:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20
+
+    def test_union_needs_no_second_mask(self):
+        # the union over root levels is painted into the level-1 mask in
+        # place; a copy of it put the peak at ~2.1 (n + 1) bytes
+        n = 10**6
+        integer_membership_mask(n, 333333)  # builds the cached power table
+        tracemalloc.start()
+        try:
+            integer_membership_mask(n, 333333)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (n + 1)
