@@ -112,6 +112,8 @@ class CoefficientSequence:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "values",
+                           tuple(_as_int(v, "coefficient") for v in self.values))
         if not self.values:
             raise DomainError("a coefficient sequence needs at least one value")
 
@@ -323,8 +325,6 @@ def empirical_bracket_check(spec: CombinationSpec, k_grid,
         if k % spec.k_multiple:
             raise DomainError(
                 f"k={k} is not a multiple of the spec's k-multiple {spec.k_multiple}")
-        if k // min(t.a for t in spec.terms) > table.limit:
-            raise OutOfRangeError(f"k={k} needs arguments beyond table limit")
         omega_sum = 0
         series_sum = 0
         for term in spec.terms:
@@ -344,11 +344,8 @@ def reconstruct_series_value(seq: CoefficientSequence, k: int,
                              table: PrimeTable) -> int:
     """sum over t of a_t * pi(k/t): the combination's series value
     recomputed directly from the coefficient sequence, over the O(sqrt k)
-    distinct quotients floor(k/t)."""
-    k = _as_int(k, "k")
-    if k > table.limit:
-        raise OutOfRangeError(f"k={k} exceeds table limit {table.limit}")
-    return _quotient_sum(table.pi_prefix, k, seq.values)
+    distinct quotients floor(k/t); k past the table raises `OutOfRangeError`."""
+    return _quotient_sum(table, _as_int(k, "k"), seq.values)
 
 
 @dataclass(frozen=True)

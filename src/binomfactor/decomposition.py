@@ -441,5 +441,4 @@ def level_prime_count(table: PrimeTable, n: int, k: int) -> int:
     holds no integer and adds pi(hi) - pi(lo) = 0."""
     n, k = _check_binom_args(n, k, table)
     lo, hi = _level_range_arrays(n, k, _quotients(n)[:0:-1])
-    pp = table.pi_prefix
-    return int((pp[hi] - pp[lo]).sum())
+    return int((table.pi_at(hi) - table.pi_at(lo)).sum())

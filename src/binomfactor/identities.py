@@ -16,9 +16,9 @@ oracle:
 Also: the alternating sum sum_i (-1)^(i+1) pi(x/i), whose ratio against
 x/log x tends to log 2, and the Bertrand sweep pi(2n) > pi(n).
 
-Every pi series here is a sum of pi at floor(x/j), whose ~2 sqrt(x)
-values are `primes._quotients(x)`; `_quotient_sum` evaluates it exactly
-over them (Dirichlet hyperbola grouping), never over all x/2 indices j.
+Every pi series here is a sum of pi at floor(x/j); `_quotient_sum` sums
+it exactly over the ~2 sqrt(x) quotients `PrimeTable.pi_on_quotients`
+reads (Dirichlet hyperbola grouping), never over all x/2 indices j.
 
 The psi series is a float sum, and regrouping its terms would move the
 last bits of the result.  `_psi_series_one` therefore still sums all c/2
@@ -124,40 +124,36 @@ class FactorialRatioSpec:
             + [-float(lf[v * k]) for v in self.denominator_multipliers])
 
 
-def _check_pair(n: int, m: int, k: int, table: PrimeTable) -> tuple[int, int, int]:
-    """(n, m, k) as Python ints; refuses a non-integer, n >= m >= 1 or
-    k >= 1 failing, or nk past the table."""
+def _check_pair(n: int, m: int, k: int) -> tuple[int, int, int]:
+    """(n, m, k) as Python ints; refuses a non-integer, n >= m >= 1 or k >= 1 failing."""
     n, m, k = _as_int(n, "n"), _as_int(m, "m"), _as_int(k, "k")
     if not (n >= m >= 1):
         raise DomainError(f"need n >= m >= 1, got n={n}, m={m}")
     if k < 1:
         raise DomainError(f"need k >= 1, got k={k}")
-    if n * k > table.limit:
-        raise OutOfRangeError(f"n*k = {n * k} exceeds table limit {table.limit}")
     return n, m, k
 
 
-def _quotient_sum(pp: np.ndarray, x: int, coef=(1,)) -> int:
-    """sum over j >= 1 of c_j * pp[floor(x/j)], with the periodic
+def _quotient_sum(table: PrimeTable, x: int, coef=(1,)) -> int:
+    """sum over j >= 1 of c_j * pi(floor(x/j)), with the periodic
     coefficients c_j = coef[(j - 1) % len(coef)].
 
-    One pass over the values q of `_quotients(x)`: the j sharing q are
-    (lo, hi] with hi = floor(x/q) and lo the previous value's hi (0 for
-    the first), so q is weighted by the coefficient mass C(hi) - C(lo) of
-    its run, where C(v) = sum of c_j over j <= v.  Integer arithmetic
-    throughout, O(sqrt x) work.  With pp = pi_prefix, pp[0] = pp[1] = 0,
-    so summing over every j equals stopping once the argument drops
-    below 2.
+    One pass over the values q of `_quotients(x)`, with pi at each from
+    `PrimeTable.pi_on_quotients` (which refuses x past the table): the j
+    sharing q are (lo, hi] with hi = floor(x/q) and lo the previous
+    value's hi (0 for the first), so q is weighted by the coefficient mass
+    C(hi) - C(lo) of its run, where C(v) = sum of c_j over j <= v.  Integer
+    arithmetic throughout, O(sqrt x) work.  pi(0) = pi(1) = 0, so summing
+    over every j equals stopping once the argument drops below 2.
     """
     if x < 2:
         return 0
-    c = np.asarray(coef, dtype=np.int64)
-    period = len(c)
-    cum = np.concatenate(([0], np.cumsum(c)))
-    q = _quotients(x)
+    q, pi = table.pi_on_quotients(x)
+    period = len(coef)
+    cum = np.concatenate(([0], np.cumsum(coef, dtype=np.int64)))
     hi = x // q
     mass = np.diff(hi // period * cum[-1] + cum[hi % period], prepend=0)
-    return int((mass * pp[q]).sum())
+    return int((mass * pi).sum())
 
 
 def omega_pi_series(n: int, m: int, k: int, table: PrimeTable) -> int:
@@ -165,10 +161,9 @@ def omega_pi_series(n: int, m: int, k: int, table: PrimeTable) -> int:
     argument drops below 2.  All pi arguments are exact rationals, floored
     by integer division; each of the three series is evaluated over the
     O(sqrt(nk)) distinct quotients floor(x/j) by `_quotient_sum`."""
-    n, m, k = _check_pair(n, m, k, table)
-    pp = table.pi_prefix
-    return (_quotient_sum(pp, n * k) - _quotient_sum(pp, (n - m) * k)
-            - _quotient_sum(pp, m * k))
+    n, m, k = _check_pair(n, m, k)
+    return (_quotient_sum(table, n * k) - _quotient_sum(table, (n - m) * k)
+            - _quotient_sum(table, m * k))
 
 
 def omega_identity_report(n: int, m: int, k: int, table: PrimeTable) -> IdentityReport:
@@ -188,7 +183,7 @@ def omega_identity_report(n: int, m: int, k: int, table: PrimeTable) -> Identity
     primes are exactly the primes in the level-1 intervals, so the check
     compares the interval enumeration against the independent oracle.
     """
-    n, m, k = _check_pair(n, m, k, table)
+    n, m, k = _check_pair(n, m, k)
     big, small = n * k, m * k
     _, divides, level1 = _binom_divisor_flags(table, big, small)
     lhs = int(divides.sum())
@@ -340,13 +335,11 @@ def alternating_pi_sum(x, table: PrimeTable) -> tuple[int, float]:
     floor(x/i), each weighted by its count of odd i minus even i
     (`_quotient_sum` with the period-2 coefficients (1, -1))."""
     v = _floor_real(x)
-    if v > table.limit:
-        raise OutOfRangeError(f"x={x} exceeds table limit {table.limit}")
     if v < 2:
         return 0, 0.0
     # floor(x/i) == floor(floor(x)/i) for integer i, so integer division
     # on the floored argument is exact for any real x
-    s = _quotient_sum(table.pi_prefix, v, (1, -1))
+    s = _quotient_sum(table, v, (1, -1))
     xf = float(x)
     return s, s / (xf / math.log(xf))
 
@@ -365,9 +358,6 @@ def bertrand_check(limit: int, table: PrimeTable) -> int | None:
     limit = _as_int(limit, "limit")
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
-    if 2 * limit > table.limit:
-        raise OutOfRangeError(
-            f"2*limit = {2 * limit} exceeds table limit {table.limit}")
     p = table.primes_up_to(2 * limit)
     if p.size == 0 or p[0] != 2:
         return 1

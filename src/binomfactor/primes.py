@@ -189,21 +189,34 @@ class PrimeTable:
         """Chebyshev psi(x) = sum of Lambda(n) over n <= x, natural logs."""
         return float(self.psi_at(self._index("psi", x)))
 
+    def pi_at(self, x) -> np.ndarray:
+        """pi at each integer of x, as int32; outside the table, pi is read
+        only here and in `pi_on_quotients`.  Raises `DomainError` for a
+        non-integer dtype and `OutOfRangeError` for x outside [0, limit]."""
+        x = np.asarray(x)
+        if x.dtype.kind not in "iu":
+            raise DomainError(f"pi_at needs integers, got dtype {x.dtype}")
+        if x.size and (x.min() < 0 or x.max() > self.limit):
+            raise OutOfRangeError(f"pi_at needs 0 <= x <= {self.limit}, got [{x.min()}, {x.max()}]")
+        return self.pi_prefix[x]
+
+    def pi_on_quotients(self, x: int) -> tuple[np.ndarray, np.ndarray]:
+        """(`_quotients(x)`, pi at each) for an int x; x outside [0, limit]
+        raises `OutOfRangeError` before the quotients, all in [1, x], are built."""
+        x = _as_int(x, "x")
+        if not 0 <= x <= self.limit:
+            raise OutOfRangeError(f"pi_on_quotients needs 0 <= x <= {self.limit}, got {x}")
+        q = _quotients(x)
+        return q, self.pi_prefix[q]
+
     def psi_at(self, x) -> np.ndarray:
         """psi at each integer of x, 0 <= x <= limit, as float64.
 
         The prime powers <= x number pi(x) plus the higher powers <= x,
         and that count indexes `psi_values`; a ``searchsorted`` over the
         few higher powers (555 at 10^7) stands in for one over all of the
-        prime powers.  Raises `OutOfRangeError` for x outside [0, limit],
-        where ``pi_prefix[x]`` would wrap or fail."""
-        x = np.asarray(x)
-        if x.dtype.kind not in "iu":
-            raise DomainError(f"psi_at needs integers, got dtype {x.dtype}")
-        if x.size and (x.min() < 0 or x.max() > self.limit):
-            raise OutOfRangeError(
-                f"psi_at needs 0 <= x <= {self.limit}, got [{x.min()}, {x.max()}]")
-        count = self.pi_prefix[x] + np.searchsorted(self.higher_powers, x, side="right")
+        prime powers.  `pi_at` checks x."""
+        count = self.pi_at(x) + np.searchsorted(self.higher_powers, x, side="right")
         return self.psi_values[count]
 
     def _index(self, name: str, x) -> int:
@@ -224,6 +237,7 @@ class PrimeTable:
 
     def primes_up_to(self, n: int) -> np.ndarray:
         """View of all primes <= n (ascending)."""
+        n = _as_int(n, "n")
         if n > self.limit:
             raise OutOfRangeError(f"primes_up_to({n}) exceeds table limit {self.limit}")
         idx = int(np.searchsorted(self.primes, n, side="right"))
@@ -439,7 +453,7 @@ def _grouped_level1(table: PrimeTable, n: int, k: int) -> np.ndarray:
     v = np.sort(np.concatenate((j, (y // j).ravel())))
     v = v[np.searchsorted(v, 0, side="right"):]
     f = y // v
-    counts = np.diff(table.pi_prefix[v], prepend=0)
+    counts = np.diff(table.pi_at(v), prepend=0)
     return np.repeat(f[0] > f[1] + f[2], counts)
 
 

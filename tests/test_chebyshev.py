@@ -79,9 +79,10 @@ class TestCoefficientSequence:
             assert via_seq == via_terms
 
     def test_series_value_out_of_range(self, table_small):
-        with pytest.raises(OutOfRangeError):
-            reconstruct_series_value(coefficient_sequence(PI_BOUNDS_SPEC),
-                                     table_small.limit + 1, table_small)
+        for k in (table_small.limit + 1, 10**30):
+            with pytest.raises(OutOfRangeError):
+                reconstruct_series_value(coefficient_sequence(PI_BOUNDS_SPEC),
+                                         k, table_small)
 
 
 class TestAlternation:
@@ -174,6 +175,12 @@ class TestEmpiricalBracket:
     def test_rejects_non_alternating(self, table_small):
         with pytest.raises(NonAlternatingError):
             empirical_bracket_check(PI_BOUNDS_SPEC_BROKEN, [420], table_small)
+
+    @pytest.mark.parametrize("k", [40_020, 60 * 10**20])
+    def test_out_of_range(self, table_small, k):
+        # 40_020 / 2 = 20_010 passes the 20_000 table
+        with pytest.raises(OutOfRangeError):
+            empirical_bracket_check(PI_BOUNDS_SPEC, [k], table_small)
 
 
 class TestPsiVariant:

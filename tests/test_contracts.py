@@ -1,6 +1,7 @@
 """Contract checks in the package must hold under `python -O`, which
 strips `assert` statements, so the package may contain none.  Every
-integer argument is checked, and a float is refused with `DomainError`."""
+integer argument is checked, and a float is refused with `DomainError`.
+The pi prefix's format is known to `PrimeTable` alone."""
 
 import ast
 from pathlib import Path
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import binomfactor
-from binomfactor import (PI_BOUNDS_SPEC, CombinationTerm, DomainError,
-                         FactorialRatioSpec, bertrand_check, block_term,
+from binomfactor import (PI_BOUNDS_SPEC, CoefficientSequence, CombinationTerm,
+                         DomainError, FactorialRatioSpec, bertrand_check, block_term,
                          coefficient_sequence, derive_bounds,
                          factorial_ratio_report, log3_closed_form_check,
                          log_factorial_prefix, omega_growth_constant,
@@ -28,6 +29,22 @@ def test_package_has_no_assert():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements vanish under python -O: {found}"
+
+
+def test_pi_prefix_read_only_inside_prime_table():
+    """Outside the `PrimeTable` class body no code names ``.pi_prefix``:
+    every reader goes through `pi_at` or `pi_on_quotients`, so a change
+    of the prefix's storage stays inside the class."""
+    found = []
+    for path in sorted(Path(binomfactor.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "PrimeTable"
+                  for node in ast.walk(cls)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "pi_prefix"
+                  and id(node) not in inside]
+    assert not found, f"pi_prefix read outside PrimeTable: {found}"
 
 
 #: Entry points that take an integer argument, each as f(table, x) with x
@@ -49,6 +66,8 @@ INTEGER_ENTRY_POINTS = {
         (lambda t, x: reconstruct_series_value(coefficient_sequence(PI_BOUNDS_SPEC), x, t),
          1000),
     "derive_bounds": (lambda t, x: derive_bounds(PI_BOUNDS_SPEC, iterations=x), 3),
+    "CoefficientSequence": (lambda t, x: CoefficientSequence((x, -1)), 1),
+    "PrimeTable.primes_up_to": (lambda t, x: t.primes_up_to(x).tolist(), 10),
     "CoefficientSequence.coefficient":
         (lambda t, x: coefficient_sequence(PI_BOUNDS_SPEC).coefficient(x), 12),
     "partial_sum": (lambda t, x: partial_sum(x, 10), 3),

@@ -44,7 +44,8 @@ class TestQuotientSum:
         pp = table_small.pi_prefix
         for coef in COEFFICIENT_SETS:
             for x in range(0, 5001):
-                assert _quotient_sum(pp, x, coef) == gather_sum(pp, x, coef), (x, coef)
+                assert _quotient_sum(table_small, x, coef) == gather_sum(pp, x, coef), (
+                    x, coef)
 
     def test_seeded_x_to_ten_million(self, table_large):
         pp = table_large.pi_prefix
@@ -52,7 +53,8 @@ class TestQuotientSum:
         for x in (rng.randint(2, 10_000_000) for _ in range(200)):
             vals = gather(pp, x)
             for coef in COEFFICIENT_SETS:
-                assert _quotient_sum(pp, x, coef) == weighted_sum(vals, coef), (x, coef)
+                assert _quotient_sum(table_large, x, coef) == weighted_sum(vals, coef), (
+                    x, coef)
 
     def test_callers_match_gather(self, table_medium):
         pp = table_medium.pi_prefix
@@ -87,6 +89,8 @@ class TestOmegaPiSeries:
     def test_out_of_range(self, table_small):
         with pytest.raises(OutOfRangeError):
             omega_pi_series(3, 1, 10_000, table_small)
+        with pytest.raises(OutOfRangeError):
+            omega_pi_series(2, 1, 10**20, table_small)
 
     def test_bad_pair(self, table_small):
         with pytest.raises(DomainError):
@@ -387,6 +391,11 @@ class TestAlternatingPiSum:
         _, ratio = alternating_pi_sum(1_000_000, table_medium)
         assert abs(ratio - math.log(2)) < 0.05
 
+    @pytest.mark.parametrize("x", [20_001, 20_001.5, 1e300])
+    def test_out_of_range(self, table_small, x):
+        with pytest.raises(OutOfRangeError):
+            alternating_pi_sum(x, table_small)
+
 
 def dense_bertrand(limit, table):
     """The O(limit) reference for `bertrand_check`: pi(2n) > pi(n) read
@@ -449,3 +458,6 @@ class TestBertrand:
     def test_out_of_range(self, table_small):
         with pytest.raises(OutOfRangeError):
             bertrand_check(100_000, table_small)
+        with pytest.raises(OutOfRangeError):
+            bertrand_check(table_small.limit // 2 + 1, table_small)
+        assert bertrand_check(table_small.limit // 2, table_small) is None

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from binomfactor import (MAX_LIMIT, DomainError, OutOfRangeError,
                          legendre_exponent, omega_binom_oracle)
 from binomfactor.primes import (_CHUNK, _GROUPED_FROM, _binom_divisor_flags,
                                _grouped_level1, _is_prime_int, _power_table,
-                               _powers_up_to, _sieve)
+                               _powers_up_to, _quotients, _sieve)
 from conftest import _von_mangoldt, dense_psi, reference_sieve
 
 
@@ -161,6 +162,30 @@ class TestPi:
         with pytest.raises(DomainError):
             table_small.is_prime(n)
 
+    def test_pi_at_matches_prefix(self, table_small):
+        x = np.arange(table_small.limit + 1)
+        got = table_small.pi_at(x)
+        assert got.dtype == table_small.pi_prefix.dtype
+        assert got.tobytes() == table_small.pi_prefix[x].tobytes()
+        assert table_small.pi_at(np.empty(0, dtype=np.int64)).size == 0
+
+    def test_pi_on_quotients(self, table_small):
+        for x in (0, 1, 2, 97, 10_000, table_small.limit):
+            q, pi = table_small.pi_on_quotients(x)
+            assert q.tobytes() == _quotients(x).tobytes()
+            assert pi.tobytes() == table_small.pi_prefix[q].tobytes()
+
+    def test_pi_on_quotients_refuses_before_building(self, table_small):
+        # the quotient set of 10^30 has ~2 * 10^15 values: building it
+        # first would fail to allocate, not refuse
+        start = time.perf_counter()
+        for x in (-1, table_small.limit + 1, 10**30):
+            with pytest.raises(OutOfRangeError):
+                table_small.pi_on_quotients(x)
+        assert time.perf_counter() - start < 0.01
+        with pytest.raises(DomainError):
+            table_small.pi_on_quotients(10.0)
+
 
 class TestPsi:
     def test_empty_sum(self, table_small):
@@ -191,7 +216,8 @@ class TestPsi:
 
 class TestPsiAt:
     """`psi_at` reads psi from its values at the prime powers; it must
-    equal the dense oracle `dense_psi` to the bit at every x."""
+    equal the dense oracle `dense_psi` to the bit at every x.  It takes
+    its prime-power count from `pi_at`, and the two refuse alike."""
 
     @staticmethod
     def _check(table):
@@ -224,12 +250,14 @@ class TestPsiAt:
 
     @pytest.mark.parametrize("x", [-1, 20_001, [5, -1], [20_001, 3]])
     def test_refuses_out_of_range(self, table_small, x):
-        with pytest.raises(OutOfRangeError):
-            table_small.psi_at(np.asarray(x))
+        for read in (table_small.pi_at, table_small.psi_at):
+            with pytest.raises(OutOfRangeError):
+                read(np.asarray(x))
 
     def test_refuses_non_integer(self, table_small):
-        with pytest.raises(DomainError):
-            table_small.psi_at(np.array([2.0, 3.0]))
+        for read in (table_small.pi_at, table_small.psi_at):
+            with pytest.raises(DomainError):
+                read(np.array([2.0, 3.0]))
 
     def test_reads_pi_prefix_when_called(self, table_small):
         # element reads of the pi prefix stand for psi lookups, so a
