@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .identities import omega_pi_series
-from .primes import PrimeTable, _as_int, omega_binom_oracle
+from .primes import MAX_FLOAT_INT, PrimeTable, _as_int, omega_binom_oracle
 
 
 def _xlogx(v: int) -> float:
@@ -25,7 +25,7 @@ def omega_growth_constant(n: int, m: int) -> float:
     """log(n^n / (m^m (n-m)^(n-m))), the limit of omega(C(nk, mk)) * log k / k,
     in closed form; 0 * log 0 reads as 0, and the value is computed with
     (m, n-m) in sorted order so it is bitwise symmetric under m <-> n-m."""
-    n, m = _as_int(n, "n"), _as_int(m, "m")
+    n, m = _as_int(n, "n", hi=MAX_FLOAT_INT), _as_int(m, "m")
     if not 1 <= m <= n:
         raise DomainError(f"need 1 <= m <= n, got n={n}, m={m}")
     lo, hi = sorted((m, n - m))
@@ -64,13 +64,12 @@ def convergence_sweep(n: int, m: int, k_grid, table: PrimeTable) -> list[Converg
     const = omega_growth_constant(n, m)
     rows = []
     for k in k_grid:
-        if k < 2:
-            raise DomainError(f"convergence sweep needs k >= 2, got {k}")
+        k = _as_int(k, "k", lo=2)
         omega, _ = omega_binom_oracle(table, n * k, m * k)
         series = omega_pi_series(n, m, k, table)
         predicted = const * k / math.log(k)
         ratio = omega / predicted if predicted else math.nan
-        rows.append(ConvergenceRow(n, m, int(k), omega, predicted, ratio, series))
+        rows.append(ConvergenceRow(n, m, k, omega, predicted, ratio, series))
     return rows
 
 

@@ -122,10 +122,7 @@ class CoefficientSequence:
         return len(self.values)
 
     def coefficient(self, n: int) -> int:
-        n = _as_int(n, "index")
-        if n < 1:
-            raise DomainError(f"index must be >= 1, got {n}")
-        return self.values[(n - 1) % self.period]
+        return self.values[(_as_int(n, "index", lo=1) - 1) % self.period]
 
     def residues_with_sign(self, sign: int) -> frozenset[int]:
         """Residues r in [1, period] (period standing for 0) whose
@@ -157,9 +154,7 @@ def _sequence_from_divisors(weighted_divisors) -> CoefficientSequence:
     pairs = list(weighted_divisors)
     if not pairs:
         return CoefficientSequence((0,))
-    length = math.lcm(*(d for d, _ in pairs))
-    if length > MAX_PERIOD:
-        raise OutOfRangeError(f"sequence needs period lcm <= {MAX_PERIOD}, got {length}")
+    length = _as_int(math.lcm(*(d for d, _ in pairs)), "period lcm", hi=MAX_PERIOD)
     arr = np.zeros(length + 1, dtype=np.int64)
     for d, w in pairs:
         arr[d::d] += w
@@ -254,9 +249,7 @@ def _bounds_ledger(sequence: CoefficientSequence, constant: float,
     """The ledger of an alternating coefficient sequence whose
     combination grows with the given constant; both variants build
     theirs here, under the same checks."""
-    iterations = _as_int(iterations, "iterations")
-    if not 1 <= iterations <= MAX_ITERATIONS:
-        raise OutOfRangeError(f"need 1 <= iterations <= {MAX_ITERATIONS}, got {iterations}")
+    iterations = _as_int(iterations, "iterations", lo=1, hi=MAX_ITERATIONS)
     if not (math.isfinite(initial_upper) and initial_upper > 0):
         raise DomainError(f"initial upper bound must be finite and > 0, got {initial_upper}")
     lead, anchor = _lead_and_anchor(sequence)
@@ -322,6 +315,7 @@ def empirical_bracket_check(spec: CombinationSpec, k_grid,
     lead, anchor = _lead_and_anchor(coefficient_sequence(spec))
     rows = []
     for k in k_grid:
+        k = _as_int(k, "k", lo=1)
         if k % spec.k_multiple:
             raise DomainError(
                 f"k={k} is not a multiple of the spec's k-multiple {spec.k_multiple}")
@@ -335,7 +329,7 @@ def empirical_bracket_check(spec: CombinationSpec, k_grid,
         corr = omega_sum - series_sum
         lo = table.pi(k // lead) - table.pi(k // anchor)
         hi = table.pi(k // lead)
-        rows.append(BracketRow(int(k), omega_sum, series_sum, corr, lo, hi,
+        rows.append(BracketRow(k, omega_sum, series_sum, corr, lo, hi,
                                holds=lo <= omega_sum - corr <= hi))
     return rows
 
@@ -385,9 +379,7 @@ def psi_variant_bounds(k_grid, table: PrimeTable) -> PsiBoundsReport:
     lead, anchor = ledger.lead_index, ledger.anchor_index
     rows = []
     for k in k_grid:
-        k = _as_int(k, "k")
-        if k < 1:
-            raise DomainError(f"need k >= 1, got k={k}")
+        k = _as_int(k, "k", lo=1)
         if L * k > table.limit:
             raise OutOfRangeError(f"k={k} needs psi beyond table limit")
         ratio_log = PSI_RATIO_SPEC.log_ratio(k)

@@ -31,7 +31,7 @@ from .identities import (FactorialRatioSpec, alternating_pi_sum,
                          bertrand_check, factorial_ratio_report,
                          omega_identity_report)
 from .logseries import partial_sum
-from .primes import DEFAULT_LIMIT, MAX_LIMIT, PrimeTable, _floor_real
+from .primes import DEFAULT_LIMIT, MAX_LIMIT, PrimeTable, _as_int, _floor_real
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -41,6 +41,10 @@ EXIT_REJECTED = 4
 
 #: The default `bounds` spec, the classical pi(x) combination.
 _CLASSICAL_SPEC = "+1/2:1/6,+1/3:1/12,-1/10:1/60"
+
+#: The flags each `identity` kind reads, of all it takes; any other is refused.
+_IDENTITY_FLAGS = {"thm1": {"n", "m", "k", "grid"}, "altpi": {"x"}, "bertrand": {"limit"},
+                   "thm3": {"num_parts", "den_parts", "k", "grid"}}
 
 
 class _VerificationFailure(Exception):
@@ -171,6 +175,11 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_identity(args) -> int:
     kind = args.kind
+    for flag in ("n", "m", "k", "grid", "num_parts", "den_parts", "x", "limit"):
+        if getattr(args, flag) is not None and flag not in _IDENTITY_FLAGS[kind]:
+            raise DomainError(f"identity {kind} does not read --{flag.replace('_', '-')}")
+    if args.k is not None and args.grid is not None:
+        raise DomainError(f"identity {kind} takes --k or --grid, not both")
     if kind == "thm1":
         if args.n is None or args.m is None:
             raise DomainError("identity thm1 needs --n and --m")
@@ -307,8 +316,7 @@ def main(argv=None) -> int:
     try:
         if args.sieve_limit is None:
             args.sieve_limit = _env_sieve_limit()
-        if not 2 <= args.sieve_limit <= MAX_LIMIT:
-            raise DomainError(f"sieve limit {args.sieve_limit} outside [2, {MAX_LIMIT}]")
+        _as_int(args.sieve_limit, "sieve limit", lo=2, hi=MAX_LIMIT)
         if args.command == "decompose":
             return _cmd_decompose(args)
         if args.command == "identity":

@@ -61,7 +61,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DomainError, OutOfRangeError
+from .errors import DomainError
 from .primes import (MAX_LIMIT, PrimeTable, _as_int, _binom_divisor_flags,
                      _check_binom_args, _is_prime_int, _powers_up_to,
                      _quotients)
@@ -308,8 +308,7 @@ def decompose(n: int, k: int) -> Decomposition:
     C(n, k) = 1.  n is capped at MAX_DECOMPOSE_N.
     """
     n, k = _check_binom_args(n, k)
-    if n > MAX_DECOMPOSE_N:
-        raise OutOfRangeError(f"decompose needs n <= {MAX_DECOMPOSE_N}, got n={n}")
+    _as_int(n, "n", hi=MAX_DECOMPOSE_N)
     if k == 0 or k == n:
         return Decomposition(n, k, MappingProxyType({}))
     # d <= n // 2: the uppers n/d that can hold an integer >= 2
@@ -385,12 +384,9 @@ def integer_membership_mask(n: int, k: int, level: int | None = None) -> np.ndar
     n is capped at `MAX_LIMIT`, the largest table `equivalence_check`
     can pair the mask with; a level must be an integer >= 1."""
     n, k = _check_binom_args(n, k)
-    if n > MAX_LIMIT:
-        raise OutOfRangeError(f"membership mask needs n <= {MAX_LIMIT}, got n={n}")
+    _as_int(n, "n", hi=MAX_LIMIT)
     if level is not None:
-        level = _as_int(level, "root level")
-        if level < 1:
-            raise DomainError(f"root level must be >= 1, got {level}")
+        level = _as_int(level, "root level", lo=1)
     lo, hi = _level_range_arrays(n, k, _quotients(n)[:0:-1])
     # ascending, the intervals alternate with the gaps between them:
     # [0, lo], (lo, hi], (hi, lo'], ..., (hi'', n]

@@ -10,10 +10,10 @@ class DomainError(BinomfactorError, ValueError):
 
 
 class OutOfRangeError(BinomfactorError, ValueError):
-    """A query exceeds the range a sieve table was built for.
+    """An argument passes a budget or the range a sieve table was built for.
 
-    Raised instead of silently truncating: a prime count at an argument
-    beyond the table limit would be wrong, not approximate.
+    Raised instead of silently truncating, which past a table's limit gives a
+    wrong prime count, or running past a budget's time or memory.
     """
 
 

@@ -85,14 +85,12 @@ class FactorialRatioSpec:
     denominator_multipliers: tuple[int, ...]
 
     def __post_init__(self):
-        ns, ms = (tuple(_as_int(v, "multiplier") for v in vs)
+        ns, ms = (tuple(_as_int(v, "multiplier", lo=1) for v in vs)
                   for vs in (self.numerator_multipliers, self.denominator_multipliers))
         object.__setattr__(self, "numerator_multipliers", ns)
         object.__setattr__(self, "denominator_multipliers", ms)
         if not ns or not ms:
             raise DomainError("both multiplier lists must be nonempty")
-        if any(v < 1 for v in ns + ms):
-            raise DomainError("multipliers must be positive integers")
         if sum(ns) != sum(ms):
             raise DomainError(
                 f"unbalanced spec: sum{ns} = {sum(ns)} != sum{ms} = {sum(ms)}")
@@ -115,9 +113,7 @@ class FactorialRatioSpec:
 
     def log_ratio(self, k: int) -> float:
         """log of the ratio at k >= 0, from the log-factorial table (fsum)."""
-        k = _as_int(k, "k")
-        if k < 0:
-            raise DomainError(f"need k >= 0, got k={k}")
+        k = _as_int(k, "k", lo=0)
         lf = log_factorial_prefix(self.max_multiplier * k)
         return math.fsum(
             [float(lf[v * k]) for v in self.numerator_multipliers]
@@ -126,11 +122,9 @@ class FactorialRatioSpec:
 
 def _check_pair(n: int, m: int, k: int) -> tuple[int, int, int]:
     """(n, m, k) as Python ints; refuses a non-integer, n >= m >= 1 or k >= 1 failing."""
-    n, m, k = _as_int(n, "n"), _as_int(m, "m"), _as_int(k, "k")
+    n, m, k = _as_int(n, "n"), _as_int(m, "m"), _as_int(k, "k", lo=1)
     if not (n >= m >= 1):
         raise DomainError(f"need n >= m >= 1, got n={n}, m={m}")
-    if k < 1:
-        raise DomainError(f"need k >= 1, got k={k}")
     return n, m, k
 
 
@@ -239,12 +233,7 @@ def log_factorial_prefix(limit: int) -> np.ndarray:
     the range of the tables its psi series are checked against.
     """
     global _LOGFACT
-    limit = _as_int(limit, "limit")
-    if limit < 0:
-        raise DomainError(f"log-factorial table needs limit >= 0, got {limit}")
-    if limit > MAX_LIMIT:
-        raise OutOfRangeError(
-            f"log-factorial table needs limit <= {MAX_LIMIT}, got {limit}")
+    limit = _as_int(limit, "limit", lo=0, hi=MAX_LIMIT)
     cache = _LOGFACT
     if len(cache) <= limit:
         cache = np.empty(limit + 1, dtype=np.float64)
@@ -290,9 +279,7 @@ def factorial_ratio_report(spec: FactorialRatioSpec, k: int, table: PrimeTable) 
     Also records the linear-growth value k*log(prod n^n / prod m^m) and
     its residual, which grows like log k.
     """
-    k = _as_int(k, "k")
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
+    k = _as_int(k, "k", lo=1)
     if spec.max_multiplier * k > table.limit:
         raise OutOfRangeError(
             f"max argument {spec.max_multiplier * k} exceeds table limit {table.limit}")
@@ -355,9 +342,7 @@ def bertrand_check(limit: int, table: PrimeTable) -> int | None:
     p_{i+1} > 2 p_i.  So the first counterexample is the first p_i <= limit
     whose successor exceeds 2 p_i, or has none in the table (the table
     reaches 2*limit >= 2 p_i)."""
-    limit = _as_int(limit, "limit")
-    if limit < 1:
-        raise DomainError(f"limit must be >= 1, got {limit}")
+    limit = _as_int(limit, "limit", lo=1)
     p = table.primes_up_to(2 * limit)
     if p.size == 0 or p[0] != 2:
         return 1

@@ -23,27 +23,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OutOfRangeError
-from .primes import _as_int
+from .errors import OutOfRangeError
+from .primes import MAX_FLOAT_INT, _as_int
 
-#: Most blocks `partial_sum` takes.  It holds three float64 arrays over the
-#: blocks and the list of Python floats that fsum reads: tracemalloc puts
-#: its peak at 56 bytes per block, ~560 MB at this ceiling.
+#: Most blocks `partial_sum` takes, and the longest `ratio_series_residual`
+#: truncation.  tracemalloc puts their peaks at 56 bytes per block (three
+#: float64 arrays and the list that fsum reads) and 32 per truncation float,
+#: ~560 and ~320 MB at this ceiling.
 MAX_TERMS = 10_000_000
 
 #: Most work `partial_sum` takes, as (k - 1) * (terms + 400): each of its
 #: k - 1 passes costs ~3.5 us (~400 block terms) plus ~8 ns per block term
-#: (2 vCPU, numpy 2.4), ~8 s at this ceiling.  MAX_TERMS bounds the memory.
+#: (2 vCPU, numpy 2.4, as all times below), ~8 s at this ceiling.
 MAX_WORK = 1_000_000_000
+
+#: Largest k `block_term` takes (k - 1 Python divisions): ~1.0 s at it.
+MAX_BLOCK_K = 10_000_000
+
+#: Most terms `log3_closed_form_check` takes (a Python loop): ~1.7 s at it.
+MAX_CLOSED_FORM_TERMS = 1_000_000
+
+#: Most work `ratio_series_residual` takes, as (n - 1) * (truncation + 500):
+#: each of its n - 1 passes costs ~9 us plus ~17 ns per float, ~3.2 s at it.
+MAX_RATIO_WORK = 200_000_000
+
+#: Largest upper `telescoping_check` takes (about cubic: big-int k**k and a
+#: growing fsum per k): ~0.9 s at it.
+MAX_TELESCOPE_UPPER = 4000
 
 
 def block_term(k: int, n: int) -> float:
-    """One block of the series, its inner terms combined exactly (fsum)."""
-    k, n = _as_int(k, "k"), _as_int(n, "n")
-    if k < 2:
-        raise DomainError("blocks need k >= 2 (k=1 is the empty identity log 1 = 0)")
-    if n < 1:
-        raise DomainError(f"block index must be >= 1, got {n}")
+    """One block of the series, its inner terms combined exactly (fsum), for
+    2 <= k <= `MAX_BLOCK_K` and 1 <= n <= `MAX_FLOAT_INT`."""
+    k, n = _as_int(k, "k", lo=2, hi=MAX_BLOCK_K), _as_int(n, "n", lo=1, hi=MAX_FLOAT_INT)
     base = (n - 1) * k
     return math.fsum(1.0 / (base + i) for i in range(1, k)) - (k - 1) / (n * k)
 
@@ -63,18 +75,12 @@ class SeriesState:
 def partial_sum(k: int, terms: int) -> SeriesState:
     """Sum of the first `terms` blocks, with the k/N tail envelope.
 
-    k = 1 is the trivial fast path (log 1 = 0, no blocks); otherwise
-    terms is capped at MAX_TERMS and (k - 1) * (terms + 400) at MAX_WORK.
+    terms is capped at MAX_TERMS; k = 1 is the trivial fast path (log 1 = 0,
+    no blocks), and otherwise (k - 1) * (terms + 400) is capped at MAX_WORK.
     """
-    k, terms = _as_int(k, "k"), _as_int(terms, "terms")
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
-    if terms < 1:
-        raise DomainError(f"need terms >= 1, got {terms}")
+    k, terms = _as_int(k, "k", lo=1), _as_int(terms, "terms", lo=1, hi=MAX_TERMS)
     if k == 1:
         return SeriesState(1, 0, 0.0, 0.0)
-    if terms > MAX_TERMS:
-        raise OutOfRangeError(f"partial_sum needs terms <= {MAX_TERMS}, got {terms}")
     if (k - 1) * (terms + 400) > MAX_WORK:
         raise OutOfRangeError(f"partial_sum needs (k - 1) * (terms + 400) <= {MAX_WORK}")
     n = np.arange(1, terms + 1, dtype=np.float64)
@@ -88,7 +94,7 @@ def partial_sum(k: int, terms: int) -> SeriesState:
 
 def log3_closed_form_check(terms: int) -> float:
     """Max |block(3, j) - (9j-4)/((3j-2)(3j-1)(3j))| over j <= terms."""
-    terms = _as_int(terms, "terms")
+    terms = _as_int(terms, "terms", lo=1, hi=MAX_CLOSED_FORM_TERMS)
     worst = 0.0
     for j in range(1, terms + 1):
         closed = (9 * j - 4) / ((3 * j - 2) * (3 * j - 1) * (3 * j))
@@ -102,12 +108,14 @@ def ratio_series_residual(n: int, truncation: int) -> float:
         sum_{j=0}^{J-1} sum_{i=1}^{n-1} (1/(j + i/n) - 1/(j + i/(n-1)))
 
     The per-j term is ~ 1/(2 j^2), so the residual decays like 1/(2J).
+    Needs 2 <= n <= `MAX_FLOAT_INT`, 1 <= J <= `MAX_TERMS` and
+    (n - 1) * (J + 500) <= `MAX_RATIO_WORK`.
     """
-    n, truncation = _as_int(n, "n"), _as_int(truncation, "truncation")
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    if truncation < 1:
-        raise DomainError(f"need truncation >= 1, got {truncation}")
+    n = _as_int(n, "n", lo=2, hi=MAX_FLOAT_INT)
+    truncation = _as_int(truncation, "truncation", lo=1, hi=MAX_TERMS)
+    if (n - 1) * (truncation + 500) > MAX_RATIO_WORK:
+        raise OutOfRangeError(
+            f"ratio_series_residual needs (n - 1) * (truncation + 500) <= {MAX_RATIO_WORK}")
     lhs = n * math.log(n) - (n - 1) * math.log(n - 1)
     j = np.arange(0, truncation, dtype=np.float64)
     total = np.longdouble(0.0)
@@ -125,9 +133,7 @@ def telescoping_check(upper: int) -> int | None:
     big-int division), not from the telescoped form itself.  Returns None
     on success, else the first failing k.
     """
-    upper = _as_int(upper, "upper")
-    if upper < 2:
-        raise DomainError(f"need upper >= 2, got {upper}")
+    upper = _as_int(upper, "upper", lo=2, hi=MAX_TELESCOPE_UPPER)
     steps: list[float] = []
     for k in range(2, upper + 1):
         steps.append(math.log(k ** k / (k - 1) ** (k - 1)))

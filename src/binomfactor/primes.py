@@ -55,6 +55,10 @@ DEFAULT_LIMIT = 10_000_000
 #: pi(x) <= x <= MAX_LIMIT < 2^31 keeps the int32 pi prefix exact.
 MAX_LIMIT = 200_000_000
 
+#: 2^53, past which a float64 no longer holds every integer: the cap on an
+#: integer argument that is turned into a float (far below float overflow).
+MAX_FLOAT_INT = 1 << 53
+
 _CHUNK = 1 << 20
 
 
@@ -75,24 +79,28 @@ def _floor_real(x) -> int:
     raise DomainError(f"unsupported argument type {type(x).__name__}")
 
 
-def _as_int(value, name: str) -> int:
-    """``value`` as a Python int: ints and numpy integers are taken as the
-    ints they equal; a float (even 10.0), a str, a Fraction or None raises
-    `DomainError` naming the argument."""
+def _as_int(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as a Python int, the one check of every integer argument:
+    ints and numpy integers are taken as the ints they equal; a float (even
+    10.0), a str, a Fraction or None raises `DomainError` naming the
+    argument.  A value below ``lo`` (a domain floor) raises `DomainError`,
+    one above ``hi`` (a budget or a table's limit) `OutOfRangeError`."""
     try:
-        return operator.index(value)
+        v = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if (lo is not None and v < lo) or (hi is not None and v > hi):
+        need = (f"{name} <= {hi}" if lo is None else f"{name} >= {lo}" if hi is None
+                else f"{lo} <= {name} <= {hi}")
+        error = DomainError if lo is not None and v < lo else OutOfRangeError
+        raise error(f"need {need}, got {v}")
+    return v
 
 
 def integer_root(x: int, i: int) -> int:
     """Largest r >= 0 with r**i <= x, computed exactly for ints of any size.
     Raises `DomainError` for a non-integer x or i, x < 0 or i < 1."""
-    x, i = _as_int(x, "x"), _as_int(i, "i")
-    if x < 0:
-        raise DomainError("integer_root of a negative number")
-    if i < 1:
-        raise DomainError(f"integer_root needs i >= 1, got {i}")
+    x, i = _as_int(x, "x", lo=0), _as_int(i, "i", lo=1)
     if i == 1:
         return x
     if i == 2:
@@ -158,13 +166,7 @@ class PrimeTable:
     __slots__ = ("limit", "pi_prefix", "primes", "higher_powers", "psi_values")
 
     def __init__(self, limit: int):
-        limit = _as_int(limit, "sieve limit")
-        if limit < 2:
-            raise DomainError(f"sieve limit must be >= 2, got {limit}")
-        if limit > MAX_LIMIT:
-            raise DomainError(
-                f"sieve limit {limit} exceeds the memory budget ({MAX_LIMIT})")
-        self.limit = limit
+        self.limit = limit = _as_int(limit, "sieve limit", lo=2, hi=MAX_LIMIT)
         mask = _sieve(limit)
         self.pi_prefix = np.cumsum(mask, dtype=np.int32)
         self.primes = np.flatnonzero(mask).astype(np.int64)
@@ -237,9 +239,7 @@ class PrimeTable:
 
     def primes_up_to(self, n: int) -> np.ndarray:
         """View of all primes <= n (ascending)."""
-        n = _as_int(n, "n")
-        if n > self.limit:
-            raise OutOfRangeError(f"primes_up_to({n}) exceeds table limit {self.limit}")
+        n = _as_int(n, "n", hi=self.limit)
         idx = int(np.searchsorted(self.primes, n, side="right"))
         return self.primes[:idx]
 
@@ -320,9 +320,7 @@ def _is_prime_int(p: int) -> bool:
     """Primality of an integer p < 2^64, by a deterministic Miller-Rabin
     test to `_MILLER_RABIN_BASES` (at most 12 modular powers).  Raises `DomainError` for a non-integer and
     `OutOfRangeError` for p >= 2^64."""
-    p = _as_int(p, "p")
-    if p >= 1 << 64:
-        raise OutOfRangeError(f"primality test needs p < 2^64, got {p}")
+    p = _as_int(p, "p", hi=(1 << 64) - 1)
     for b in _MILLER_RABIN_BASES:
         if p % b == 0:
             return p == b
@@ -348,10 +346,7 @@ def legendre_exponent(p: int, n: int) -> int:
     """Exponent of the prime p in n!, via e_p(n!) = sum_i floor(n / p^i)."""
     if not _is_prime_int(p):
         raise DomainError(f"{p} is not prime")
-    n = _as_int(n, "n")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return _legendre_raw(p, n)
+    return _legendre_raw(p, _as_int(n, "n", lo=1))
 
 
 def _legendre_raw(p: int, n: int) -> int:
@@ -414,8 +409,7 @@ def _powers_up_to(n: int) -> np.ndarray:
     """The prefix of `_power_table` holding every b^i <= n (b, i >= 2):
     a read-only (3, m) view of rows base, exponent, power, ascending in
     power.  Refuses n > MAX_LIMIT, past which the table is incomplete."""
-    if n > MAX_LIMIT:
-        raise OutOfRangeError(f"power table needs n <= {MAX_LIMIT}, got n={n}")
+    n = _as_int(n, "n", hi=MAX_LIMIT)
     table = _power_table()
     return table[:, :int(np.searchsorted(table[2], n, side="right"))]
 

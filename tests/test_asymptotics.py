@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from binomfactor import (DomainError, convergence_sweep,
+from binomfactor import (DomainError, OutOfRangeError, convergence_sweep,
                          growth_constant_table, omega_growth_constant,
                          sparse_regime_table)
 
@@ -43,6 +43,10 @@ class TestGrowthConstant:
     def test_rejects_bad_pair(self):
         with pytest.raises(DomainError):
             omega_growth_constant(3, 4)
+
+    def test_rejects_n_past_float_range(self):
+        with pytest.raises(OutOfRangeError):
+            omega_growth_constant(10**400, 1)
 
     def test_matches_log_binomial_at_moderate_k(self):
         # value is the k -> infinity limit of log C(nk, mk) / k

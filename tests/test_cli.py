@@ -373,6 +373,15 @@ class TestInputErrors:
         pytest.param(("bounds", "--psi", "--anchor", "99"), "--anchor", id="psi-anchor"),
         pytest.param(("bounds", "--psi", "+1/2:1/6"), "--psi", id="psi-spec"),
         pytest.param(("bounds", "--k-grid", "100"), "--k-grid", id="k-grid-without-psi"),
+        pytest.param(("identity", "altpi", "--x", "1000", "--n", "5"), "read --n",
+                     id="altpi-unread-n"),
+        pytest.param(("identity", "bertrand", "--limit", "10", "--grid", "5"), "read --grid",
+                     id="bertrand-unread-grid"),
+        pytest.param(("identity", "thm3", "--num-parts", "2", "--den-parts", "1,1",
+                      "--k", "10", "--x", "5", "--limit", "3"), "read --x",
+                     id="thm3-unread-x"),
+        pytest.param(("identity", "thm1", "--n", "2", "--m", "1", "--k", "7", "--grid", "10"),
+                     "--k or --grid, not both", id="thm1-k-and-grid"),
     ])
     def test_exit_2_with_cause(self, capsys, argv, cause):
         code, _, err = run_cli(capsys, *argv)

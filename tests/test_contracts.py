@@ -1,7 +1,8 @@
 """Contract checks in the package must hold under `python -O`, which
 strips `assert` statements, so the package may contain none.  Every
-integer argument is checked, and a float is refused with `DomainError`.
-The pi prefix's format is known to `PrimeTable` alone."""
+integer argument is checked, and a float is refused with `DomainError`;
+its single bounds are checked by the same helper.  The pi prefix's format
+is known to `PrimeTable` alone."""
 
 import ast
 from pathlib import Path
@@ -12,8 +13,8 @@ import pytest
 import binomfactor
 from binomfactor import (PI_BOUNDS_SPEC, CoefficientSequence, CombinationTerm,
                          DomainError, FactorialRatioSpec, bertrand_check, block_term,
-                         coefficient_sequence, derive_bounds,
-                         factorial_ratio_report, log3_closed_form_check,
+                         coefficient_sequence, convergence_sweep, derive_bounds,
+                         empirical_bracket_check, factorial_ratio_report, log3_closed_form_check,
                          log_factorial_prefix, omega_growth_constant,
                          omega_identity_report, omega_pi_series, partial_sum,
                          psi_variant_bounds, ratio_series_residual,
@@ -47,6 +48,41 @@ def test_pi_prefix_read_only_inside_prime_table():
     assert not found, f"pi_prefix read outside PrimeTable: {found}"
 
 
+def test_single_bounds_checked_only_in_as_int():
+    """Outside `primes._as_int` no ``if`` refuses a single bound, i.e.
+    compares a name by one <, <=, > or >= with an int literal or a
+    ``MAX_*`` name and raises `DomainError` or `OutOfRangeError`: every
+    such check is ``_as_int(value, name, lo, hi)``, so a value below a
+    domain floor raises `DomainError` and one past a budget or a table's
+    limit `OutOfRangeError`, wherever the check is."""
+    def bound(node):
+        return (isinstance(node, ast.Constant) and type(node.value) is int
+                or isinstance(node, ast.Name) and node.id.startswith("MAX_"))
+
+    def single_bound(test):
+        if not (isinstance(test, ast.Compare) and len(test.ops) == 1
+                and isinstance(test.ops[0], (ast.Lt, ast.LtE, ast.Gt, ast.GtE))):
+            return False
+        sides = (test.left, test.comparators[0])
+        return any(isinstance(a, ast.Name) and bound(b) for a, b in (sides, sides[::-1]))
+
+    def refuses(body):
+        return any(isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                   and getattr(node.exc.func, "id", None) in ("DomainError", "OutOfRangeError")
+                   for stmt in body for node in ast.walk(stmt))
+
+    found = []
+    for path in sorted(Path(binomfactor.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_as_int"
+                  for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.If) and id(node) not in inside
+                  and single_bound(node.test) and refuses(node.body)]
+    assert not found, f"single bound refused by hand, not by _as_int: {found}"
+
+
 #: Entry points that take an integer argument, each as f(table, x) with x
 #: in one integer slot, and the int that slot is tested with.
 INTEGER_ENTRY_POINTS = {
@@ -75,16 +111,18 @@ INTEGER_ENTRY_POINTS = {
     "telescoping_check": (lambda t, x: telescoping_check(x), 10),
     "ratio_series_residual": (lambda t, x: ratio_series_residual(x, 10), 3),
     "log3_closed_form_check": (lambda t, x: log3_closed_form_check(x), 10),
+    "empirical_bracket_check":
+        (lambda t, x: empirical_bracket_check(PI_BOUNDS_SPEC, [x], t), 60),
+    "convergence_sweep": (lambda t, x: convergence_sweep(2, 1, [x], t), 10),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(INTEGER_ENTRY_POINTS))
 def test_float_argument_refused(table_small, entry):
-    """A float, even an integral one, is refused with `DomainError`, and a
-    numpy integer gives what the int it equals gives."""
+    """A float, even an integral one, or a str is refused with
+    `DomainError`, and a numpy integer gives what the int it equals gives."""
     f, x = INTEGER_ENTRY_POINTS[entry]
-    with pytest.raises(DomainError):
-        f(table_small, float(x))
-    with pytest.raises(DomainError):
-        f(table_small, x + 0.5)
+    for bad in (float(x), x + 0.5, str(x)):
+        with pytest.raises(DomainError):
+            f(table_small, bad)
     assert f(table_small, np.int64(x)) == f(table_small, x)

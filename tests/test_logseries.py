@@ -1,12 +1,17 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomfactor import (DomainError, block_term, log3_closed_form_check,
-                         partial_sum, ratio_series_residual,
-                         telescoping_check)
+from binomfactor import (DomainError, OutOfRangeError, block_term,
+                         log3_closed_form_check, partial_sum,
+                         ratio_series_residual, telescoping_check)
+from binomfactor.logseries import (MAX_BLOCK_K, MAX_CLOSED_FORM_TERMS,
+                                   MAX_RATIO_WORK, MAX_TELESCOPE_UPPER,
+                                   MAX_TERMS)
+from binomfactor.primes import MAX_FLOAT_INT
 
 
 class TestBlockTerm:
@@ -109,3 +114,23 @@ class TestTelescoping:
 
     def test_first_hundred(self):
         assert telescoping_check(100) is None
+
+
+@pytest.mark.parametrize("call", [
+    lambda: block_term(MAX_BLOCK_K + 1, 1),
+    lambda: block_term(2, MAX_FLOAT_INT + 1),
+    lambda: block_term(2, 10**400),
+    lambda: log3_closed_form_check(MAX_CLOSED_FORM_TERMS + 1),
+    lambda: ratio_series_residual(2, MAX_TERMS + 1),
+    lambda: ratio_series_residual(MAX_RATIO_WORK // 1500 + 2, 1000),
+    lambda: ratio_series_residual(10**400, 2),
+    lambda: telescoping_check(MAX_TELESCOPE_UPPER + 1),
+], ids=["block-k", "block-n", "block-n-huge", "log3-terms", "ratio-truncation",
+        "ratio-work", "ratio-n-huge", "telescoping-upper"])
+def test_one_past_each_budget_refused_before_work(call):
+    """One past each cap raises `OutOfRangeError` at once (never a bare
+    OverflowError from an int too large for a float)."""
+    start = time.perf_counter()
+    with pytest.raises(OutOfRangeError):
+        call()
+    assert time.perf_counter() - start < 0.1

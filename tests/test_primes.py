@@ -49,7 +49,7 @@ class TestBuildTable:
             PrimeTable(1)
 
     def test_rejects_over_budget(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(OutOfRangeError):
             PrimeTable(10**12)
 
     @pytest.mark.parametrize("limit", [100.5, 100.0, np.float64(100), "100",
