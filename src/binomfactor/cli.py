@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from . import __version__
 from .chebyshev import (PSI_RATIO_SPEC, CombinationSpec, CombinationTerm,
                         _psi_ledger, derive_bounds, psi_variant_bounds)
-from .decomposition import decompose, equivalence_check
+from .decomposition import decompose, equivalence_check, pretty_chunks
 from .errors import DomainError, NonAlternatingError, OutOfRangeError
 from .identities import (FactorialRatioSpec, alternating_pi_sum,
                          bertrand_check, factorial_ratio_report,
@@ -71,7 +71,7 @@ def _parse_ints(raw: str, what: str) -> list[int]:
 def _table(args, needed: int) -> PrimeTable:
     """A table up to `needed` (no larger), refused past the sieve budget."""
     if needed > args.sieve_limit:
-        raise DomainError(
+        raise OutOfRangeError(
             f"computation needs sieve limit {needed}, but the configured "
             f"budget is {args.sieve_limit} (raise --sieve-limit or "
             f"BINOMFACTOR_SIEVE_LIMIT)")
@@ -120,7 +120,7 @@ def _emit(args, payload, pretty_lines: Sequence[str] = (),
 
     ``payload`` is the object to encode, or an iterable of the text chunks
     of the output in ``args.format``, written as they come (decompose
-    streams the renderers of ``Decomposition``)."""
+    passes the renderers of the decomposition module)."""
     if not isinstance(payload, dict):
         chunks = payload
     elif args.format == "pretty":
@@ -153,15 +153,18 @@ def _csv_cell(value):
 
 
 def _cmd_decompose(args) -> int:
-    dec = decompose(args.n, args.k)
+    if args.format == "json":
+        chunks = decompose(args.n, args.k).json_chunks()
+    elif args.format == "csv":
+        chunks = decompose(args.n, args.k).csv_chunks()
+    elif args.exact:
+        chunks = decompose(args.n, args.k).exact_chunks()
+    else:
+        # the default form reads the integer cells alone, never the columns
+        chunks = pretty_chunks(args.n, args.k)
     # the budget is checked before anything is written
     table = _table(args, args.n) if args.verify else None
-    if args.format == "json":
-        _emit(args, dec.json_chunks())
-    elif args.format == "csv":
-        _emit(args, dec.csv_chunks())
-    else:
-        _emit(args, dec.pretty_chunks(args.exact))
+    _emit(args, chunks)
     if args.verify:
         bad = equivalence_check(args.n, args.k, table)
         if bad is not None:

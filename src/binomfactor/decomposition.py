@@ -27,28 +27,24 @@ an i-th power >= 2), i.e. d <= n >> i, a prefix of level 1.
 (k*d < n^2/2, at most 2*10^16 at the sieve's MAX_LIMIT), and everything
 else reads that one enumeration: `decompose` keeps the exact endpoints
 as integer numerator/denominator columns in lowest terms, with each
-deeper level a prefix view, and the membership mask and prime counts use
-their floors.  Floors lose nothing for an integer q: a < q <= b iff
+deeper level a prefix view, and the floored readers below use their
+floors.  Floors lose nothing for an integer q: a < q <= b iff
 floor(a) < q <= floor(b).  `fractions.Fraction` endpoints are built only
 when `Decomposition.levels` is read.
 
 The cells are independent, so the enumeration can also be taken over any
-ascending set of upper denominators, and the membership mask and
-`level_prime_count` take it over the ~2*sqrt(n) cells that hold an
-integer.  An integer x >= 2 lies in exactly one cell, the one with
-d = floor(n/x), so those cells are `primes._quotients(n)[:0:-1]`, the
-values floor(n/x), 2 <= x <= n, ascending.  Any other cell holds no
-integer, and its interval lies inside it, so the floored interval
-(lo, hi] is empty (lo = hi), adding nothing to the mask and
-pi(hi) - pi(lo) = 0 to the count.
-
-`decompose` still takes every cell, since it lists the intervals that
-hold no integer too; `prime_divides` and the pretty form read the floors
-of its columns (`Decomposition._floors`).
-
-Every text form of a decomposition (`Decomposition.json_chunks`,
-`csv_chunks` and `pretty_chunks`) is rendered here, straight from the
-columns or their floors.
+ascending set of upper denominators, and every floored reader (the
+membership mask, `level_prime_count`, `prime_divides` and the pretty form,
+`pretty_chunks`) takes it over the ~2*sqrt(n) cells that hold an integer.
+An integer x >= 2 lies in exactly one cell, the one with d = floor(n/x),
+so those cells are `primes._quotients(n)[:0:-1]`, the values floor(n/x),
+2 <= x <= n, ascending.  Any other cell holds no integer, and its
+interval lies inside it, so the floored interval (lo, hi] is empty
+(lo = hi): it adds nothing to the mask or the pretty form, and
+pi(hi) - pi(lo) = 0 to the count.  Only `decompose` takes every cell,
+since it lists the intervals that hold no integer too; its text forms
+(`Decomposition.json_chunks`, `csv_chunks` and `exact_chunks`) are
+rendered here straight from its columns.
 """
 
 from __future__ import annotations
@@ -92,15 +88,18 @@ _JSON_RECORD_B = _JSON_RECORD_A.replace(
 #: in; branch B's f cell is empty.
 _CSV_RECORD_A = "A,%d,%d,%%d,%d,%d,%d,%d\r\n"
 _CSV_RECORD_B = _CSV_RECORD_A.replace("A,%d", "B,%.0s")
-#: One interval of ``Decomposition.pretty_chunks(exact=True)``, from
+#: One interval of ``Decomposition.exact_chunks``, from
 #: (lower num, lower den, upper num, upper den), with the " u " before it;
 #: indexed by 2 * (lower den != 1) + (upper den != 1), since an endpoint
 #: with denominator 1 is shown as its bare numerator.
 _EXACT_RECORD = tuple(" u (%s, %s]" % (lower, upper)
                       for lower in ("%d%.0s", "%d/%d") for upper in ("%d%.0s", "%d/%d"))
 #: Records per chunk of ``Decomposition.json_chunks``, ``csv_chunks`` and
-#: ``pretty_chunks(exact=True)`` (~1 MB of JSON text).
+#: ``exact_chunks`` (~1 MB of JSON text).
 _TEXT_BLOCK = 4096
+#: The heading of the pretty and ``--exact`` forms, and their note for C(n, k) = 1.
+_PRETTY_HEADING = "prime divisors of C(%d, %d) lie in:\n"
+_PRETTY_EMPTY = "  (empty: the coefficient is 1)\n"
 
 
 @dataclass(frozen=True)
@@ -147,15 +146,6 @@ class Decomposition:
             for i, cols in self.columns.items()
         })
 
-    @cached_property
-    def _floors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Floored (lower, upper) of level 1, num // den of the columns, in
-        ascending order, read-only."""
-        cols = self.columns[1] if self.columns else np.empty((4, 0), dtype=np.int64)
-        floors = cols[0:4:2] // cols[1:4:2]
-        floors.setflags(write=False)
-        return floors[0, ::-1], floors[1, ::-1]
-
     def json_chunks(self) -> Iterator[str]:
         """The wire format as text: {n, k, levels: [{i, intervals: [...]}]}
         with exact numerator/denominator endpoint pairs, level i listing a
@@ -196,44 +186,23 @@ class Decomposition:
                 recs = next(blocks)
                 yield "".join(recs) % ((i,) * len(recs))
 
-    def pretty_chunks(self, exact: bool = False) -> Iterator[str]:
-        """The CLI's pretty text: a heading, then one line per root level
-        that shows an interval, or a note that the coefficient is 1.
-
-        Level i shows the primes p whose i-th power it holds: each floored
-        interval (lo, hi] of `_floors` as (iroot(lo, i), iroot(hi, i)],
-        skipping the ranges holding no integer >= 2.  The i-th roots are
-        counts of the i-th powers <= lo and hi among 1 and the powers of
-        exponent i in `_powers_up_to(n)`, which lists every r^i <= n with
-        r >= 2 by ascending value.  With
-        ``exact``, level i shows each of its intervals with the exact
-        endpoints instead, formatted once by `_record_blocks`."""
-        yield "prime divisors of C(%d, %d) lie in:\n" % (self.n, self.k)
+    def exact_chunks(self) -> Iterator[str]:
+        """The CLI's ``--exact`` text: the heading of `pretty_chunks`, then
+        one line per root level listing each of its intervals with the
+        exact endpoints, formatted once by `_record_blocks`, or the note
+        that the coefficient is 1."""
+        yield _PRETTY_HEADING % (self.n, self.k)
         if not any(cols.shape[1] for cols in self.columns.values()):
-            yield "  (empty: the coefficient is 1)\n"
+            yield _PRETTY_EMPTY
             return
-        if exact:
-            blocks = self._record_blocks(_exact_records)
-            for i, cols in self.columns.items():
-                for s in range(0, cols.shape[1], _TEXT_BLOCK):
-                    text = "".join(next(blocks))
-                    # every level starts at record 0: no " u " before it
-                    yield text if s else _pretty_label(i) + text[3:]
-                if cols.shape[1]:
-                    yield "\n"
-            return
-        lo, hi = (a[::-1] for a in self._floors)  # back in column order
-        _, exponent, power = _powers_up_to(self.n)
+        blocks = self._record_blocks(_exact_records)
         for i, cols in self.columns.items():
-            a, b = lo[:cols.shape[1]], hi[:cols.shape[1]]
-            if i > 1:
-                powers = np.concatenate(([1], power[exponent == i]))
-                a, b = (np.searchsorted(powers, x, side="right") for x in (a, b))
-            shown = (b > a) & (b >= 2)
-            if shown.any():
-                yield (_pretty_label(i) + " u ".join(
-                    ["(%d, %d]" % t for t in zip(a[shown].tolist(), b[shown].tolist())])
-                    + "\n")
+            for s in range(0, cols.shape[1], _TEXT_BLOCK):
+                text = "".join(next(blocks))
+                # every level starts at record 0: no " u " before it
+                yield text if s else _pretty_label(i) + text[3:]
+            if cols.shape[1]:
+                yield "\n"
 
     def _record_blocks(self, records: Callable[[np.ndarray], list[str]]
                        ) -> Iterator[list[str]]:
@@ -341,23 +310,23 @@ def prime_divides(dec: Decomposition, p: int) -> bool:
     root levels): true iff some interval contains a power p^i, i.e.
     (level i being a prefix of level 1) some level-1 interval does.
 
-    Floored lowers ascend, and the last one below p^i belongs to the only
-    interval that can contain it.  Raises `DomainError` if p is not prime.
+    The floored lowers of the integer cells of (dec.n, dec.k) ascend in
+    descending d, and the last one below p^i belongs to the only interval
+    that can contain it.  Raises `DomainError` if p is not prime.
     """
     if not _is_prime_int(p):
         raise DomainError(f"{p} is not prime")
-    lo, hi = dec._floors
-    for i in dec.columns:
-        q = p ** i
-        if q > dec.n:
-            break
+    lo, hi = (a[::-1] for a in _level_range_arrays(dec.n, dec.k, _quotients(dec.n)[:0:-1]))
+    q = p
+    while q <= dec.n:
         t = int(np.searchsorted(lo, q))
         if t and q <= hi[t - 1]:
             return True
+        q *= p
     return False
 
 
-# -- floored endpoints for the membership mask ---------------------------
+# -- floored endpoints over the integer cells ----------------------------
 
 
 def _level_range_arrays(n: int, k: int,
@@ -367,6 +336,36 @@ def _level_range_arrays(n: int, k: int,
     of a max is the max of the floors)."""
     d, j = _level_index(n, k, d)
     return np.maximum(k // j, (n - k) // (d - j + 1)), n // d
+
+
+def pretty_chunks(n: int, k: int) -> list[str]:
+    """The CLI's pretty text of C(n, k): a heading, then one line per root
+    level that shows an interval, or a note that the coefficient is 1.
+
+    Level i shows each floored interval (lo, hi] of the integer cells with
+    hi >= 2^i as (iroot(lo, i), iroot(hi, i)], skipping those holding no
+    integer >= 2 (the floored interval of any other cell is empty).  The
+    roots count the i-th powers <= lo and hi among 1 and the exponent-i
+    rows of `_powers_up_to(n)`, whose reach, `MAX_LIMIT`, caps n."""
+    n, k = _check_binom_args(n, k)
+    _as_int(n, "n", hi=MAX_LIMIT)
+    chunks = [_PRETTY_HEADING % (n, k)]
+    if k == 0 or k == n:
+        return chunks + [_PRETTY_EMPTY]
+    lo, hi = _level_range_arrays(n, k, _quotients(n)[:0:-1])
+    _, exponent, power = _powers_up_to(n)
+    for i in range(1, n.bit_length()):
+        # level i: the uppers >= 2^i, a prefix in ascending d
+        a, b = lo[hi >= 1 << i], hi[hi >= 1 << i]
+        if i > 1:
+            powers = np.concatenate(([1], power[exponent == i]))
+            a, b = (np.searchsorted(powers, x, side="right") for x in (a, b))
+        shown = (b > a) & (b >= 2)
+        if shown.any():
+            chunks.append(_pretty_label(i) + " u ".join(
+                ["(%d, %d]" % t for t in zip(a[shown].tolist(), b[shown].tolist())])
+                + "\n")
+    return chunks
 
 
 def integer_membership_mask(n: int, k: int, level: int | None = None) -> np.ndarray:

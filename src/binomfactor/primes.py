@@ -84,7 +84,9 @@ def _as_int(value, name: str, lo: int | None = None, hi: int | None = None) -> i
     ints and numpy integers are taken as the ints they equal; a float (even
     10.0), a str, a Fraction or None raises `DomainError` naming the
     argument.  A value below ``lo`` (a domain floor) raises `DomainError`,
-    one above ``hi`` (a budget or a table's limit) `OutOfRangeError`."""
+    one above ``hi`` (a budget or a table's limit) `OutOfRangeError`.  A
+    refused value past 128 bits is named by its bit length: its digits
+    tell no more, and past Python's int-to-str limit cannot be made."""
     try:
         v = operator.index(value)
     except TypeError:
@@ -93,7 +95,9 @@ def _as_int(value, name: str, lo: int | None = None, hi: int | None = None) -> i
         need = (f"{name} <= {hi}" if lo is None else f"{name} >= {lo}" if hi is None
                 else f"{lo} <= {name} <= {hi}")
         error = DomainError if lo is not None and v < lo else OutOfRangeError
-        raise error(f"need {need}, got {v}")
+        got = (v if v.bit_length() <= 128 else
+               f"a{' negative' if v < 0 else 'n'} integer of {v.bit_length()} bits")
+        raise error(f"need {need}, got {got}")
     return v
 
 

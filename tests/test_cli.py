@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from binomfactor import MAX_LIMIT, OutOfRangeError
 from binomfactor.cli import main
 
 
@@ -146,7 +148,9 @@ class TestDecomposeCommand:
         (["--exact"],
          "85c586528b622717daf9dcc0068dbfdfb5012446b5b42966c376e94655e1bb00"),
     ])
-    def test_pretty_renders_from_columns(self, capsys, monkeypatch, flags, digest):
+    def test_pretty_renders_without_objects(self, capsys, monkeypatch, flags, digest):
+        # the default form reads the floors of the integer cells, --exact
+        # the columns; neither reads the Fraction view
         self._refuse_object_views(monkeypatch, "pretty")
         code, out, _ = run_cli(capsys, "decompose", "2000", "800", *flags)
         assert code == 0
@@ -165,11 +169,37 @@ class TestDecomposeCommand:
         assert err.startswith("error:") and "sieve limit 100" in err
 
     def test_size_cap_exit_2(self, capsys):
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, "decompose", "100000000", "50000000")
-        assert time.perf_counter() - start < 1.0
+        # the listings build every interval, so they keep decompose's cap
+        for flags in (["--format", "json"], ["--format", "csv"], ["--exact"]):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "decompose", "100000000", "50000000", *flags)
+            assert time.perf_counter() - start < 1.0
+            assert code == 2 and out == ""
+            assert "error" in err and "n <= 1000000" in err, flags
+
+    def test_pretty_cap_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "decompose", str(MAX_LIMIT + 1), "5")
         assert code == 2 and out == ""
-        assert "error" in err and "n <= 1000000" in err
+        assert "error" in err and f"n <= {MAX_LIMIT}" in err
+
+    def test_pretty_past_decompose_cap(self, capsys, monkeypatch):
+        # the default form reads the ~2*sqrt(n) integer cells, never the
+        # ~n/2 intervals of decompose, so it runs far past MAX_DECOMPOSE_N
+        import binomfactor.cli as cli_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decompose called on the pretty path")
+        monkeypatch.setattr(cli_mod, "decompose", refuse)
+        code, out, _ = run_cli(capsys, "decompose", "100000000", "33333334")
+        assert code == 0
+        assert out.startswith("prime divisors of C(100000000, 33333334) lie in:\n"
+                              "  level 1: (66666666, 100000000] u ")
+
+    def test_table_budget_is_out_of_range(self):
+        # --sieve-limit is a budget: past it the refusal is OutOfRangeError
+        import binomfactor.cli as cli_mod
+        with pytest.raises(OutOfRangeError, match="sieve limit 100"):
+            cli_mod._table(argparse.Namespace(sieve_limit=50), 100)
 
 
 class TestIdentityCommand:

@@ -12,13 +12,15 @@ import pytest
 
 import binomfactor
 from binomfactor import (PI_BOUNDS_SPEC, CoefficientSequence, CombinationTerm,
-                         DomainError, FactorialRatioSpec, bertrand_check, block_term,
+                         DomainError, FactorialRatioSpec, OutOfRangeError,
+                         bertrand_check, block_term,
                          coefficient_sequence, convergence_sweep, derive_bounds,
                          empirical_bracket_check, factorial_ratio_report, log3_closed_form_check,
                          log_factorial_prefix, omega_growth_constant,
                          omega_identity_report, omega_pi_series, partial_sum,
                          psi_variant_bounds, ratio_series_residual,
                          reconstruct_series_value, telescoping_check)
+from binomfactor.primes import _as_int
 
 
 def test_package_has_no_assert():
@@ -81,6 +83,21 @@ def test_single_bounds_checked_only_in_as_int():
                   if isinstance(node, ast.If) and id(node) not in inside
                   and single_bound(node.test) and refuses(node.body)]
     assert not found, f"single bound refused by hand, not by _as_int: {found}"
+
+
+@pytest.mark.parametrize("value,lo,hi,error", [
+    (10**5000, None, 5, OutOfRangeError),
+    (-10**5000, 0, None, DomainError),
+], ids=["hi", "lo"])
+def test_huge_int_refused_by_bit_length(value, lo, hi, error):
+    """An int past Python's int-to-str limit (4300 digits by default) is
+    refused on either side with the bound's error, named by its bit
+    length, not with the ValueError its digits would raise."""
+    with pytest.raises(error, match=r"got an? (negative )?integer of 16610 bits$"):
+        _as_int(value, "n", lo=lo, hi=hi)
+    # a value of a printable size keeps its digits
+    with pytest.raises(error, match=r"got -?6$"):
+        _as_int(6 if hi else -6, "n", lo=lo, hi=hi)
 
 
 #: Entry points that take an integer argument, each as f(table, x) with x

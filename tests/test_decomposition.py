@@ -21,7 +21,7 @@ from binomfactor import (MAX_DECOMPOSE_N, MAX_LIMIT, DomainError,
                          prime_divides)
 from binomfactor.decomposition import (_level_range_arrays,
                                        integer_membership_mask,
-                                       level_prime_count)
+                                       level_prime_count, pretty_chunks)
 from binomfactor.primes import _quotients
 from conftest import floored_pairs
 
@@ -165,15 +165,8 @@ class TestDegenerateInputs:
         assert np.shares_memory(prefix, dec.columns[1])
         with pytest.raises(ValueError):
             prefix[0, 0] = 1
-        # neither the floors behind prime_divides nor the levels mapping
-        # can be changed from outside
+        # the levels mapping cannot be changed from outside
         dec = decompose(2000, 1000)
-        assert prime_divides(dec, 1999)
-        for arr in dec._floors:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[:] = 0
-        assert prime_divides(dec, 1999)
         assert isinstance(dec.levels, MappingProxyType)
         first = dec.levels[1]
         with pytest.raises(TypeError):
@@ -224,6 +217,7 @@ class TestDisjointness:
 #: Every entry point that takes a pair (n, k), as f(table, n, k).
 PAIR_ENTRY_POINTS = {
     "decompose": lambda table, n, k: decompose(n, k),
+    "pretty_chunks": lambda table, n, k: pretty_chunks(n, k),
     "mask": lambda table, n, k: integer_membership_mask(n, k),
     "level_prime_count": level_prime_count,
     "omega_binom_oracle": omega_binom_oracle,
@@ -329,10 +323,11 @@ class TestFastPathAgreesWithIntervals:
     def test_level_arrays_match_materialised(self, n, k):
         dec = decompose(n, k)
         lo, hi = _level_range_arrays(n, k, np.arange(1, n // 2 + 1))
-        # the floors behind prime_divides and the pretty form, read from
-        # the columns, are the full enumeration's in ascending order
-        assert np.array_equal(dec._floors[0], lo[::-1])
-        assert np.array_equal(dec._floors[1], hi[::-1])
+        # the integer cells, which prime_divides and the pretty form read,
+        # hold every floored interval of the columns that is not empty
+        cells = zip(*(a.tolist() for a in _level_range_arrays(n, k, _quotients(n)[:0:-1])))
+        assert [(a, b) for a, b in cells if b > a] == [
+            (a, b) for a, b in floored_pairs(dec.columns[1]) if b > a]
         for i, ivs in dec.levels.items():
             keep = hi >= 1 << i
             got = sorted(zip(lo[keep].tolist(), hi[keep].tolist()))
@@ -388,6 +383,19 @@ class TestEquivalence:
                 assert math.gcd(hi["num"], hi["den"]) == 1
                 assert lo["num"] * hi["den"] < hi["num"] * lo["den"]
         assert_disjoint(dec)
+
+    def test_prime_divides_seeded_pairs_to_the_cap(self, table_medium):
+        # prime_divides reads the integer cells of (dec.n, dec.k), not the
+        # columns of dec: checked against the exponent over the whole range
+        # where decompose runs
+        rng = random.Random(6007)
+        for _ in range(20):
+            n = int(10 ** rng.uniform(1, math.log10(MAX_DECOMPOSE_N)))
+            k = rng.randint(0, n)
+            dec = decompose(n, k)
+            primes = table_medium.primes_up_to(n).tolist()
+            for p in primes[:10] + rng.sample(primes, min(20, len(primes))):
+                assert prime_divides(dec, p) == (binom_exponent(p, n, k) > 0), (n, k, p)
 
     def test_random_midsize(self, table_medium):
         rng = random.Random(4242)
@@ -544,25 +552,27 @@ def _reference_pretty(dec, exact):
 
 
 class TestPrettyChunks:
-    """`pretty_chunks`, with and without ``exact``, must write the text of
-    `_reference_pretty`, which it replaces on the CLI."""
+    """`pretty_chunks(n, k)`, read from the integer cells, and
+    `Decomposition.exact_chunks`, read from the columns, must write the
+    text of `_reference_pretty`, which they replace on the CLI."""
+
+    @staticmethod
+    def _check(n, k):
+        dec = decompose(n, k)
+        assert "".join(pretty_chunks(n, k)) == _reference_pretty(dec, False), (n, k)
+        assert "".join(dec.exact_chunks()) == _reference_pretty(dec, True), (n, k)
 
     def test_every_pair_up_to_120(self):
         # covers k = 0 and k = n, whose decompositions are empty
         for n in range(1, 121):
             for k in range(n + 1):
-                dec = decompose(n, k)
-                for exact in (False, True):
-                    assert "".join(dec.pretty_chunks(exact)) == \
-                        _reference_pretty(dec, exact), (n, k, exact)
+                self._check(n, k)
 
     @pytest.mark.parametrize("n,k", [(2**17, 2**16), (3**10, 3**9)])
     def test_perfect_powers(self, n, k):
         # the floored endpoints hit exact powers, where an i-th root
         # read one power off would show
-        dec = decompose(n, k)
-        for exact in (False, True):
-            assert "".join(dec.pretty_chunks(exact)) == _reference_pretty(dec, exact)
+        self._check(n, k)
 
     def test_seeded_pairs(self, monkeypatch):
         # n log-uniform up to 2*10^5, the reference's cost growing with n;
@@ -572,20 +582,41 @@ class TestPrettyChunks:
                  for n in (int(10 ** rng.uniform(2.1, math.log10(2e5))) for _ in range(20))]
         for n, k in pairs:
             dec = decompose(n, k)
-            assert "".join(dec.pretty_chunks()) == _reference_pretty(dec, False), (n, k)
+            assert "".join(pretty_chunks(n, k)) == _reference_pretty(dec, False), (n, k)
             want = _reference_pretty(dec, True)
             for block in (decomposition._TEXT_BLOCK, 7):
                 monkeypatch.setattr(decomposition, "_TEXT_BLOCK", block)
-                assert "".join(dec.pretty_chunks(exact=True)) == want, (n, k, block)
+                assert "".join(dec.exact_chunks()) == want, (n, k, block)
             monkeypatch.undo()
+
+    def test_seeded_pairs_to_the_cap(self):
+        # the pretty form up to MAX_DECOMPOSE_N, the whole range where the
+        # reference runs; it takes ~8 s a pair at the cap
+        rng = random.Random(21)
+        pairs = [(n, rng.randint(1, n - 1))
+                 for n in (int(10 ** rng.uniform(math.log10(2e5), 6)) for _ in range(2))]
+        for n, k in pairs + [(MAX_DECOMPOSE_N, MAX_DECOMPOSE_N // 3)]:
+            assert "".join(pretty_chunks(n, k)) == (
+                _reference_pretty(decompose(n, k), False)), (n, k)
 
     def test_empty_level(self):
         dec = decomposition.Decomposition(1, 0, MappingProxyType(
             {1: np.empty((6, 0), dtype=np.int64)}))
-        for exact in (False, True):
-            text = "".join(dec.pretty_chunks(exact))
+        for text, exact in (("".join(pretty_chunks(1, 0)), False),
+                            ("".join(dec.exact_chunks()), True)):
             assert text == _reference_pretty(dec, exact)
             assert text.endswith("(empty: the coefficient is 1)\n")
+
+    def test_budget(self):
+        # the pretty form reaches MAX_LIMIT, far past MAX_DECOMPOSE_N, and
+        # refuses n past it and pairs naming no C(n, k)
+        text = "".join(pretty_chunks(MAX_LIMIT, MAX_LIMIT // 3))
+        assert text.startswith(f"prime divisors of C({MAX_LIMIT}, {MAX_LIMIT // 3}) lie in:")
+        with pytest.raises(OutOfRangeError):
+            pretty_chunks(MAX_LIMIT + 1, 5)
+        for n, k in [(10, 11), (10, -1), (0, 0)]:
+            with pytest.raises(DomainError):
+                pretty_chunks(n, k)
 
 
 def _reference_level_index(n, k, i):
