@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .identities import omega_pi_series
-from .primes import MAX_FLOAT_INT, PrimeTable, _as_int, omega_binom_oracle
+from .primes import (MAX_FLOAT_INT, PrimeTable, _as_int, _shown,
+                     omega_binom_oracle)
 
 
 def _xlogx(v: int) -> float:
@@ -27,7 +28,7 @@ def omega_growth_constant(n: int, m: int) -> float:
     (m, n-m) in sorted order so it is bitwise symmetric under m <-> n-m."""
     n, m = _as_int(n, "n", hi=MAX_FLOAT_INT), _as_int(m, "m")
     if not 1 <= m <= n:
-        raise DomainError(f"need 1 <= m <= n, got n={n}, m={m}")
+        raise DomainError(f"need 1 <= m <= n, got n={_shown(n)}, m={_shown(m)}")
     lo, hi = sorted((m, n - m))
     return _xlogx(n) - _xlogx(lo) - _xlogx(hi)
 
@@ -62,6 +63,8 @@ def convergence_sweep(n: int, m: int, k_grid, table: PrimeTable) -> list[Converg
     growth constant * k / log k, with the prime-count series recorded
     alongside for comparison."""
     const = omega_growth_constant(n, m)
+    # as Python ints, so that n * k cannot overflow a numpy integer
+    n, m = int(n), int(m)
     rows = []
     for k in k_grid:
         k = _as_int(k, "k", lo=2)

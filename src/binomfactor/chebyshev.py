@@ -28,7 +28,7 @@ import numpy as np
 from .asymptotics import omega_growth_constant
 from .errors import DomainError, NonAlternatingError, OutOfRangeError
 from .identities import FactorialRatioSpec, _quotient_sum, omega_pi_series
-from .primes import PrimeTable, _as_int, omega_binom_oracle
+from .primes import PrimeTable, _as_int, _shown, omega_binom_oracle
 
 #: Longest coefficient-sequence period (lcm of the expansion divisors): one
 #: int64 per index, and `verify_alternating` scans two periods in Python,
@@ -57,11 +57,11 @@ class CombinationTerm:
         for name in ("sign", "a", "b"):
             object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.sign not in (1, -1):
-            raise DomainError(f"sign must be +1 or -1, got {self.sign}")
+            raise DomainError(f"sign must be +1 or -1, got {_shown(self.sign)}")
         if self.a < 1 or self.b <= self.a:
-            raise DomainError(f"need 1 <= a < b, got a={self.a}, b={self.b}")
+            raise DomainError(f"need 1 <= a < b, got a={_shown(self.a)}, b={_shown(self.b)}")
         if self.b % self.a:
-            raise DomainError(f"a={self.a} must divide b={self.b}")
+            raise DomainError(f"a={_shown(self.a)} must divide b={_shown(self.b)}")
 
     @property
     def ratio(self) -> int:
@@ -381,7 +381,7 @@ def psi_variant_bounds(k_grid, table: PrimeTable) -> PsiBoundsReport:
     for k in k_grid:
         k = _as_int(k, "k", lo=1)
         if L * k > table.limit:
-            raise OutOfRangeError(f"k={k} needs psi beyond table limit")
+            raise OutOfRangeError(f"k={_shown(k)} needs psi beyond table limit")
         ratio_log = PSI_RATIO_SPEC.log_ratio(k)
         lo = table.psi(L * k // lead) - table.psi(L * k // anchor)
         hi = table.psi(L * k // lead)

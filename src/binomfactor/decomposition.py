@@ -34,8 +34,12 @@ when `Decomposition.levels` is read.
 
 The cells are independent, so the enumeration can also be taken over any
 ascending set of upper denominators, and every floored reader (the
-membership mask, `level_prime_count`, `prime_divides` and the pretty form,
-`pretty_chunks`) takes it over the ~2*sqrt(n) cells that hold an integer.
+membership mask, `equivalence_check`, `level_prime_count`, `prime_divides`
+and the pretty form, `pretty_chunks`) takes it over the ~2*sqrt(n) cells
+that hold an integer.  `equivalence_check` reads the union over root
+levels in prime-index space: pi at the floored endpoints says which
+primes each interval holds, and each prime power p^i <= n (i >= 2) is
+looked up among the endpoints, so no array of it has n entries.
 An integer x >= 2 lies in exactly one cell, the one with d = floor(n/x),
 so those cells are `primes._quotients(n)[:0:-1]`, the values floor(n/x),
 2 <= x <= n, ascending.  Any other cell holds no integer, and its
@@ -60,7 +64,7 @@ import numpy as np
 from .errors import DomainError
 from .primes import (MAX_LIMIT, PrimeTable, _as_int, _binom_divisor_flags,
                      _check_binom_args, _is_prime_int, _powers_up_to,
-                     _quotients)
+                     _prime_powers_up_to, _quotients)
 
 #: Largest n `decompose` accepts.  The columns hold about n/2 intervals in
 #: int64 (the deeper levels are views of them), and the order and
@@ -380,23 +384,14 @@ def integer_membership_mask(n: int, k: int, level: int | None = None) -> np.ndar
     i >= 2 are the prefix `_powers_up_to(n)`: r is a witness at every
     level where r^i is covered, and ``level=i`` keeps the powers of
     exponent i.  So the work past the n + 1 mask bytes is O(sqrt n).
-    n is capped at `MAX_LIMIT`, the largest table `equivalence_check`
-    can pair the mask with; a level must be an integer >= 1."""
+    n is capped at `MAX_LIMIT`, the largest table a caller can gather
+    the mask with; a level must be an integer >= 1."""
     n, k = _check_binom_args(n, k)
     _as_int(n, "n", hi=MAX_LIMIT)
     if level is not None:
         level = _as_int(level, "root level", lo=1)
-    lo, hi = _level_range_arrays(n, k, _quotients(n)[:0:-1])
-    # ascending, the intervals alternate with the gaps between them:
-    # [0, lo], (lo, hi], (hi, lo'], ..., (hi'', n]
-    edges = np.empty(2 * lo.size + 2, dtype=np.int64)
-    edges[0], edges[-1] = -1, n
-    edges[1:-1:2] = lo[::-1]
-    edges[2:-1:2] = hi[::-1]
-    runs = np.diff(edges)
-    if (runs < 0).any():
-        raise DomainError(f"overlapping intervals in C({n}, {k}); "
-                          "this indicates an enumeration bug")
+    runs = np.diff(_cell_edges(n, k))
+    runs[0] += 1  # the first gap holds 0 as well
     covered = np.repeat(np.arange(runs.size) % 2 == 1, runs)
     if level == 1:
         return covered
@@ -413,15 +408,47 @@ def integer_membership_mask(n: int, k: int, level: int | None = None) -> np.ndar
     return member
 
 
+def _cell_edges(n: int, k: int) -> np.ndarray:
+    """The floored level-1 intervals of the integer cells as ascending
+    int64 edges 0, lo, hi, lo', hi', ..., n: the runs between them
+    alternate gap [0, lo] (with 0), interval (lo, hi], gap (hi, lo'], ...,
+    so x in (0, n] lies in an interval iff the first edge >= x has an even
+    index.  Raises `DomainError` if two intervals overlap."""
+    lo, hi = _level_range_arrays(n, k, _quotients(n)[:0:-1])
+    edges = np.empty(2 * lo.size + 2, dtype=np.int64)
+    edges[0], edges[-1] = 0, n
+    edges[1:-1:2] = lo[::-1]
+    edges[2:-1:2] = hi[::-1]
+    if (edges[1:] < edges[:-1]).any():
+        raise DomainError(f"overlapping intervals in C({n}, {k}); "
+                          "this indicates an enumeration bug")
+    return edges
+
+
+def _prime_membership(table: PrimeTable, n: int, k: int) -> np.ndarray:
+    """Membership of each prime p <= n in the union over root levels, one
+    bool per prime, for 0 <= k <= n <= table.limit; no array is n-sized.
+
+    The primes in the runs of `_cell_edges` number pi at one edge minus pi
+    at the one before, so one repeat over the pi(n) primes paints level
+    1.  A prime power p^i <= n (i >= 2, from `_prime_powers_up_to`) is a
+    witness iff its first edge >= p^i has an even index: an interval
+    holding p^i >= 2^i has upper >= 2^i, so it is one of level i."""
+    edges = _cell_edges(n, k)
+    pi = table.pi_at(edges)
+    member = np.repeat(np.arange(edges.size - 1) % 2 == 1, pi[1:] - pi[:-1])
+    at, q = _prime_powers_up_to(n)
+    member[at[np.searchsorted(edges, q) % 2 == 0]] = True
+    return member
+
+
 def equivalence_check(n: int, k: int, table: PrimeTable) -> int | None:
     """Compare decomposition membership against the sieve oracle for every
-    prime p <= n.  Returns None on agreement, otherwise the smallest
-    disagreeing prime."""
+    prime p <= n, in prime-index space (`_prime_membership`).  Returns
+    None on agreement, otherwise the smallest disagreeing prime."""
     n, k = _check_binom_args(n, k, table)
-    member = integer_membership_mask(n, k)
     primes, oracle, _ = _binom_divisor_flags(table, n, k)
-    via_intervals = member[primes]
-    disagree = via_intervals != oracle
+    disagree = _prime_membership(table, n, k) != oracle
     if disagree.any():
         return int(primes[int(np.argmax(disagree))])
     return None

@@ -39,7 +39,7 @@ import numpy as np
 from .decomposition import level_prime_count
 from .errors import DomainError, OutOfRangeError
 from .primes import (_CHUNK, MAX_LIMIT, PrimeTable, _as_int,
-                     _binom_divisor_flags, _floor_real, _quotients)
+                     _binom_divisor_flags, _floor_real, _quotients, _shown)
 
 IDENTITY_OMEGA_PI = "omega_pi"
 IDENTITY_FACTORIAL_RATIO_PSI = "factorial_ratio_psi"
@@ -124,7 +124,7 @@ def _check_pair(n: int, m: int, k: int) -> tuple[int, int, int]:
     """(n, m, k) as Python ints; refuses a non-integer, n >= m >= 1 or k >= 1 failing."""
     n, m, k = _as_int(n, "n"), _as_int(m, "m"), _as_int(k, "k", lo=1)
     if not (n >= m >= 1):
-        raise DomainError(f"need n >= m >= 1, got n={n}, m={m}")
+        raise DomainError(f"need n >= m >= 1, got n={_shown(n)}, m={_shown(m)}")
     return n, m, k
 
 
@@ -281,8 +281,8 @@ def factorial_ratio_report(spec: FactorialRatioSpec, k: int, table: PrimeTable) 
     """
     k = _as_int(k, "k", lo=1)
     if spec.max_multiplier * k > table.limit:
-        raise OutOfRangeError(
-            f"max argument {spec.max_multiplier * k} exceeds table limit {table.limit}")
+        raise OutOfRangeError(f"max argument {_shown(spec.max_multiplier * k)} "
+                              f"exceeds table limit {table.limit}")
     lhs = spec.log_ratio(k)
     acc = np.longdouble(0.0)
     for v in spec.numerator_multipliers:

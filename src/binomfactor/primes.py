@@ -14,14 +14,16 @@ validated against.  That oracle is Kummer's carry test: p divides
 C(n, k) iff some power q = p^i <= n has k mod q > n mod q, which equals
 the floor-difference carry floor(n/q) - floor(k/q) - floor((n-k)/q) = 1.
 Level 1 (q = p) runs as one array test over the primes for small n, and
-from `_GROUPED_FROM` on as one three-floor carry per block of integers
-on which floor(n/x), floor(k/x) and floor((n-k)/x) are all constant
-(O(sqrt n) blocks), spread over the primes in each block.  One more test
-covers every higher power q <= n at once, with no loop over root
-levels.  Those powers are a prefix of `_power_table`, every
-b^i <= MAX_LIMIT with b, i >= 2 sorted by value, which is built once, on
-first use, and also gives the membership mask its level-i witnesses and
-the pretty form its i-th roots.
+from `_GROUPED_FROM` on as one carry per block of integers on which
+floor(n/x), floor(k/x) and floor((n-k)/x) are all constant (O(sqrt n)
+blocks), spread over the primes in each block.  One more test covers
+every higher power q <= n at once, with no loop over root levels.
+Those powers are a prefix of `_prime_power_table`, the prime-base rows
+of `_power_table` (every b^i <= MAX_LIMIT with b, i >= 2 sorted by
+value) with each base's index among the primes.  Both are built once, on
+first use.  The prime powers also serve the membership check in
+prime-index space and the psi table; all the powers give the membership
+mask its level-i witnesses and the pretty form its i-th roots.
 
 `_quotients(x)`, the distinct floor(x/j), is the one quotient set that the
 pi and psi series and the level-1 cells holding an integer all read.  The
@@ -85,8 +87,7 @@ def _as_int(value, name: str, lo: int | None = None, hi: int | None = None) -> i
     10.0), a str, a Fraction or None raises `DomainError` naming the
     argument.  A value below ``lo`` (a domain floor) raises `DomainError`,
     one above ``hi`` (a budget or a table's limit) `OutOfRangeError`.  A
-    refused value past 128 bits is named by its bit length: its digits
-    tell no more, and past Python's int-to-str limit cannot be made."""
+    refused value is named by `_shown`."""
     try:
         v = operator.index(value)
     except TypeError:
@@ -95,10 +96,16 @@ def _as_int(value, name: str, lo: int | None = None, hi: int | None = None) -> i
         need = (f"{name} <= {hi}" if lo is None else f"{name} >= {lo}" if hi is None
                 else f"{lo} <= {name} <= {hi}")
         error = DomainError if lo is not None and v < lo else OutOfRangeError
-        got = (v if v.bit_length() <= 128 else
-               f"a{' negative' if v < 0 else 'n'} integer of {v.bit_length()} bits")
-        raise error(f"need {need}, got {got}")
+        raise error(f"need {need}, got {_shown(v)}")
     return v
+
+
+def _shown(v: int) -> int | str:
+    """An int as a refusal names it: itself up to 128 bits, past that its
+    bit length (its digits tell no more, and past Python's int-to-str
+    limit cannot be made)."""
+    return v if v.bit_length() <= 128 else (
+        f"a{' negative' if v < 0 else 'n'} integer of {v.bit_length()} bits")
 
 
 def integer_root(x: int, i: int) -> int:
@@ -211,7 +218,7 @@ class PrimeTable:
         raises `OutOfRangeError` before the quotients, all in [1, x], are built."""
         x = _as_int(x, "x")
         if not 0 <= x <= self.limit:
-            raise OutOfRangeError(f"pi_on_quotients needs 0 <= x <= {self.limit}, got {x}")
+            raise OutOfRangeError(f"pi_on_quotients needs 0 <= x <= {self.limit}, got {_shown(x)}")
         q = _quotients(x)
         return q, self.pi_prefix[q]
 
@@ -230,7 +237,7 @@ class PrimeTable:
         floor(x) > limit."""
         v = _floor_real(x)
         if v > self.limit:
-            raise OutOfRangeError(f"{name}({x}) exceeds table limit {self.limit}")
+            raise OutOfRangeError(f"{name}(x) needs floor(x) <= {self.limit}, got {_shown(v)}")
         return max(v, 0)
 
     def is_prime(self, n: int) -> bool:
@@ -242,10 +249,10 @@ class PrimeTable:
     # -- bulk helpers ----------------------------------------------------
 
     def primes_up_to(self, n: int) -> np.ndarray:
-        """View of all primes <= n (ascending)."""
+        """View of all primes <= n (ascending), the first pi(n) of them;
+        empty for n < 2."""
         n = _as_int(n, "n", hi=self.limit)
-        idx = int(np.searchsorted(self.primes, n, side="right"))
-        return self.primes[:idx]
+        return self.primes[:int(self.pi_prefix[max(n, 0)])]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PrimeTable(limit={self.limit}, primes={len(self.primes)})"
@@ -278,10 +285,10 @@ def _psi_at_prime_powers(pi_prefix: np.ndarray,
     psi at each prime power in ascending order, as float64) for the table
     whose pi prefix runs to limit.
 
-    The higher powers are the rows of `_powers_up_to(limit)` with a prime
-    base, and pi(h) primes precede a higher power h.  Lambda is log p at
-    p^e: ``np.log`` of a prime and ``math.log`` of the base of a higher
-    power (the two differ in the last bit at some primes).  psi(x) is the
+    The higher powers are `_prime_powers_up_to(limit)`, and pi(h) primes
+    precede a higher power h.  Lambda is log p at p^e: ``np.log`` of a
+    prime and ``math.log`` of the base of a higher power (the two differ
+    in the last bit at some primes).  psi(x) is the
     sum of Lambda(n) over n <= x, accumulated in 80-bit extended precision
     over 2^20-wide chunks of n, each chunk's total carried into the next.
     Adding a zero is exact, so one cumsum per chunk over its prime powers
@@ -291,11 +298,9 @@ def _psi_at_prime_powers(pi_prefix: np.ndarray,
     contract for psi.
     """
     limit = len(pi_prefix) - 1
-    base, _, power = _powers_up_to(limit)
-    prime_base = pi_prefix[base] > pi_prefix[base - 1]
-    higher = power[prime_base]
+    at, higher = _prime_powers_up_to(limit)
     lam = np.insert(np.log(primes.astype(np.float64)), pi_prefix[higher],
-                    [math.log(p) for p in base[prime_base].tolist()])
+                    [math.log(p) for p in primes[at].tolist()])
     edges = np.minimum(np.arange(_CHUNK - 1, limit + _CHUNK, _CHUNK), limit)
     cuts = pi_prefix[edges] + np.searchsorted(higher, edges, side="right")
     psi = np.zeros(lam.size + 1, dtype=np.float64)
@@ -368,9 +373,9 @@ def _check_binom_args(n: int, k: int,
     no C(n, k), or n past the given table.  Numpy integers are accepted."""
     n, k = _as_int(n, "n"), _as_int(k, "k")
     if not 0 <= k <= n or n < 1:
-        raise DomainError(f"need 0 <= k <= n with n >= 1, got n={n}, k={k}")
-    if table is not None and n > table.limit:
-        raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
+        raise DomainError(f"need 0 <= k <= n with n >= 1, got n={_shown(n)}, k={_shown(k)}")
+    if table is not None:
+        _as_int(n, "n", hi=table.limit)
     return n, k
 
 
@@ -418,11 +423,41 @@ def _powers_up_to(n: int) -> np.ndarray:
     return table[:, :int(np.searchsorted(table[2], n, side="right"))]
 
 
+@functools.cache
+def _prime_power_table() -> np.ndarray:
+    """The rows of `_power_table` whose base is prime, as a read-only
+    (2, m) int64 array of rows: the index of the base among the primes
+    (2 is 0), and the power p^i <= MAX_LIMIT (i >= 2), ascending.
+
+    The bases are at most isqrt(MAX_LIMIT), so one sieve to there tells
+    which are prime and counts the primes below each.  There are 1,864
+    rows in 29.8 KB; the table is built on the first call and shared,
+    read-only, by every later one."""
+    base, _, power = _power_table()
+    mask = _sieve(math.isqrt(MAX_LIMIT))
+    prime = mask[base]
+    table = np.stack((np.cumsum(mask)[base[prime]] - 1, power[prime]))
+    table.setflags(write=False)
+    return table
+
+
+def _prime_powers_up_to(n: int) -> np.ndarray:
+    """The prefix of `_prime_power_table` holding every p^i <= n (p prime,
+    i >= 2): a read-only (2, m) view of rows prime index, power, ascending
+    in power.  Refuses n > MAX_LIMIT, past which the table is incomplete."""
+    n = _as_int(n, "n", hi=MAX_LIMIT)
+    table = _prime_power_table()
+    return table[:, :int(np.searchsorted(table[1], n, side="right"))]
+
+
 #: From this n on, `_binom_divisor_flags` runs the level-1 carry once per
 #: block of constant floors (`_grouped_level1`) instead of once per prime.
 #: Below it the grouped path's dozen numpy calls cost more than the
-#: per-prime test: the two take the same time near n = 5 * 10^4 (2 vCPU,
-#: numpy 2.4; BENCH_grouped_oracle.json holds the crossover table).
+#: per-prime test.  With the block-end carry as two remainders the two
+#: take the same time between n = 3.5 * 10^4 and 4.5 * 10^4 (2 vCPU, numpy
+#: 2.4; BENCH_prime_index_check.json holds the crossover tables), so 2^16
+#: still sits where the grouped path wins, and 2^15 would sit at the
+#: crossover itself.
 _GROUPED_FROM = 1 << 16
 
 
@@ -432,27 +467,27 @@ def _grouped_level1(table: PrimeTable, n: int, k: int) -> np.ndarray:
     evaluated once per block of integers on which all three floors are
     constant, then spread over the primes in each block.
 
-    With R = isqrt(n), the sorted nonzero values of 1..R and of y // j
-    for y in (n, k, n - k) and j <= R cut (0, n] into blocks (v', v], v'
-    the value before v (0 before the first); the last value is n // 1.
+    With R = isqrt(n), the sorted values of 0..R and of y // j for y in
+    (n, k, n - k) and j <= R, all but one 0 dropped, cut (0, n] into
+    blocks (v', v], v' the value before v; the last value is n // 1.
     No floor(y/x) changes inside a block: if floor(y/(x+1)) < q =
     floor(y/x), then qx <= y < q(x+1), so x = y // q is in the quotient
     set of y (`_quotients`), its head y // j with j <= isqrt(y) or its
     tail 1..y // (isqrt(y) + 1).  Both parts are among the values, as
     isqrt(y) <= R, so x is a value itself and x, x + 1 lie in different
-    blocks.  y = 0 has floor 0 everywhere, and its 0 values are dropped.
-    A repeated value makes an empty block, which holds no prime, so a
-    plain sort suffices.  Each block's floors are read at its right end v,
-    and it holds pi(v) - pi(v') primes.
+    blocks.  y = 0 has floor 0 everywhere.  A repeated value makes an
+    empty block, which holds no prime, so a plain sort suffices.  Each
+    block's carry is read at its right end v, as k mod v > n mod v (the
+    proof in `_binom_divisor_flags` holds for any modulus), and it holds
+    pi(v) - pi(v') primes.
     """
-    r = math.isqrt(n)
-    j = np.arange(1, r + 1, dtype=np.int64)
+    j = np.arange(math.isqrt(n) + 1, dtype=np.int64)
     y = np.array([[n], [k], [n - k]], dtype=np.int64)
-    v = np.sort(np.concatenate((j, (y // j).ravel())))
-    v = v[np.searchsorted(v, 0, side="right"):]
-    f = y // v
-    counts = np.diff(table.pi_at(v), prepend=0)
-    return np.repeat(f[0] > f[1] + f[2], counts)
+    v = np.sort(np.concatenate((j, (y // j[1:]).ravel())))
+    v = v[np.searchsorted(v, 0, side="right") - 1:]
+    pi = table.pi_at(v)
+    v = v[1:]
+    return np.repeat(k % v > n % v, pi[1:] - pi[:-1])
 
 
 def _binom_divisor_flags(table: PrimeTable, n: int,
@@ -471,25 +506,19 @@ def _binom_divisor_flags(table: PrimeTable, n: int,
     is 1.
 
     Level 1 runs that test over all primes <= n below `_GROUPED_FROM`,
-    and from there the three-floor carry once per block of constant
-    floors (`_grouped_level1`, O(sqrt n) blocks).  The powers b^i <= n
-    with i >= 2 have bases b <= isqrt(n) and are the prefix
-    `_powers_up_to(n)`: their carries are scattered onto the bases over
-    0..isqrt(n), and that array is read at the primes <= isqrt(n) (the
-    composite bases are tested too, and never read).
+    and from there once per block of constant floors (`_grouped_level1`,
+    O(sqrt n) blocks).  The prime powers p^i <= n with i >= 2 are the
+    prefix `_prime_powers_up_to(n)`, which carries each one's prime
+    index: a carry there sets the flag at that index.
     """
     primes = table.primes_up_to(n)
     if n < _GROUPED_FROM:
         level1 = k % primes > n % primes
     else:
         level1 = _grouped_level1(table, n, k)
-    r = math.isqrt(n)
-    base, _, q = _powers_up_to(n)
-    carries = np.zeros(r + 1, dtype=bool)
-    carries[base[k % q > n % q]] = True
-    small = table.primes_up_to(r)
+    at, q = _prime_powers_up_to(n)
     divides = level1.copy()
-    divides[:small.size] |= carries[small]
+    divides[at[k % q > n % q]] = True
     return primes, divides, level1
 
 

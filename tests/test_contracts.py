@@ -9,17 +9,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import binomfactor
 from binomfactor import (PI_BOUNDS_SPEC, CoefficientSequence, CombinationTerm,
                          DomainError, FactorialRatioSpec, OutOfRangeError,
-                         bertrand_check, block_term,
-                         coefficient_sequence, convergence_sweep, derive_bounds,
-                         empirical_bracket_check, factorial_ratio_report, log3_closed_form_check,
-                         log_factorial_prefix, omega_growth_constant,
+                         bertrand_check, binom_exponent, block_term,
+                         coefficient_sequence, convergence_sweep, decompose,
+                         derive_bounds, empirical_bracket_check,
+                         equivalence_check, factorial_ratio_report,
+                         log3_closed_form_check, log_factorial_prefix,
+                         omega_binom_oracle, omega_growth_constant,
                          omega_identity_report, omega_pi_series, partial_sum,
                          psi_variant_bounds, ratio_series_residual,
-                         reconstruct_series_value, telescoping_check)
+                         reconstruct_series_value, sparse_regime_table,
+                         telescoping_check)
+from binomfactor.decomposition import (integer_membership_mask,
+                                       level_prime_count, pretty_chunks)
 from binomfactor.primes import _as_int
 
 
@@ -143,3 +150,64 @@ def test_float_argument_refused(table_small, entry):
         with pytest.raises(DomainError):
             f(table_small, bad)
     assert f(table_small, np.int64(x)) == f(table_small, x)
+
+
+@pytest.mark.parametrize("call,got", [
+    (lambda t: decompose(10**5000, 10**5001),
+     "n=an integer of 16610 bits, k=an integer of 16613 bits"),
+    (lambda t: omega_pi_series(10**5000, 10**5001, 1, t),
+     "n=an integer of 16610 bits, m=an integer of 16613 bits"),
+    (lambda t: omega_growth_constant(5, 10**5000), "n=5, m=an integer of 16610 bits"),
+], ids=["decompose", "omega_pi_series", "omega_growth_constant"])
+def test_relational_refusal_names_huge_values_by_bit_length(table_small, call, got):
+    """A refusal that relates two values names each as `_as_int` does: a
+    value past Python's int-to-str limit by its bit length, not with the
+    ValueError its digits would raise."""
+    with pytest.raises(DomainError, match=f"got {got}$"):
+        call(table_small)
+
+
+#: Every public entry point that takes a pair (n, k) or a triple (n, m, k),
+#: as f(table, n, m, k); a pair ignores m.
+RELATIONAL_ENTRY_POINTS = {
+    "decompose": lambda t, n, m, k: decompose(n, k),
+    "pretty_chunks": lambda t, n, m, k: pretty_chunks(n, k),
+    "integer_membership_mask": lambda t, n, m, k: integer_membership_mask(n, k),
+    "level_prime_count": lambda t, n, m, k: level_prime_count(t, n, k),
+    "omega_binom_oracle": lambda t, n, m, k: omega_binom_oracle(t, n, k),
+    "equivalence_check": lambda t, n, m, k: equivalence_check(n, k, t),
+    "binom_exponent": lambda t, n, m, k: binom_exponent(3, n, k),
+    "sparse_regime_table": lambda t, n, m, k: sparse_regime_table([(n, k)], t),
+    "omega_growth_constant": lambda t, n, m, k: omega_growth_constant(n, m),
+    "omega_pi_series": lambda t, n, m, k: omega_pi_series(n, m, k, t),
+    "omega_identity_report": lambda t, n, m, k: omega_identity_report(n, m, k, t),
+    "convergence_sweep": lambda t, n, m, k: convergence_sweep(n, m, [k], t),
+}
+
+#: Ints from below every domain floor to past the table (limit 20,000) and
+#: every budget, then huge ones (up to 2^15000, past Python's 4,300-digit
+#: int-to-str limit) of either sign.  Between 10^5 and 2^31 a valid call
+#: may paint a mask of n bytes, so that band is left to the sized tests.
+_INTS = st.one_of(
+    st.integers(-3, 10**5),
+    st.builds(lambda bits, sign, d: sign * ((1 << bits) + d),
+              st.integers(31, 15_000), st.sampled_from((1, -1)), st.integers(-3, 3)))
+
+_ARGUMENTS = st.one_of(_INTS, st.integers(-3, 10**5).map(np.int64), st.floats(),
+                       st.text(max_size=4), st.none())
+
+
+@pytest.mark.parametrize("entry", sorted(RELATIONAL_ENTRY_POINTS))
+@given(n=_ARGUMENTS, m=_ARGUMENTS, k=_ARGUMENTS)
+@example(n=10**5000, m=10**5001, k=10**5001)
+@example(n=5, m=10**5000, k=1)
+@example(n=np.int64(2), m=np.int64(2), k=1 << 62)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_relational_entry_points_return_or_refuse(table_small, entry, n, m, k):
+    """Given any arguments, each entry point returns a value or refuses
+    with `DomainError` or `OutOfRangeError`; nothing else escapes."""
+    try:
+        RELATIONAL_ENTRY_POINTS[entry](table_small, n, m, k)
+    except (DomainError, OutOfRangeError):
+        pass

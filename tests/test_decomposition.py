@@ -19,10 +19,10 @@ from binomfactor import (MAX_DECOMPOSE_N, MAX_LIMIT, DomainError,
                          OutOfRangeError, binom_exponent, decompose,
                          equivalence_check, integer_root, omega_binom_oracle,
                          prime_divides)
-from binomfactor.decomposition import (_level_range_arrays,
+from binomfactor.decomposition import (_level_range_arrays, _prime_membership,
                                        integer_membership_mask,
                                        level_prime_count, pretty_chunks)
-from binomfactor.primes import _quotients
+from binomfactor.primes import _binom_divisor_flags, _quotients
 from conftest import floored_pairs
 
 
@@ -407,6 +407,62 @@ class TestEquivalence:
     def test_out_of_range(self, table_small):
         with pytest.raises(OutOfRangeError):
             equivalence_check(30_000, 10, table_small)
+
+    @staticmethod
+    def _flip(monkeypatch, flip):
+        """Make the oracle that `equivalence_check` reads disagree at each
+        prime of ``flip``: its "divides" flag there is negated."""
+        real = decomposition._binom_divisor_flags
+
+        def flipped(table, n, k):
+            primes, divides, level1 = real(table, n, k)
+            divides = divides.copy()
+            at = np.searchsorted(primes, flip)
+            divides[at] = ~divides[at]
+            return primes, divides, level1
+        monkeypatch.setattr(decomposition, "_binom_divisor_flags", flipped)
+
+    # one pair on the per-prime level-1 test, one on the grouped one
+    @pytest.mark.parametrize("n,k", [(2000, 800), (999_983, 412_345)])
+    def test_reports_a_flipped_level_one_prime(self, table_medium, monkeypatch, n, k):
+        primes, _, level1 = _binom_divisor_flags(table_medium, n, k)
+        carry = primes[level1].tolist()
+        for p in (carry[0], carry[len(carry) // 2], carry[-1]):
+            monkeypatch.undo()
+            self._flip(monkeypatch, [p])
+            assert equivalence_check(n, k, table_medium) == p, (n, k, p)
+
+    def test_reports_a_prime_dividing_only_through_a_power(self, table_small,
+                                                           monkeypatch):
+        # 1002 mod 2 = 2000 mod 2, but 1002 mod 4 = 2 > 2000 mod 4 = 0: 2
+        # divides C(2000, 1002) only through its square
+        n, k = 2000, 1002
+        primes, divides, level1 = _binom_divisor_flags(table_small, n, k)
+        deep = primes[divides & ~level1].tolist()
+        assert deep[0] == 2
+        for p in deep:
+            monkeypatch.undo()
+            self._flip(monkeypatch, [p])
+            assert equivalence_check(n, k, table_small) == p, p
+
+    def test_reports_the_smallest_of_two_flipped_primes(self, table_small,
+                                                         monkeypatch):
+        # 1009 divides C(2000, 1002) (level 1), 997 does not
+        for flip in ([997, 1009], [1009, 997], [2, 1999]):
+            monkeypatch.undo()
+            self._flip(monkeypatch, flip)
+            assert equivalence_check(2000, 1002, table_small) == min(flip), flip
+
+    def test_overlapping_intervals_raise(self, table_small, monkeypatch):
+        # valid intervals read twice overlap; the check must refuse them
+        real = decomposition._level_range_arrays
+
+        def doubled(n, k, d):
+            lo, hi = real(n, k, d)
+            return np.repeat(lo, 2), np.repeat(hi, 2)
+        monkeypatch.setattr(decomposition, "_level_range_arrays", doubled)
+        with pytest.raises(DomainError, match="overlapping"):
+            equivalence_check(100, 37, table_small)
 
     def test_oracle_count_matches_decomposition_count(self, table_small):
         from binomfactor import omega_binom_oracle
@@ -944,3 +1000,49 @@ class TestMaskOverIntegerCells:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * (n + 1)
+
+
+class TestPrimeMembership:
+    """`equivalence_check` reads membership in prime-index space
+    (`_prime_membership`); it must equal the public mask gathered at the
+    primes wherever both can run, and hold no n-sized array."""
+
+    @staticmethod
+    def _check(table, n, k):
+        got = _prime_membership(table, n, k)
+        want = integer_membership_mask(n, k)[table.primes_up_to(n)]
+        assert got.dtype == bool and np.array_equal(got, want), (n, k)
+
+    def test_every_pair_up_to_300(self, table_small):
+        for n in range(1, 301):
+            for k in range(n + 1):
+                self._check(table_small, n, k)
+
+    def test_seeded_pairs_to_a_million(self, table_medium):
+        rng = random.Random(1852)
+        for _ in range(300):
+            n = rng.randint(2, 10**6)
+            self._check(table_medium, n, rng.randint(0, n))
+
+    def test_edges(self, table_medium):
+        # 2^16 is where the oracle's level-1 test changes; isqrt(n), and
+        # with it the integer cells, changes at s^2
+        rng = random.Random(65536)
+        ns = [2**16 - 1, 2**16, 2**16 + 1]
+        ns += [x for s in (2, 3, 17, 256, 999) for x in (s * s - 1, s * s + 1)]
+        ns += [1000**2 - 1, 1000**2]
+        for n in ns:
+            for k in {0, 1, n // 3, n // 2, n - 1, n, rng.randint(0, n)}:
+                self._check(table_medium, n, k)
+
+    def test_check_holds_no_n_sized_array(self, table_medium):
+        # the mask it replaced needs at least n + 1 bytes
+        n, k = 10**6, 333333
+        equivalence_check(n, k, table_medium)  # builds the cached power tables
+        tracemalloc.start()
+        try:
+            assert equivalence_check(n, k, table_medium) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * (n + 1)

@@ -15,7 +15,8 @@ from binomfactor import (MAX_LIMIT, DomainError, OutOfRangeError,
                          legendre_exponent, omega_binom_oracle)
 from binomfactor.primes import (_CHUNK, _GROUPED_FROM, _binom_divisor_flags,
                                _grouped_level1, _is_prime_int, _power_table,
-                               _powers_up_to, _quotients, _sieve)
+                               _powers_up_to, _prime_power_table,
+                               _prime_powers_up_to, _quotients, _sieve)
 from conftest import _von_mangoldt, dense_psi, reference_sieve
 
 
@@ -185,6 +186,14 @@ class TestPi:
         assert time.perf_counter() - start < 0.01
         with pytest.raises(DomainError):
             table_small.pi_on_quotients(10.0)
+
+
+def test_primes_up_to_is_the_searchsorted_prefix(table_small):
+    # primes[:pi(n)], with no wrap-around for a negative n
+    primes = table_small.primes
+    for n in [*range(-5, 1001), table_small.limit]:
+        want = primes[:int(np.searchsorted(primes, n, side="right"))]
+        assert np.array_equal(table_small.primes_up_to(n), want), n
 
 
 class TestPsi:
@@ -601,6 +610,46 @@ class TestPowerLadder:
     def test_refuses_past_the_budget(self):
         with pytest.raises(OutOfRangeError):
             _powers_up_to(MAX_LIMIT + 1)
+
+
+class TestPrimePowerTable:
+    """`_prime_power_table` is the prime-base rows of `_power_table`, each
+    base given by its index among the primes; `_prime_powers_up_to(n)` is
+    its prefix holding every p^i <= n."""
+
+    def test_prime_base_rows_of_the_power_table(self):
+        base, _, power = _power_table()
+        primes = np.flatnonzero(reference_sieve(int(base.max())))
+        prime = np.isin(base, primes)
+        at, q = _prime_power_table()
+        assert at.dtype == q.dtype == np.int64
+        assert np.array_equal(q, power[prime])
+        assert np.array_equal(primes[at], base[prime])
+
+    @staticmethod
+    def _check(n):
+        at, q = _prime_powers_up_to(n)
+        table = _prime_power_table()
+        assert np.array_equal(q, table[1][table[1] <= n]), n
+        assert np.array_equal(at, table[0][table[1] <= n]), n
+
+    def test_every_n_up_to_300(self):
+        for n in range(1, 301):
+            self._check(n)
+
+    @pytest.mark.parametrize("n", [2**27 - 1, 2**27, 3**17, 14142**2 - 1,
+                                   14142**2, MAX_LIMIT])
+    def test_exact_power_edges(self, n):
+        self._check(n)
+
+    def test_read_only(self):
+        for arr in (_prime_power_table(), _prime_powers_up_to(1000)):
+            with pytest.raises(ValueError):
+                arr[1, 0] = 5
+
+    def test_refuses_past_the_budget(self):
+        with pytest.raises(OutOfRangeError):
+            _prime_powers_up_to(MAX_LIMIT + 1)
 
 
 class TestIntegerRoot:
