@@ -25,8 +25,9 @@ from .errors import (BinomfactorError, DomainError, NonAlternatingError,
                      OutOfRangeError)
 from .identities import (FactorialRatioSpec, IdentityReport,
                          alternating_pi_sum, bertrand_check,
-                         factorial_ratio_report, log_factorial_prefix,
-                         omega_identity_report, omega_pi_series)
+                         factorial_ratio_report, log_factorial,
+                         log_factorial_prefix, omega_identity_report,
+                         omega_pi_series)
 from .logseries import (SeriesState, block_term, log3_closed_form_check,
                         partial_sum, ratio_series_residual, telescoping_check)
 from .primes import (DEFAULT_LIMIT, MAX_LIMIT, PrimeTable, binom_exponent,

@@ -61,6 +61,12 @@ MAX_LIMIT = 200_000_000
 #: integer argument that is turned into a float (far below float overflow).
 MAX_FLOAT_INT = 1 << 53
 
+#: The bound on the bit length of n in the single-prime exponents
+#: `legendre_exponent` and `binom_exponent`, i.e. n < 2^4096: their
+#: Legendre sums cost about the cube of it (~7 s at 2^20000, <= 0.1 s at
+#: this cap).
+MAX_EXPONENT_BITS = 4096
+
 _CHUNK = 1 << 20
 
 
@@ -352,10 +358,13 @@ def _is_prime_int(p: int) -> bool:
 
 
 def legendre_exponent(p: int, n: int) -> int:
-    """Exponent of the prime p in n!, via e_p(n!) = sum_i floor(n / p^i)."""
+    """Exponent of the prime p in n!, via e_p(n!) = sum_i floor(n / p^i),
+    for 1 <= n < 2^`MAX_EXPONENT_BITS`."""
     if not _is_prime_int(p):
         raise DomainError(f"{p} is not prime")
-    return _legendre_raw(p, _as_int(n, "n", lo=1))
+    n = _as_int(n, "n", lo=1)
+    _as_int(n.bit_length(), "bit length of n", hi=MAX_EXPONENT_BITS)
+    return _legendre_raw(p, n)
 
 
 def _legendre_raw(p: int, n: int) -> int:
@@ -382,12 +391,13 @@ def _check_binom_args(n: int, k: int,
 def binom_exponent(p: int, n: int, k: int) -> int:
     """Exponent of the prime p in C(n, k).
 
-    Computed as e_p(n!) - e_p(k!) - e_p((n-k)!); the result always
-    satisfies p**e <= n, which is checked.
+    Computed as e_p(n!) - e_p(k!) - e_p((n-k)!), for n < 2^`MAX_EXPONENT_BITS`;
+    the result always satisfies p**e <= n, which is checked.
     """
     if not _is_prime_int(p):
         raise DomainError(f"{p} is not prime")
     n, k = _check_binom_args(n, k)
+    _as_int(n.bit_length(), "bit length of n", hi=MAX_EXPONENT_BITS)
     e = _legendre_raw(p, n) - _legendre_raw(p, k) - _legendre_raw(p, n - k)
     if p ** e > n:
         raise RuntimeError(f"exponent {e} of {p} in C({n}, {k}) breaks p^e <= n")

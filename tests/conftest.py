@@ -91,6 +91,29 @@ def dense_psi(limit: int) -> np.ndarray:
     return psi
 
 
+@functools.lru_cache(maxsize=1)
+def dense_log_factorial(limit: int) -> np.ndarray:
+    """The dense log-factorial oracle: log(0!), ..., log(limit!) as one
+    read-only float64 array, the running sum of the logs accumulated in
+    80-bit extended precision over 2^20-wide chunks, each chunk's total
+    carried into its first log before its cumsum.  `log_factorial` must
+    equal it to the bit; the latest limit is kept."""
+    out = np.empty(limit + 1, dtype=np.float64)
+    carry = np.longdouble(0.0)
+    for lo in range(0, limit + 1, _CHUNK):
+        hi = min(lo + _CHUNK, limit + 1)
+        c = np.arange(lo, hi, dtype=np.longdouble)
+        if lo == 0:
+            c[0] = 1.0  # log(0!) = log(1)
+        np.log(c, out=c)
+        c[0] += carry
+        np.cumsum(c, out=c)
+        out[lo:hi] = c
+        carry = c[-1]
+    out.setflags(write=False)
+    return out
+
+
 def floored_pairs(cols):
     """(floor(lower), floor(upper)) of each interval of a (6, m) block of
     decomposition columns, num // den, in column order."""

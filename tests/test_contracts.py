@@ -19,7 +19,8 @@ from binomfactor import (PI_BOUNDS_SPEC, CoefficientSequence, CombinationTerm,
                          coefficient_sequence, convergence_sweep, decompose,
                          derive_bounds, empirical_bracket_check,
                          equivalence_check, factorial_ratio_report,
-                         log3_closed_form_check, log_factorial_prefix,
+                         log3_closed_form_check, log_factorial,
+                         log_factorial_prefix,
                          omega_binom_oracle, omega_growth_constant,
                          omega_identity_report, omega_pi_series, partial_sum,
                          psi_variant_bounds, ratio_series_residual,
@@ -120,7 +121,8 @@ INTEGER_ENTRY_POINTS = {
     "factorial_ratio_report":
         (lambda t, x: factorial_ratio_report(FactorialRatioSpec((2,), (1, 1)), x, t), 10),
     "log_ratio": (lambda t, x: FactorialRatioSpec((2,), (1, 1)).log_ratio(x), 10),
-    "log_factorial_prefix": (lambda t, x: log_factorial_prefix(x).tolist(), 10),
+    "log_factorial_prefix": (lambda t, x: log_factorial_prefix(x).tolist(), 100),
+    "log_factorial": (lambda t, x: log_factorial(x), 10),
     "psi_variant_bounds": (lambda t, x: psi_variant_bounds([x], t), 10),
     "reconstruct_series_value":
         (lambda t, x: reconstruct_series_value(coefficient_sequence(PI_BOUNDS_SPEC), x, t),

@@ -11,14 +11,16 @@ from binomfactor import (MAX_LIMIT, PI_BOUNDS_SPEC, DomainError,
                          FactorialRatioSpec, OutOfRangeError, PrimeTable,
                          alternating_pi_sum, bertrand_check,
                          coefficient_sequence, factorial_ratio_report,
-                         log_factorial_prefix, omega_binom_oracle,
+                         log_factorial, log_factorial_prefix,
+                         omega_binom_oracle,
                          omega_identity_report, omega_pi_series,
                          reconstruct_series_value)
+from binomfactor import identities
 from binomfactor.chebyshev import PSI_RATIO_SPEC
 from binomfactor.decomposition import level_prime_count
 from binomfactor.identities import _psi_series_one, _quotient_sum
 from binomfactor.primes import _GROUPED_FROM
-from conftest import dense_psi, reference_sieve
+from conftest import dense_log_factorial, dense_psi, reference_sieve
 
 
 def gather(pp, x):
@@ -199,7 +201,6 @@ class TestOmegaIdentityReport:
 
     def test_broken_accounting_raises(self, table_small, monkeypatch):
         # the residual check is an explicit raise, so it also runs under -O
-        import binomfactor.identities as identities
         real = identities.level_prime_count
         monkeypatch.setattr(identities, "level_prime_count",
                             lambda *args: real(*args) + 1)
@@ -220,6 +221,14 @@ def _partitions(total, max_part):
 
     rec(total, max_part, [])
     return out
+
+
+def fresh_checkpoints(monkeypatch):
+    """Reset the checkpoint cache to its import state, log(0!) alone, so
+    the next call builds."""
+    start = np.zeros(1, dtype=np.longdouble)
+    start.setflags(write=False)
+    monkeypatch.setattr(identities, "_LOGFACT", start)
 
 
 class TestFactorialRatio:
@@ -266,38 +275,85 @@ class TestFactorialRatio:
         # the residual grows like (1/2) log k, far below the 20 log k cap
         assert resid[10_000] <= 6
 
+    def test_log_ratio_matches_dense_oracle(self):
+        # the five reads of one call, fsummed as from the dense prefix
+        spec = PSI_RATIO_SPEC
+        lf = dense_log_factorial(10**7)
+        for k in (1, 2, 31, 32, 33, 12345, 10**7 // 30):
+            want = math.fsum([float(lf[v * k]) for v in spec.numerator_multipliers]
+                             + [-float(lf[v * k]) for v in spec.denominator_multipliers])
+            assert spec.log_ratio(k) == want, k
+
+    # `log_factorial` reads log(x!) from the checkpoints log((jB)!) of
+    # `log_factorial_prefix`, bit for bit the dense prefix of the oracle
+
     def test_log_factorial_prefix_exact(self):
-        lf = log_factorial_prefix(30)
-        assert lf[0] == 0.0 and lf[1] == 0.0
-        assert lf[5] == pytest.approx(math.log(120), rel=1e-15)
-        assert lf[30] == pytest.approx(math.log(math.factorial(30)), rel=1e-14)
+        assert log_factorial(0) == 0.0 and log_factorial(1) == 0.0
+        assert type(log_factorial(5)) is float
+        assert log_factorial(5) == pytest.approx(math.log(120), rel=1e-15)
+        assert log_factorial(30) == pytest.approx(math.log(math.factorial(30)), rel=1e-14)
+        assert float(log_factorial_prefix(100)[2]) == log_factorial(2 * identities._STEP)
 
     @pytest.mark.parametrize("chunk", [None, 4099])
     def test_log_factorial_prefix_golden(self, chunk, monkeypatch):
         # the digest of one unchunked cumsum over all entries; a small
         # chunk puts hundreds of chunk boundaries below 10^6
-        import binomfactor.identities as identities
         if chunk is not None:
             monkeypatch.setattr(identities, "_CHUNK", chunk)
-            monkeypatch.setattr(identities, "_LOGFACT", np.zeros(0))
-        lf = log_factorial_prefix(10**6)
+            fresh_checkpoints(monkeypatch)
+        lf = log_factorial(np.arange(10**6 + 1))
         assert hashlib.sha256(lf.tobytes()).hexdigest() == (
             "a75b3643cd90be8f672209dcbbb881e7d1ae52f39a41f491bc6c8f83ee3dc480")
 
+    def test_log_factorial_matches_dense_oracle(self):
+        """Seeded x <= 10^7, both sides of every checkpoint jB and of the
+        build's chunk edges, and x = 0 and 1, as one array and one by one."""
+        limit, step = 10**7, identities._STEP
+        rng = np.random.default_rng(20231)
+        marks = np.arange(0, limit + 1, step)
+        edges = np.arange(0, limit + 1, identities._CHUNK)
+        x = np.concatenate([[0, 1, limit], rng.integers(0, limit + 1, 20_000),
+                            marks - 1, marks, marks + 1, edges - 1, edges, edges + 1])
+        x = x[(x >= 0) & (x <= limit)]
+        want = dense_log_factorial(limit)[x]
+        assert log_factorial(x).tobytes() == want.tobytes()
+        assert log_factorial(x[:4000].reshape(20, 200)).tobytes() == want[:4000].tobytes()
+        some = rng.choice(x, 300).tolist()
+        assert [log_factorial(v) for v in some] == dense_log_factorial(limit)[some].tolist()
+
+    def test_log_factorial_dtypes_and_shapes(self):
+        want = [log_factorial(v) for v in range(8)]
+        for dtype in (np.int8, np.int32, np.uint16, np.uint64):
+            assert log_factorial(np.arange(8, dtype=dtype)).tolist() == want
+        assert log_factorial([3, 4]).tolist() == want[3:5]
+        assert log_factorial(np.int64(7)) == want[7]
+        assert log_factorial(np.array(7)) == want[7]
+        assert log_factorial(np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+
     def test_log_factorial_prefix_read_only(self):
-        lf = log_factorial_prefix(40)
+        marks = log_factorial_prefix(40 * identities._STEP)
+        assert marks.dtype == np.longdouble and len(marks) == 41
         with pytest.raises(ValueError):
-            lf[3] = 0.0
-        assert lf[3] == pytest.approx(math.log(6), rel=1e-15)
+            marks[3] = 0.0
+        with pytest.raises(ValueError):
+            identities._LOGFACT[0] = 1.0
+        assert log_factorial(3) == pytest.approx(math.log(6), rel=1e-15)
 
     def test_log_factorial_prefix_budget(self):
         # refused before anything limit-sized is allocated
         with pytest.raises(DomainError):
             log_factorial_prefix(-1)
+        for bad in (-1, np.array([3, -1]), np.array([0.5]), np.array(["3"]), 3.0, "3", None):
+            with pytest.raises(DomainError):
+                log_factorial(bad)
         tracemalloc.start()
         try:
             with pytest.raises(OutOfRangeError):
                 log_factorial_prefix(MAX_LIMIT + 1)
+            with pytest.raises(OutOfRangeError):
+                log_factorial(MAX_LIMIT + 1)
+            with pytest.raises(OutOfRangeError):
+                log_factorial(np.array([0, MAX_LIMIT + 1]))
             with pytest.raises(OutOfRangeError):
                 PSI_RATIO_SPEC.log_ratio(10**9)
             peak = tracemalloc.get_traced_memory()[1]
@@ -309,14 +365,35 @@ class TestFactorialRatio:
         assert PSI_RATIO_SPEC.log_ratio(0) == 0.0
 
     def test_log_factorial_prefix_growth_keeps_prefix(self, monkeypatch):
-        # start from an empty cache so both calls build, the second larger
-        import binomfactor.identities as identities
-        monkeypatch.setattr(identities, "_LOGFACT", np.zeros(0))
+        # start from the import state so both calls build, the second
+        # larger, continuing the running sum from the last checkpoint
+        step = identities._STEP
+        fresh_checkpoints(monkeypatch)
         small = log_factorial_prefix(1000)
         grown = log_factorial_prefix(6000)
-        assert len(identities._LOGFACT) == 6001
+        assert len(identities._LOGFACT) == 6000 // step + 1 == len(grown)
         assert not grown.flags.writeable
-        assert grown[:1001].tobytes() == small.tobytes()
+        assert np.array_equal(grown[:len(small)], small)
+        fresh_checkpoints(monkeypatch)
+        assert np.array_equal(log_factorial_prefix(6000), grown)
+        assert float(log_factorial_prefix(6000)[-1]) == dense_log_factorial(6000)[6000 // step * step]
+
+    def test_log_factorial_prefix_memory(self, monkeypatch):
+        """The warm-up at 10^7 holds 16 bytes per checkpoint, one per B
+        integers (a dense float64 prefix held 80 MB), and its build peak
+        stays within two 2^20-wide chunks of extended-precision logs."""
+        fresh_checkpoints(monkeypatch)
+        limit, chunk = 10**7, identities._CHUNK
+        held = 16 * (limit // identities._STEP + 1)
+        tracemalloc.start()
+        try:
+            log_factorial_prefix(limit)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert identities._LOGFACT.nbytes <= held
+        assert current <= held + 2**16
+        assert peak <= 2 * 16 * chunk
 
 
 def psi_gather_sum(table, c):

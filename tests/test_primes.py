@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from binomfactor import (MAX_LIMIT, DomainError, OutOfRangeError,
                          PrimeTable, binom_exponent, integer_root,
                          legendre_exponent, omega_binom_oracle)
-from binomfactor.primes import (_CHUNK, _GROUPED_FROM, _binom_divisor_flags,
-                               _grouped_level1, _is_prime_int, _power_table,
-                               _powers_up_to, _prime_power_table,
-                               _prime_powers_up_to, _quotients, _sieve)
+from binomfactor.primes import (_CHUNK, _GROUPED_FROM, MAX_EXPONENT_BITS,
+                               _binom_divisor_flags, _grouped_level1,
+                               _is_prime_int, _power_table, _powers_up_to,
+                               _prime_power_table, _prime_powers_up_to,
+                               _quotients, _sieve)
 from conftest import _von_mangoldt, dense_psi, reference_sieve
 
 
@@ -425,6 +426,31 @@ class TestBinomExponent:
                     e = binom_exponent(p, n, k)
                     assert c_row[k] % p**e == 0
                     assert c_row[k] % p**(e + 1) != 0
+
+
+class TestExponentBudget:
+    """n < 2^`MAX_EXPONENT_BITS` in the single-prime exponents, whose
+    Legendre sums grow about with the cube of n's bit length."""
+
+    def test_refused_fast(self):
+        n = 2**20000  # ~7 s of Legendre sums when it was accepted
+        for call in (lambda: binom_exponent(2, n, n // 2 + 12345),
+                     lambda: legendre_exponent(2, n),
+                     lambda: binom_exponent(3, 1 << MAX_EXPONENT_BITS, 5),
+                     lambda: legendre_exponent(3, 1 << MAX_EXPONENT_BITS)):
+            start = time.perf_counter()
+            with pytest.raises(OutOfRangeError, match="bit length of n"):
+                call()
+            assert time.perf_counter() - start < 0.05
+
+    def test_largest_n_accepted(self):
+        n = (1 << MAX_EXPONENT_BITS) - 1
+        # n = 2^4096 - 1 is all ones in base 2, so no carry adds k and n - k
+        assert binom_exponent(2, n, n // 3) == 0
+        assert legendre_exponent(2, n) == n - MAX_EXPONENT_BITS
+        # C(n, 1) = n = 4^2048 - 1, which 3 divides exactly once
+        assert n % 3 == 0 and n % 9 != 0
+        assert binom_exponent(3, n, 1) == 1
 
 
 class TestOmegaOracle:
