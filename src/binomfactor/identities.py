@@ -21,12 +21,15 @@ it exactly over the ~2 sqrt(x) quotients `PrimeTable.pi_on_quotients`
 reads (Dirichlet hyperbola grouping), never over all x/2 indices j.
 
 The psi series is a float sum, and regrouping its terms would move the
-last bits of the result.  `_psi_series_one` therefore still sums all c/2
-terms psi(floor(c/i)), in order, with one extended-precision np.sum, but
-it looks psi up only once per quotient and expands the runs of equal
-quotients with np.repeat: the terms, their order and the reduction are
-those of the direct gather, so the sum is bit-identical, and the O(c)
-int64 index array and its O(c) divisions are gone.
+last bits of the result.  `_psi_series_one` keeps the reduction order of
+one extended-precision np.sum over its c/2 float64 terms psi(floor(c/i)),
+in order: pairwise sums over fixed blocks of `_PSI_BLOCK` = 8192 terms,
+added in order.  It looks psi up once per quotient, and a block that lies
+inside one run of equal quotients is exactly 8192 copies of one value,
+whose pairwise sum is that value times 8192 to the bit; only the other
+blocks (about 1 in 9 at c = 10^7) are expanded with np.repeat.  So the
+sum is bit-identical to the direct gather, with no O(c) index array,
+divisions or term array.
 """
 
 from __future__ import annotations
@@ -310,21 +313,60 @@ def log_factorial(x):
     return float(out[0]) if scalar else out.reshape(x.shape)
 
 
+_PSI_BLOCK = 8192
+
+
 def _psi_series_one(table: PrimeTable, c: int) -> np.longdouble:
     """sum_i psi(c / i) over i >= 1 until the argument drops below 2.
 
-    The terms psi(floor(c/i)), i = 1..c/2, are laid out in order from one
-    `PrimeTable.psi_at` read of the values q >= 2 of `_quotients(c)`, each
-    repeated over its run of floor(c/q) - floor(c/q') consecutive i (q' the
-    value before q).  np.repeat expands those runs into the very float64
-    terms, in the very order, of the direct gather over every i, and one
-    np.sum reduces them as it did, so the sum is unchanged to the bit.
+    The terms psi(floor(c/i)), i = 1..c/2, come from one `PrimeTable.psi_at`
+    read of the values q >= 2 of `_quotients(c)`, each repeated over its run
+    of floor(c/q) - floor(c/q') consecutive i (q' the value before q).
+
+    The reduction order is the one the outputs carry: the terms, cast to
+    extended precision, are cut into blocks of B = `_PSI_BLOCK` = 8192; each
+    block is summed pairwise (numpy's pairwise sum), and the block totals
+    are added in order.  That is what np.sum(terms, dtype=np.longdouble)
+    does over a float64 array at numpy's default buffer size of 8192, so
+    the sum equals the direct gather over every i to the bit; unlike that
+    np.sum, it does not depend on `np.getbufsize()`.
+
+    A whole block inside one run is B copies of v = psi(q), and its
+    pairwise sum is exactly B*v: each of the 8 accumulators of a 128-term
+    leaf adds 16 copies one at a time (k*v, k <= 16, needs at most 4 bits
+    beyond v's 53, within the 64-bit significand), and every node above
+    doubles its children's sum.  Only the other blocks, where runs
+    meet (the short runs of the large quotients, one block at each end of
+    a long run, and the short last block), are expanded by np.repeat and
+    summed as rows; one cumsum adds the block totals in order.  With c/2
+    <= B the single block is one pairwise sum.  The total is read out
+    through np.sum, so its padding bytes are those of every extended-
+    precision np.sum result and `.tobytes()` compares as the gather does.
     """
     if c < 2:
         return np.longdouble(0.0)
     q = _quotients(c)[:-1]
-    runs = np.diff(c // q, prepend=0)
-    return np.sum(np.repeat(table.psi_at(q), runs), dtype=np.longdouble)
+    ends = c // q  # run r covers the terms [ends[r - 1], ends[r])
+    runs = np.diff(ends, prepend=0)
+    psi = table.psi_at(q).astype(np.longdouble)
+    n = c // 2  # terms i = 1..c/2, so n = ends[-1]
+    if n <= _PSI_BLOCK:
+        return np.sum(np.repeat(psi, runs))
+    full, rest = divmod(n, _PSI_BLOCK)
+    edges = np.arange(0, (full + 1) * _PSI_BLOCK, _PSI_BLOCK)
+    # a whole block is pure when its first and last terms share a run
+    first = np.searchsorted(ends, edges[:-1], side="right")
+    pure = first == np.searchsorted(ends, edges[1:] - 1, side="right")
+    owner = first[pure]
+    terms = np.repeat(psi, runs - _PSI_BLOCK * np.bincount(owner, minlength=runs.size))
+    mixed = full - owner.size
+    totals = np.empty(full + (rest > 0), dtype=np.longdouble)
+    whole = totals[:full]
+    whole[pure] = psi[owner] * _PSI_BLOCK
+    whole[~pure] = terms[:mixed * _PSI_BLOCK].reshape(mixed, _PSI_BLOCK).sum(axis=1)
+    if rest:
+        totals[full] = terms[mixed * _PSI_BLOCK:].sum()
+    return np.sum(np.cumsum(totals)[-1:])
 
 
 def factorial_ratio_report(spec: FactorialRatioSpec, k: int, table: PrimeTable) -> IdentityReport:

@@ -18,8 +18,8 @@ from binomfactor import (MAX_LIMIT, PI_BOUNDS_SPEC, DomainError,
 from binomfactor import identities
 from binomfactor.chebyshev import PSI_RATIO_SPEC
 from binomfactor.decomposition import level_prime_count
-from binomfactor.identities import _psi_series_one, _quotient_sum
-from binomfactor.primes import _GROUPED_FROM
+from binomfactor.identities import _PSI_BLOCK, _psi_series_one, _quotient_sum
+from binomfactor.primes import _GROUPED_FROM, _quotients
 from conftest import dense_log_factorial, dense_psi, reference_sieve
 
 
@@ -404,8 +404,9 @@ def psi_gather_sum(table, c):
 
 
 class TestPsiSeriesRuns:
-    """`_psi_series_one` gathers psi once per distinct quotient and expands
-    the runs; its extended-precision sum must equal the gather over every
+    """`_psi_series_one` gathers psi once per distinct quotient, writes a
+    block of `_PSI_BLOCK` terms inside one run in closed form and expands
+    the rest; its extended-precision sum must equal the gather over every
     i to the bit."""
 
     def test_every_small_c(self, table_small):
@@ -438,6 +439,72 @@ class TestPsiSeriesRuns:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20
+
+    def test_block_edges(self, table_large):
+        # c // 2 terms on either side of j whole blocks, c even and odd
+        B = _PSI_BLOCK
+        for j in range(1, 65):
+            for n in (j * B - 1, j * B, j * B + 1):
+                for c in (2 * n, 2 * n + 1):
+                    assert _psi_series_one(table_large, c).tobytes() == (
+                        psi_gather_sum(table_large, c).tobytes()), c
+
+    def test_run_ending_on_a_block_edge(self, table_large):
+        # the i sharing quotient q end at floor(c/q); put that on j*B
+        B = _PSI_BLOCK
+        for q in (2, 3, 5, 7, 11, 36, 97, 400):
+            for j in (1, 2, 3, 7):
+                for c in (q * j * B, q * j * B + q - 1):
+                    if c > table_large.limit:
+                        continue
+                    assert q in _quotients(c) and c // q == j * B
+                    assert _psi_series_one(table_large, c).tobytes() == (
+                        psi_gather_sum(table_large, c).tobytes()), (q, j, c)
+
+    def test_whole_block_closed_form(self, table_medium):
+        # B copies of a float64 v sum pairwise to exactly v * B
+        B = _PSI_BLOCK
+        rng = np.random.default_rng(2400)
+        seeded = np.concatenate((rng.random(200) * 10.0 ** rng.integers(-3, 8, 200),
+                                 [np.nextafter(1.0, 2.0), 2.0**53 - 1]))
+        for v in seeded:
+            assert np.sum(np.full(B, v, dtype=np.longdouble)) == np.longdouble(v) * B, v
+        vals = table_medium.psi_values.astype(np.longdouble)
+        for lo in range(0, vals.size, 64):
+            v = vals[lo:lo + 64]
+            rows = np.repeat(v, B).reshape(-1, B).sum(axis=1)
+            assert np.array_equal(rows, v * B), lo
+
+    def test_independent_of_numpy_buffer_size(self, table_large):
+        # np.sum over a cast float64 array reduces in chunks of
+        # np.getbufsize(); the psi series must not read that setting
+        cs = [100, 5000, 16384, 16385, 16386, 20000, 100003, 999999, 10**7]
+        ks = [1000, 33333, 333333]
+        before = [_psi_series_one(table_large, c).tobytes() for c in cs]
+        rhs = [factorial_ratio_report(PSI_RATIO_SPEC, k, table_large).rhs for k in ks]
+        default = np.getbufsize()
+        for size in (1024, 4096, 65536):
+            np.setbufsize(size)
+            try:
+                assert [_psi_series_one(table_large, c).tobytes()
+                        for c in cs] == before, size
+                assert [factorial_ratio_report(PSI_RATIO_SPEC, k, table_large).rhs.hex()
+                        for k in ks] == [r.hex() for r in rhs], size
+            finally:
+                np.setbufsize(default)
+
+    def test_block_sum_memory(self, table_large):
+        # only the blocks where runs meet are expanded: ~9 MiB of
+        # extended-precision terms at c = 10^7, against ~38 MiB for the
+        # float64 expansion of every term and its cast
+        factorial_ratio_report(PSI_RATIO_SPEC, 333333, table_large)
+        tracemalloc.start()
+        try:
+            factorial_ratio_report(PSI_RATIO_SPEC, 333333, table_large)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestAlternatingPiSum:
