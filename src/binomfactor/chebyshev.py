@@ -302,6 +302,13 @@ class BracketRow:
     holds: bool
 
 
+@functools.lru_cache(maxsize=64)
+def _spec_lead_and_anchor(spec: CombinationSpec) -> tuple[int | None, int | None]:
+    """`_lead_and_anchor` of the spec's coefficient sequence, derived once
+    per frozen spec."""
+    return _lead_and_anchor(coefficient_sequence(spec))
+
+
 def empirical_bracket_check(spec: CombinationSpec, k_grid,
                             table: PrimeTable) -> list[BracketRow]:
     """Numerically confirm the bracket at concrete k (multiples of the
@@ -312,7 +319,7 @@ def empirical_bracket_check(spec: CombinationSpec, k_grid,
     where every omega comes from the sieve oracle and D is the exactly
     accounted sum of sign * (omega - series) corrections per term.
     """
-    lead, anchor = _lead_and_anchor(coefficient_sequence(spec))
+    lead, anchor = _spec_lead_and_anchor(spec)
     rows = []
     for k in k_grid:
         k = _as_int(k, "k", lo=1)

@@ -41,7 +41,7 @@ import numpy as np
 
 from .decomposition import level_prime_count
 from .errors import DomainError, OutOfRangeError
-from .primes import (_CHUNK, MAX_LIMIT, PrimeTable, _as_int,
+from .primes import (MAX_LIMIT, PrimeTable, _as_int,
                      _binom_divisor_flags, _floor_real, _quotients, _shown)
 
 IDENTITY_OMEGA_PI = "omega_pi"
@@ -217,6 +217,10 @@ def omega_identity_report(n: int, m: int, k: int, table: PrimeTable) -> Identity
 #: recomputes at most B - 1 extended-precision logs after its checkpoint.
 _STEP = 32
 
+#: Most extended-precision logs alive at once, 1 MB, in the checkpoint
+#: build and in one pass of `log_factorial`.
+_LOG_CHUNK = 1 << 16
+
 #: The checkpoints log((jB)!), j = 0, 1, ..., as a read-only longdouble
 #: array; it always holds log(0!) = 0.
 _LOGFACT = np.zeros(1, dtype=np.longdouble)
@@ -237,12 +241,12 @@ def log_factorial_prefix(limit: int) -> np.ndarray:
     writeable cache, and every prefix of a larger array is bit-identical
     to the smaller one.
 
-    The sum runs in chunks of `_CHUNK` logs, so only one chunk of
+    The sum runs in chunks of `_LOG_CHUNK` logs, so only one chunk of
     extended-precision logs is alive at a time: the running carry is
     added to each chunk's first log before that chunk's cumsum, which
     performs the very additions of one sequential cumsum over the whole
-    range.  At limit 10^7 the checkpoints hold 5.0 MB, where a dense
-    float64 prefix held 80 MB.
+    range, whatever the chunk size.  At limit 10^7 the checkpoints hold
+    5.0 MB, where a dense float64 prefix held 80 MB.
 
     ``limit`` lies in [0, `MAX_LIMIT`] (100 MB of checkpoints at the top),
     the range of the tables its psi series are checked against.
@@ -256,8 +260,8 @@ def log_factorial_prefix(limit: int) -> np.ndarray:
         grown[:len(cache)] = cache
         carry = cache[-1]
         top = (count - 1) * _STEP
-        for lo in range((len(cache) - 1) * _STEP + 1, top + 1, _CHUNK):
-            c = np.arange(lo, min(lo + _CHUNK, top + 1), dtype=np.longdouble)
+        for lo in range((len(cache) - 1) * _STEP + 1, top + 1, _LOG_CHUNK):
+            c = np.arange(lo, min(lo + _LOG_CHUNK, top + 1), dtype=np.longdouble)
             np.log(c, out=c)
             c[0] += carry
             np.cumsum(c, out=c)
@@ -284,7 +288,7 @@ def log_factorial(x):
     Row i of a pass holds jB, jB + 1, ..., jB + w - 1 for the i-th
     x = jB + r (w - 1 the largest r); their logs, with log(jB) replaced by
     S(jB), cumsum along the row to log((jB + t)!) at column t.  A pass
-    takes at most `_CHUNK` slots."""
+    takes at most `_LOG_CHUNK` slots."""
     scalar = np.ndim(x) == 0
     if scalar:
         top = _as_int(x, "x", lo=0, hi=MAX_LIMIT)
@@ -300,7 +304,7 @@ def log_factorial(x):
     marks = log_factorial_prefix(top)
     j, r = np.divmod(x.astype(np.int64).ravel(), _STEP)
     width = int(r.max()) + 1
-    rows = _CHUNK // width
+    rows = _LOG_CHUNK // width
     out = np.empty(x.size, dtype=np.float64)
     for lo in range(0, x.size, rows):
         jb, rb = j[lo:lo + rows], r[lo:lo + rows]
@@ -339,9 +343,7 @@ def _psi_series_one(table: PrimeTable, c: int) -> np.longdouble:
     meet (the short runs of the large quotients, one block at each end of
     a long run, and the short last block), are expanded by np.repeat and
     summed as rows; one cumsum adds the block totals in order.  With c/2
-    <= B the single block is one pairwise sum.  The total is read out
-    through np.sum, so its padding bytes are those of every extended-
-    precision np.sum result and `.tobytes()` compares as the gather does.
+    <= B the single block is one pairwise sum.
     """
     if c < 2:
         return np.longdouble(0.0)
@@ -366,7 +368,7 @@ def _psi_series_one(table: PrimeTable, c: int) -> np.longdouble:
     whole[~pure] = terms[:mixed * _PSI_BLOCK].reshape(mixed, _PSI_BLOCK).sum(axis=1)
     if rest:
         totals[full] = terms[mixed * _PSI_BLOCK:].sum()
-    return np.sum(np.cumsum(totals)[-1:])
+    return np.cumsum(totals)[-1]
 
 
 def factorial_ratio_report(spec: FactorialRatioSpec, k: int, table: PrimeTable) -> IdentityReport:

@@ -47,6 +47,9 @@ MAX_CLOSED_FORM_TERMS = 1_000_000
 #: each of its n - 1 passes costs ~9 us plus ~17 ns per float, ~3.2 s at it.
 MAX_RATIO_WORK = 200_000_000
 
+#: `ratio_series_residual` sums each row in blocks of this many terms.
+_SUM_BLOCK = 8192
+
 #: Largest upper `telescoping_check` takes (about cubic: big-int k**k and a
 #: growing fsum per k): ~0.9 s at it.
 MAX_TELESCOPE_UPPER = 4000
@@ -120,9 +123,20 @@ def ratio_series_residual(n: int, truncation: int) -> float:
     j = np.arange(0, truncation, dtype=np.float64)
     total = np.longdouble(0.0)
     for i in range(1, n):
-        total += np.sum(1.0 / (j + i / n) - 1.0 / (j + i / (n - 1)),
-                        dtype=np.longdouble)
+        total += _blocked_sum(1.0 / (j + i / n) - 1.0 / (j + i / (n - 1)))
     return abs(lhs - float(total))
+
+
+def _blocked_sum(terms: np.ndarray) -> np.longdouble:
+    """The extended-precision sum of a float64 array, in the order of
+    np.sum(terms, dtype=np.longdouble) at numpy's default buffer size but
+    independent of `np.getbufsize()`: blocks of `_SUM_BLOCK` terms, each
+    cast and summed pairwise, the block totals added in order (the order
+    `identities._psi_series_one` keeps).  One block is cast at a time."""
+    total = np.longdouble(0.0)
+    for lo in range(0, terms.size, _SUM_BLOCK):
+        total += terms[lo:lo + _SUM_BLOCK].astype(np.longdouble).sum()
+    return total
 
 
 def telescoping_check(upper: int) -> int | None:

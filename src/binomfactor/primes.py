@@ -1,8 +1,9 @@
 """Sieve-backed arithmetic oracles.
 
 A :class:`PrimeTable` answers, for every integer up to a fixed limit:
-the prime counting function pi(x) from a stored prefix array, primality
-as a unit step of that prefix, and the Chebyshev summatory function
+the prime counting function pi(x) from a two-level table (pi below each
+multiple of 256, plus the primes counted from there), primality as a
+unit step of pi, and the Chebyshev summatory function
 psi(x) = sum of log p over prime powers p^j <= x from its values at the
 prime powers alone: the prime powers <= x number pi(x) plus the higher
 powers p^e <= x (e >= 2), and that count indexes psi.  On top of the
@@ -47,14 +48,14 @@ from .errors import DomainError, OutOfRangeError
 #: The CLI's default sieve budget; enough for prime counts at arguments up to 10^7.
 DEFAULT_LIMIT = 10_000_000
 
-#: Hard budget.  The table stores ~5 bytes per integer: the int32 pi
-#: prefix 4, plus 8 per prime for the primes and 8 per prime power for psi
-#: at the prime powers (5.26 B at limit 10^6, 5.06 B at 10^7, ~4.9 B or
-#: ~1 GB at this ceiling).  The pi prefix's cumsum holds an int32 cast of
-#: the sieve mask beside the mask and the prefix: tracemalloc puts the
-#: build peak at 9.0 MB for limit 10^6 and 90 MB for 10^7, 9 bytes per
-#: integer or ~1.8 GB at this ceiling.
-#: pi(x) <= x <= MAX_LIMIT < 2^31 keeps the int32 pi prefix exact.
+#: Hard budget.  The table stores ~2 bytes per integer: the uint8 pi
+#: offsets 1, the int32 pi base 4/256, plus 8 per prime for the primes and
+#: 8 per prime power for psi at the prime powers (2.27 B at limit 10^6,
+#: 2.08 B or 20.8 MB at 10^7, ~1.9 B or ~0.38 GB at this ceiling).  The
+#: offsets are counted in place in the sieve mask, so the build holds no
+#: limit-sized int32 array: tracemalloc puts its peak at 5.4 MB for limit
+#: 10^6 and 30 MB for 10^7, ~3 bytes per integer or ~0.6 GB at this ceiling.
+#: pi(x) <= x <= MAX_LIMIT < 2^31 keeps the int32 pi base exact.
 MAX_LIMIT = 200_000_000
 
 #: 2^53, past which a float64 no longer holds every integer: the cap on an
@@ -68,6 +69,11 @@ MAX_FLOAT_INT = 1 << 53
 MAX_EXPONENT_BITS = 4096
 
 _CHUNK = 1 << 20
+
+#: `PrimeTable` stores pi below each multiple of 2^_PI_SHIFT = 256 and, per
+#: integer, the primes counted from that multiple: at most the 128 odd
+#: integers of a block, so a uint8 holds the count.
+_PI_SHIFT = 8
 
 
 def _floor_real(x) -> int:
@@ -161,16 +167,20 @@ def _quotients(x: int) -> np.ndarray:
 class PrimeTable:
     """Immutable sieve table over [0, limit].
 
-    It stores only what the prime-count and psi series read; primality
-    is read off ``pi_prefix``, and psi is stored once per prime power.
-    Every array is read-only.
+    It stores only what the prime-count and psi series read: pi(x) is
+    ``pi_base[x >> 8] + pi_offset[x]``, which no code outside the class
+    reads; primality is a unit step of pi, and psi is stored once per
+    prime power.  Every array is read-only.
 
     Attributes
     ----------
     limit : int
         Largest integer the table can answer queries about.
-    pi_prefix : numpy int32 array
-        ``pi_prefix[n]`` = number of primes <= n.
+    pi_base : numpy int32 array
+        ``pi_base[b]`` = number of primes below 256 b, for b <= limit >> 8.
+    pi_offset : numpy uint8 array
+        ``pi_offset[n]`` = number of primes in [256 floor(n / 256), n],
+        at most 128.
     primes : numpy int64 array
         Ascending list of all primes <= limit.
     higher_powers : numpy int64 array
@@ -180,18 +190,18 @@ class PrimeTable:
         accumulated in extended precision; `psi_at` reads it.
     """
 
-    __slots__ = ("limit", "pi_prefix", "primes", "higher_powers", "psi_values")
+    __slots__ = ("limit", "pi_base", "pi_offset", "primes", "higher_powers",
+                 "psi_values")
 
     def __init__(self, limit: int):
         self.limit = limit = _as_int(limit, "sieve limit", lo=2, hi=MAX_LIMIT)
         mask = _sieve(limit)
-        self.pi_prefix = np.cumsum(mask, dtype=np.int32)
-        self.primes = np.flatnonzero(mask).astype(np.int64)
-        del mask
-        self.higher_powers, self.psi_values = _psi_at_prime_powers(
-            self.pi_prefix, self.primes)
-        for arr in (self.pi_prefix, self.primes, self.higher_powers,
-                    self.psi_values):
+        self.primes = np.flatnonzero(mask).astype(np.int64, copy=False)
+        self.pi_base, self.pi_offset = _pi_levels(mask)
+        self.higher_powers, self.psi_values = _psi_at_prime_powers(self)
+        # the mask is the buffer pi_offset views, so it is made read-only too
+        for arr in (mask, self.pi_base, self.pi_offset, self.primes,
+                    self.higher_powers, self.psi_values):
             arr.setflags(write=False)
 
     # -- scalar queries ------------------------------------------------
@@ -202,7 +212,7 @@ class PrimeTable:
         Accepts ints, floats, and exact Fractions; the floor is taken
         with exact arithmetic, never through a float conversion.
         """
-        return int(self.pi_prefix[self._index("pi", x)])
+        return self._pi(self._index("pi", x))
 
     def psi(self, x) -> float:
         """Chebyshev psi(x) = sum of Lambda(n) over n <= x, natural logs."""
@@ -217,7 +227,7 @@ class PrimeTable:
             raise DomainError(f"pi_at needs integers, got dtype {x.dtype}")
         if x.size and (x.min() < 0 or x.max() > self.limit):
             raise OutOfRangeError(f"pi_at needs 0 <= x <= {self.limit}, got [{x.min()}, {x.max()}]")
-        return self.pi_prefix[x]
+        return self._pi_read(x)
 
     def pi_on_quotients(self, x: int) -> tuple[np.ndarray, np.ndarray]:
         """(`_quotients(x)`, pi at each) for an int x; x outside [0, limit]
@@ -226,7 +236,7 @@ class PrimeTable:
         if not 0 <= x <= self.limit:
             raise OutOfRangeError(f"pi_on_quotients needs 0 <= x <= {self.limit}, got {_shown(x)}")
         q = _quotients(x)
-        return q, self.pi_prefix[q]
+        return q, self._pi_read(q)
 
     def psi_at(self, x) -> np.ndarray:
         """psi at each integer of x, 0 <= x <= limit, as float64.
@@ -238,6 +248,14 @@ class PrimeTable:
         count = self.pi_at(x) + np.searchsorted(self.higher_powers, x, side="right")
         return self.psi_values[count]
 
+    def _pi_read(self, x: np.ndarray) -> np.ndarray:
+        """pi at each integer of x, 0 <= x <= limit, unchecked, as int32."""
+        return self.pi_base[x >> _PI_SHIFT] + self.pi_offset[x]
+
+    def _pi(self, v: int) -> int:
+        """pi(v) for an int 0 <= v <= limit, from two int reads."""
+        return self.pi_base.item(v >> _PI_SHIFT) + self.pi_offset.item(v)
+
     def _index(self, name: str, x) -> int:
         """floor(x), clamped below to 0 (pi and psi vanish there); refuses
         floor(x) > limit."""
@@ -247,10 +265,9 @@ class PrimeTable:
         return max(v, 0)
 
     def is_prime(self, n: int) -> bool:
-        """Primality of an integer n <= limit, read off ``pi_prefix``."""
+        """Primality of an integer n <= limit: pi steps up at n."""
         n = _as_int(n, "n")
-        return n >= 2 and bool(self.pi_prefix[self._index("is_prime", n)]
-                               > self.pi_prefix[n - 1])
+        return n >= 2 and self._pi(self._index("is_prime", n)) > self._pi(n - 1)
 
     # -- bulk helpers ----------------------------------------------------
 
@@ -258,7 +275,7 @@ class PrimeTable:
         """View of all primes <= n (ascending), the first pi(n) of them;
         empty for n < 2."""
         n = _as_int(n, "n", hi=self.limit)
-        return self.primes[:int(self.pi_prefix[max(n, 0)])]
+        return self.primes[:self._pi(max(n, 0))]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PrimeTable(limit={self.limit}, primes={len(self.primes)})"
@@ -285,11 +302,30 @@ def _sieve(limit: int) -> np.ndarray:
     return flags
 
 
-def _psi_at_prime_powers(pi_prefix: np.ndarray,
-                         primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pi_levels(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(``pi_base``, ``pi_offset``) of `PrimeTable` from the primality mask
+    over [0, limit], which becomes ``pi_offset``: each block of 256 is
+    cumsummed in place as uint8, 2^20 integers at a time, so no
+    limit-sized int32 array is made.  ``pi_base`` sums the block totals,
+    the offsets at 256 b + 255, in int32."""
+    offset = mask.view(np.uint8)
+    block = 1 << _PI_SHIFT
+    full = offset.size - offset.size % block
+    for lo in range(0, full, _CHUNK):
+        rows = offset[lo:min(lo + _CHUNK, full)].reshape(-1, block)
+        np.cumsum(rows, axis=1, dtype=np.uint8, out=rows)
+    tail = offset[full:]
+    np.cumsum(tail, dtype=np.uint8, out=tail)
+    blocks = (offset.size - 1) >> _PI_SHIFT  # the blocks below limit's own
+    base = np.zeros(blocks + 1, dtype=np.int32)
+    np.cumsum(offset[block - 1::block][:blocks], dtype=np.int32, out=base[1:])
+    return base, offset
+
+
+def _psi_at_prime_powers(table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
     """(the prime powers p^e <= limit with e >= 2, ascending; 0 and then
-    psi at each prime power in ascending order, as float64) for the table
-    whose pi prefix runs to limit.
+    psi at each prime power in ascending order, as float64) for a table
+    whose limit, primes and pi are set.
 
     The higher powers are `_prime_powers_up_to(limit)`, and pi(h) primes
     precede a higher power h.  Lambda is log p at p^e: ``np.log`` of a
@@ -303,12 +339,12 @@ def _psi_at_prime_powers(pi_prefix: np.ndarray,
     The worst-case rounding is below 1e-13 relative, inside the 1e-12
     contract for psi.
     """
-    limit = len(pi_prefix) - 1
+    limit, primes = table.limit, table.primes
     at, higher = _prime_powers_up_to(limit)
-    lam = np.insert(np.log(primes.astype(np.float64)), pi_prefix[higher],
+    lam = np.insert(np.log(primes.astype(np.float64)), table.pi_at(higher),
                     [math.log(p) for p in primes[at].tolist()])
     edges = np.minimum(np.arange(_CHUNK - 1, limit + _CHUNK, _CHUNK), limit)
-    cuts = pi_prefix[edges] + np.searchsorted(higher, edges, side="right")
+    cuts = table.pi_at(edges) + np.searchsorted(higher, edges, side="right")
     psi = np.zeros(lam.size + 1, dtype=np.float64)
     carry = np.longdouble(0.0)
     lo = 0

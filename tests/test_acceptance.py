@@ -212,9 +212,8 @@ def test_criterion_10_exponent_bound(table_small):
                     assert p ** binom_exponent(p, n, k) <= n
         rng = random.Random(31337)
         all_primes = table_small.primes_up_to(2000).tolist()
-        pi_prefix = table_small.pi_prefix
         for _ in range(100_000):
             n = rng.randint(2, 2000)
             k = rng.randint(0, n)
-            p = all_primes[rng.randrange(int(pi_prefix[n]))]
+            p = all_primes[rng.randrange(table_small.pi(n))]
             assert p ** binom_exponent(p, n, k) <= n

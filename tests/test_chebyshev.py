@@ -182,6 +182,25 @@ class TestEmpiricalBracket:
         with pytest.raises(OutOfRangeError):
             empirical_bracket_check(PI_BOUNDS_SPEC, [k], table_small)
 
+    def test_sequence_expanded_once_per_spec(self, table_small, monkeypatch):
+        # the (lead, anchor) pair depends on the spec alone, so a second
+        # call with an equal spec expands no coefficient sequence
+        import binomfactor.chebyshev as chebyshev
+        calls = []
+        expand = chebyshev._sequence_from_divisors
+
+        def counted(weighted):
+            calls.append(1)
+            return expand(weighted)
+        monkeypatch.setattr(chebyshev, "_sequence_from_divisors", counted)
+        spec = CombinationSpec((CombinationTerm(+1, 3, 12), CombinationTerm(-1, 10, 60),
+                                CombinationTerm(+1, 2, 6)))
+        first = empirical_bracket_check(spec, [600], table_small)
+        again = empirical_bracket_check(CombinationSpec(spec.terms), [6000], table_small)
+        assert len(calls) <= 1
+        assert first == empirical_bracket_check(PI_BOUNDS_SPEC, [600], table_small)
+        assert again == empirical_bracket_check(PI_BOUNDS_SPEC, [6000], table_small)
+
 
 class TestPsiVariant:
     def test_spec_period_is_multiplier_lcm(self):

@@ -1,7 +1,7 @@
 """Contract checks in the package must hold under `python -O`, which
 strips `assert` statements, so the package may contain none.  Every
 integer argument is checked, and a float is refused with `DomainError`;
-its single bounds are checked by the same helper.  The pi prefix's format
+its single bounds are checked by the same helper.  The pi table's format
 is known to `PrimeTable` alone."""
 
 import ast
@@ -43,9 +43,10 @@ def test_package_has_no_assert():
 
 
 def test_pi_prefix_read_only_inside_prime_table():
-    """Outside the `PrimeTable` class body no code names ``.pi_prefix``:
-    every reader goes through `pi_at` or `pi_on_quotients`, so a change
-    of the prefix's storage stays inside the class."""
+    """Outside the `PrimeTable` class body no code names ``.pi_base`` or
+    ``.pi_offset``: every reader goes through `pi`, `pi_at` or
+    `pi_on_quotients`, so a change of pi's storage stays inside the
+    class."""
     found = []
     for path in sorted(Path(binomfactor.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -53,9 +54,10 @@ def test_pi_prefix_read_only_inside_prime_table():
                   if isinstance(cls, ast.ClassDef) and cls.name == "PrimeTable"
                   for node in ast.walk(cls)}
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr == "pi_prefix"
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("pi_base", "pi_offset")
                   and id(node) not in inside]
-    assert not found, f"pi_prefix read outside PrimeTable: {found}"
+    assert not found, f"pi levels read outside PrimeTable: {found}"
 
 
 def test_single_bounds_checked_only_in_as_int():

@@ -823,7 +823,7 @@ class TestLevelBlocks:
     @staticmethod
     def _one_shot(table, n, k):
         lo, hi = _level_range_arrays(n, k, np.arange(1, n // 2 + 1))
-        return int((table.pi_prefix[hi] - table.pi_prefix[lo]).sum())
+        return int((table.pi_at(hi) - table.pi_at(lo)).sum())
 
     def test_every_pair_up_to_300(self, table_small):
         for n in range(1, 301):

@@ -1,6 +1,7 @@
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from binomfactor import (DomainError, OutOfRangeError, block_term,
                          ratio_series_residual, telescoping_check)
 from binomfactor.logseries import (MAX_BLOCK_K, MAX_CLOSED_FORM_TERMS,
                                    MAX_RATIO_WORK, MAX_TELESCOPE_UPPER,
-                                   MAX_TERMS)
+                                   MAX_TERMS, _blocked_sum)
 from binomfactor.primes import MAX_FLOAT_INT
 
 
@@ -100,6 +101,36 @@ class TestRatioSeries:
         # the residual behaves like 1/(2J); record the constant
         for n in (2, 6):
             assert ratio_series_residual(n, 5000) * 5000 == pytest.approx(0.5, abs=0.05)
+
+    # the residuals of a per-row np.sum(row, dtype=np.longdouble), kept
+    # bit for bit at numpy's default buffer size and at any other
+    GOLDEN = [(2, 1, "0x1.8b90bfbe8e7bcp-2"), (3, 8192, "0x1.fffce38e30000p-15"),
+              (2, 8193, "0x1.ffec00bff8000p-15"), (7, 100_000, "0x1.4f8b330680000p-18"),
+              (20, 250_001, "0x1.0c6f27f100000p-19")]
+
+    def test_golden_and_independent_of_numpy_buffer_size(self):
+        default = np.getbufsize()
+        for size in (default, 1024):
+            np.setbufsize(size)
+            try:
+                got = [ratio_series_residual(n, j).hex() for n, j, _ in self.GOLDEN]
+            finally:
+                np.setbufsize(default)
+            assert got == [h for _, _, h in self.GOLDEN], size
+
+    def test_row_sum_in_fixed_blocks(self):
+        # the row (n, i) = (7, 1) at J = 10^5: np.sum's own partial sum
+        # moves under np.setbufsize(1024), the blocked sum does not
+        j = np.arange(100_000, dtype=np.float64)
+        row = 1.0 / (j + 1 / 7) - 1.0 / (j + 1 / 6)
+        want = np.sum(row, dtype=np.longdouble)
+        assert _blocked_sum(row) == want and not np.signbit(_blocked_sum(row))
+        default = np.getbufsize()
+        np.setbufsize(1024)
+        try:
+            assert _blocked_sum(row) == want
+        finally:
+            np.setbufsize(default)
 
 
 class TestTelescoping:

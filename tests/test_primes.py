@@ -1,19 +1,25 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import binomfactor
 from binomfactor import (MAX_LIMIT, DomainError, OutOfRangeError,
                          PrimeTable, binom_exponent, integer_root,
                          legendre_exponent, omega_binom_oracle)
-from binomfactor.primes import (_CHUNK, _GROUPED_FROM, MAX_EXPONENT_BITS,
+from binomfactor.primes import (_CHUNK, _GROUPED_FROM, _PI_SHIFT, MAX_EXPONENT_BITS,
                                _binom_divisor_flags, _grouped_level1,
                                _is_prime_int, _power_table, _powers_up_to,
                                _prime_power_table, _prime_powers_up_to,
@@ -74,13 +80,13 @@ class TestBuildTable:
 
     def test_against_independent_sieve(self, table_medium):
         ref = reference_sieve(1_000_000)
-        mask = np.diff(table_medium.pi_prefix[:1_000_001], prepend=0) > 0
+        mask = np.diff(table_medium.pi_at(np.arange(1_000_001)), prepend=0) > 0
         assert np.array_equal(mask, ref)
-        assert int(table_medium.pi_prefix[1_000_000]) == 78498
+        assert table_medium.pi(1_000_000) == 78498
 
     def test_golden_prefix_digests(self, table_medium):
         # the values must not depend on the dtype or layout the table uses
-        pi = table_medium.pi_prefix.astype(np.int64).tobytes()
+        pi = table_medium.pi_at(np.arange(table_medium.limit + 1)).astype(np.int64).tobytes()
         assert hashlib.sha256(pi).hexdigest() == (
             "265a504b995a522aa073aa9bfaf586ca03b11c5351888f47c71ec4957b5a3de3")
         psi = table_medium.psi_at(np.arange(table_medium.limit + 1)).tobytes()
@@ -88,12 +94,14 @@ class TestBuildTable:
             "a5d0aa4049bb75900c92f600a675a1556c55109a90357d9edb10ac462d3d669b")
 
     def test_arrays_read_only(self, table_small):
-        for name in ("pi_prefix", "primes", "higher_powers", "psi_values"):
+        for name in ("pi_base", "pi_offset", "primes", "higher_powers", "psi_values"):
             arr = getattr(table_small, name)
             before = arr[5]
             with pytest.raises(ValueError):
                 arr[5] = 0
             assert arr[5] == before, name
+        with pytest.raises(ValueError):
+            table_small.pi_offset.setflags(write=True)  # nor is its buffer writeable
         view = table_small.primes_up_to(100)
         with pytest.raises(ValueError):
             view[0] = 4
@@ -103,11 +111,15 @@ class TestBuildTable:
         stored = sum(getattr(table_medium, name).nbytes
                      for name in type(table_medium).__slots__
                      if isinstance(getattr(table_medium, name), np.ndarray))
-        assert stored <= 6 * (table_medium.limit + 1)
-        assert np.iinfo(table_medium.pi_prefix.dtype).max >= MAX_LIMIT
+        # 2.28 B here: the uint8 pi offsets 1, the primes and psi 1.26;
+        # the dense int32 pi prefix made it 5.26
+        assert stored <= 2.5 * (table_medium.limit + 1)
+        assert np.iinfo(table_medium.pi_base.dtype).max >= MAX_LIMIT
+        assert table_medium.pi_offset.dtype == np.uint8
 
     def test_build_peak(self):
-        # ~9.0 MB here; the dense psi build peaked at ~53 MB
+        # ~5.4 MB here; the int32 pi prefix's cumsum peaked at ~9.0 MB, and
+        # the dense psi build at ~53 MB
         limit = 10**6
         PrimeTable(1000)  # builds the shared power table first
         tracemalloc.start()
@@ -116,7 +128,24 @@ class TestBuildTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * (limit + 1)
+        assert peak <= 7 * (limit + 1)
+
+    def test_setup_rss_growth(self):
+        # a fresh interpreter's peak RSS, from after the import through a
+        # 10^7 table and its log-factorial checkpoints: ~33 MB here, ~88 MB
+        # with the dense int32 pi prefix and 2^20-wide log chunks
+        code = textwrap.dedent("""
+            import resource
+            import binomfactor
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            table = binomfactor.PrimeTable(10**7)
+            binomfactor.log_factorial_prefix(10**7)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(binomfactor.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert int(out) <= 60 * 1024  # ru_maxrss is in KiB on Linux
 
 
 class TestPi:
@@ -146,12 +175,11 @@ class TestPi:
             table_small.pi(20_001)
 
     def test_monotone_with_unit_steps(self, table_small):
-        pp = table_small.pi_prefix
-        diffs = np.diff(pp[:5000])
+        diffs = np.diff(table_small.pi_at(np.arange(5000)))
         assert diffs.min() >= 0 and diffs.max() <= 1
 
     def test_prefix_matches_primality_count(self, table_small):
-        assert int(table_small.pi_prefix[-1]) == len(table_small.primes)
+        assert table_small.pi(table_small.limit) == len(table_small.primes)
 
     def test_is_prime_matches_reference_sieve(self, table_small):
         ref = reference_sieve(table_small.limit)
@@ -167,15 +195,15 @@ class TestPi:
     def test_pi_at_matches_prefix(self, table_small):
         x = np.arange(table_small.limit + 1)
         got = table_small.pi_at(x)
-        assert got.dtype == table_small.pi_prefix.dtype
-        assert got.tobytes() == table_small.pi_prefix[x].tobytes()
+        assert got.dtype == np.int32
+        assert np.array_equal(got, np.cumsum(reference_sieve(table_small.limit)))
         assert table_small.pi_at(np.empty(0, dtype=np.int64)).size == 0
 
     def test_pi_on_quotients(self, table_small):
         for x in (0, 1, 2, 97, 10_000, table_small.limit):
             q, pi = table_small.pi_on_quotients(x)
             assert q.tobytes() == _quotients(x).tobytes()
-            assert pi.tobytes() == table_small.pi_prefix[q].tobytes()
+            assert pi.tobytes() == table_small.pi_at(q).tobytes()
 
     def test_pi_on_quotients_refuses_before_building(self, table_small):
         # the quotient set of 10^30 has ~2 * 10^15 values: building it
@@ -187,6 +215,33 @@ class TestPi:
         assert time.perf_counter() - start < 0.01
         with pytest.raises(DomainError):
             table_small.pi_on_quotients(10.0)
+
+
+class TestPiLevels:
+    """pi(x) is ``pi_base[x >> 8] + pi_offset[x]``: the primes below the
+    multiple of 256 at or below x, plus those counted from it."""
+
+    @pytest.mark.parametrize("limit", [2, 3, 255, 256, 257, 511, 512, _CHUNK - 1,
+                                       _CHUNK, _CHUNK + 1, 10**6])
+    def test_matches_reference_cumsum(self, limit):
+        table = PrimeTable(limit)
+        want = np.cumsum(reference_sieve(limit))
+        assert np.array_equal(table.pi_at(np.arange(limit + 1)), want)
+        assert [table.pi(x) for x in range(min(limit, 1000) + 1)] == want[:1001].tolist()
+        assert table.pi_base.size == (limit >> _PI_SHIFT) + 1
+        assert table.pi_offset.max() <= 128
+
+    def test_block_edges(self, table_medium):
+        # 257 = 256 + 1, 65537 = 2^16 + 1 and 786433 = 3 * 2^18 + 1 are
+        # prime, each the first integer past a block edge
+        ref = reference_sieve(table_medium.limit)
+        for edge in (256, 512, 65536, 786432, 999936):
+            for n in range(edge - 3, edge + 4):
+                assert table_medium.is_prime(n) == ref[n], n
+                want = np.flatnonzero(ref[:n + 1])
+                assert np.array_equal(table_medium.primes_up_to(n), want), n
+        assert table_medium.is_prime(257) and table_medium.is_prime(65537)
+        assert table_medium.is_prime(786433)
 
 
 def test_primes_up_to_is_the_searchsorted_prefix(table_small):
@@ -270,8 +325,9 @@ class TestPsiAt:
                 read(np.array([2.0, 3.0]))
 
     def test_reads_pi_prefix_when_called(self, table_small):
-        # element reads of the pi prefix stand for psi lookups, so a
-        # counting view put in its place must see one read per argument
+        # element reads of the two pi levels stand for psi lookups, so
+        # counting views put in their place must each see one read per
+        # argument
         reads = []
 
         class Counting(np.ndarray):
@@ -281,10 +337,11 @@ class TestPsiAt:
                 return out
 
         table = PrimeTable(table_small.limit)
-        table.pi_prefix = table.pi_prefix.view(Counting)
+        table.pi_base = table.pi_base.view(Counting)
+        table.pi_offset = table.pi_offset.view(Counting)
         assert table.psi_at(np.arange(50)).tobytes() == (
             table_small.psi_at(np.arange(50)).tobytes())
-        assert reads == [50]
+        assert reads == [50, 50]
 
 
 class TestVonMangoldtAndMu:
