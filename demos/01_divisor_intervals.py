@@ -11,7 +11,6 @@ against the brute-force sieve oracle.
 
 from binomfactor import (PrimeTable, decompose, equivalence_check,
                          omega_binom_oracle, prime_divides)
-from binomfactor.decomposition import integer_membership_mask
 
 table = PrimeTable(10_000)
 
@@ -24,10 +23,10 @@ for n, k in [(2000, 1000), (2000, 800)]:
     print(f"primes dividing C({n}, {k}):")
     print(f"  level 1: {shown} u ...")
 
-    # higher root levels catch small primes whose square/cube/... is the witness
+    # higher root levels catch small primes whose square/cube/... is the
+    # witness: those with no level-1 carry floor(n/p) - floor(k/p) - floor((n-k)/p)
     count, primes = omega_binom_oracle(table, n, k)
-    level1 = integer_membership_mask(n, k, level=1)
-    deep = [p for p in primes.tolist() if not level1[p]]
+    deep = [p for p in primes.tolist() if n // p - k // p - (n - k) // p == 0]
     print(f"  omega = {count} distinct prime divisors; "
           f"{len(deep)} of them witnessed only at root level >= 2: {deep}")
 

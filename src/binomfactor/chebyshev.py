@@ -112,8 +112,13 @@ class CoefficientSequence:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values",
-                           tuple(_as_int(v, "coefficient") for v in self.values))
+        # |c| <= 2^32 keeps `reconstruct_series_value` exact in int64: its
+        # sums are at most |c| * k or |c| * sum_j pi(k/j) = |c| * sum of
+        # omega(v) over v <= k <= MAX_LIMIT = 2*10^8 < 2*3*5*...*23, where
+        # omega(v) <= 8, so at most 2^32 * 1.6*10^9 < 2^63
+        values = tuple(_as_int(v, "coefficient") for v in self.values)
+        _as_int(max(map(abs, values), default=0), "largest |coefficient|", hi=1 << 32)
+        object.__setattr__(self, "values", values)
         if not self.values:
             raise DomainError("a coefficient sequence needs at least one value")
 
@@ -320,6 +325,8 @@ def empirical_bracket_check(spec: CombinationSpec, k_grid,
     accounted sum of sign * (omega - series) corrections per term.
     """
     lead, anchor = _spec_lead_and_anchor(spec)
+    if lead is None:
+        raise DomainError("the combination's coefficients are all zero: nothing to bracket")
     rows = []
     for k in k_grid:
         k = _as_int(k, "k", lo=1)

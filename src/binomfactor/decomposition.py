@@ -33,13 +33,14 @@ floor(a) < q <= floor(b).  `fractions.Fraction` endpoints are built only
 when `Decomposition.levels` is read.
 
 The cells are independent, so the enumeration can also be taken over any
-ascending set of upper denominators, and every floored reader (the
+ascending set of upper denominators.  Every floored reader (the
 membership mask, `equivalence_check`, `level_prime_count`, `prime_divides`
-and the pretty form, `pretty_chunks`) takes it over the ~2*sqrt(n) cells
-that hold an integer.  `equivalence_check` reads the union over root
-levels in prime-index space: pi at the floored endpoints says which
-primes each interval holds, and each prime power p^i <= n (i >= 2) is
-looked up among the endpoints, so no array of it has n entries.
+and the pretty form, `pretty_chunks`) reads one form of it, `_cell_edges`:
+the ~2*sqrt(n) cells that hold an integer, as edges checked once for
+overlap, with one membership rule, `_covered`.  `equivalence_check` reads
+the union over root levels in prime-index space: pi at the edges says
+which primes each interval holds, and each prime power p^i <= n (i >= 2)
+is looked up among the edges, so no array of it has n entries.
 An integer x >= 2 lies in exactly one cell, the one with d = floor(n/x),
 so those cells are `primes._quotients(n)[:0:-1]`, the values floor(n/x),
 2 <= x <= n, ascending.  Any other cell holds no integer, and its
@@ -312,22 +313,17 @@ def decompose(n: int, k: int) -> Decomposition:
 def prime_divides(dec: Decomposition, p: int) -> bool:
     """Exact membership of the prime p in the decomposition (union over
     root levels): true iff some interval contains a power p^i, i.e.
-    (level i being a prefix of level 1) some level-1 interval does.
-
-    The floored lowers of the integer cells of (dec.n, dec.k) ascend in
-    descending d, and the last one below p^i belongs to the only interval
-    that can contain it.  Raises `DomainError` if p is not prime.
+    (level i being a prefix of level 1) some level-1 interval does, by
+    `_covered` on the edges of the integer cells of (dec.n, dec.k).
+    Raises `DomainError` if p is not prime.
     """
     if not _is_prime_int(p):
         raise DomainError(f"{p} is not prime")
-    lo, hi = (a[::-1] for a in _level_range_arrays(dec.n, dec.k, _quotients(dec.n)[:0:-1]))
+    edges = _cell_edges(dec.n, dec.k)
     q = p
-    while q <= dec.n:
-        t = int(np.searchsorted(lo, q))
-        if t and q <= hi[t - 1]:
-            return True
+    while q <= dec.n and not _covered(edges, q):
         q *= p
-    return False
+    return q <= dec.n
 
 
 # -- floored endpoints over the integer cells ----------------------------
@@ -346,9 +342,9 @@ def pretty_chunks(n: int, k: int) -> list[str]:
     """The CLI's pretty text of C(n, k): a heading, then one line per root
     level that shows an interval, or a note that the coefficient is 1.
 
-    Level i shows each floored interval (lo, hi] of the integer cells with
-    hi >= 2^i as (iroot(lo, i), iroot(hi, i)], skipping those holding no
-    integer >= 2 (the floored interval of any other cell is empty).  The
+    Level i shows each interval (lo, hi] of `_cell_edges` with hi >= 2^i
+    as (iroot(lo, i), iroot(hi, i)], skipping those holding no integer
+    >= 2 (the floored interval of any other cell is empty).  The
     roots count the i-th powers <= lo and hi among 1 and the exponent-i
     rows of `_powers_up_to(n)`, whose reach, `MAX_LIMIT`, caps n."""
     n, k = _check_binom_args(n, k)
@@ -356,7 +352,8 @@ def pretty_chunks(n: int, k: int) -> list[str]:
     chunks = [_PRETTY_HEADING % (n, k)]
     if k == 0 or k == n:
         return chunks + [_PRETTY_EMPTY]
-    lo, hi = _level_range_arrays(n, k, _quotients(n)[:0:-1])
+    # the edges read backwards pair up as (hi, lo), in ascending d
+    hi, lo = _cell_edges(n, k)[-2:0:-1].reshape(-1, 2).T
     _, exponent, power = _powers_up_to(n)
     for i in range(1, n.bit_length()):
         # level i: the uppers >= 2^i, a prefix in ascending d
@@ -372,48 +369,36 @@ def pretty_chunks(n: int, k: int) -> list[str]:
     return chunks
 
 
-def integer_membership_mask(n: int, k: int, level: int | None = None) -> np.ndarray:
+def integer_membership_mask(n: int, k: int) -> np.ndarray:
     """Boolean mask over [0, n]: which integers are witnessed as i-th
-    roots of interval members.  ``level=None`` takes the union over all
-    root levels; ``level=i`` restricts to one level.
+    roots of interval members, for some root level i.
 
     Restricted to primes this is exactly the divisor set of C(n, k).
-    Only the level-1 cells that hold an integer are enumerated
-    (``_quotients(n)[:0:-1]``, ~2*sqrt(n) of them), and their disjoint
-    floored intervals are painted as runs.  The powers r^i <= n with
-    i >= 2 are the prefix `_powers_up_to(n)`: r is a witness at every
-    level where r^i is covered, and ``level=i`` keeps the powers of
-    exponent i.  So the work past the n + 1 mask bytes is O(sqrt n).
-    n is capped at `MAX_LIMIT`, the largest table a caller can gather
-    the mask with; a level must be an integer >= 1."""
+    The runs of `_cell_edges` (~2*sqrt(n) intervals) are painted, and
+    the powers r^i <= n with i >= 2 are the prefix `_powers_up_to(n)`: r
+    is a witness where some r^i is covered.  So the work past the n + 1
+    mask bytes is O(sqrt n).  n is capped at `MAX_LIMIT`, the largest
+    table a caller can gather the mask with."""
     n, k = _check_binom_args(n, k)
     _as_int(n, "n", hi=MAX_LIMIT)
-    if level is not None:
-        level = _as_int(level, "root level", lo=1)
     runs = np.diff(_cell_edges(n, k))
     runs[0] += 1  # the first gap holds 0 as well
     covered = np.repeat(np.arange(runs.size) % 2 == 1, runs)
-    if level == 1:
-        return covered
     # r >= 2 is a level-i witness iff r^i is covered: an interval holding
     # r^i >= 2^i has upper >= 2^i, so it is one of level i
-    base, exponent, power = _powers_up_to(n)
-    if level is None:
-        # in place: the index covered[power] is read whole before the store
-        covered[base[covered[power]]] = True
-        return covered
-    member = np.zeros(n + 1, dtype=bool)
-    at = exponent == level
-    member[base[at]] = covered[power[at]]
-    return member
+    base, _, power = _powers_up_to(n)
+    # in place: the index covered[power] is read whole before the store
+    covered[base[covered[power]]] = True
+    return covered
 
 
 def _cell_edges(n: int, k: int) -> np.ndarray:
     """The floored level-1 intervals of the integer cells as ascending
     int64 edges 0, lo, hi, lo', hi', ..., n: the runs between them
-    alternate gap [0, lo] (with 0), interval (lo, hi], gap (hi, lo'], ...,
-    so x in (0, n] lies in an interval iff the first edge >= x has an even
-    index.  Raises `DomainError` if two intervals overlap."""
+    alternate gap [0, lo] (with 0), interval (lo, hi], gap (hi, lo'], ...
+    The one floored form every floored reader takes, and the one caller
+    of `_level_range_arrays` in it.  Raises `DomainError` if two intervals
+    overlap."""
     lo, hi = _level_range_arrays(n, k, _quotients(n)[:0:-1])
     edges = np.empty(2 * lo.size + 2, dtype=np.int64)
     edges[0], edges[-1] = 0, n
@@ -425,6 +410,12 @@ def _cell_edges(n: int, k: int) -> np.ndarray:
     return edges
 
 
+def _covered(edges: np.ndarray, x: int | np.ndarray) -> np.bool_ | np.ndarray:
+    """Whether x in (0, n] (an int or an array) lies in an interval of
+    `_cell_edges`: iff the first edge >= x has an even index."""
+    return np.searchsorted(edges, x) % 2 == 0
+
+
 def _prime_membership(table: PrimeTable, n: int, k: int) -> np.ndarray:
     """Membership of each prime p <= n in the union over root levels, one
     bool per prime, for 0 <= k <= n <= table.limit; no array is n-sized.
@@ -432,13 +423,13 @@ def _prime_membership(table: PrimeTable, n: int, k: int) -> np.ndarray:
     The primes in the runs of `_cell_edges` number pi at one edge minus pi
     at the one before, so one repeat over the pi(n) primes paints level
     1.  A prime power p^i <= n (i >= 2, from `_prime_powers_up_to`) is a
-    witness iff its first edge >= p^i has an even index: an interval
-    holding p^i >= 2^i has upper >= 2^i, so it is one of level i."""
+    witness iff it is `_covered`: an interval holding p^i >= 2^i has
+    upper >= 2^i, so it is one of level i."""
     edges = _cell_edges(n, k)
     pi = table.pi_at(edges)
     member = np.repeat(np.arange(edges.size - 1) % 2 == 1, pi[1:] - pi[:-1])
     at, q = _prime_powers_up_to(n)
-    member[at[np.searchsorted(edges, q) % 2 == 0]] = True
+    member[at[_covered(edges, q)]] = True
     return member
 
 
@@ -455,12 +446,9 @@ def equivalence_check(n: int, k: int, table: PrimeTable) -> int | None:
 
 
 def level_prime_count(table: PrimeTable, n: int, k: int) -> int:
-    """Number of primes in the level-1 intervals, via prime counts at the
-    floored endpoints (exact: the intervals are disjoint).
-
-    Only the cells that hold an integer (``_quotients(n)[:0:-1]``,
-    ~2*sqrt(n) of them) are enumerated, in one call; every other interval
-    holds no integer and adds pi(hi) - pi(lo) = 0."""
+    """Number of primes in the level-1 intervals: pi(hi) - pi(lo) over
+    the intervals of `_cell_edges`, the odd runs between its edges
+    (exact: the intervals are disjoint; every cell that holds no integer
+    would add pi(hi) - pi(lo) = 0)."""
     n, k = _check_binom_args(n, k, table)
-    lo, hi = _level_range_arrays(n, k, _quotients(n)[:0:-1])
-    return int((table.pi_at(hi) - table.pi_at(lo)).sum())
+    return int(np.diff(table.pi_at(_cell_edges(n, k)))[1::2].sum())

@@ -67,6 +67,19 @@ class TestCoefficientSequence:
         direct = coefficient_sequence(CombinationSpec((CombinationTerm(1, 1, 2),)))
         assert direct.period == 2
 
+    def test_coefficient_bound(self, table_medium):
+        # |c| <= 2^32 keeps the int64 quotient sum exact up to MAX_LIMIT;
+        # past it a coefficient is refused: at k = 10^6, 2^62 summed to 0
+        # and 10^30 raised a bare OverflowError
+        k = 10**6
+        one = reconstruct_series_value(CoefficientSequence((1,)), k, table_medium)
+        for c in (1 << 32, -(1 << 32)):
+            assert reconstruct_series_value(CoefficientSequence((c, c)), k,
+                                            table_medium) == c * one
+        for c in (1 << 62, 10**30, (1 << 32) + 1, -(1 << 62)):
+            with pytest.raises(OutOfRangeError, match="largest [|]coefficient[|]"):
+                CoefficientSequence((1, c))
+
     def test_reconstruction_matches_series_sum(self, table_medium):
         # expanding the sequence against pi at a concrete k reproduces the
         # signed sum of the per-term series exactly
@@ -175,6 +188,17 @@ class TestEmpiricalBracket:
     def test_rejects_non_alternating(self, table_small):
         with pytest.raises(NonAlternatingError):
             empirical_bracket_check(PI_BOUNDS_SPEC_BROKEN, [420], table_small)
+
+    @pytest.mark.parametrize("spec", [
+        CombinationSpec(()),
+        CombinationSpec((CombinationTerm(+1, 2, 6), CombinationTerm(-1, 2, 6))),
+    ], ids=["empty", "cancelling"])
+    def test_rejects_zero_combination(self, table_small, spec):
+        # derive_bounds gives it the zero ledger; the bracket has no lead or
+        # anchor term to read pi at
+        assert derive_bounds(spec).lead_index == 0
+        with pytest.raises(DomainError, match="all zero"):
+            empirical_bracket_check(spec, [60], table_small)
 
     @pytest.mark.parametrize("k", [40_020, 60 * 10**20])
     def test_out_of_range(self, table_small, k):

@@ -19,8 +19,8 @@ from binomfactor import (MAX_DECOMPOSE_N, MAX_LIMIT, DomainError,
                          OutOfRangeError, binom_exponent, decompose,
                          equivalence_check, integer_root, omega_binom_oracle,
                          prime_divides)
-from binomfactor.decomposition import (_level_range_arrays, _prime_membership,
-                                       integer_membership_mask,
+from binomfactor.decomposition import (_cell_edges, _covered, _level_range_arrays,
+                                       _prime_membership, integer_membership_mask,
                                        level_prime_count, pretty_chunks)
 from binomfactor.primes import _binom_divisor_flags, _quotients
 from conftest import floored_pairs
@@ -345,8 +345,8 @@ class TestFastPathAgreesWithIntervals:
             assert mask[p] == prime_divides(dec, p)
 
     def test_level_one_mask_is_level_one_carry(self, table_medium):
-        # level 1 of the mask holds exactly the primes p with a carry at
-        # p itself: floor(n/p) - floor(k/p) - floor((n-k)/p) = 1
+        # the intervals of the cell edges hold exactly the primes p with a
+        # carry at p itself: floor(n/p) - floor(k/p) - floor((n-k)/p) = 1
         rng = random.Random(1709)
         pairs = [(n, k) for n in range(2, 301) for k in range(1, n)]
         pairs += [(n, rng.randint(1, n - 1))
@@ -354,8 +354,7 @@ class TestFastPathAgreesWithIntervals:
         for n, k in pairs:
             primes = table_medium.primes_up_to(n)
             carry = (n // primes - k // primes - (n - k) // primes) > 0
-            mask = integer_membership_mask(n, k, level=1)[primes]
-            assert np.array_equal(mask, carry), (n, k)
+            assert np.array_equal(_covered(_cell_edges(n, k), primes), carry), (n, k)
 
 
 class TestEquivalence:
@@ -452,17 +451,6 @@ class TestEquivalence:
             monkeypatch.undo()
             self._flip(monkeypatch, flip)
             assert equivalence_check(2000, 1002, table_small) == min(flip), flip
-
-    def test_overlapping_intervals_raise(self, table_small, monkeypatch):
-        # valid intervals read twice overlap; the check must refuse them
-        real = decomposition._level_range_arrays
-
-        def doubled(n, k, d):
-            lo, hi = real(n, k, d)
-            return np.repeat(lo, 2), np.repeat(hi, 2)
-        monkeypatch.setattr(decomposition, "_level_range_arrays", doubled)
-        with pytest.raises(DomainError, match="overlapping"):
-            equivalence_check(100, 37, table_small)
 
     def test_oracle_count_matches_decomposition_count(self, table_small):
         from binomfactor import omega_binom_oracle
@@ -790,7 +778,12 @@ class TestPrefixLevels:
 
     @pytest.mark.parametrize("n,k,level", list(MASK_GOLDENS))
     def test_mask_golden(self, n, k, level):
-        mask = integer_membership_mask(n, k, level=level)
+        # the union over root levels is the mask; each single level is
+        # pinned through the full enumeration
+        if level is None:
+            mask = integer_membership_mask(n, k)
+        else:
+            [mask] = _reference_masks(n, k, [level])
         assert mask.dtype == bool and mask.shape == (n + 1,)
         assert _sha(mask) == self.MASK_GOLDENS[n, k, level]
 
@@ -801,13 +794,6 @@ class TestPrefixLevels:
         cat = np.concatenate(list(dec.columns.values()), axis=1)
         assert cat.dtype == np.int64
         assert _sha(cat) == "8c798fdc5f2bd35cb8140f7b90626df94e9cc0894dd3743d133abaff401dc985"
-
-    def test_mask_rejects_level_zero(self):
-        # and every level that is not an integer, which would match no
-        # exponent and give an all-False mask
-        for level in (0, 1.5, "2", np.float64(2.0)):
-            with pytest.raises(DomainError):
-                integer_membership_mask(100, 37, level=level)
 
     @pytest.mark.parametrize("n,k", [(10, -3), (10, 11), (0, 0)])
     def test_mask_rejects_bad_pair(self, n, k):
@@ -906,6 +892,46 @@ class TestIntegerCells:
             assert np.array_equal(n // other, n // (other + 1)), n
 
 
+#: Every floored reader of the interval family, as f(table, n, k).
+FLOORED_READERS = {
+    "integer_membership_mask": lambda table, n, k: integer_membership_mask(n, k),
+    "equivalence_check": lambda table, n, k: equivalence_check(n, k, table),
+    "level_prime_count": level_prime_count,
+    "prime_divides": lambda table, n, k: prime_divides(decompose(n, k), 2),
+    "pretty_chunks": lambda table, n, k: pretty_chunks(n, k),
+}
+
+
+class TestFlooredReaders:
+    """Every floored reader takes the one floored form, `_cell_edges`: one
+    call of `_level_range_arrays`, on the integer cells, under its overlap
+    check."""
+
+    @pytest.mark.parametrize("reader", sorted(FLOORED_READERS))
+    def test_reads_the_integer_cells_once(self, table_small, monkeypatch, reader):
+        seen = []
+        real = decomposition._level_range_arrays
+
+        def recorded(n, k, d):
+            seen.append((n, k, d.tolist()))
+            return real(n, k, d)
+        monkeypatch.setattr(decomposition, "_level_range_arrays", recorded)
+        FLOORED_READERS[reader](table_small, 100, 37)
+        assert seen == [(100, 37, _quotients(100)[:0:-1].tolist())]
+
+    @pytest.mark.parametrize("reader", sorted(FLOORED_READERS))
+    def test_refuses_overlapping_intervals(self, table_small, monkeypatch, reader):
+        # valid intervals read twice overlap; every reader must refuse them
+        real = decomposition._level_range_arrays
+
+        def doubled(n, k, d):
+            lo, hi = real(n, k, d)
+            return np.repeat(lo, 2), np.repeat(hi, 2)
+        monkeypatch.setattr(decomposition, "_level_range_arrays", doubled)
+        with pytest.raises(DomainError, match="overlapping"):
+            FLOORED_READERS[reader](table_small, 100, 37)
+
+
 def _reference_masks(n, k, levels):
     """The membership masks at the given root levels over the full
     enumeration, every cell painted with bincount and cumsum."""
@@ -925,14 +951,16 @@ def _reference_masks(n, k, levels):
 
 
 class TestMaskOverIntegerCells:
-    """`integer_membership_mask` reads only the cells that hold an integer;
-    it must equal the full enumeration wherever both can run."""
+    """`integer_membership_mask` and the level-1 membership of
+    `_cell_edges` read only the cells that hold an integer; they must
+    equal the full enumeration wherever both can run."""
 
     @staticmethod
-    def _check(n, k, levels=(None, 1, 2, 3)):
-        for level, want in zip(levels, _reference_masks(n, k, levels)):
-            assert np.array_equal(integer_membership_mask(n, k, level),
-                                  want), (n, k, level)
+    def _check(n, k):
+        union, level1 = _reference_masks(n, k, (None, 1))
+        assert np.array_equal(integer_membership_mask(n, k), union), (n, k)
+        x = np.arange(1, n + 1)
+        assert np.array_equal(_covered(_cell_edges(n, k), x), level1[1:]), (n, k)
 
     def test_every_pair_up_to_300(self):
         for n in range(1, 301):
@@ -943,7 +971,7 @@ class TestMaskOverIntegerCells:
         rng = random.Random(2718)
         for _ in range(200):
             n = rng.randint(2, 10**6)
-            self._check(n, rng.randint(0, n), levels=(None,))
+            self._check(n, rng.randint(0, n))
 
     def test_sqrt_edges(self):
         rng = random.Random(3141)
@@ -951,17 +979,6 @@ class TestMaskOverIntegerCells:
             for n in _sqrt_edges(r):
                 for k in {1, 2, n // 3, n // 2, n - 1, rng.randint(0, n)}:
                     self._check(n, k)
-
-    def test_overlapping_runs_raise(self, monkeypatch):
-        # valid intervals read twice overlap; the mask must refuse them
-        real = decomposition._level_range_arrays
-
-        def doubled(n, k, d):
-            lo, hi = real(n, k, d)
-            return np.repeat(lo, 2), np.repeat(hi, 2)
-        monkeypatch.setattr(decomposition, "_level_range_arrays", doubled)
-        with pytest.raises(DomainError, match="overlapping"):
-            integer_membership_mask(100, 37)
 
     def test_budget(self, monkeypatch):
         # the limit reaches the painting; one past it is refused before

@@ -107,12 +107,12 @@ class TestOmegaPiSeries:
 class TestGroupedForm:
     def test_counts_level_one_primes(self, table_small):
         # the grouped series counts exactly the primes inside the level-1
-        # intervals, here recomputed by scanning primality directly
-        from binomfactor.decomposition import integer_membership_mask
+        # intervals, here found one by one among the cell edges
+        from binomfactor.decomposition import _cell_edges, _covered
         for n, m, k in [(2, 1, 8), (3, 1, 20), (5, 2, 30), (6, 1, 11)]:
             grouped = level_prime_count(table_small, n * k, m * k)
-            mask = integer_membership_mask(n * k, m * k, level=1)
-            direct = int(mask[table_small.primes_up_to(n * k)].sum())
+            primes = table_small.primes_up_to(n * k)
+            direct = int(_covered(_cell_edges(n * k, m * k), primes).sum())
             assert grouped == direct
 
     def test_equals_ungrouped_series(self, table_medium):

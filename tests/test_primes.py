@@ -746,6 +746,19 @@ class TestIntegerRoot:
         assert integer_root((10**100 + 7) ** 3, 3) == 10**100 + 7
         assert integer_root(2**2000, 5) == 2**400
 
+    @pytest.mark.parametrize("x", [0, 1, 2, 3, 5, 7, 8, 255, 256, 10**12, 2**64 - 1, 2**64,
+                                   3**200])
+    def test_exponent_at_and_past_the_bit_length(self, x):
+        # from i = x.bit_length() on, 2^i > x and the root is min(x, 1),
+        # found without the Newton start 2^(i-1), which at i = 10^18 would
+        # be an int of 10^18 bits
+        b = x.bit_length()
+        for i in (b - 1, b, b + 1):
+            if i >= 1:
+                r = integer_root(x, i)
+                assert r**i <= x < (r + 1) ** i, (x, i)
+        assert integer_root(x, 10**18) == min(x, 1)
+
     @pytest.mark.parametrize("x, i", [(10.5, 3), (10.5, 2), (10.0, 1), (10, 2.0),
                                       ("10", 2), (10, 0), (10, -1), (-1, 2)])
     def test_refuses_bad_input(self, x, i):
