@@ -18,7 +18,8 @@ from binomfactor import (MAX_LIMIT, PI_BOUNDS_SPEC, DomainError,
 from binomfactor import identities
 from binomfactor.chebyshev import PSI_RATIO_SPEC
 from binomfactor.decomposition import level_prime_count
-from binomfactor.identities import _PSI_BLOCK, _psi_series_one, _quotient_sum
+from binomfactor.identities import (_PSI_BLOCK, _PSI_LEAF, _psi_series_one,
+                                   _quotient_sum)
 from binomfactor.primes import _GROUPED_FROM, _pi_levels, _quotients
 from conftest import dense_log_factorial, dense_psi, reference_sieve
 
@@ -488,6 +489,75 @@ class TestPsiSeriesRuns:
             rows = np.repeat(v, B).reshape(-1, B).sum(axis=1)
             assert np.array_equal(rows, v * B), lo
 
+    def test_block_is_a_tree_of_leaves(self):
+        # the leaf rule assumes numpy sums B terms as a perfect pairwise
+        # tree over B/L leaves of L terms, each leaf one pairwise np.sum
+        B, L = _PSI_BLOCK, _PSI_LEAF
+        rng = np.random.default_rng(2700)
+        for _ in range(50):
+            block = (rng.random(B) * 10.0 ** rng.integers(-3, 8, B)).astype(np.longdouble)
+            block += np.ldexp(rng.random(B).astype(np.longdouble), -60) * block
+            tree = block.reshape(-1, L).sum(axis=1)
+            while tree.size > 1:
+                tree = tree[0::2] + tree[1::2]
+            assert same_value(np.sum(block), tree[0]), (
+                f"numpy's pairwise sum no longer makes {B} terms a perfect "
+                f"tree of {B // L} leaves of {L} terms")
+
+    def test_whole_leaf_closed_form(self, table_medium):
+        # L copies of a float64 v sum pairwise to exactly v * L
+        L = _PSI_LEAF
+        why = f"numpy no longer sums {L} copies of a float64 v to exactly {L}*v"
+        rng = np.random.default_rng(2701)
+        seeded = np.concatenate((rng.random(200) * 10.0 ** rng.integers(-3, 8, 200),
+                                 [np.nextafter(1.0, 2.0), 2.0**53 - 1]))
+        for v in seeded:
+            assert np.sum(np.full(L, v, dtype=np.longdouble)) == np.longdouble(v) * L, (v, why)
+        vals = table_medium.psi_values.astype(np.longdouble)
+        rows = np.repeat(vals, L).reshape(-1, L).sum(axis=1)
+        assert np.array_equal(rows, vals * L), why
+
+    def test_leaf_edges(self, table_large):
+        # c // 2 terms on either side of j leaves, c even and odd, j not a
+        # whole number of blocks: the short last block ends at a leaf edge
+        L = _PSI_LEAF
+        for j in list(range(65, 300, 3)) + [1001, 7777, 31249, 39061]:
+            if j % (_PSI_BLOCK // L) == 0:
+                continue
+            for n in (j * L - 1, j * L, j * L + 1):
+                for c in (2 * n, 2 * n + 1):
+                    assert same_value(_psi_series_one(table_large, c),
+                        psi_gather_sum(table_large, c)), c
+
+    def test_run_ending_on_a_leaf_edge(self, table_large):
+        # the i sharing quotient q end at floor(c/q); put that on a leaf
+        # edge j*L inside a whole block, which then holds two runs
+        B, L = _PSI_BLOCK, _PSI_LEAF
+        for q in (3, 5, 7, 11, 36, 97, 400, 2000):
+            for j in (65, 100, 130, 333, 1000, 3001):
+                for c in (q * j * L, q * j * L + q - 1):
+                    if c > table_large.limit or j * L >= c // 2 // B * B:
+                        continue
+                    assert q in _quotients(c) and c // q == j * L and j * L % B
+                    assert same_value(_psi_series_one(table_large, c),
+                        psi_gather_sum(table_large, c)), (q, j, c)
+
+    def test_pure_leaves_two_runs(self, table_large):
+        # a run ending on a leaf edge splits a block whose leaves each lie
+        # inside one run: the block holds two runs, so it is not pure
+        B, L = _PSI_BLOCK, _PSI_LEAF
+        for q, j in ((3, 1000), (3, 1001), (4, 999), (5, 3001), (6, 4001), (8, 9001)):
+            c = q * j * L
+            q_all = _quotients(c)[:-1]
+            ends = c // q_all
+            lo = j * L // B * B
+            assert lo + B <= c // 2
+            runs = np.searchsorted(ends, np.arange(lo, lo + B), side="right")
+            leaves = runs.reshape(-1, L)
+            assert (leaves == leaves[:, :1]).all() and runs[0] != runs[-1], (q, j)
+            assert same_value(_psi_series_one(table_large, c),
+                psi_gather_sum(table_large, c)), (q, j, c)
+
     def test_independent_of_numpy_buffer_size(self, table_large):
         # np.sum over a cast float64 array reduces in chunks of
         # np.getbufsize(); the psi series must not read that setting
@@ -518,6 +588,19 @@ class TestPsiSeriesRuns:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_leaf_sum_memory(self, table_large):
+        # only the leaves where runs meet are expanded, 16 bytes a term:
+        # ~1.6 MiB at k = 333333, against ~8.7 MiB when each block where
+        # runs meet was expanded whole
+        factorial_ratio_report(PSI_RATIO_SPEC, 333333, table_large)
+        tracemalloc.start()
+        try:
+            factorial_ratio_report(PSI_RATIO_SPEC, 333333, table_large)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestAlternatingPiSum:
