@@ -46,8 +46,9 @@ class CombinationTerm:
 
     Expands over pi(k/t) as +1 on multiples of a, -1 on multiples of
     a*b/(b-a), and -1 on multiples of b; the middle divisor must be an
-    integer or the expansion leaves the pi(k/t) lattice.  The three are
-    stored as Python ints.
+    integer or the expansion leaves the pi(k/t) lattice, so a term
+    without it is refused when built.  The three are stored as Python
+    ints.
     """
     sign: int
     a: int
@@ -62,6 +63,10 @@ class CombinationTerm:
             raise DomainError(f"need 1 <= a < b, got a={_shown(self.a)}, b={_shown(self.b)}")
         if self.b % self.a:
             raise DomainError(f"a={_shown(self.a)} must divide b={_shown(self.b)}")
+        if (self.a * self.b) % (self.b - self.a):
+            raise DomainError(
+                f"term (a={_shown(self.a)}, b={_shown(self.b)}): scaling a*b/(b-a) is "
+                "not an integer, expansion has no pi(k/t) form")
 
     @property
     def ratio(self) -> int:
@@ -70,12 +75,7 @@ class CombinationTerm:
     def expansion_divisors(self) -> tuple[tuple[int, int], ...]:
         """((divisor, coefficient), ...) of the term's pi(k/t) expansion,
         before the overall sign."""
-        gap = self.b - self.a
-        if (self.a * self.b) % gap:
-            raise DomainError(
-                f"term (a={self.a}, b={self.b}): scaling a*b/(b-a) is not "
-                "an integer, expansion has no pi(k/t) form")
-        return ((self.a, 1), (self.a * self.b // gap, -1), (self.b, -1))
+        return ((self.a, 1), (self.a * self.b // (self.b - self.a), -1), (self.b, -1))
 
 
 @dataclass(frozen=True)
@@ -134,12 +134,6 @@ class CoefficientSequence:
         coefficient has the given sign."""
         return frozenset(r for r, v in enumerate(self.values, start=1)
                          if v and (v > 0) == (sign > 0))
-
-    def first_index_with_sign(self, sign: int) -> int | None:
-        return min(self.residues_with_sign(sign), default=None)
-
-    def is_zero(self) -> bool:
-        return not any(self.values)
 
 
 def _minimal_period(arr: np.ndarray) -> int:
@@ -207,20 +201,24 @@ def verify_alternating(seq: CoefficientSequence) -> int | None:
     return None
 
 
-def _lead_and_anchor(seq: CoefficientSequence) -> tuple[int | None, int | None]:
-    """(first positive, first negative) coefficient index of an
-    alternating sequence; raises NonAlternatingError otherwise."""
+def _lead_and_anchor(seq: CoefficientSequence) -> tuple[int, int]:
+    """(lead, anchor): the first positive and the first negative
+    coefficient index of an alternating sequence, which, as alternation
+    starts at +1, are its first two nonzero ones.  Raises
+    NonAlternatingError if it does not alternate, DomainError if its
+    coefficients are all zero (it bounds nothing)."""
     violation = verify_alternating(seq)
     if violation is not None:
         raise NonAlternatingError(violation)
-    return seq.first_index_with_sign(+1), seq.first_index_with_sign(-1)
+    nonzero = [n for n, v in enumerate(seq.values, start=1) if v]
+    if not nonzero:
+        raise DomainError("the combination's coefficients are all zero: it bounds nothing")
+    return nonzero[0], nonzero[1]
 
 
 def combination_constant(spec: CombinationSpec) -> float:
     """Leading coefficient of the combination's k/log k growth:
     sum of sign * log(r^r / (r-1)^(r-1)) / b over terms, r = b/a."""
-    for term in spec.terms:
-        term.expansion_divisors()   # reject non-integral scalings
     return math.fsum(
         term.sign * omega_growth_constant(term.ratio, 1) / term.b
         for term in spec.terms)
@@ -258,9 +256,6 @@ def _bounds_ledger(sequence: CoefficientSequence, constant: float,
     if not (math.isfinite(initial_upper) and initial_upper > 0):
         raise DomainError(f"initial upper bound must be finite and > 0, got {initial_upper}")
     lead, anchor = _lead_and_anchor(sequence)
-    if sequence.is_zero():
-        return BoundsLedger(0.0, 0.0, (0.0,) * iterations, 0, 0, 0.0,
-                            initial_upper, sequence)
     if anchor_divisor is not None and anchor_divisor != anchor:
         raise DomainError(
             f"anchor divisor {anchor_divisor} does not match the first "
@@ -286,10 +281,11 @@ def derive_bounds(spec: CombinationSpec, anchor_divisor: int | None = None,
                   initial_upper: float = 2.0, iterations: int = 3) -> BoundsLedger:
     """Bounds ledger for a pi(x) combination.
 
-    Refuses non-alternating specs: the bracketing step needs monotone
-    partial sums.  ``anchor_divisor``, if given, must match the first
-    negative coefficient of the computed sequence (12 for the classical
-    spec).  ``initial_upper`` (finite, > 0) defaults to the well-known
+    Refuses non-alternating specs, as the bracketing step needs monotone
+    partial sums, and specs whose coefficients are all zero.
+    ``anchor_divisor``, if given, must match the first negative
+    coefficient of the computed sequence (12 for the classical spec).
+    ``initial_upper`` (finite, > 0) defaults to the well-known
     pi(x) <= 2 x/log x; ``iterations`` runs from 1 to MAX_ITERATIONS.
     """
     return _bounds_ledger(coefficient_sequence(spec), combination_constant(spec),
@@ -308,7 +304,7 @@ class BracketRow:
 
 
 @functools.lru_cache(maxsize=64)
-def _spec_lead_and_anchor(spec: CombinationSpec) -> tuple[int | None, int | None]:
+def _spec_lead_and_anchor(spec: CombinationSpec) -> tuple[int, int]:
     """`_lead_and_anchor` of the spec's coefficient sequence, derived once
     per frozen spec."""
     return _lead_and_anchor(coefficient_sequence(spec))
@@ -325,8 +321,6 @@ def empirical_bracket_check(spec: CombinationSpec, k_grid,
     accounted sum of sign * (omega - series) corrections per term.
     """
     lead, anchor = _spec_lead_and_anchor(spec)
-    if lead is None:
-        raise DomainError("the combination's coefficients are all zero: nothing to bracket")
     rows = []
     for k in k_grid:
         k = _as_int(k, "k", lo=1)

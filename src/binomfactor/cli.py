@@ -1,9 +1,12 @@
 """Command-line front-end.
 
-Subcommands mirror the library: `decompose`, `identity`, `bounds`,
-`logk`.  Output is deterministic: identical invocations produce
-byte-identical JSON.  Exit codes: 0 ok, 2 domain error, 3 verification
-failure, 4 spec rejection (non-alternating combination).
+Subcommands mirror the library: `decompose`, `identity <kind>`, `bounds`,
+`logk`.  The parser alone declares what a command line may say: one
+subparser per identity kind with only its own flags, the common flags
+after the command, and the handler each command runs as ``run``.
+Output is deterministic: identical invocations produce byte-identical
+JSON.  Exit codes: 0 ok, 2 domain error or malformed command line,
+3 verification failure, 4 spec rejection (non-alternating combination).
 
 The sieve budget comes from --sieve-limit, the BINOMFACTOR_SIEVE_LIMIT
 environment variable, or the 10^7 default; a command whose arguments
@@ -19,6 +22,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from collections.abc import Sequence
 
@@ -42,13 +46,21 @@ EXIT_REJECTED = 4
 #: The default `bounds` spec, the classical pi(x) combination.
 _CLASSICAL_SPEC = "+1/2:1/6,+1/3:1/12,-1/10:1/60"
 
-#: The flags each `identity` kind reads, of all it takes; any other is refused.
-_IDENTITY_FLAGS = {"thm1": {"n", "m", "k", "grid"}, "altpi": {"x"}, "bertrand": {"limit"},
-                   "thm3": {"num_parts", "den_parts", "k", "grid"}}
+#: One term of a `bounds` spec: a sign, then 1/a, ":", 1/b, spaces allowed
+#: around each part.
+_TERM = re.compile(r"\s*([+-]?)\s*1\s*/\s*(\d+)\s*:\s*1\s*/\s*(\d+)\s*")
 
 
 class _VerificationFailure(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals raise `DomainError`, so a malformed
+    command line exits 2 through `main` like any other bad input."""
+
+    def error(self, message):
+        raise DomainError(message)
 
 
 def _env_sieve_limit() -> int:
@@ -80,37 +92,26 @@ def _table(args, needed: int) -> PrimeTable:
 
 def _k_grid(args, scale: int) -> tuple[list[int], PrimeTable]:
     """The k of an identity (--grid, else --k) and the table up to scale * max k."""
-    ks = _parse_ints(args.grid, "grid") if args.grid else [args.k]
-    if not ks or any(k is None or k < 1 for k in ks):
-        raise DomainError(f"identity {args.kind} needs --k or --grid")
+    ks = [args.k] if args.grid is None else _parse_ints(args.grid, "grid")
+    if not ks or any(k < 1 for k in ks):
+        raise DomainError(f"identity {args.kind} needs k >= 1 from --k or --grid")
     return ks, _table(args, scale * max(ks))
 
 
 def _parse_combination(raw: str) -> CombinationSpec:
-    """Parse "+1/2:1/6,+1/3:1/12,-1/10:1/60" into a CombinationSpec.
-
-    Each token is sign, then 1/a, then ":", then 1/b.
-    """
+    """Parse "+1/2:1/6,+1/3:1/12,-1/10:1/60" into a CombinationSpec, one
+    `_TERM` per comma-separated token (empty tokens skipped)."""
     terms = []
-    for tok in raw.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        sign = 1
-        if tok[0] in "+-":
-            sign = 1 if tok[0] == "+" else -1
-            tok = tok[1:]
+    for tok in filter(str.strip, raw.split(",")):
+        match = _TERM.fullmatch(tok)
+        if match is None:
+            raise DomainError(f"bad combination term {tok.strip()!r}; expected like +1/2:1/6")
+        sign, a, b = match.groups()
         try:
-            left, right = tok.split(":")
-            one_a, a = left.split("/")
-            one_b, b = right.split("/")
-            if one_a.strip() != "1" or one_b.strip() != "1":
-                raise ValueError
             a, b = int(a), int(b)
-        except ValueError as exc:
-            raise DomainError(
-                f"bad combination term {tok!r}; expected like +1/2:1/6") from exc
-        terms.append(CombinationTerm(sign, a, b))
+        except ValueError as exc:  # past int's limit on the digits it reads
+            raise DomainError(f"combination term {tok.strip()!r} has too many digits") from exc
+        terms.append(CombinationTerm(-1 if sign == "-" else 1, a, b))
     return CombinationSpec(tuple(terms))
 
 
@@ -176,64 +177,57 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _cmd_identity(args) -> int:
-    kind = args.kind
-    for flag in ("n", "m", "k", "grid", "num_parts", "den_parts", "x", "limit"):
-        if getattr(args, flag) is not None and flag not in _IDENTITY_FLAGS[kind]:
-            raise DomainError(f"identity {kind} does not read --{flag.replace('_', '-')}")
-    if args.k is not None and args.grid is not None:
-        raise DomainError(f"identity {kind} takes --k or --grid, not both")
-    if kind == "thm1":
-        if args.n is None or args.m is None:
-            raise DomainError("identity thm1 needs --n and --m")
-        ks, table = _k_grid(args, args.n)
-        reports = [omega_identity_report(args.n, args.m, k, table) for k in ks]
-        rows = [r.to_row() for r in reports]
-        lines = [
-            (f"omega C({r.params['n']}k, {r.params['m']}k) at k={r.params['k']}: "
-             f"lhs={r.lhs} rhs={r.rhs} residual={r.residual} "
-             f"[{r.normalization}={r.normalized_residual:.4f}]")
-            for r in reports
-        ]
-        _emit(args, {"reports": rows}, lines, rows)
-    elif kind == "thm3":
-        if not args.num_parts or not args.den_parts:
-            raise DomainError("identity thm3 needs --num-parts and --den-parts")
-        spec = FactorialRatioSpec(*(tuple(_parse_ints(raw, "multiplier list"))
-                                    for raw in (args.num_parts, args.den_parts)))
-        ks, table = _k_grid(args, spec.max_multiplier)
-        reports = [factorial_ratio_report(spec, k, table) for k in ks]
-        rows = [r.to_row() for r in reports]
-        lines = [
-            (f"log factorial ratio at k={r.params['k']}: lhs={r.lhs:.9f} "
-             f"psi-series={r.rhs:.9f} residual={r.residual:.3e} "
-             f"growth-residual={r.details['asymptotic_residual']:.4f}")
-            for r in reports
-        ]
-        _emit(args, {"reports": rows}, lines, rows)
-    elif kind == "altpi":
-        if args.x is None:
-            raise DomainError("identity altpi needs --x")
-        x = _floor_real(args.x)
-        table = _table(args, x)
-        s, ratio = alternating_pi_sum(x, table)
-        payload = {"x": x, "sum": s, "ratio": ratio, "log2": math.log(2),
-                   "ratio_minus_log2": ratio - math.log(2)}
-        _emit(args, payload,
-              [f"sum_i (-1)^(i+1) pi({x}/i) = {s}",
-               f"ratio to x/log x = {ratio:.6f} (log 2 = {math.log(2):.6f})"])
-    else:  # bertrand
-        limit = args.limit
-        if limit is None or limit < 1:
-            raise DomainError("identity bertrand needs --limit >= 1")
-        table = _table(args, 2 * limit)
-        bad = bertrand_check(limit, table)
-        payload = {"limit": limit, "counterexample": bad}
-        _emit(args, payload,
-              [f"pi(2n) > pi(n) for all n <= {limit}: "
-               + ("verified" if bad is None else f"FAILS at n={bad}")])
-        if bad is not None:
-            raise _VerificationFailure
+def _cmd_thm1(args) -> int:
+    ks, table = _k_grid(args, args.n)
+    reports = [omega_identity_report(args.n, args.m, k, table) for k in ks]
+    rows = [r.to_row() for r in reports]
+    lines = [
+        (f"omega C({r.params['n']}k, {r.params['m']}k) at k={r.params['k']}: "
+         f"lhs={r.lhs} rhs={r.rhs} residual={r.residual} "
+         f"[{r.normalization}={r.normalized_residual:.4f}]")
+        for r in reports
+    ]
+    _emit(args, {"reports": rows}, lines, rows)
+    return EXIT_OK
+
+
+def _cmd_thm3(args) -> int:
+    spec = FactorialRatioSpec(*(tuple(_parse_ints(raw, "multiplier list"))
+                                for raw in (args.num_parts, args.den_parts)))
+    ks, table = _k_grid(args, spec.max_multiplier)
+    reports = [factorial_ratio_report(spec, k, table) for k in ks]
+    rows = [r.to_row() for r in reports]
+    lines = [
+        (f"log factorial ratio at k={r.params['k']}: lhs={r.lhs:.9f} "
+         f"psi-series={r.rhs:.9f} residual={r.residual:.3e} "
+         f"growth-residual={r.details['asymptotic_residual']:.4f}")
+        for r in reports
+    ]
+    _emit(args, {"reports": rows}, lines, rows)
+    return EXIT_OK
+
+
+def _cmd_altpi(args) -> int:
+    x = _floor_real(args.x)
+    table = _table(args, x)
+    s, ratio = alternating_pi_sum(x, table)
+    payload = {"x": x, "sum": s, "ratio": ratio, "log2": math.log(2),
+               "ratio_minus_log2": ratio - math.log(2)}
+    _emit(args, payload,
+          [f"sum_i (-1)^(i+1) pi({x}/i) = {s}",
+           f"ratio to x/log x = {ratio:.6f} (log 2 = {math.log(2):.6f})"])
+    return EXIT_OK
+
+
+def _cmd_bertrand(args) -> int:
+    table = _table(args, 2 * args.limit)
+    bad = bertrand_check(args.limit, table)
+    payload = {"limit": args.limit, "counterexample": bad}
+    _emit(args, payload,
+          [f"pi(2n) > pi(n) for all n <= {args.limit}: "
+           + ("verified" if bad is None else f"FAILS at n={bad}")])
+    if bad is not None:
+        raise _VerificationFailure
     return EXIT_OK
 
 
@@ -260,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, metavar="FILE",
                         help="write output to FILE instead of stdout")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="binomfactor",
         description="Exact prime-divisor intervals of binomial coefficients, "
                     "prime-count identities, and elementary pi/psi bounds.")
@@ -275,21 +269,35 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print exact rational endpoints instead of floors")
     p_dec.add_argument("--verify", action="store_true",
                        help="cross-check every prime against the sieve oracle")
+    p_dec.set_defaults(run=_cmd_decompose)
 
-    p_id = sub.add_parser("identity", parents=[common],
-                          help="evaluate an identity and report residuals")
-    p_id.add_argument("kind", choices=("thm1", "thm3", "altpi", "bertrand"))
-    p_id.add_argument("--n", type=int, default=None)
-    p_id.add_argument("--m", type=int, default=None)
-    p_id.add_argument("--k", type=int, default=None)
-    p_id.add_argument("--grid", default=None, metavar="K1,K2,...",
-                      help="evaluate at several k")
-    p_id.add_argument("--num-parts", default=None, metavar="A,B,...",
-                      help="numerator multipliers (thm3)")
-    p_id.add_argument("--den-parts", default=None, metavar="A,B,...",
-                      help="denominator multipliers (thm3)")
-    p_id.add_argument("--x", type=float, default=None, help="argument (altpi)")
-    p_id.add_argument("--limit", type=int, default=None, help="sweep bound (bertrand)")
+    kinds = sub.add_parser("identity", help="evaluate an identity and report residuals"
+                           ).add_subparsers(dest="kind", required=True)
+
+    def kind(name, run, summary):
+        # the common flags go on each kind, not on `identity`, where the
+        # kind's defaults would overwrite them; flags match whole, as a
+        # prefix may be another kind's flag (thm3 would read --n as --num-parts)
+        p = kinds.add_parser(name, parents=[common], allow_abbrev=False, help=summary)
+        p.set_defaults(run=run)
+        return p
+
+    p_thm1 = kind("thm1", _cmd_thm1, "omega C(nk, mk) against its pi series")
+    p_thm1.add_argument("--n", type=int, required=True)
+    p_thm1.add_argument("--m", type=int, required=True)
+    p_thm3 = kind("thm3", _cmd_thm3, "log of a balanced factorial ratio against its psi series")
+    p_thm3.add_argument("--num-parts", required=True, metavar="A,B,...",
+                        help="numerator multipliers")
+    p_thm3.add_argument("--den-parts", required=True, metavar="A,B,...",
+                        help="denominator multipliers")
+    for p in (p_thm1, p_thm3):
+        k_or_grid = p.add_mutually_exclusive_group(required=True)
+        k_or_grid.add_argument("--k", type=int)
+        k_or_grid.add_argument("--grid", metavar="K1,K2,...", help="evaluate at several k")
+    kind("altpi", _cmd_altpi, "sum_i (-1)^(i+1) pi(x/i) against log 2 * x/log x"
+         ).add_argument("--x", type=float, required=True, help="argument")
+    kind("bertrand", _cmd_bertrand, "pi(2n) > pi(n) for every n up to a limit"
+         ).add_argument("--limit", type=int, required=True, help="sweep bound")
 
     p_b = sub.add_parser("bounds", parents=[common],
                          help="pi/psi bounds ledger from a signed combination")
@@ -305,28 +313,23 @@ def build_parser() -> argparse.ArgumentParser:
                      help="expected first negative coefficient index")
     p_b.add_argument("--k-grid", default=None, metavar="K1,K2,...",
                      help="also check the numeric bracket at these k (psi variant)")
+    p_b.set_defaults(run=_run_bounds)
 
     p_lk = sub.add_parser("logk", parents=[common],
                           help="partial sums of the grouped series for log k")
     p_lk.add_argument("k", type=int)
     p_lk.add_argument("--terms", type=int, default=1_000_000)
+    p_lk.set_defaults(run=_cmd_logk)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.sieve_limit is None:
             args.sieve_limit = _env_sieve_limit()
         _as_int(args.sieve_limit, "sieve limit", lo=2, hi=MAX_LIMIT)
-        if args.command == "decompose":
-            return _cmd_decompose(args)
-        if args.command == "identity":
-            return _cmd_identity(args)
-        if args.command == "bounds":
-            return _run_bounds(args)
-        return _cmd_logk(args)
+        return args.run(args)
     except NonAlternatingError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED

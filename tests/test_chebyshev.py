@@ -29,10 +29,9 @@ class TestTermValidation:
         assert CombinationTerm(1, 10, 60).expansion_divisors() == ((10, 1), (12, -1), (60, -1))
 
     def test_non_integral_scaling_rejected(self):
-        # a*b/(b-a) = 3*15/12 is not an integer
-        term = CombinationTerm(1, 3, 15)
-        with pytest.raises(DomainError):
-            term.expansion_divisors()
+        # a*b/(b-a) = 3*15/12 is not an integer: the term is refused when built
+        with pytest.raises(DomainError, match=r"a\*b/\(b-a\) is not an integer"):
+            CombinationTerm(1, 3, 15)
 
     def test_k_multiple(self):
         assert PI_BOUNDS_SPEC.k_multiple == 60
@@ -54,7 +53,7 @@ class TestCoefficientSequence:
 
     def test_empty_spec_zero_sequence(self):
         seq = coefficient_sequence(CombinationSpec(()))
-        assert seq.is_zero()
+        assert not any(seq.values)
         assert verify_alternating(seq) is None
         with pytest.raises(DomainError):
             CoefficientSequence(())
@@ -165,11 +164,9 @@ class TestDeriveBounds:
         assert derive_bounds(PI_BOUNDS_SPEC).sequence == coefficient_sequence(PI_BOUNDS_SPEC)
 
     def test_empty_spec_all_zero(self):
-        ledger = derive_bounds(CombinationSpec(()))
-        assert ledger.combination_constant == 0.0
-        assert ledger.lower_bound == 0.0
-        assert ledger.fixed_point == 0.0
-        assert all(u == 0.0 for u in ledger.upper_iterations)
+        # the zero ledger would claim pi(x) < 0 * x/log x
+        with pytest.raises(DomainError, match="all zero"):
+            derive_bounds(CombinationSpec(()))
 
 
 class TestEmpiricalBracket:
@@ -194,9 +191,9 @@ class TestEmpiricalBracket:
         CombinationSpec((CombinationTerm(+1, 2, 6), CombinationTerm(-1, 2, 6))),
     ], ids=["empty", "cancelling"])
     def test_rejects_zero_combination(self, table_small, spec):
-        # derive_bounds gives it the zero ledger; the bracket has no lead or
-        # anchor term to read pi at
-        assert derive_bounds(spec).lead_index == 0
+        # there is no lead or anchor term to bound with or read pi at
+        with pytest.raises(DomainError, match="all zero"):
+            derive_bounds(spec)
         with pytest.raises(DomainError, match="all zero"):
             empirical_bracket_check(spec, [60], table_small)
 
@@ -235,7 +232,7 @@ class TestPsiVariant:
         assert seq.period == 30
         assert seq.coefficient(1) == 1
         assert verify_alternating(seq) is None
-        assert seq.first_index_with_sign(-1) == 6
+        assert seq.values[:6] == (1, 0, 0, 0, 0, -1)   # the anchor is 6
 
     def test_combination_constant(self, table_small):
         report = psi_variant_bounds([], table_small)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from binomfactor import MAX_LIMIT, OutOfRangeError
+from binomfactor import MAX_LIMIT, OutOfRangeError, __version__
 from binomfactor.cli import main
 
 
@@ -274,9 +274,11 @@ class TestBoundsCommand:
         assert "26" in err
 
     def test_empty_spec_zeroes(self, capsys):
-        code, out, _ = run_cli(capsys, "bounds", "")
-        assert code == 0
-        assert "0.000000" in out
+        # its coefficients are all zero: the zero ledger would claim
+        # pi(x) < 0 * x/log x, so it is refused
+        code, out, err = run_cli(capsys, "bounds", "")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "all zero" in err
 
     def test_psi_variant(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--psi", "--k-grid", "7,100")
@@ -403,20 +405,80 @@ class TestInputErrors:
         pytest.param(("bounds", "--psi", "--anchor", "99"), "--anchor", id="psi-anchor"),
         pytest.param(("bounds", "--psi", "+1/2:1/6"), "--psi", id="psi-spec"),
         pytest.param(("bounds", "--k-grid", "100"), "--k-grid", id="k-grid-without-psi"),
-        pytest.param(("identity", "altpi", "--x", "1000", "--n", "5"), "read --n",
+        pytest.param(("identity", "altpi", "--x", "1000", "--n", "5"), "--n",
                      id="altpi-unread-n"),
-        pytest.param(("identity", "bertrand", "--limit", "10", "--grid", "5"), "read --grid",
+        pytest.param(("identity", "bertrand", "--limit", "10", "--grid", "5"), "--grid",
                      id="bertrand-unread-grid"),
         pytest.param(("identity", "thm3", "--num-parts", "2", "--den-parts", "1,1",
-                      "--k", "10", "--x", "5", "--limit", "3"), "read --x",
+                      "--k", "10", "--x", "5", "--limit", "3"), "--x",
                      id="thm3-unread-x"),
         pytest.param(("identity", "thm1", "--n", "2", "--m", "1", "--k", "7", "--grid", "10"),
-                     "--k or --grid, not both", id="thm1-k-and-grid"),
+                     "--grid: not allowed with argument --k", id="thm1-k-and-grid"),
+        pytest.param(("identity", "thm1", "--n", "2", "--m", "1", "--k", "0"),
+                     "k >= 1", id="thm1-k-zero"),
+        pytest.param(("bounds", "+1/2:1/6,-1/2:1/6"), "all zero", id="bounds-cancelling"),
+        pytest.param(("bounds", "", "--anchor", "7"), "all zero", id="bounds-zero-anchor"),
+        pytest.param(("bounds", "+1/3:1/15"), "a*b/(b-a) is not an integer",
+                     id="term-scaling"),
+        pytest.param(("bounds", "+1/2:1/6,+2/3:1/12"), "'+2/3:1/12'", id="term-syntax"),
+        pytest.param(("bounds", "+1/2:1/" + "6" * 5000), "too many digits", id="term-digits"),
     ])
     def test_exit_2_with_cause(self, capsys, argv, cause):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert err.startswith("error:") and cause in err
+
+    @pytest.mark.parametrize("argv,named", [
+        pytest.param(("decompose", "abc", "5"), "'abc'", id="decompose-not-int"),
+        pytest.param(("decompose", "10"), "required: k", id="decompose-no-k"),
+        pytest.param(("decompose", "10", "3", "--format", "xml"), "'xml'", id="format-xml"),
+        pytest.param((), "required: command", id="no-command"),
+        pytest.param(("identity",), "required: kind", id="identity-no-kind"),
+        pytest.param(("identity", "thm1", "--n", "2", "--m", "1"), "--k --grid",
+                     id="thm1-neither-k-nor-grid"),
+        pytest.param(("identity", "thm1", "--n", "2", "--m", "1", "--k", "7", "--x", "5"),
+                     "unrecognized arguments: --x 5", id="thm1-reads-no-x"),
+        pytest.param(("identity", "thm3", "--num-parts", "2", "--den-parts", "1,1",
+                      "--k", "10", "--limit", "3"), "unrecognized arguments: --limit 3",
+                     id="thm3-reads-no-limit"),
+        pytest.param(("identity", "thm3", "--num-parts", "2", "--den-parts", "1,1",
+                      "--k", "10", "--n", "5"), "unrecognized arguments: --n 5",
+                     id="thm3-reads-no-n"),
+        pytest.param(("identity", "altpi", "--x", "100", "--m", "1"),
+                     "unrecognized arguments: --m 1", id="altpi-reads-no-m"),
+        pytest.param(("identity", "bertrand", "--limit", "10", "--k", "5"),
+                     "unrecognized arguments: --k 5", id="bertrand-reads-no-k"),
+        pytest.param(("identity", "thm3", "--num-parts", "2", "--den-parts", "1,1",
+                      "--grid", "10", "--k", "10"), "--k: not allowed with argument --grid",
+                     id="thm3-k-and-grid"),
+        pytest.param(("identity", "--format", "json", "altpi", "--x", "100"), "'json'",
+                     id="common-flag-before-kind"),
+    ])
+    def test_malformed_line_one_path(self, capsys, argv, named):
+        # argparse's refusals take the path of every other bad input: exit 2
+        # returned by main, nothing on stdout, "error: ..." on stderr
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("kind,flags", [
+        ("thm1", {"--n", "--m", "--k", "--grid"}),
+        ("thm3", {"--num-parts", "--den-parts", "--k", "--grid"}),
+        ("altpi", {"--x"}),
+        ("bertrand", {"--limit"}),
+    ], ids=["thm1", "thm3", "altpi", "bertrand"])
+    def test_kind_help_lists_its_flags(self, capsys, kind, flags):
+        with pytest.raises(SystemExit) as leaving:
+            main(["identity", kind, "--help"])
+        assert leaving.value.code == 0
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert listed == flags | {"--help", "--sieve-limit", "--format", "--out"}
+
+    def test_version_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as leaving:
+            main(["--version"])
+        assert leaving.value.code == 0
+        assert capsys.readouterr().out == f"{__version__}\n"
 
 
 def _readme_commands():
