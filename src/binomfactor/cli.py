@@ -138,7 +138,11 @@ def _emit(args, payload, pretty_lines: Sequence[str] = (),
             writer.writerow({k: _csv_cell(row.get(k)) for k in fields})
         chunks = [buf.getvalue()]
     if args.out:
-        with open(args.out, "w") as fh:
+        try:
+            fh = open(args.out, "w")
+        except OSError as exc:  # refused like any bad input, before a byte is written
+            raise DomainError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
+        with fh:
             fh.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)

@@ -65,7 +65,7 @@ import numpy as np
 from .errors import DomainError
 from .primes import (MAX_LIMIT, PrimeTable, _as_int, _binom_divisor_flags,
                      _check_binom_args, _is_prime_int, _powers_up_to,
-                     _prime_powers_up_to, _quotients)
+                     _quotients)
 
 #: Largest n `decompose` accepts.  The columns hold about n/2 intervals in
 #: int64 (the deeper levels are views of them), and the order and
@@ -128,7 +128,8 @@ class Decomposition:
 
     ``columns`` is a read-only mapping; ``columns[i]`` is a read-only
     int64 array of shape (6, m) holding the m intervals at root level i,
-    ordered by descending lower endpoint, a prefix of ``columns[1]``.
+    ordered by descending lower endpoint, a nonempty prefix of
+    ``columns[1]``; there are no levels when C(n, k) = 1.
     Its rows are lower numerator, lower denominator, upper numerator,
     upper denominator (both fractions in lowest terms), j and f, with
     f = -1 on branch B.  Intervals at a fixed level are disjoint; across
@@ -163,13 +164,12 @@ class Decomposition:
         if self.columns:
             blocks = self._record_blocks(_branch_records(_JSON_RECORD_A, _JSON_RECORD_B))
             for i, cols in self.columns.items():
-                m = cols.shape[1]
                 yield '%s\n    {\n      "i": %d,\n      "intervals": [' % ("," if i > 1 else "", i)
-                for s in range(0, m, _TEXT_BLOCK):
+                for s in range(0, cols.shape[1], _TEXT_BLOCK):
                     text = "".join(next(blocks))
                     # every level starts at record 0: no comma before it
                     yield text if s else text[1:]
-                yield "\n      ]\n    }" if m else "]\n    }"
+                yield "\n      ]\n    }"
             yield "\n  "
         yield '],\n  "n": %d\n}\n' % self.n
 
@@ -181,7 +181,7 @@ class Decomposition:
         no row), as ``_reference_csv`` in tests/test_decomposition.py writes
         them.  Each record of `_record_blocks` leaves its level open, and
         each chunk fills it in over one block."""
-        if not (self.columns and self.columns[1].shape[1]):
+        if not self.columns:
             yield "\r\n"
             return
         yield "branch,f,j,level,lower_den,lower_num,upper_den,upper_num\r\n"
@@ -197,7 +197,7 @@ class Decomposition:
         exact endpoints, formatted once by `_record_blocks`, or the note
         that the coefficient is 1."""
         yield _PRETTY_HEADING % (self.n, self.k)
-        if not any(cols.shape[1] for cols in self.columns.values()):
+        if not self.columns:
             yield _PRETTY_EMPTY
             return
         blocks = self._record_blocks(_exact_records)
@@ -206,8 +206,7 @@ class Decomposition:
                 text = "".join(next(blocks))
                 # every level starts at record 0: no " u " before it
                 yield text if s else _pretty_label(i) + text[3:]
-            if cols.shape[1]:
-                yield "\n"
+            yield "\n"
 
     def _record_blocks(self, records: Callable[[np.ndarray], list[str]]
                        ) -> Iterator[list[str]]:
@@ -279,7 +278,9 @@ def decompose(n: int, k: int) -> Decomposition:
     intervals whose upper endpoint is at least 2^i (no smaller one holds
     an i-th power >= 2), a prefix of level 1 and stored as a view of it.
     The cases k = 0 and k = n yield an empty decomposition since
-    C(n, k) = 1.  n is capped at MAX_DECOMPOSE_N.
+    C(n, k) = 1; otherwise no level is empty, as level i keeps d <= n >> i
+    >= 1 and the cell d = 1 holds (max(k, n - k), n].  n is capped at
+    MAX_DECOMPOSE_N.
     """
     n, k = _check_binom_args(n, k)
     _as_int(n, "n", hi=MAX_DECOMPOSE_N)
@@ -422,13 +423,13 @@ def _prime_membership(table: PrimeTable, n: int, k: int) -> np.ndarray:
 
     The primes in the runs of `_cell_edges` number pi at one edge minus pi
     at the one before, so one repeat over the pi(n) primes paints level
-    1.  A prime power p^i <= n (i >= 2, from `_prime_powers_up_to`) is a
-    witness iff it is `_covered`: an interval holding p^i >= 2^i has
+    1.  A prime power p^i <= n (i >= 2, `PrimeTable.prime_powers_up_to`)
+    is a witness iff it is `_covered`: an interval holding p^i >= 2^i has
     upper >= 2^i, so it is one of level i."""
     edges = _cell_edges(n, k)
     pi = table.pi_at(edges)
     member = np.repeat(np.arange(edges.size - 1) % 2 == 1, pi[1:] - pi[:-1])
-    at, q = _prime_powers_up_to(n)
+    at, q = table.prime_powers_up_to(n)
     member[at[_covered(edges, q)]] = True
     return member
 

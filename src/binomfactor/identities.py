@@ -38,6 +38,7 @@ or term array.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,6 +229,8 @@ _LOG_CHUNK = 1 << 16
 #: array; it always holds log(0!) = 0.
 _LOGFACT = np.zeros(1, dtype=np.longdouble)
 _LOGFACT.setflags(write=False)
+#: Held while `log_factorial_prefix` installs a longer build.
+_LOGFACT_LOCK = threading.Lock()
 
 
 def log_factorial_prefix(limit: int) -> np.ndarray:
@@ -242,7 +245,8 @@ def log_factorial_prefix(limit: int) -> np.ndarray:
     then the sum continued from the last of them), made read-only, and
     only then replaces the cache, so no caller sees a half-built or
     writeable cache, and every prefix of a larger array is bit-identical
-    to the smaller one.
+    to the smaller one.  A build is returned itself and installed only if
+    longer than the cache then is, so the cache never shrinks.
 
     The sum runs in chunks of `_LOG_CHUNK` logs, so only one chunk of
     extended-precision logs is alive at a time: the running carry is
@@ -275,8 +279,11 @@ def log_factorial_prefix(limit: int) -> np.ndarray:
             carry = c[-1]
             del c, kept  # so the next chunk is not allocated beside this one
         grown.setflags(write=False)
-        _LOGFACT = grown
-    return _LOGFACT[:count]
+        with _LOGFACT_LOCK:
+            if len(grown) > len(_LOGFACT):
+                _LOGFACT = grown
+        return grown
+    return cache[:count]
 
 
 def log_factorial(x):

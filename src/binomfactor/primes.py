@@ -19,12 +19,12 @@ from `_GROUPED_FROM` on as one carry per block of integers on which
 floor(n/x), floor(k/x) and floor((n-k)/x) are all constant (O(sqrt n)
 blocks), spread over the primes in each block.  One more test covers
 every higher power q <= n at once, with no loop over root levels.
-Those powers are a prefix of `_prime_power_table`, the prime-base rows
-of `_power_table` (every b^i <= MAX_LIMIT with b, i >= 2 sorted by
-value) with each base's index among the primes.  Both are built once, on
-first use.  The prime powers also serve the membership check in
-prime-index space and the psi table; all the powers give the membership
-mask its level-i witnesses and the pretty form its i-th roots.
+Those powers are the table's own (`PrimeTable.prime_powers_up_to`): the
+rows of `_power_table` (every b^i <= MAX_LIMIT, b, i >= 2, by value) up
+to its limit whose base its pi finds prime, with each base's index
+among the primes.  They also serve the membership check in prime-index
+space and the psi table; all the powers give the membership mask its
+level-i witnesses and the pretty form its i-th roots.
 
 `_quotients(x)`, the distinct floor(x/j), is the one quotient set that the
 pi and psi series and the level-1 cells holding an integer all read.  The
@@ -51,10 +51,10 @@ DEFAULT_LIMIT = 10_000_000
 #: Hard budget.  The table stores ~2 bytes per integer: the uint8 pi
 #: offsets 1, the int32 pi base 4/256, plus 8 per prime for the primes and
 #: 8 per prime power for psi at the prime powers (2.27 B at limit 10^6,
-#: 2.08 B or 20.8 MB at 10^7, ~1.9 B or ~0.38 GB at this ceiling).  The
+#: 2.08 B or 20.8 MB at 10^7, 1.9 B or 380 MB at this ceiling).  The
 #: offsets are counted in place in the sieve mask, so the build holds no
 #: limit-sized int32 array: tracemalloc puts its peak at 5.4 MB for limit
-#: 10^6 and 30 MB for 10^7, ~3 bytes per integer or ~0.6 GB at this ceiling.
+#: 10^6, 30 MB for 10^7 and 480 MB at this ceiling (a ~6 s build, 2 vCPU).
 #: pi(x) <= x <= MAX_LIMIT < 2^31 keeps the int32 pi base exact.
 MAX_LIMIT = 200_000_000
 
@@ -185,23 +185,29 @@ class PrimeTable:
         Ascending list of all primes <= limit.
     higher_powers : numpy int64 array
         Ascending list of the prime powers p^e <= limit with e >= 2.
+    higher_base_index : numpy int64 array
+        The index of p among the primes at each p^e of ``higher_powers``.
     psi_values : numpy float64 array
         0, then psi at each prime power <= limit in ascending order,
         accumulated in extended precision; `psi_at` reads it.
     """
 
     __slots__ = ("limit", "pi_base", "pi_offset", "primes", "higher_powers",
-                 "psi_values")
+                 "higher_base_index", "psi_values")
 
     def __init__(self, limit: int):
         self.limit = limit = _as_int(limit, "sieve limit", lo=2, hi=MAX_LIMIT)
         mask = _sieve(limit)
         self.primes = np.flatnonzero(mask).astype(np.int64, copy=False)
         self.pi_base, self.pi_offset = _pi_levels(mask)
-        self.higher_powers, self.psi_values = _psi_at_prime_powers(self)
+        base, _, power = _powers_up_to(limit)
+        pi = self._pi_read(base).astype(np.int64)
+        prime = pi > self._pi_read(base - 1)  # pi steps up at a prime base
+        self.higher_powers, self.higher_base_index = power[prime], pi[prime] - 1
+        self.psi_values = _psi_at_prime_powers(self)
         # the mask is the buffer pi_offset views, so it is made read-only too
         for arr in (mask, self.pi_base, self.pi_offset, self.primes,
-                    self.higher_powers, self.psi_values):
+                    self.higher_powers, self.higher_base_index, self.psi_values):
             arr.setflags(write=False)
 
     # -- scalar queries ------------------------------------------------
@@ -277,6 +283,14 @@ class PrimeTable:
         n = _as_int(n, "n", hi=self.limit)
         return self.primes[:self._pi(max(n, 0))]
 
+    def prime_powers_up_to(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(index of p among the primes, p^e) for every prime power
+        p^e <= n with e >= 2, ascending in p^e: views of the prefixes of
+        ``higher_base_index`` and ``higher_powers``; empty for n < 4."""
+        n = _as_int(n, "n", hi=self.limit)
+        m = int(np.searchsorted(self.higher_powers, n, side="right"))
+        return self.higher_base_index[:m], self.higher_powers[:m]
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"PrimeTable(limit={self.limit}, primes={len(self.primes)})"
 
@@ -322,15 +336,14 @@ def _pi_levels(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return base, offset
 
 
-def _psi_at_prime_powers(table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
-    """(the prime powers p^e <= limit with e >= 2, ascending; 0 and then
-    psi at each prime power in ascending order, as float64) for a table
-    whose limit, primes and pi are set.
+def _psi_at_prime_powers(table: PrimeTable) -> np.ndarray:
+    """0 and then psi at each prime power <= limit in ascending order, as
+    float64, for a table whose limit, primes, pi and higher powers are set.
 
-    The higher powers are `_prime_powers_up_to(limit)`, and pi(h) primes
-    precede a higher power h.  Lambda is log p at p^e: ``np.log`` of a
-    prime and ``math.log`` of the base of a higher power (the two differ
-    in the last bit at some primes).  psi(x) is the
+    The higher powers are `PrimeTable.prime_powers_up_to(limit)`, and
+    pi(h) primes precede a higher power h.  Lambda is log p at p^e:
+    ``np.log`` of a prime and ``math.log`` of the base of a higher power
+    (the two differ in the last bit at some primes).  psi(x) is the
     sum of Lambda(n) over n <= x, accumulated in 80-bit extended precision
     over 2^20-wide chunks of n, each chunk's total carried into the next.
     Adding a zero is exact, so one cumsum per chunk over its prime powers
@@ -340,7 +353,7 @@ def _psi_at_prime_powers(table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
     contract for psi.
     """
     limit, primes = table.limit, table.primes
-    at, higher = _prime_powers_up_to(limit)
+    at, higher = table.prime_powers_up_to(limit)
     lam = np.insert(np.log(primes.astype(np.float64)), table.pi_at(higher),
                     [math.log(p) for p in primes[at].tolist()])
     edges = np.minimum(np.arange(_CHUNK - 1, limit + _CHUNK, _CHUNK), limit)
@@ -355,7 +368,7 @@ def _psi_at_prime_powers(table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
             psi[lo + 1:hi + 1] = c
             carry = c[-1]
             lo = hi
-    return higher, psi
+    return psi
 
 
 # -- factorial and binomial exponents ----------------------------------
@@ -469,33 +482,6 @@ def _powers_up_to(n: int) -> np.ndarray:
     return table[:, :int(np.searchsorted(table[2], n, side="right"))]
 
 
-@functools.cache
-def _prime_power_table() -> np.ndarray:
-    """The rows of `_power_table` whose base is prime, as a read-only
-    (2, m) int64 array of rows: the index of the base among the primes
-    (2 is 0), and the power p^i <= MAX_LIMIT (i >= 2), ascending.
-
-    The bases are at most isqrt(MAX_LIMIT), so one sieve to there tells
-    which are prime and counts the primes below each.  There are 1,864
-    rows in 29.8 KB; the table is built on the first call and shared,
-    read-only, by every later one."""
-    base, _, power = _power_table()
-    mask = _sieve(math.isqrt(MAX_LIMIT))
-    prime = mask[base]
-    table = np.stack((np.cumsum(mask)[base[prime]] - 1, power[prime]))
-    table.setflags(write=False)
-    return table
-
-
-def _prime_powers_up_to(n: int) -> np.ndarray:
-    """The prefix of `_prime_power_table` holding every p^i <= n (p prime,
-    i >= 2): a read-only (2, m) view of rows prime index, power, ascending
-    in power.  Refuses n > MAX_LIMIT, past which the table is incomplete."""
-    n = _as_int(n, "n", hi=MAX_LIMIT)
-    table = _prime_power_table()
-    return table[:, :int(np.searchsorted(table[1], n, side="right"))]
-
-
 #: From this n on, `_binom_divisor_flags` runs the level-1 carry once per
 #: block of constant floors (`_grouped_level1`) instead of once per prime.
 #: Below it the grouped path's dozen numpy calls cost more than the
@@ -556,15 +542,15 @@ def _binom_divisor_flags(table: PrimeTable, n: int,
     Level 1 runs that test over all primes <= n below `_GROUPED_FROM`,
     and from there once per block of constant floors (`_grouped_level1`,
     O(sqrt n) blocks).  The prime powers p^i <= n with i >= 2 are the
-    prefix `_prime_powers_up_to(n)`, which carries each one's prime
-    index: a carry there sets the flag at that index.
+    table's prefix `PrimeTable.prime_powers_up_to(n)`, which carries each
+    one's prime index: a carry there sets the flag at that index.
     """
     primes = table.primes_up_to(n)
     if n < _GROUPED_FROM:
         level1 = k % primes > n % primes
     else:
         level1 = _grouped_level1(table, n, k)
-    at, q = _prime_powers_up_to(n)
+    at, q = table.prime_powers_up_to(n)
     divides = level1.copy()
     divides[at[k % q > n % q]] = True
     return primes, divides, level1

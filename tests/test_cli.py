@@ -84,6 +84,15 @@ class TestDecomposeCommand:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["n"] == 40
 
+    @pytest.mark.parametrize("where", ["missing_dir", "a_directory"])
+    def test_unwritable_out_exit_2(self, capsys, tmp_path, where):
+        # a path under a missing directory, and a path that is a directory
+        target = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path
+        code, out, err = run_cli(capsys, "decompose", "10", "3", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write --out") and str(target) in err
+        assert not (tmp_path / "missing").exists()
+
     @pytest.mark.parametrize("flags,digest", [
         (["--format", "json"],
          "a961b073ae98ead6948abdcc3fbc1ce9595fd4a08a4c4d4530d65eeafe13b3d5"),

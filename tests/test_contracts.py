@@ -132,6 +132,8 @@ INTEGER_ENTRY_POINTS = {
     "derive_bounds": (lambda t, x: derive_bounds(PI_BOUNDS_SPEC, iterations=x), 3),
     "CoefficientSequence": (lambda t, x: CoefficientSequence((x, -1)), 1),
     "PrimeTable.primes_up_to": (lambda t, x: t.primes_up_to(x).tolist(), 10),
+    "PrimeTable.prime_powers_up_to":
+        (lambda t, x: [a.tolist() for a in t.prime_powers_up_to(x)], 100),
     "CoefficientSequence.coefficient":
         (lambda t, x: coefficient_sequence(PI_BOUNDS_SPEC).coefficient(x), 12),
     "partial_sum": (lambda t, x: partial_sum(x, 10), 3),

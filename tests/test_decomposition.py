@@ -100,6 +100,14 @@ class TestDegenerateInputs:
     def test_k_zero_empty(self):
         assert not decompose(7, 0).columns
 
+    def test_no_level_is_empty(self):
+        # for 0 < k < n every level opens with the cell d = 1,
+        # (max(k, n - k), n]; the text forms rely on it
+        for n in range(2, 301):
+            for k in range(1, n):
+                for i, cols in decompose(n, k).columns.items():
+                    assert cols[:4, 0].tolist() == [max(k, n - k), 1, n, 1], (n, k, i)
+
     def test_k_above_n_rejected(self):
         with pytest.raises(DomainError):
             decompose(5, 6)
@@ -514,14 +522,6 @@ class TestJsonChunks:
             assert "".join(chunks) == _reference_json(dec), (n, k)
             assert max(map(len, chunks)) < 300 * decomposition._TEXT_BLOCK
 
-    def test_empty_level(self):
-        # decompose never yields one (d = 1 is in every level); the layout
-        # still follows the encoder's
-        dec = decomposition.Decomposition(1, 0, MappingProxyType(
-            {1: np.empty((6, 0), dtype=np.int64)}))
-        assert "".join(dec.json_chunks()) == _reference_json(dec)
-        assert '"intervals": []' in _reference_json(dec)
-
 
 def _reference_csv(dec):
     """The CSV the CLI wrote through csv.DictWriter: one row dict per
@@ -562,11 +562,6 @@ class TestCsvChunks:
                 chunks = list(dec.csv_chunks())
                 assert "".join(chunks) == _reference_csv(dec), (n, k, block)
                 assert max(map(len, chunks)) < 100 * block
-
-    def test_empty_level(self):
-        dec = decomposition.Decomposition(1, 0, MappingProxyType(
-            {1: np.empty((6, 0), dtype=np.int64)}))
-        assert "".join(dec.csv_chunks()) == _reference_csv(dec) == "\r\n"
 
 
 def _reference_pretty(dec, exact):
@@ -642,14 +637,6 @@ class TestPrettyChunks:
         for n, k in pairs + [(MAX_DECOMPOSE_N, MAX_DECOMPOSE_N // 3)]:
             assert "".join(pretty_chunks(n, k)) == (
                 _reference_pretty(decompose(n, k), False)), (n, k)
-
-    def test_empty_level(self):
-        dec = decomposition.Decomposition(1, 0, MappingProxyType(
-            {1: np.empty((6, 0), dtype=np.int64)}))
-        for text, exact in (("".join(pretty_chunks(1, 0)), False),
-                            ("".join(dec.exact_chunks()), True)):
-            assert text == _reference_pretty(dec, exact)
-            assert text.endswith("(empty: the coefficient is 1)\n")
 
     def test_budget(self):
         # the pretty form reaches MAX_LIMIT, far past MAX_DECOMPOSE_N, and

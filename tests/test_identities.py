@@ -1,6 +1,8 @@
 import hashlib
 import math
 import random
+import sys
+import threading
 import tracemalloc
 from itertools import combinations_with_replacement
 
@@ -383,6 +385,64 @@ class TestFactorialRatio:
         fresh_checkpoints(monkeypatch)
         assert np.array_equal(log_factorial_prefix(6000), grown)
         assert float(log_factorial_prefix(6000)[-1]) == dense_log_factorial(6000)[6000 // step * step]
+
+    @pytest.mark.parametrize("outer,inner", [(1000, 6000), (6000, 1000)])
+    def test_log_factorial_prefix_build_inside_a_build(self, monkeypatch, outer, inner):
+        # a second build starts inside the first one's first cumsum, as a
+        # second thread could, from the same snapshot of the cache: the
+        # cache keeps the longer build whichever installs last, and each
+        # call returns its own full length
+        step = identities._STEP
+        fresh_checkpoints(monkeypatch)
+        nested = []
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def cumsum(self, *args, **kwargs):
+                if not nested:
+                    nested.append(None)  # before the call, which re-enters here
+                    nested[0] = log_factorial_prefix(inner)
+                return np.cumsum(*args, **kwargs)
+
+        monkeypatch.setattr(identities, "np", Numpy())
+        marks = log_factorial_prefix(outer)
+        assert len(marks) == outer // step + 1
+        assert len(nested[0]) == inner // step + 1
+        longer, shorter = sorted((marks, nested[0]), key=len, reverse=True)
+        assert np.array_equal(identities._LOGFACT, longer)
+        assert np.array_equal(longer[:len(shorter)], shorter)
+        assert float(longer[-1]) == dense_log_factorial(6000)[6000 // step * step]
+
+    def test_log_factorial_prefix_threads(self, monkeypatch):
+        # four threads on two cores race their builds with a short switch
+        # interval: every call returns its full length, and the cache ends
+        # as long as the longest
+        step = identities._STEP
+        fresh_checkpoints(monkeypatch)
+        limits = [10**5 * (1 + i % 7) for i in range(28)]
+        got, errors = [], []
+
+        def work(chunk):
+            try:
+                got.extend((limit, len(log_factorial_prefix(limit))) for limit in chunk)
+            except Exception as exc:  # reported below, as a thread would hide it
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(limits[i::4],)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert sorted(got) == sorted((limit, limit // step + 1) for limit in limits)
+        assert len(identities._LOGFACT) == 7 * 10**5 // step + 1
 
     def test_log_factorial_prefix_memory(self, monkeypatch):
         """The warm-up at 10^7 holds 16 bytes per checkpoint, one per B

@@ -22,7 +22,6 @@ from binomfactor import (MAX_LIMIT, DomainError, OutOfRangeError,
 from binomfactor.primes import (_CHUNK, _GROUPED_FROM, _PI_SHIFT, MAX_EXPONENT_BITS,
                                _binom_divisor_flags, _grouped_level1,
                                _is_prime_int, _power_table, _powers_up_to,
-                               _prime_power_table, _prime_powers_up_to,
                                _quotients, _sieve)
 from conftest import _von_mangoldt, dense_psi, reference_sieve
 
@@ -94,7 +93,8 @@ class TestBuildTable:
             "a5d0aa4049bb75900c92f600a675a1556c55109a90357d9edb10ac462d3d669b")
 
     def test_arrays_read_only(self, table_small):
-        for name in ("pi_base", "pi_offset", "primes", "higher_powers", "psi_values"):
+        for name in ("pi_base", "pi_offset", "primes", "higher_powers",
+                     "higher_base_index", "psi_values"):
             arr = getattr(table_small, name)
             before = arr[5]
             with pytest.raises(ValueError):
@@ -696,43 +696,52 @@ class TestPowerLadder:
 
 
 class TestPrimePowerTable:
-    """`_prime_power_table` is the prime-base rows of `_power_table`, each
-    base given by its index among the primes; `_prime_powers_up_to(n)` is
-    its prefix holding every p^i <= n."""
+    """A table keeps the prime-base rows of `_power_table` up to its limit,
+    each base given by its index among the primes;
+    `PrimeTable.prime_powers_up_to(n)` is their prefix holding every
+    p^i <= n."""
 
-    def test_prime_base_rows_of_the_power_table(self):
-        base, _, power = _power_table()
-        primes = np.flatnonzero(reference_sieve(int(base.max())))
-        prime = np.isin(base, primes)
-        at, q = _prime_power_table()
-        assert at.dtype == q.dtype == np.int64
-        assert np.array_equal(q, power[prime])
-        assert np.array_equal(primes[at], base[prime])
+    def test_prime_base_rows_of_the_power_table(self, table_small, table_medium,
+                                                table_large):
+        for table in (PrimeTable(2), PrimeTable(3), PrimeTable(4), table_small,
+                      table_medium, table_large):
+            base, _, power = _powers_up_to(table.limit)
+            primes = np.flatnonzero(reference_sieve(max(int(base.max(initial=0)), 1)))
+            prime = np.isin(base, primes)
+            at, q = table.prime_powers_up_to(table.limit)
+            assert at.dtype == q.dtype == np.int64
+            assert np.array_equal(q, power[prime]), table.limit
+            assert np.array_equal(primes[at], base[prime]), table.limit
+        assert table_large.higher_base_index.size == 555
 
     @staticmethod
-    def _check(n):
-        at, q = _prime_powers_up_to(n)
-        table = _prime_power_table()
-        assert np.array_equal(q, table[1][table[1] <= n]), n
-        assert np.array_equal(at, table[0][table[1] <= n]), n
+    def _check(table, n):
+        primes = np.flatnonzero(reference_sieve(max(n, 1))).tolist()
+        want = sorted((p ** e, i) for i, p in enumerate(primes)
+                      for e in range(2, n.bit_length()) if p ** e <= n)
+        at, q = table.prime_powers_up_to(n)
+        assert [*zip(q.tolist(), at.tolist())] == want, n
 
-    def test_every_n_up_to_300(self):
-        for n in range(1, 301):
-            self._check(n)
+    def test_every_n_up_to_300(self, table_small):
+        for n in range(0, 301):
+            self._check(table_small, n)
 
-    @pytest.mark.parametrize("n", [2**27 - 1, 2**27, 3**17, 14142**2 - 1,
-                                   14142**2, MAX_LIMIT])
-    def test_exact_power_edges(self, n):
-        self._check(n)
+    @pytest.mark.parametrize("n", [2**13 - 1, 2**13, 3**8 - 1, 3**8,
+                                   97**2 - 1, 97**2, 97**2 + 1, 20_000])
+    def test_exact_power_edges(self, table_small, n):
+        assert table_small.limit == 20_000
+        self._check(table_small, n)
 
-    def test_read_only(self):
-        for arr in (_prime_power_table(), _prime_powers_up_to(1000)):
+    def test_read_only(self, table_small):
+        for arr in (table_small.higher_base_index, table_small.higher_powers,
+                    *table_small.prime_powers_up_to(1000)):
             with pytest.raises(ValueError):
-                arr[1, 0] = 5
+                arr[0] = 5
 
-    def test_refuses_past_the_budget(self):
+    def test_refuses_past_the_budget(self, table_small):
+        # the table's limit is the reach of its prime powers
         with pytest.raises(OutOfRangeError):
-            _prime_powers_up_to(MAX_LIMIT + 1)
+            table_small.prime_powers_up_to(table_small.limit + 1)
 
 
 class TestIntegerRoot:
