@@ -19,9 +19,9 @@ a balanced factorial ratio (classically: multipliers 30, 1 over
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +87,12 @@ class CombinationSpec:
     def k_multiple(self) -> int:
         """Least L with every argument integral for k in L*N."""
         return math.lcm(*(t.b for t in self.terms))
+
+    @cached_property
+    def lead_and_anchor(self) -> tuple[int, int]:
+        """`_lead_and_anchor` of the spec's coefficient sequence, derived
+        on first read and kept on this spec."""
+        return _lead_and_anchor(coefficient_sequence(self))
 
 
 #: The combination behind the classical 0.92 / 1.11 pi(x) bounds.
@@ -303,13 +309,6 @@ class BracketRow:
     holds: bool
 
 
-@functools.lru_cache(maxsize=64)
-def _spec_lead_and_anchor(spec: CombinationSpec) -> tuple[int, int]:
-    """`_lead_and_anchor` of the spec's coefficient sequence, derived once
-    per frozen spec."""
-    return _lead_and_anchor(coefficient_sequence(spec))
-
-
 def empirical_bracket_check(spec: CombinationSpec, k_grid,
                             table: PrimeTable) -> list[BracketRow]:
     """Numerically confirm the bracket at concrete k (multiples of the
@@ -320,7 +319,7 @@ def empirical_bracket_check(spec: CombinationSpec, k_grid,
     where every omega comes from the sieve oracle and D is the exactly
     accounted sum of sign * (omega - series) corrections per term.
     """
-    lead, anchor = _spec_lead_and_anchor(spec)
+    lead, anchor = spec.lead_and_anchor
     rows = []
     for k in k_grid:
         k = _as_int(k, "k", lo=1)
@@ -365,14 +364,12 @@ class PsiBoundsReport:
     rows: tuple[PsiBracketRow, ...]
 
 
-@functools.cache
-def _psi_ledger() -> BoundsLedger:
-    """The fixed ledger of ``PSI_RATIO_SPEC``'s psi series (initial upper
-    2.0, 3 iterations; lead index 1, so no doubling), derived once: it
-    needs no table, so the CLI can check its flags against it first."""
-    return _bounds_ledger(psi_coefficient_sequence(PSI_RATIO_SPEC),
-                          PSI_RATIO_SPEC.growth_rate / PSI_RATIO_SPEC.period,
-                          None, 2.0, 3)
+#: The fixed ledger of ``PSI_RATIO_SPEC``'s psi series (initial upper
+#: 2.0, 3 iterations; lead index 1, so no doubling), built at import: it
+#: needs no table, so the CLI can check its flags against it first.
+_PSI_LEDGER = _bounds_ledger(psi_coefficient_sequence(PSI_RATIO_SPEC),
+                             PSI_RATIO_SPEC.growth_rate / PSI_RATIO_SPEC.period,
+                             None, 2.0, 3)
 
 
 def psi_variant_bounds(k_grid, table: PrimeTable) -> PsiBoundsReport:
@@ -380,11 +377,10 @@ def psi_variant_bounds(k_grid, table: PrimeTable) -> PsiBoundsReport:
     ratio ``PSI_RATIO_SPEC``.
 
     Takes the ledger of its alternating coefficient sequence
-    (`_psi_ledger`) and checks the exact bracket psi(Lk) - psi(Lk/anchor)
+    (`_PSI_LEDGER`) and checks the exact bracket psi(Lk) - psi(Lk/anchor)
     <= log ratio <= psi(Lk) on the grid."""
     L = PSI_RATIO_SPEC.period
-    ledger = _psi_ledger()
-    lead, anchor = ledger.lead_index, ledger.anchor_index
+    lead, anchor = _PSI_LEDGER.lead_index, _PSI_LEDGER.anchor_index
     rows = []
     for k in k_grid:
         k = _as_int(k, "k", lo=1)
@@ -396,4 +392,4 @@ def psi_variant_bounds(k_grid, table: PrimeTable) -> PsiBoundsReport:
         slack = 1e-9 * max(abs(hi), 1.0)
         rows.append(PsiBracketRow(k, ratio_log, lo, hi,
                                   holds=lo - slack <= ratio_log <= hi + slack))
-    return PsiBoundsReport(ledger, tuple(rows))
+    return PsiBoundsReport(_PSI_LEDGER, tuple(rows))

@@ -28,7 +28,7 @@ from collections.abc import Sequence
 
 from . import __version__
 from .chebyshev import (PSI_RATIO_SPEC, CombinationSpec, CombinationTerm,
-                        _psi_ledger, derive_bounds, psi_variant_bounds)
+                        _PSI_LEDGER, derive_bounds, psi_variant_bounds)
 from .decomposition import decompose, equivalence_check, pretty_chunks
 from .errors import DomainError, NonAlternatingError, OutOfRangeError
 from .identities import (FactorialRatioSpec, alternating_pi_sum,
@@ -355,7 +355,7 @@ def _run_bounds(args) -> int:
         return EXIT_OK
     if args.spec != _CLASSICAL_SPEC:
         raise DomainError(f"bounds --psi takes no combination spec, got {args.spec!r}")
-    ledger = _psi_ledger()
+    ledger = _PSI_LEDGER
     # the psi ledger is fixed: a flag may only restate what it uses, and
     # is checked before any table is built
     for flag, given, used in (("--iterations", args.iterations, len(ledger.upper_iterations)),

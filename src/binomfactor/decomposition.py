@@ -54,6 +54,7 @@ rendered here straight from its columns.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -347,7 +348,8 @@ def pretty_chunks(n: int, k: int) -> list[str]:
     as (iroot(lo, i), iroot(hi, i)], skipping those holding no integer
     >= 2 (the floored interval of any other cell is empty).  The
     roots count the i-th powers <= lo and hi among 1 and the exponent-i
-    rows of `_powers_up_to(n)`, whose reach, `MAX_LIMIT`, caps n."""
+    rows of `_powers_up_to` over the bases 2..isqrt(n).  n is capped at
+    `MAX_LIMIT`, the budget it shares with the membership mask."""
     n, k = _check_binom_args(n, k)
     _as_int(n, "n", hi=MAX_LIMIT)
     chunks = [_PRETTY_HEADING % (n, k)]
@@ -355,7 +357,7 @@ def pretty_chunks(n: int, k: int) -> list[str]:
         return chunks + [_PRETTY_EMPTY]
     # the edges read backwards pair up as (hi, lo), in ascending d
     hi, lo = _cell_edges(n, k)[-2:0:-1].reshape(-1, 2).T
-    _, exponent, power = _powers_up_to(n)
+    _, exponent, power = _powers_up_to(np.arange(2, math.isqrt(n) + 1, dtype=np.int64), n)
     for i in range(1, n.bit_length()):
         # level i: the uppers >= 2^i, a prefix in ascending d
         a, b = lo[hi >= 1 << i], hi[hi >= 1 << i]
@@ -376,10 +378,10 @@ def integer_membership_mask(n: int, k: int) -> np.ndarray:
 
     Restricted to primes this is exactly the divisor set of C(n, k).
     The runs of `_cell_edges` (~2*sqrt(n) intervals) are painted, and
-    the powers r^i <= n with i >= 2 are the prefix `_powers_up_to(n)`: r
-    is a witness where some r^i is covered.  So the work past the n + 1
-    mask bytes is O(sqrt n).  n is capped at `MAX_LIMIT`, the largest
-    table a caller can gather the mask with."""
+    the powers r^i <= n with i >= 2 of r = 2..isqrt(n) are formed by
+    `_powers_up_to`: r is a witness where some r^i is covered.  So the
+    work past the n + 1 mask bytes is O(sqrt n).  n is capped at
+    `MAX_LIMIT`, the largest table a caller can gather the mask with."""
     n, k = _check_binom_args(n, k)
     _as_int(n, "n", hi=MAX_LIMIT)
     runs = np.diff(_cell_edges(n, k))
@@ -387,9 +389,10 @@ def integer_membership_mask(n: int, k: int) -> np.ndarray:
     covered = np.repeat(np.arange(runs.size) % 2 == 1, runs)
     # r >= 2 is a level-i witness iff r^i is covered: an interval holding
     # r^i >= 2^i has upper >= 2^i, so it is one of level i
-    base, _, power = _powers_up_to(n)
+    base = np.arange(2, math.isqrt(n) + 1, dtype=np.int64)
+    at, _, power = _powers_up_to(base, n)
     # in place: the index covered[power] is read whole before the store
-    covered[base[covered[power]]] = True
+    covered[base[at[covered[power]]]] = True
     return covered
 
 

@@ -19,12 +19,13 @@ from `_GROUPED_FROM` on as one carry per block of integers on which
 floor(n/x), floor(k/x) and floor((n-k)/x) are all constant (O(sqrt n)
 blocks), spread over the primes in each block.  One more test covers
 every higher power q <= n at once, with no loop over root levels.
-Those powers are the table's own (`PrimeTable.prime_powers_up_to`): the
-rows of `_power_table` (every b^i <= MAX_LIMIT, b, i >= 2, by value) up
-to its limit whose base its pi finds prime, with each base's index
-among the primes.  They also serve the membership check in prime-index
-space and the psi table; all the powers give the membership mask its
-level-i witnesses and the pretty form its i-th roots.
+Those powers are the table's own (`PrimeTable.prime_powers_up_to`):
+`_powers_up_to` forms them at construction from its primes <= sqrt(limit),
+each with its base's index among the primes.  They also serve the
+membership check in prime-index space and the psi table.  The membership
+mask and the pretty form have no table: each forms the powers of the
+integers 2..isqrt(n) with `_powers_up_to` per call, for its level-i
+witnesses and its i-th roots.  No module-level state is kept.
 
 `_quotients(x)`, the distinct floor(x/j), is the one quotient set that the
 pi and psi series and the level-1 cells holding an integer all read.  The
@@ -36,7 +37,6 @@ threads; every query is pure.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from fractions import Fraction
@@ -200,10 +200,8 @@ class PrimeTable:
         mask = _sieve(limit)
         self.primes = np.flatnonzero(mask).astype(np.int64, copy=False)
         self.pi_base, self.pi_offset = _pi_levels(mask)
-        base, _, power = _powers_up_to(limit)
-        pi = self._pi_read(base).astype(np.int64)
-        prime = pi > self._pi_read(base - 1)  # pi steps up at a prime base
-        self.higher_powers, self.higher_base_index = power[prime], pi[prime] - 1
+        bases = self.primes[:self._pi(math.isqrt(limit))]
+        self.higher_base_index, _, self.higher_powers = _powers_up_to(bases, limit)
         self.psi_values = _psi_at_prime_powers(self)
         # the mask is the buffer pi_offset views, so it is made read-only too
         for arr in (mask, self.pi_base, self.pi_offset, self.primes,
@@ -453,33 +451,22 @@ def binom_exponent(p: int, n: int, k: int) -> int:
     return e
 
 
-@functools.cache
-def _power_table() -> np.ndarray:
-    """Every power b^i <= MAX_LIMIT with b >= 2 and i >= 2, as a read-only
-    (3, m) int64 array of rows base, exponent, power, sorted by power and
-    then base (16 = 4^2 comes before 2^4).
+def _powers_up_to(bases: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(index into ``bases``, exponent, power) for every power b^e <= n
+    with e >= 2 of a base b in the ascending int64 array ``bases`` (all
+    >= 2), as int64 arrays ascending in power (equal powers by exponent).
 
-    Exponent i contributes the bases 2..integer_root(MAX_LIMIT, i), and
-    every power is an exact int64 product (MAX_LIMIT < 2^63).  There are
-    14,971 entries in 359 KB; the table is built on the first call and
-    shared, read-only, by every later one."""
-    parts = []
-    for i in range(2, MAX_LIMIT.bit_length()):
-        base = np.arange(2, integer_root(MAX_LIMIT, i) + 1, dtype=np.int64)
-        parts.append(np.stack((base, np.full_like(base, i), base ** i)))
-    table = np.concatenate(parts, axis=1)
-    table = table[:, np.lexsort((table[0], table[2]))]
-    table.setflags(write=False)
-    return table
-
-
-def _powers_up_to(n: int) -> np.ndarray:
-    """The prefix of `_power_table` holding every b^i <= n (b, i >= 2):
-    a read-only (3, m) view of rows base, exponent, power, ascending in
-    power.  Refuses n > MAX_LIMIT, past which the table is incomplete."""
-    n = _as_int(n, "n", hi=MAX_LIMIT)
-    table = _power_table()
-    return table[:, :int(np.searchsorted(table[2], n, side="right"))]
+    Exponent e takes the m_e bases <= integer_root(n, e), a prefix, so
+    the rows are the runs 0..m_e - 1 of indices, one run per e, raised in
+    one int64 power: exact for n < 2^63.  Each caller passes its own
+    bases and bounds n itself; nothing is kept."""
+    m = np.searchsorted(bases, [integer_root(n, e) for e in range(2, n.bit_length())],
+                        side="right")
+    exponent = np.repeat(np.arange(2, m.size + 2, dtype=np.int64), m)
+    index = np.arange(exponent.size, dtype=np.int64) - np.repeat(np.cumsum(m) - m, m)
+    power = bases[index] ** exponent
+    order = np.argsort(power, kind="stable")
+    return index[order], exponent[order], power[order]
 
 
 #: From this n on, `_binom_divisor_flags` runs the level-1 carry once per

@@ -204,8 +204,10 @@ class TestEmpiricalBracket:
             empirical_bracket_check(PI_BOUNDS_SPEC, [k], table_small)
 
     def test_sequence_expanded_once_per_spec(self, table_small, monkeypatch):
-        # the (lead, anchor) pair depends on the spec alone, so a second
-        # call with an equal spec expands no coefficient sequence
+        # the (lead, anchor) pair is derived on a spec's first bracket
+        # check and kept on that spec, so a second call with it expands no
+        # coefficient sequence; an equal spec derives its own, as no
+        # module cache is shared between specs
         import binomfactor.chebyshev as chebyshev
         calls = []
         expand = chebyshev._sequence_from_divisors
@@ -217,8 +219,10 @@ class TestEmpiricalBracket:
         spec = CombinationSpec((CombinationTerm(+1, 3, 12), CombinationTerm(-1, 10, 60),
                                 CombinationTerm(+1, 2, 6)))
         first = empirical_bracket_check(spec, [600], table_small)
-        again = empirical_bracket_check(CombinationSpec(spec.terms), [6000], table_small)
-        assert len(calls) <= 1
+        again = empirical_bracket_check(spec, [6000], table_small)
+        assert len(calls) == 1
+        assert empirical_bracket_check(CombinationSpec(spec.terms), [600], table_small) == first
+        assert len(calls) == 2
         assert first == empirical_bracket_check(PI_BOUNDS_SPEC, [600], table_small)
         assert again == empirical_bracket_check(PI_BOUNDS_SPEC, [6000], table_small)
 

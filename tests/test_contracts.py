@@ -60,6 +60,47 @@ def test_pi_prefix_read_only_inside_prime_table():
     assert not found, f"pi levels read outside PrimeTable: {found}"
 
 
+#: The one module cache left: `identities._LOGFACT`, the log(x!)
+#: checkpoints, filled behind its lock until log(x!) needs no build.
+_MODULE_STATE_ALLOWED = {"identities.log_factorial_prefix"}
+
+
+def _scoped(node, scope):
+    """(qualified name of the innermost enclosing def or class, node) for
+    every node below ``node``, a def or class itself named within it."""
+    for child in ast.iter_child_nodes(node):
+        inner = (f"{scope}.{child.name}" if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else scope)
+        yield inner, child
+        yield from _scoped(child, inner)
+
+
+def test_no_module_state():
+    """No code in the package keeps state between calls: no `global` or
+    `nonlocal` statement and no `functools.cache` or `lru_cache`
+    decorator, outside `_MODULE_STATE_ALLOWED`.  State that belongs to
+    one object goes on it (`functools.cached_property`)."""
+    found = []
+    for path in sorted(Path(binomfactor.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for scope, node in _scoped(tree, path.stem):
+            decorators = [d.func if isinstance(d, ast.Call) else d
+                          for d in getattr(node, "decorator_list", ())]
+            cached = any(getattr(d, "attr", getattr(d, "id", None)) in ("cache", "lru_cache")
+                         for d in decorators)
+            if (cached or isinstance(node, (ast.Global, ast.Nonlocal))) \
+                    and scope not in _MODULE_STATE_ALLOWED:
+                found.append(f"{scope} ({path.name}:{node.lineno})")
+    assert not found, f"module state outside the allow-list: {found}"
+
+
+def test_longdouble_is_x87_extended():
+    assert np.finfo(np.longdouble).nmant == 63, (
+        "np.longdouble is not the x87 80-bit format: the golden digests and "
+        "the longdouble leaf-tree tests assume it, as psi and log(x!) "
+        "accumulate in it")
+
+
 def test_single_bounds_checked_only_in_as_int():
     """Outside `primes._as_int` no ``if`` refuses a single bound, i.e.
     compares a name by one <, <=, > or >= with an int literal or a

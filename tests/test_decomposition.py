@@ -996,7 +996,7 @@ class TestMaskOverIntegerCells:
         # the union over root levels is painted into the level-1 mask in
         # place; a copy of it put the peak at ~2.1 (n + 1) bytes
         n = 10**6
-        integer_membership_mask(n, 333333)  # builds the cached power table
+        integer_membership_mask(n, 333333)  # warm-up: first-use costs are not measured
         tracemalloc.start()
         try:
             integer_membership_mask(n, 333333)
@@ -1042,7 +1042,7 @@ class TestPrimeMembership:
     def test_check_holds_no_n_sized_array(self, table_medium):
         # the mask it replaced needs at least n + 1 bytes
         n, k = 10**6, 333333
-        equivalence_check(n, k, table_medium)  # builds the cached power tables
+        equivalence_check(n, k, table_medium)  # warm-up: first-use costs are not measured
         tracemalloc.start()
         try:
             assert equivalence_check(n, k, table_medium) is None

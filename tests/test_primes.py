@@ -21,7 +21,7 @@ from binomfactor import (MAX_LIMIT, DomainError, OutOfRangeError,
                          legendre_exponent, omega_binom_oracle)
 from binomfactor.primes import (_CHUNK, _GROUPED_FROM, _PI_SHIFT, MAX_EXPONENT_BITS,
                                _binom_divisor_flags, _grouped_level1,
-                               _is_prime_int, _power_table, _powers_up_to,
+                               _is_prime_int, _powers_up_to,
                                _quotients, _sieve)
 from conftest import _von_mangoldt, dense_psi, reference_sieve
 
@@ -121,7 +121,7 @@ class TestBuildTable:
         # ~5.4 MB here; the int32 pi prefix's cumsum peaked at ~9.0 MB, and
         # the dense psi build at ~53 MB
         limit = 10**6
-        PrimeTable(1000)  # builds the shared power table first
+        PrimeTable(1000)  # warm-up: first-use costs are not measured
         tracemalloc.start()
         try:
             PrimeTable(limit)
@@ -655,22 +655,26 @@ class TestGroupedLevel1:
 
 
 class TestPowerLadder:
-    """`_powers_up_to(n)` is the prefix of `_power_table` holding every
-    b^i <= n with b, i >= 2, as rows base, exponent, power sorted by power
-    and then base; checked against powers formed from Python ints."""
+    """`_powers_up_to(bases, n)` gives (index into ``bases``, exponent,
+    power) for every b^e <= n with e >= 2, ascending in power and equal
+    powers by exponent (16 = 4^2 before 2^4); checked against powers
+    formed from Python ints, over the integers 2..isqrt(n) and over the
+    primes among them."""
 
     @staticmethod
     def _check(n):
-        want = []
-        for b in range(2, math.isqrt(n) + 1):
-            i, q = 2, b * b
-            while q <= n:
-                want.append((b, i, q))
-                i, q = i + 1, q * b
-        want.sort(key=lambda t: (t[2], t[0]))
-        got = _powers_up_to(n)
-        assert got.dtype == np.int64
-        assert got.T.tolist() == [list(t) for t in want], n
+        ints = list(range(2, math.isqrt(n) + 1))
+        for bases in (ints, [b for b in ints if _is_prime_int(b)]):
+            want = []
+            for at, b in enumerate(bases):
+                e, q = 2, b * b
+                while q <= n:
+                    want.append([at, e, q])
+                    e, q = e + 1, q * b
+            want.sort(key=lambda t: (t[2], t[1]))
+            got = _powers_up_to(np.array(bases, dtype=np.int64), n)
+            assert all(a.dtype == np.int64 for a in got)
+            assert np.stack(got).T.tolist() == want, n
 
     def test_every_n_up_to_300(self):
         for n in range(1, 301):
@@ -683,35 +687,24 @@ class TestPowerLadder:
     def test_exact_power_edges(self, n):
         self._check(n)
 
-    def test_read_only(self):
-        table = _power_table()
-        assert table.shape == (3, 14_971) and table.nbytes == 359_304
-        for arr in (table, _powers_up_to(1000)):
-            with pytest.raises(ValueError):
-                arr[2, 0] = 5
-
-    def test_refuses_past_the_budget(self):
-        with pytest.raises(OutOfRangeError):
-            _powers_up_to(MAX_LIMIT + 1)
-
 
 class TestPrimePowerTable:
-    """A table keeps the prime-base rows of `_power_table` up to its limit,
-    each base given by its index among the primes;
+    """A table forms the powers of its primes <= sqrt(limit) up to its
+    limit, each base given by its index among the primes;
     `PrimeTable.prime_powers_up_to(n)` is their prefix holding every
     p^i <= n."""
 
-    def test_prime_base_rows_of_the_power_table(self, table_small, table_medium,
-                                                table_large):
+    def test_higher_powers_by_brute_force(self, table_small, table_medium,
+                                          table_large):
         for table in (PrimeTable(2), PrimeTable(3), PrimeTable(4), table_small,
                       table_medium, table_large):
-            base, _, power = _powers_up_to(table.limit)
-            primes = np.flatnonzero(reference_sieve(max(int(base.max(initial=0)), 1)))
-            prime = np.isin(base, primes)
-            at, q = table.prime_powers_up_to(table.limit)
-            assert at.dtype == q.dtype == np.int64
-            assert np.array_equal(q, power[prime]), table.limit
-            assert np.array_equal(primes[at], base[prime]), table.limit
+            limit = table.limit
+            primes = np.flatnonzero(reference_sieve(math.isqrt(limit))).tolist()
+            want = sorted((p ** e, at) for at, p in enumerate(primes)
+                          for e in range(2, limit.bit_length()) if p ** e <= limit)
+            assert table.higher_powers.dtype == table.higher_base_index.dtype == np.int64
+            assert [*zip(table.higher_powers.tolist(),
+                         table.higher_base_index.tolist())] == want, limit
         assert table_large.higher_base_index.size == 555
 
     @staticmethod
