@@ -34,7 +34,8 @@ for n, k in [(2000, 1000), (2000, 800)]:
     assert equivalence_check(n, k, table) is None
     print(f"  verified against the sieve oracle for every prime <= {n}\n")
 
-# the membership test itself is exact rational arithmetic
+# single primes: prime_divides reads the floored integer cells, which is
+# exact for an integer p^i, as a < p^i <= b iff floor(a) < p^i <= floor(b)
 dec = decompose(2000, 1000)
 for p in (997, 1009, 1999):
     print(f"  p = {p}: divides C(2000, 1000)? {prime_divides(dec, p)}")

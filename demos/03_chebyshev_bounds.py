@@ -11,7 +11,7 @@ The script also shows why the obvious "add a fourth term" refinement
 fails: the enlarged combination stops alternating.
 """
 
-from binomfactor import (PI_BOUNDS_SPEC, PI_BOUNDS_SPEC_BROKEN,
+from binomfactor import (PI_BOUNDS_SPEC, PI_BOUNDS_SPEC_BROKEN, PSI_BOUNDS_LEDGER,
                          NonAlternatingError, PrimeTable,
                          coefficient_sequence, derive_bounds,
                          empirical_bracket_check, psi_variant_bounds,
@@ -50,8 +50,10 @@ except NonAlternatingError as exc:
           "-- two +1 entries in a row)")
 
 print("\nthe psi(x)/x analogue from multipliers 30,1 / 15,10,6:")
-report = psi_variant_bounds([1000], table)
-L = report.ledger
+L = PSI_BOUNDS_LEDGER
 print(f"  constant {L.combination_constant:.6f}, "
       f"lower {L.lower_bound:.4f}, upper iterations "
       + " -> ".join(f"{u:.4f}" for u in L.upper_iterations))
+for row in psi_variant_bounds([1000], table):
+    print(f"  k={row.k}: psi-bracket {row.lower:.1f} <= log ratio {row.ratio_log:.1f} "
+          f"<= {row.upper:.1f}  holds={row.holds}")

@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 from .asymptotics import (ConvergenceRow, convergence_sweep,
                           growth_constant_table, omega_growth_constant,
                           sparse_regime_table)
-from .chebyshev import (PI_BOUNDS_SPEC, PI_BOUNDS_SPEC_BROKEN, PSI_RATIO_SPEC,
-                        BoundsLedger, CoefficientSequence, CombinationSpec,
-                        CombinationTerm, coefficient_sequence,
+from .chebyshev import (PI_BOUNDS_SPEC, PI_BOUNDS_SPEC_BROKEN, PSI_BOUNDS_LEDGER,
+                        PSI_RATIO_SPEC, BoundsLedger, CoefficientSequence,
+                        CombinationSpec, CombinationTerm, coefficient_sequence,
                         combination_constant, derive_bounds,
                         empirical_bracket_check, psi_coefficient_sequence,
                         psi_variant_bounds, reconstruct_series_value,

@@ -358,29 +358,21 @@ class PsiBracketRow:
     holds: bool
 
 
-@dataclass(frozen=True)
-class PsiBoundsReport:
-    ledger: BoundsLedger
-    rows: tuple[PsiBracketRow, ...]
-
-
 #: The fixed ledger of ``PSI_RATIO_SPEC``'s psi series (initial upper
 #: 2.0, 3 iterations; lead index 1, so no doubling), built at import: it
 #: needs no table, so the CLI can check its flags against it first.
-_PSI_LEDGER = _bounds_ledger(psi_coefficient_sequence(PSI_RATIO_SPEC),
-                             PSI_RATIO_SPEC.growth_rate / PSI_RATIO_SPEC.period,
-                             None, 2.0, 3)
+PSI_BOUNDS_LEDGER = _bounds_ledger(psi_coefficient_sequence(PSI_RATIO_SPEC),
+                                   PSI_RATIO_SPEC.growth_rate / PSI_RATIO_SPEC.period,
+                                   None, 2.0, 3)
 
 
-def psi_variant_bounds(k_grid, table: PrimeTable) -> PsiBoundsReport:
-    """psi(x)/x bounds from the psi series of the balanced factorial
-    ratio ``PSI_RATIO_SPEC``.
-
-    Takes the ledger of its alternating coefficient sequence
-    (`_PSI_LEDGER`) and checks the exact bracket psi(Lk) - psi(Lk/anchor)
-    <= log ratio <= psi(Lk) on the grid."""
+def psi_variant_bounds(k_grid, table: PrimeTable) -> tuple[PsiBracketRow, ...]:
+    """The bracket rows of the psi(x)/x bounds from the psi series of the
+    balanced factorial ratio ``PSI_RATIO_SPEC``, whose ledger is
+    `PSI_BOUNDS_LEDGER`: one row per k of the grid, checking the exact
+    bracket psi(Lk) - psi(Lk/anchor) <= log ratio <= psi(Lk)."""
     L = PSI_RATIO_SPEC.period
-    lead, anchor = _PSI_LEDGER.lead_index, _PSI_LEDGER.anchor_index
+    lead, anchor = PSI_BOUNDS_LEDGER.lead_index, PSI_BOUNDS_LEDGER.anchor_index
     rows = []
     for k in k_grid:
         k = _as_int(k, "k", lo=1)
@@ -392,4 +384,4 @@ def psi_variant_bounds(k_grid, table: PrimeTable) -> PsiBoundsReport:
         slack = 1e-9 * max(abs(hi), 1.0)
         rows.append(PsiBracketRow(k, ratio_log, lo, hi,
                                   holds=lo - slack <= ratio_log <= hi + slack))
-    return PsiBoundsReport(_PSI_LEDGER, tuple(rows))
+    return tuple(rows)

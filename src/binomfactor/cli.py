@@ -27,8 +27,8 @@ import sys
 from collections.abc import Sequence
 
 from . import __version__
-from .chebyshev import (PSI_RATIO_SPEC, CombinationSpec, CombinationTerm,
-                        _PSI_LEDGER, derive_bounds, psi_variant_bounds)
+from .chebyshev import (PSI_BOUNDS_LEDGER, PSI_RATIO_SPEC, CombinationSpec,
+                        CombinationTerm, derive_bounds, psi_variant_bounds)
 from .decomposition import decompose, equivalence_check, pretty_chunks
 from .errors import DomainError, NonAlternatingError, OutOfRangeError
 from .identities import (FactorialRatioSpec, alternating_pi_sum,
@@ -137,15 +137,22 @@ def _emit(args, payload, pretty_lines: Sequence[str] = (),
         for row in rows:
             writer.writerow({k: _csv_cell(row.get(k)) for k in fields})
         chunks = [buf.getvalue()]
-    if args.out:
-        try:
-            fh = open(args.out, "w")
-        except OSError as exc:  # refused like any bad input, before a byte is written
-            raise DomainError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
-        with fh:
-            fh.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+    # a failed open or write (a missing directory, a full disk, a reader
+    # that closed the pipe) is refused like any bad input
+    try:
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.out:
+            # what the failed write left buffered goes to the null device
+            # when the interpreter flushes stdout at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        where = f"--out {args.out!r}" if args.out else "stdout"
+        raise DomainError(f"cannot write {where}: {exc.strerror}") from exc
 
 
 def _csv_cell(value):
@@ -158,6 +165,8 @@ def _csv_cell(value):
 
 
 def _cmd_decompose(args) -> int:
+    if args.exact and args.format != "pretty":
+        raise DomainError(f"--exact applies only to --format pretty, got --format {args.format}")
     if args.format == "json":
         chunks = decompose(args.n, args.k).json_chunks()
     elif args.format == "csv":
@@ -355,7 +364,7 @@ def _run_bounds(args) -> int:
         return EXIT_OK
     if args.spec != _CLASSICAL_SPEC:
         raise DomainError(f"bounds --psi takes no combination spec, got {args.spec!r}")
-    ledger = _PSI_LEDGER
+    ledger = PSI_BOUNDS_LEDGER
     # the psi ledger is fixed: a flag may only restate what it uses, and
     # is checked before any table is built
     for flag, given, used in (("--iterations", args.iterations, len(ledger.upper_iterations)),
@@ -364,17 +373,17 @@ def _run_bounds(args) -> int:
         if given is not None and given != used:
             raise DomainError(f"bounds --psi uses {flag} {used}, got {given}")
     table = _table(args, PSI_RATIO_SPEC.period * max(k_grid, default=0))
-    report = psi_variant_bounds(k_grid, table)
+    rows = psi_variant_bounds(k_grid, table)
     payload = _ledger_payload(ledger)
     payload["bracket_rows"] = [
         {"k": r.k, "ratio_log": r.ratio_log, "lower": r.lower,
-         "upper": r.upper, "holds": r.holds} for r in report.rows]
+         "upper": r.upper, "holds": r.holds} for r in rows]
     lines = _ledger_lines("psi(x)/x", ledger)
     lines += [f"  bracket at k={r.k}: {r.lower:.1f} <= {r.ratio_log:.1f} "
               f"<= {r.upper:.1f} ({'ok' if r.holds else 'VIOLATED'})"
-              for r in report.rows]
+              for r in rows]
     _emit(args, payload, lines)
-    if any(not r.holds for r in report.rows):
+    if any(not r.holds for r in rows):
         raise _VerificationFailure
     return EXIT_OK
 

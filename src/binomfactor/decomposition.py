@@ -78,11 +78,11 @@ BRANCH_B = "B"
 
 #: One interval of ``Decomposition.json_chunks``, from (f, j, lower den,
 #: lower num, upper den, upper num), laid out as json.dumps with
-#: sort_keys=True and indent=2 lays it out inside a level, with the comma
-#: and newline before it.  Branch B has no "f": its template swallows the
-#: f column (-1) with "%.0s".
+#: sort_keys=True and indent=2 lays it out inside a level, with the newline
+#: before it (the comma goes between records).  Branch B has no "f": its
+#: template swallows the f column (-1) with "%.0s".
 _JSON_RECORD_A = (
-    ',\n        {\n          "branch": "A",\n          "f": %d,\n          "j": %d,\n'
+    '\n        {\n          "branch": "A",\n          "f": %d,\n          "j": %d,\n'
     '          "lower": {\n            "den": %d,\n            "num": %d\n          },\n'
     '          "upper": {\n            "den": %d,\n            "num": %d\n          }\n'
     '        }')
@@ -90,15 +90,15 @@ _JSON_RECORD_B = _JSON_RECORD_A.replace(
     '"A",\n          "f": %d,', '"B",%.0s')
 #: One row of ``Decomposition.csv_chunks``, from the same six columns, in
 #: the sorted column order branch, f, j, level, lower_den, lower_num,
-#: upper_den, upper_num.  The level is left as "%d" for each level to fill
-#: in; branch B's f cell is empty.
-_CSV_RECORD_A = "A,%d,%d,%%d,%d,%d,%d,%d\r\n"
+#: upper_den, upper_num.  The level is left as "%(i)d" for each level to
+#: fill in; branch B's f cell is empty.
+_CSV_RECORD_A = "A,%d,%d,%%(i)d,%d,%d,%d,%d\r\n"
 _CSV_RECORD_B = _CSV_RECORD_A.replace("A,%d", "B,%.0s")
 #: One interval of ``Decomposition.exact_chunks``, from
-#: (lower num, lower den, upper num, upper den), with the " u " before it;
-#: indexed by 2 * (lower den != 1) + (upper den != 1), since an endpoint
-#: with denominator 1 is shown as its bare numerator.
-_EXACT_RECORD = tuple(" u (%s, %s]" % (lower, upper)
+#: (lower num, lower den, upper num, upper den), indexed by
+#: 2 * (lower den != 1) + (upper den != 1), since an endpoint with
+#: denominator 1 is shown as its bare numerator.
+_EXACT_RECORD = tuple("(%s, %s]" % (lower, upper)
                       for lower in ("%d%.0s", "%d/%d") for upper in ("%d%.0s", "%d/%d"))
 #: Records per chunk of ``Decomposition.json_chunks``, ``csv_chunks`` and
 #: ``exact_chunks`` (~1 MB of JSON text).
@@ -159,17 +159,14 @@ class Decomposition:
         prefix of the level-1 records.  The chunks join to exactly what
         ``json.dumps(..., sort_keys=True, indent=2) + "\\n"`` writes for
         that document (``to_json_dict`` in tests/test_decomposition.py
-        builds it as the byte reference), formatted from the columns, one
-        chunk per block of `_record_blocks`."""
+        builds it as the byte reference), formatted from the columns by
+        `_level_text`, with each level's braces around its records."""
         yield '{\n  "k": %d,\n  "levels": [' % self.k
         if self.columns:
-            blocks = self._record_blocks(_branch_records(_JSON_RECORD_A, _JSON_RECORD_B))
-            for i, cols in self.columns.items():
+            records = _branch_records(_JSON_RECORD_A, _JSON_RECORD_B)
+            for i, text in self._level_text(records, ","):
                 yield '%s\n    {\n      "i": %d,\n      "intervals": [' % ("," if i > 1 else "", i)
-                for s in range(0, cols.shape[1], _TEXT_BLOCK):
-                    text = "".join(next(blocks))
-                    # every level starts at record 0: no comma before it
-                    yield text if s else text[1:]
+                yield from text
                 yield "\n      ]\n    }"
             yield "\n  "
         yield '],\n  "n": %d\n}\n' % self.n
@@ -180,57 +177,57 @@ class Decomposition:
         writes for those rows under their sorted keys (CRLF line ends, an
         empty f on branch B, and a header that is just CRLF when there is
         no row), as ``_reference_csv`` in tests/test_decomposition.py writes
-        them.  Each record of `_record_blocks` leaves its level open, and
-        each chunk fills it in over one block."""
+        them.  Each record of `_level_text` leaves its level open as
+        "%(i)d", and each chunk fills it in."""
         if not self.columns:
             yield "\r\n"
             return
         yield "branch,f,j,level,lower_den,lower_num,upper_den,upper_num\r\n"
-        blocks = self._record_blocks(_branch_records(_CSV_RECORD_A, _CSV_RECORD_B))
-        for i, cols in self.columns.items():
-            for _ in range(0, cols.shape[1], _TEXT_BLOCK):
-                recs = next(blocks)
-                yield "".join(recs) % ((i,) * len(recs))
+        for i, text in self._level_text(_branch_records(_CSV_RECORD_A, _CSV_RECORD_B), ""):
+            for chunk in text:
+                yield chunk % {"i": i}
 
     def exact_chunks(self) -> Iterator[str]:
         """The CLI's ``--exact`` text: the heading of `pretty_chunks`, then
-        one line per root level listing each of its intervals with the
-        exact endpoints, formatted once by `_record_blocks`, or the note
-        that the coefficient is 1."""
+        one line per root level, its label and then its intervals with the
+        exact endpoints from `_level_text`, or the note that the
+        coefficient is 1."""
         yield _PRETTY_HEADING % (self.n, self.k)
         if not self.columns:
             yield _PRETTY_EMPTY
             return
-        blocks = self._record_blocks(_exact_records)
-        for i, cols in self.columns.items():
-            for s in range(0, cols.shape[1], _TEXT_BLOCK):
-                text = "".join(next(blocks))
-                # every level starts at record 0: no " u " before it
-                yield text if s else _pretty_label(i) + text[3:]
+        for i, text in self._level_text(_exact_records, " u "):
+            yield _pretty_label(i)
+            yield from text
             yield "\n"
 
-    def _record_blocks(self, records: Callable[[np.ndarray], list[str]]
-                       ) -> Iterator[list[str]]:
-        """The records of every level, level after level, each level cut
-        at the multiples of _TEXT_BLOCK into blocks; ``records`` formats a
-        (6, b) block of level-1 columns as its b records.
+    def _level_text(self, records: Callable[[np.ndarray], list[str]], sep: str
+                    ) -> Iterator[tuple[int, Iterator[str]]]:
+        """(i, text) for every root level i in turn, where text yields the
+        level's records in chunks of _TEXT_BLOCK, ``sep`` between two
+        records and none before the first; ``records`` formats a (6, b)
+        block of level-1 columns as its b records.  Each text is read
+        whole before the next level's.
 
         Each record is formatted once.  Level 1 is formatted block by
         block as it is read; level i >= 2 lists a prefix of level 1, so
         only the prefix that level 2 lists is kept, and every deeper level
         reads a prefix of that."""
-        level1 = self.columns[1]
         keep = self.columns[2].shape[1] if 2 in self.columns else 0
         kept: list[str] = []
-        for s in range(0, level1.shape[1], _TEXT_BLOCK):
-            recs = records(level1[:, s:s + _TEXT_BLOCK])
-            kept += recs[:max(keep - s, 0)]
-            yield recs
+
+        def text(i: int, cols: np.ndarray) -> Iterator[str]:
+            m = cols.shape[1]
+            for s in range(0, m, _TEXT_BLOCK):
+                if i == 1:
+                    recs = records(cols[:, s:s + _TEXT_BLOCK])
+                    kept.extend(recs[:max(keep - s, 0)])
+                else:
+                    recs = kept[s:min(s + _TEXT_BLOCK, m)]
+                yield (sep if s else "") + sep.join(recs)
+
         for i, cols in self.columns.items():
-            if i > 1:
-                m = cols.shape[1]
-                for s in range(0, m, _TEXT_BLOCK):
-                    yield kept[s:min(s + _TEXT_BLOCK, m)]
+            yield i, text(i, cols)
 
     def __repr__(self) -> str:  # pragma: no cover
         total = sum(cols.shape[1] for cols in self.columns.values())
@@ -240,7 +237,7 @@ class Decomposition:
 
 def _branch_records(branch_a: str,
                     branch_b: str) -> Callable[[np.ndarray], list[str]]:
-    """Records for `Decomposition._record_blocks`: each interval with the
+    """Records for `Decomposition._level_text`: each interval with the
     template of its branch, from the rows f, j, lower den, lower num,
     upper den, upper num (the order of the sorted keys)."""
     def records(block: np.ndarray) -> list[str]:
@@ -250,7 +247,7 @@ def _branch_records(branch_a: str,
 
 
 def _exact_records(block: np.ndarray) -> list[str]:
-    """Records for `Decomposition._record_blocks`: each interval as
+    """Records for `Decomposition._level_text`: each interval as
     `_EXACT_RECORD`, from the rows lower num, lower den, upper num, upper
     den."""
     pick = (2 * (block[1] != 1) + (block[3] != 1)).tolist()

@@ -45,7 +45,7 @@ import numpy as np
 
 from .decomposition import level_prime_count
 from .errors import DomainError, OutOfRangeError
-from .primes import (MAX_LIMIT, PrimeTable, _as_int,
+from .primes import (MAX_FLOAT_INT, MAX_LIMIT, PrimeTable, _as_int,
                      _binom_divisor_flags, _floor_real, _quotients, _shown)
 
 IDENTITY_OMEGA_PI = "omega_pi"
@@ -87,12 +87,14 @@ class FactorialRatioSpec:
     """Multipliers (n_1..n_j ; m_1..m_l) for the balanced factorial ratio
     (n_1 k)! ... (n_j k)! / ((m_1 k)! ... (m_l k)!).  Balance means the
     two multiplier sums agree, which is validated at construction, where
-    the multipliers are stored as tuples of Python ints."""
+    the multipliers are stored as tuples of Python ints, each at most
+    `MAX_FLOAT_INT`, so that `growth_rate` reads each as a float and
+    `log_ratio` as an int64 exactly."""
     numerator_multipliers: tuple[int, ...]
     denominator_multipliers: tuple[int, ...]
 
     def __post_init__(self):
-        ns, ms = (tuple(_as_int(v, "multiplier", lo=1) for v in vs)
+        ns, ms = (tuple(_as_int(v, "multiplier", lo=1, hi=MAX_FLOAT_INT) for v in vs)
                   for vs in (self.numerator_multipliers, self.denominator_multipliers))
         object.__setattr__(self, "numerator_multipliers", ns)
         object.__setattr__(self, "denominator_multipliers", ms)

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from binomfactor import (PI_BOUNDS_SPEC, PI_BOUNDS_SPEC_BROKEN, PSI_RATIO_SPEC,
-                         CoefficientSequence, CombinationSpec, CombinationTerm,
+from binomfactor import (PI_BOUNDS_SPEC, PI_BOUNDS_SPEC_BROKEN, PSI_BOUNDS_LEDGER,
+                         PSI_RATIO_SPEC, CoefficientSequence, CombinationSpec, CombinationTerm,
                          DomainError, NonAlternatingError, OutOfRangeError,
                          coefficient_sequence, combination_constant, derive_bounds,
                          empirical_bracket_check, omega_pi_series,
@@ -238,24 +238,23 @@ class TestPsiVariant:
         assert verify_alternating(seq) is None
         assert seq.values[:6] == (1, 0, 0, 0, 0, -1)   # the anchor is 6
 
-    def test_combination_constant(self, table_small):
-        report = psi_variant_bounds([], table_small)
+    def test_combination_constant(self):
         expected = math.log(30**30 / (15**15 * 10**10 * 6**6)) / 30
-        assert report.ledger.combination_constant == pytest.approx(expected, rel=1e-12)
-        assert report.ledger.combination_constant == pytest.approx(0.9212, abs=1e-4)
+        assert PSI_BOUNDS_LEDGER.combination_constant == pytest.approx(expected, rel=1e-12)
+        assert PSI_BOUNDS_LEDGER.combination_constant == pytest.approx(0.9212, abs=1e-4)
 
-    def test_ledger_indices(self, table_small):
-        report = psi_variant_bounds([], table_small)
-        assert report.ledger.lead_index == 1
-        assert report.ledger.anchor_index == 6
-        assert report.ledger.fixed_point == pytest.approx(
-            report.ledger.combination_constant / (1 - 1 / 6), rel=1e-15)
+    def test_ledger_indices(self):
+        assert PSI_BOUNDS_LEDGER.lead_index == 1
+        assert PSI_BOUNDS_LEDGER.anchor_index == 6
+        assert PSI_BOUNDS_LEDGER.fixed_point == pytest.approx(
+            PSI_BOUNDS_LEDGER.combination_constant / (1 - 1 / 6), rel=1e-15)
 
-    def test_ledger_holds_its_sequence(self, table_small):
-        ledger = psi_variant_bounds([], table_small).ledger
+    def test_ledger_holds_its_sequence(self):
+        ledger = PSI_BOUNDS_LEDGER
         assert ledger.sequence == psi_coefficient_sequence(PSI_RATIO_SPEC)
         assert ledger.initial_upper == 2.0 and len(ledger.upper_iterations) == 3
 
     def test_bracket_rows_hold(self, table_medium):
-        report = psi_variant_bounds([7, 1000, 30_000], table_medium)
-        assert all(r.holds for r in report.rows)
+        rows = psi_variant_bounds([7, 1000, 30_000], table_medium)
+        assert [r.k for r in rows] == [7, 1000, 30_000]
+        assert all(r.holds for r in rows)

@@ -84,14 +84,37 @@ class TestDecomposeCommand:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["n"] == 40
 
-    @pytest.mark.parametrize("where", ["missing_dir", "a_directory"])
+    @pytest.mark.parametrize("where", ["missing_dir", "a_directory", "dev_full"])
     def test_unwritable_out_exit_2(self, capsys, tmp_path, where):
-        # a path under a missing directory, and a path that is a directory
-        target = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path
+        # a path under a missing directory, a path that is a directory, and
+        # a device that opens but refuses every write (ENOSPC)
+        target = {"missing_dir": tmp_path / "missing" / "x.json", "a_directory": tmp_path,
+                  "dev_full": Path("/dev/full")}[where]
         code, out, err = run_cli(capsys, "decompose", "10", "3", "--out", str(target))
         assert code == 2 and out == ""
         assert err.startswith("error: cannot write --out") and str(target) in err
         assert not (tmp_path / "missing").exists()
+
+    def test_reader_closing_stdout_exit_2(self):
+        # a reader that stops early (like `| head -c 10`) breaks the pipe
+        # mid-output: one error line, exit 2, and nothing more at shutdown
+        with subprocess.Popen(
+                [sys.executable, "-m", "binomfactor.cli", "decompose", "100000", "40000",
+                 "--format", "json"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(10) == b'{\n  "k": 4'
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+        assert proc.returncode == 2
+        assert err == "error: cannot write stdout: Broken pipe\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_exact_refused_outside_pretty(self, capsys, fmt):
+        # --exact shapes only the pretty text: with another format it is
+        # refused, not ignored
+        code, out, err = run_cli(capsys, "decompose", "12", "5", "--exact", "--format", fmt)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--exact" in err and f"--format {fmt}" in err
 
     @pytest.mark.parametrize("flags,digest", [
         (["--format", "json"],

@@ -28,7 +28,7 @@ from binomfactor import (PI_BOUNDS_SPEC, CoefficientSequence, CombinationTerm,
                          telescoping_check)
 from binomfactor.decomposition import (integer_membership_mask,
                                        level_prime_count, pretty_chunks)
-from binomfactor.primes import _as_int
+from binomfactor.primes import MAX_FLOAT_INT, _as_int
 
 
 def test_package_has_no_assert():
@@ -149,6 +149,18 @@ def test_huge_int_refused_by_bit_length(value, lo, hi, error):
     # a value of a printable size keeps its digits
     with pytest.raises(error, match=r"got -?6$"):
         _as_int(6 if hi else -6, "n", lo=lo, hi=hi)
+
+
+def test_huge_multiplier_refused():
+    """A `FactorialRatioSpec` multiplier past `MAX_FLOAT_INT` is refused
+    at construction with `OutOfRangeError`, not with the OverflowError
+    that `log_ratio` (int64) or `growth_rate` (float) would raise; one at
+    the cap still builds and reads."""
+    for value in (MAX_FLOAT_INT + 1, 2**70, 2**2000):
+        with pytest.raises(OutOfRangeError, match="multiplier"):
+            FactorialRatioSpec((value, 1), (value, 1))
+    spec = FactorialRatioSpec((MAX_FLOAT_INT, 1), (MAX_FLOAT_INT, 1))
+    assert spec.log_ratio(0) == 0.0 and spec.growth_rate == 0.0
 
 
 #: Entry points that take an integer argument, each as f(table, x) with x

@@ -512,15 +512,19 @@ class TestJsonChunks:
                 else:
                     assert json.loads(text) == to_json_dict(dec), (n, k)
 
-    def test_seeded_and_extreme_pairs(self):
+    def test_seeded_and_extreme_pairs(self, monkeypatch):
+        # a small block puts many chunk edges inside every level, where a
+        # comma dropped or doubled between two records would show
         rng = random.Random(8)
         pairs = [(n, rng.randint(1, n - 1))
                  for n in (rng.randint(121, 5000) for _ in range(40))]
-        for n, k in pairs + [(20000, 1), (20000, 19999)]:
-            dec = decompose(n, k)
-            chunks = list(dec.json_chunks())
-            assert "".join(chunks) == _reference_json(dec), (n, k)
-            assert max(map(len, chunks)) < 300 * decomposition._TEXT_BLOCK
+        for block in (decomposition._TEXT_BLOCK, 7):
+            monkeypatch.setattr(decomposition, "_TEXT_BLOCK", block)
+            for n, k in pairs + [(20000, 1), (20000, 19999)]:
+                dec = decompose(n, k)
+                chunks = list(dec.json_chunks())
+                assert "".join(chunks) == _reference_json(dec), (n, k, block)
+                assert max(map(len, chunks)) < 300 * block
 
 
 def _reference_csv(dec):
