@@ -360,6 +360,43 @@ class TestBoundsCommand:
             assert code == 0 and len(calls) == 1, fmt
 
 
+#: sha256 of each record command's output, in json, csv and pretty.
+_RECORD_DIGESTS = {
+    ("bounds",): (
+        "59bc28ac70e6b9f0fcac724354f8bcd4a58ee5c4699ce49f688456cf9cacb8c7",
+        "eda3c63c2be169f78d966a4556a1785c844f3cf8e4358bb9772bf8b941c03976",
+        "b6ba6ba915e484e76ce22e820675ddc616fd1bf0f04d3f9d24422398c2e8ec55"),
+    ("bounds", "--psi", "--k-grid", "7,100,1000"): (
+        "2beb46a4198e98801079e1187d82f2ad7bb460945cf798b646ee6f7af0bf7b9e",
+        "bcce207cf20e9b902334f7a7e7e4b1976e1f2b7ccbc380070bb153f387031ffc",
+        "488921266aa8cb38fb27ef100e7f34c1a6182e1e5f2e585843b53fee05cb423a"),
+    ("identity", "thm1", "--n", "2", "--m", "1", "--grid", "100,1000,5000"): (
+        "4be938e845f43ae9e86e59ca8ee2826dc9c6bd28ee1954482824d93797fe16d2",
+        "773e3c8a0d7bd90c5752d11e5224753c65f9e21b79ecccb6fc918fff4edf2dc9",
+        "bad9ef1387f601a2dc7fa2e839b4366125f38eeff6eb1f7873cc3fab9870cf4e"),
+    ("identity", "thm3", "--num-parts", "30,1", "--den-parts", "15,10,6",
+     "--grid", "10,100"): (
+        "58a41a51ae4ff4129df1ce8705e6d158be3ae8a7b2b21f371739dc9bb871209c",
+        "21c578c1500f1293b5b5384a92c4444a52c7b3ea945f0cab6adc33cea1177db4",
+        "5680178a436d7ba2b57f010c21c1521a112ad5dac53c9ac1f9874560e260e1c3"),
+}
+
+
+class TestRecordBytes:
+    """The records of `identity thm1`, `identity thm3` and `bounds` keep
+    their bytes in every format: the output bytes are part of the contract."""
+
+    @pytest.mark.parametrize("argv,fmt,digest", [
+        pytest.param(argv, fmt, digest, id=f"{' '.join(argv)} {fmt}")
+        for argv, digests in _RECORD_DIGESTS.items()
+        for fmt, digest in zip(("json", "csv", "pretty"), digests)
+    ])
+    def test_golden_output(self, capsys, argv, fmt, digest):
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestLogkCommand:
     def test_log2(self, capsys):
         code, out, _ = run_cli(capsys, "logk", "2", "--terms", "1000000")
