@@ -155,11 +155,14 @@ def _minimal_period(arr: np.ndarray) -> int:
 def _sequence_from_divisors(weighted_divisors) -> CoefficientSequence:
     """Build the periodic coefficient sequence from (divisor, weight)
     pairs: weight added at every multiple of divisor.  The period is the
-    lcm of the divisors, then minimised (never assumed)."""
+    lcm of the divisors, then minimised (never assumed); the lcm is folded
+    term by term and refused at the first partial lcm past `MAX_PERIOD`."""
     pairs = list(weighted_divisors)
     if not pairs:
         return CoefficientSequence((0,))
-    length = _as_int(math.lcm(*(d for d, _ in pairs)), "period lcm", hi=MAX_PERIOD)
+    length = 1
+    for d, _ in pairs:
+        length = _as_int(math.lcm(length, d), "period lcm", hi=MAX_PERIOD)
     arr = np.zeros(length + 1, dtype=np.int64)
     for d, w in pairs:
         arr[d::d] += w

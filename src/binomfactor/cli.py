@@ -5,8 +5,10 @@ Subcommands mirror the library: `decompose`, `identity <kind>`, `bounds`,
 subparser per identity kind with only its own flags, the common flags
 after the command, and the handler each command runs as ``run``.
 Output is deterministic: identical invocations produce byte-identical
-JSON.  Exit codes: 0 ok, 2 domain error or malformed command line,
-3 verification failure, 4 spec rejection (non-alternating combination).
+JSON.  Each record is written from its dataclass's fields.  Exit codes:
+0 ok, 2 domain error or malformed command line, 3 verification failure
+(returned by the handler once its output is written), 4 spec rejection
+(non-alternating combination).
 
 The sieve budget comes from --sieve-limit, the BINOMFACTOR_SIEVE_LIMIT
 environment variable, or the 10^7 default; a command whose arguments
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -35,7 +38,7 @@ from .identities import (FactorialRatioSpec, alternating_pi_sum,
                          bertrand_check, factorial_ratio_report,
                          omega_identity_report)
 from .logseries import partial_sum
-from .primes import DEFAULT_LIMIT, MAX_LIMIT, PrimeTable, _as_int, _floor_real
+from .primes import DEFAULT_LIMIT, MAX_LIMIT, PrimeTable, _as_int, _floor_real, _shown
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -49,10 +52,6 @@ _CLASSICAL_SPEC = "+1/2:1/6,+1/3:1/12,-1/10:1/60"
 #: One term of a `bounds` spec: a sign, then 1/a, ":", 1/b, spaces allowed
 #: around each part.
 _TERM = re.compile(r"\s*([+-]?)\s*1\s*/\s*(\d+)\s*:\s*1\s*/\s*(\d+)\s*")
-
-
-class _VerificationFailure(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,7 +83,7 @@ def _table(args, needed: int) -> PrimeTable:
     """A table up to `needed` (no larger), refused past the sieve budget."""
     if needed > args.sieve_limit:
         raise OutOfRangeError(
-            f"computation needs sieve limit {needed}, but the configured "
+            f"computation needs sieve limit {_shown(needed)}, but the configured "
             f"budget is {args.sieve_limit} (raise --sieve-limit or "
             f"BINOMFACTOR_SIEVE_LIMIT)")
     return PrimeTable(max(needed, 2))
@@ -184,40 +183,37 @@ def _cmd_decompose(args) -> int:
         if bad is not None:
             print(f"verification FAILED: prime {bad} disagrees with the oracle",
                   file=sys.stderr)
-            raise _VerificationFailure
+            return EXIT_VERIFY
         print(f"verified against the sieve oracle: all primes <= {args.n} agree",
               file=sys.stderr)
     return EXIT_OK
 
 
+def _emit_reports(args, reports, line) -> int:
+    """Write identity reports: one record each, and one pretty ``line(report)``."""
+    rows = [r.to_row() for r in reports]
+    _emit(args, {"reports": rows}, [line(r) for r in reports], rows)
+    return EXIT_OK
+
+
 def _cmd_thm1(args) -> int:
     ks, table = _k_grid(args, args.n)
-    reports = [omega_identity_report(args.n, args.m, k, table) for k in ks]
-    rows = [r.to_row() for r in reports]
-    lines = [
-        (f"omega C({r.params['n']}k, {r.params['m']}k) at k={r.params['k']}: "
-         f"lhs={r.lhs} rhs={r.rhs} residual={r.residual} "
-         f"[{r.normalization}={r.normalized_residual:.4f}]")
-        for r in reports
-    ]
-    _emit(args, {"reports": rows}, lines, rows)
-    return EXIT_OK
+    return _emit_reports(
+        args, [omega_identity_report(args.n, args.m, k, table) for k in ks],
+        lambda r: (f"omega C({r.params['n']}k, {r.params['m']}k) at k={r.params['k']}: "
+                   f"lhs={r.lhs} rhs={r.rhs} residual={r.residual} "
+                   f"[{r.normalization}={r.normalized_residual:.4f}]"))
 
 
 def _cmd_thm3(args) -> int:
     spec = FactorialRatioSpec(*(tuple(_parse_ints(raw, "multiplier list"))
                                 for raw in (args.num_parts, args.den_parts)))
     ks, table = _k_grid(args, spec.max_multiplier)
-    reports = [factorial_ratio_report(spec, k, table) for k in ks]
-    rows = [r.to_row() for r in reports]
-    lines = [
-        (f"log factorial ratio at k={r.params['k']}: lhs={r.lhs:.9f} "
-         f"psi-series={r.rhs:.9f} residual={r.residual:.3e} "
-         f"growth-residual={r.details['asymptotic_residual']:.4f}")
-        for r in reports
-    ]
-    _emit(args, {"reports": rows}, lines, rows)
-    return EXIT_OK
+    return _emit_reports(
+        args, [factorial_ratio_report(spec, k, table) for k in ks],
+        lambda r: (f"log factorial ratio at k={r.params['k']}: lhs={r.lhs:.9f} "
+                   f"psi-series={r.rhs:.9f} residual={r.residual:.3e} "
+                   f"growth-residual={r.details['asymptotic_residual']:.4f}"))
 
 
 def _cmd_altpi(args) -> int:
@@ -239,9 +235,7 @@ def _cmd_bertrand(args) -> int:
     _emit(args, payload,
           [f"pi(2n) > pi(n) for all n <= {args.limit}: "
            + ("verified" if bad is None else f"FAILS at n={bad}")])
-    if bad is not None:
-        raise _VerificationFailure
-    return EXIT_OK
+    return EXIT_OK if bad is None else EXIT_VERIFY
 
 
 def _cmd_logk(args) -> int:
@@ -349,8 +343,6 @@ def main(argv=None) -> int:
     except (DomainError, OutOfRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except _VerificationFailure:
-        return EXIT_VERIFY
 
 
 def _run_bounds(args) -> int:
@@ -375,35 +367,24 @@ def _run_bounds(args) -> int:
     table = _table(args, PSI_RATIO_SPEC.period * max(k_grid, default=0))
     rows = psi_variant_bounds(k_grid, table)
     payload = _ledger_payload(ledger)
-    payload["bracket_rows"] = [
-        {"k": r.k, "ratio_log": r.ratio_log, "lower": r.lower,
-         "upper": r.upper, "holds": r.holds} for r in rows]
+    payload["bracket_rows"] = [dataclasses.asdict(r) for r in rows]
     lines = _ledger_lines("psi(x)/x", ledger)
     lines += [f"  bracket at k={r.k}: {r.lower:.1f} <= {r.ratio_log:.1f} "
               f"<= {r.upper:.1f} ({'ok' if r.holds else 'VIOLATED'})"
               for r in rows]
     _emit(args, payload, lines)
-    if any(not r.holds for r in rows):
-        raise _VerificationFailure
-    return EXIT_OK
+    return EXIT_OK if all(r.holds for r in rows) else EXIT_VERIFY
 
 
 def _ledger_payload(ledger) -> dict:
-    seq = ledger.sequence
-    return {
-        "combination_constant": ledger.combination_constant,
-        "lower_bound": ledger.lower_bound,
-        "upper_iterations": list(ledger.upper_iterations),
-        "lead_index": ledger.lead_index,
-        "anchor_index": ledger.anchor_index,
-        "fixed_point": ledger.fixed_point,
-        "initial_upper": ledger.initial_upper,
-        "sequence": {
-            "period": seq.period,
-            "plus": sorted(seq.residues_with_sign(+1)),
-            "minus": sorted(seq.residues_with_sign(-1)),
-        },
-    }
+    """The ledger's fields, its sequence summarised as the period and the
+    sorted residues of its +1 and -1 coefficients."""
+    payload = {f.name: getattr(ledger, f.name) for f in dataclasses.fields(ledger)}
+    seq = payload["sequence"]
+    payload["sequence"] = {"period": seq.period,
+                           "plus": sorted(seq.residues_with_sign(+1)),
+                           "minus": sorted(seq.residues_with_sign(-1))}
+    return payload
 
 
 def _ledger_lines(what: str, ledger) -> list[str]:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -69,16 +69,9 @@ class IdentityReport:
     details: dict
 
     def to_row(self) -> dict:
-        row = {
-            "identity_id": self.identity_id,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "normalized_residual": self.normalized_residual,
-            "normalization": self.normalization,
-        }
-        row.update(self.details)
+        """The fields as one flat record, with ``details`` merged in."""
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
+        row.update(row.pop("details"))
         return row
 
 

@@ -68,6 +68,11 @@ MAX_FLOAT_INT = 1 << 53
 #: this cap).
 MAX_EXPONENT_BITS = 4096
 
+#: The bound on the bit length of x in `integer_root`, i.e. x < 2^8192:
+#: its Newton steps cost more than linearly in it (<= ~13 ms at this cap,
+#: 15-44 s at 1.6M bits).
+MAX_ROOT_BITS = 1 << 13
+
 _CHUNK = 1 << 20
 
 #: `PrimeTable` stores pi below each multiple of 2^_PI_SHIFT = 256 and, per
@@ -121,9 +126,11 @@ def _shown(v: int) -> int | str:
 
 
 def integer_root(x: int, i: int) -> int:
-    """Largest r >= 0 with r**i <= x, computed exactly for ints of any size.
-    Raises `DomainError` for a non-integer x or i, x < 0 or i < 1."""
+    """Largest r >= 0 with r**i <= x, computed exactly for 0 <= x <
+    2^`MAX_ROOT_BITS`.  Raises `DomainError` for a non-integer x or i,
+    x < 0 or i < 1, and `OutOfRangeError` for a longer x."""
     x, i = _as_int(x, "x", lo=0), _as_int(i, "i", lo=1)
+    _as_int(x.bit_length(), "bit length of x", hi=MAX_ROOT_BITS)
     if i == 1:
         return x
     if i == 2:

@@ -66,6 +66,14 @@ class TestCoefficientSequence:
         direct = coefficient_sequence(CombinationSpec((CombinationTerm(1, 1, 2),)))
         assert direct.period == 2
 
+    def test_period_refused_at_first_partial_lcm(self):
+        # terms (1, a, 2a) for a <= 30000: the lcm of all their divisors has
+        # 43,227 bits; it is refused at the first partial lcm past the cap,
+        # 2 * lcm(1..16) at a = 16, before the whole lcm is built
+        spec = CombinationSpec(tuple(CombinationTerm(1, a, 2 * a) for a in range(1, 30001)))
+        with pytest.raises(OutOfRangeError, match="need period lcm <= 1000000, got 1441440$"):
+            derive_bounds(spec)
+
     def test_coefficient_bound(self, table_medium):
         # |c| <= 2^32 keeps the int64 quotient sum exact up to MAX_LIMIT;
         # past it a coefficient is refused: at k = 10^6, 2^62 summed to 0

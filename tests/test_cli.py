@@ -271,6 +271,15 @@ class TestIdentityCommand:
         assert code == 0
         assert "verified" in out
 
+    def test_bertrand_failure_exit_3(self, capsys, monkeypatch):
+        # the sweep never fails on real inputs; force a counterexample to
+        # pin the exit-code contract: the report is written, then exit 3
+        import binomfactor.cli as cli_mod
+        monkeypatch.setattr(cli_mod, "bertrand_check", lambda limit, table: 7)
+        code, out, _ = run_cli(capsys, "identity", "bertrand", "--limit", "100")
+        assert code == 3
+        assert out == "pi(2n) > pi(n) for all n <= 100: FAILS at n=7\n"
+
     def test_sieve_budget_enforced(self, capsys):
         code, _, err = run_cli(capsys, "identity", "altpi", "--x", "100000",
                                "--sieve-limit", "1000")
@@ -316,6 +325,17 @@ class TestBoundsCommand:
         code, out, _ = run_cli(capsys, "bounds", "--psi", "--k-grid", "7,100")
         assert code == 0
         assert "0.921292" in out
+
+    def test_psi_violated_bracket_exit_3(self, capsys, monkeypatch):
+        # a bracket row that fails is written with the others, then exit 3
+        import binomfactor.cli as cli_mod
+        from binomfactor.chebyshev import PsiBracketRow
+        monkeypatch.setattr(cli_mod, "psi_variant_bounds",
+                            lambda k_grid, table: (PsiBracketRow(7, 1.0, 2.0, 3.0, False),))
+        code, out, _ = run_cli(capsys, "bounds", "--psi", "--k-grid", "7", "--format", "json")
+        assert code == 3
+        assert json.loads(out)["bracket_rows"] == [
+            {"k": 7, "ratio_log": 1.0, "lower": 2.0, "upper": 3.0, "holds": False}]
 
     @pytest.mark.parametrize("flags", [
         ("--anchor", "6"), ("--iterations", "3"), ("--initial-upper", "2"),
@@ -491,6 +511,12 @@ class TestInputErrors:
                      id="term-scaling"),
         pytest.param(("bounds", "+1/2:1/6,+2/3:1/12"), "'+2/3:1/12'", id="term-syntax"),
         pytest.param(("bounds", "+1/2:1/" + "6" * 5000), "too many digits", id="term-digits"),
+        pytest.param(("identity", "thm1", "--n", "9" * 4000, "--m", "1", "--k", "9" * 4000),
+                     "an integer of", id="thm1-sieve-past-int-str"),
+        pytest.param(("identity", "bertrand", "--limit", "9" * 4300), "an integer of",
+                     id="bertrand-sieve-past-int-str"),
+        pytest.param(("bounds", "--psi", "--k-grid", "9" * 4300), "an integer of",
+                     id="psi-sieve-past-int-str"),
     ])
     def test_exit_2_with_cause(self, capsys, argv, cause):
         code, _, err = run_cli(capsys, *argv)

@@ -19,7 +19,7 @@ from binomfactor import (PI_BOUNDS_SPEC, CoefficientSequence, CombinationTerm,
                          coefficient_sequence, convergence_sweep, decompose,
                          derive_bounds, empirical_bracket_check,
                          equivalence_check, factorial_ratio_report,
-                         log3_closed_form_check, log_factorial,
+                         integer_root, log3_closed_form_check, log_factorial,
                          log_factorial_prefix,
                          omega_binom_oracle, omega_growth_constant,
                          omega_identity_report, omega_pi_series, partial_sum,
@@ -197,6 +197,7 @@ INTEGER_ENTRY_POINTS = {
     "empirical_bracket_check":
         (lambda t, x: empirical_bracket_check(PI_BOUNDS_SPEC, [x], t), 60),
     "convergence_sweep": (lambda t, x: convergence_sweep(2, 1, [x], t), 10),
+    "integer_root": (lambda t, x: integer_root(x, 3), 1000),
 }
 
 

@@ -20,6 +20,7 @@ from binomfactor import (MAX_LIMIT, DomainError, OutOfRangeError,
                          PrimeTable, binom_exponent, integer_root,
                          legendre_exponent, omega_binom_oracle)
 from binomfactor.primes import (_CHUNK, _GROUPED_FROM, _PI_SHIFT, MAX_EXPONENT_BITS,
+                               MAX_ROOT_BITS,
                                _binom_divisor_flags, _grouped_level1,
                                _is_prime_int, _powers_up_to,
                                _quotients, _sieve)
@@ -766,6 +767,19 @@ class TestIntegerRoot:
     def test_refuses_bad_input(self, x, i):
         with pytest.raises(DomainError):
             integer_root(x, i)
+
+    def test_bit_length_budget(self):
+        # x < 2^MAX_ROOT_BITS: the Newton steps cost more than linearly in
+        # x's bit length (15-44 s at 1.6M bits when it was accepted)
+        x = (1 << MAX_ROOT_BITS) - 1
+        assert integer_root(x, 2) == (1 << MAX_ROOT_BITS // 2) - 1
+        assert integer_root(x, MAX_ROOT_BITS) == 1
+        for i in (1, 2, 3, 1000):
+            start = time.perf_counter()
+            with pytest.raises(OutOfRangeError, match=(
+                    f"need bit length of x <= {MAX_ROOT_BITS}, got {MAX_ROOT_BITS + 1}$")):
+                integer_root(x + 1, i)
+            assert time.perf_counter() - start < 0.05
 
     def test_accepts_numpy_integers(self):
         for i in (1, 2, 3):
