@@ -262,12 +262,14 @@ def _bounds_ledger(sequence: CoefficientSequence, constant: float,
     combination grows with the given constant; both variants build
     theirs here, under the same checks."""
     iterations = _as_int(iterations, "iterations", lo=1, hi=MAX_ITERATIONS)
+    if anchor_divisor is not None:
+        anchor_divisor = _as_int(anchor_divisor, "anchor divisor")
     if not (math.isfinite(initial_upper) and initial_upper > 0):
         raise DomainError(f"initial upper bound must be finite and > 0, got {initial_upper}")
     lead, anchor = _lead_and_anchor(sequence)
     if anchor_divisor is not None and anchor_divisor != anchor:
         raise DomainError(
-            f"anchor divisor {anchor_divisor} does not match the first "
+            f"anchor divisor {_shown(anchor_divisor)} does not match the first "
             f"negative coefficient index {anchor}")
     uppers = []
     u = initial_upper

@@ -363,7 +363,8 @@ def _run_bounds(args) -> int:
                               ("--initial-upper", args.initial_upper, ledger.initial_upper),
                               ("--anchor", args.anchor, ledger.anchor_index)):
         if given is not None and given != used:
-            raise DomainError(f"bounds --psi uses {flag} {used}, got {given}")
+            shown = _shown(given) if isinstance(given, int) else given
+            raise DomainError(f"bounds --psi uses {flag} {used}, got {shown}")
     table = _table(args, PSI_RATIO_SPEC.period * max(k_grid, default=0))
     rows = psi_variant_bounds(k_grid, table)
     payload = _ledger_payload(ledger)

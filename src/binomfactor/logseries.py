@@ -8,12 +8,18 @@ and sum_n block(k, n) = log k.  At k = 2 the blocks are exactly the
 paired alternating harmonic series 1/(2n-1) - 1/(2n); general k keeps
 that shape with k-1 positive terms per block.
 
-Blocks are summed as written, never term by term across blocks: the
-ungrouped series is only conditionally convergent and reordering is
-unsafe.  Every block is positive and bounded by k/n^2 for n >= 2 (each of
-the k-1 brackets is at most (k-1)/(((n-1)k+1) * nk) <= 1/((n-1) n), so
-the block is below (k-1)/((n-1)n) <= k/n^2), which gives the recorded
-tail envelope k/N after N blocks.
+The ungrouped series is only conditionally convergent, so its terms may
+not be reordered; but the first N blocks hold the positive terms 1/j for
+j <= Nk that are not multiples of k, less (k-1)/(nk) for n <= N, and
+(k-1)/(nk) = 1/n - 1/(nk).  So they sum to exactly
+
+    S_N = H(Nk) - H(N),
+
+which `partial_sum` evaluates in closed form instead of block by block.
+Every block is positive and bounded by k/n^2 for n >= 2 (each of the k-1
+brackets is at most (k-1)/(((n-1)k+1) * nk) <= 1/((n-1) n), so the block
+is below (k-1)/((n-1)n) <= k/n^2), which gives the recorded tail envelope
+k/N after N blocks.
 """
 
 from __future__ import annotations
@@ -26,18 +32,17 @@ import numpy as np
 from .errors import OutOfRangeError
 from .primes import MAX_FLOAT_INT, _as_int
 
-#: Most blocks `partial_sum` takes, and the longest `ratio_series_residual`
-#: truncation.  tracemalloc puts their peaks at 56 bytes per block (three
-#: float64 arrays and the list that fsum reads) and 32 per truncation float,
-#: ~560 and ~320 MB at this ceiling.
+#: The longest `ratio_series_residual` truncation.  tracemalloc puts its
+#: peak at 32 bytes per truncation float, ~320 MB at this ceiling.
 MAX_TERMS = 10_000_000
 
-#: Most work `partial_sum` takes, as (k - 1) * (terms + 400): each of its
-#: k - 1 passes costs ~3.5 us (~400 block terms) plus ~8 ns per block term
-#: (2 vCPU, numpy 2.4, as all times below), ~8 s at this ceiling.
-MAX_WORK = 1_000_000_000
+#: `partial_sum` adds 1/j directly for j <= this, and takes H(m) from its
+#: Euler-Maclaurin series from here on, where the first term left out,
+#: below 1/(132 m^10) ~ 6e-24, is far inside an extended-precision ulp.
+_EM_FROM = 128
 
-#: Largest k `block_term` takes (k - 1 Python divisions): ~1.0 s at it.
+#: Largest k `block_term` takes (k - 1 Python divisions): ~1.0 s at it
+#: (2 vCPU, numpy 2.4, as all times below).
 MAX_BLOCK_K = 10_000_000
 
 #: Most terms `log3_closed_form_check` takes (a Python loop): ~1.7 s at it.
@@ -76,23 +81,38 @@ class SeriesState:
 
 
 def partial_sum(k: int, terms: int) -> SeriesState:
-    """Sum of the first `terms` blocks, with the k/N tail envelope.
+    """Sum of the first N = `terms` blocks, with the k/N tail envelope.
 
-    terms is capped at MAX_TERMS; k = 1 is the trivial fast path (log 1 = 0,
-    no blocks), and otherwise (k - 1) * (terms + 400) is capped at MAX_WORK.
+    The sum is H(Nk) - H(N) (module docstring), evaluated in extended
+    precision and rounded once to float64, in a few microseconds whatever
+    N and k are: 1/j summed directly for N < j <= min(Nk, 128), and above
+    that log(Nk/m) + e(Nk) - e(m) with m = max(N, 128), where
+    e(m) = H(m) - log m - gamma (`_harmonic_excess`).  Where numpy's
+    longdouble is the x87 80-bit format, the result is within about half
+    an ulp of the exact value (the tests hold it to one ulp); where
+    longdouble is float64, the roundings of the steps show in the result.
+
+    Needs k >= 1, N >= 1 and N * k <= `MAX_FLOAT_INT`; k = 1 is the
+    trivial fast path (log 1 = 0, no blocks).
     """
-    k, terms = _as_int(k, "k", lo=1), _as_int(terms, "terms", lo=1, hi=MAX_TERMS)
+    k, terms = _as_int(k, "k", lo=1), _as_int(terms, "terms", lo=1)
+    top = _as_int(k * terms, "k * terms", hi=MAX_FLOAT_INT)
     if k == 1:
         return SeriesState(1, 0, 0.0, 0.0)
-    if (k - 1) * (terms + 400) > MAX_WORK:
-        raise OutOfRangeError(f"partial_sum needs (k - 1) * (terms + 400) <= {MAX_WORK}")
-    n = np.arange(1, terms + 1, dtype=np.float64)
-    base = (n - 1.0) * k
-    blocks = np.zeros(terms, dtype=np.float64)
-    for i in range(1, k):
-        blocks += 1.0 / (base + i)
-    blocks -= (k - 1.0) / (n * k)
-    return SeriesState(k, terms, math.fsum(blocks.tolist()), k / terms)
+    total = (1 / np.arange(terms + 1, min(top, _EM_FROM) + 1, dtype=np.longdouble)).sum()
+    low = max(terms, _EM_FROM)
+    if top > low:
+        # top / low is exact: k when low = N, a division by 2^7 otherwise
+        total += (np.log(np.longdouble(top) / low)
+                  + _harmonic_excess(top) - _harmonic_excess(low))
+    return SeriesState(k, terms, float(total), k / terms)
+
+
+def _harmonic_excess(m: int) -> np.longdouble:
+    """e(m) = H(m) - log m - gamma for m >= `_EM_FROM`, in extended
+    precision: 1/(2m) - 1/(12m^2) + 1/(120m^4) - 1/(252m^6) + 1/(240m^8)."""
+    y = 1 / np.longdouble(m) ** 2
+    return 1 / (2 * np.longdouble(m)) - y / 12 + y**2 / 120 - y**3 / 252 + y**4 / 240
 
 
 def log3_closed_form_check(terms: int) -> float:

@@ -168,6 +168,11 @@ class TestDeriveBounds:
         with pytest.raises(DomainError):
             derive_bounds(PI_BOUNDS_SPEC, anchor_divisor=10)
 
+    def test_anchor_past_int_str_named_by_bit_length(self):
+        # its digits would raise a bare ValueError past Python's int-to-str limit
+        with pytest.raises(DomainError, match="anchor divisor an integer of 16610 bits"):
+            derive_bounds(PI_BOUNDS_SPEC, anchor_divisor=10**5000)
+
     def test_ledger_holds_its_sequence(self):
         assert derive_bounds(PI_BOUNDS_SPEC).sequence == coefficient_sequence(PI_BOUNDS_SPEC)
 

@@ -465,15 +465,15 @@ class TestInputErrors:
     @pytest.mark.parametrize("argv,cause", [
         pytest.param(("identity", "altpi", "--x", "nan"), "finite", id="altpi-nan"),
         pytest.param(("identity", "altpi", "--x", "inf"), "finite", id="altpi-inf"),
-        pytest.param(("logk", "2", "--terms", "100000000000"), "terms <=",
+        pytest.param(("logk", "2", "--terms", "10000000000000000"), "terms <=",
                      id="logk-terms"),
         pytest.param(("bounds", "--psi", "--k-grid", "-5"), "k >= 1", id="psi-k-neg"),
         pytest.param(("bounds", "--psi", "--k-grid", "0"), "k >= 1", id="psi-k-zero"),
         pytest.param(("bounds", "+1/2:1/5"), "must divide", id="term-a-b"),
-        pytest.param(("logk", "1000000000", "--terms", "1"), "(terms + 400) <=",
-                     id="logk-work-k"),
-        pytest.param(("logk", "1000000", "--terms", "1000000"), "(terms + 400) <=",
-                     id="logk-work"),
+        pytest.param(("logk", "9007199254740993", "--terms", "1"),
+                     "k * terms <= 9007199254740992", id="logk-work-k"),
+        pytest.param(("logk", "1000000", "--terms", "10000000000"),
+                     "k * terms <= 9007199254740992", id="logk-work"),
         pytest.param(("bounds", "+1/1000003:1/2000006,+1/999983:1/1999966"),
                      "period lcm <=", id="bounds-period"),
         pytest.param(("bounds", "--iterations", "100000000"), "iterations <=",
@@ -517,6 +517,10 @@ class TestInputErrors:
                      id="bertrand-sieve-past-int-str"),
         pytest.param(("bounds", "--psi", "--k-grid", "9" * 4300), "an integer of",
                      id="psi-sieve-past-int-str"),
+        pytest.param(("bounds", "--anchor", "9" * 4300), "an integer of",
+                     id="anchor-past-int-str"),
+        pytest.param(("bounds", "--psi", "--anchor", "9" * 4300), "an integer of",
+                     id="psi-anchor-past-int-str"),
     ])
     def test_exit_2_with_cause(self, capsys, argv, cause):
         code, _, err = run_cli(capsys, *argv)

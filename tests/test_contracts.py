@@ -190,6 +190,8 @@ INTEGER_ENTRY_POINTS = {
     "CoefficientSequence.coefficient":
         (lambda t, x: coefficient_sequence(PI_BOUNDS_SPEC).coefficient(x), 12),
     "partial_sum": (lambda t, x: partial_sum(x, 10), 3),
+    "derive_bounds.anchor_divisor":
+        (lambda t, x: derive_bounds(PI_BOUNDS_SPEC, anchor_divisor=x), 12),
     "block_term": (lambda t, x: block_term(3, x), 2),
     "telescoping_check": (lambda t, x: telescoping_check(x), 10),
     "ratio_series_residual": (lambda t, x: ratio_series_residual(x, 10), 3),
