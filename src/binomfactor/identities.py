@@ -38,7 +38,6 @@ or term array.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -212,92 +211,50 @@ def omega_identity_report(n: int, m: int, k: int, table: PrimeTable) -> Identity
 
 # -- factorial ratios ---------------------------------------------------
 
-#: One checkpoint log((jB)!) is kept per B = _STEP integers; a read
-#: recomputes at most B - 1 extended-precision logs after its checkpoint.
-_STEP = 32
+#: log(x!) is read from Stirling's series at x >= _STIRLING_FROM, and
+#: below it from `_SMALL_LOGFACT`, the extended-precision running sums of
+#: the logs: log(0!) = 0, log(1!), ..., log(31!).
+_STIRLING_FROM = 32
+_SMALL_LOGFACT = np.concatenate(([np.longdouble(0)], np.cumsum(
+    np.log(np.arange(1, _STIRLING_FROM, dtype=np.longdouble)))))
+_SMALL_LOGFACT.setflags(write=False)
+_HALF_LOG_2PI = np.longdouble("0.91893853320467274178032973640561763986")
+#: B_2r / (2r (2r - 1)), r = 1..6, the coefficients of 1/x^(2r - 1)
+_STIRLING_TERMS = tuple(np.longdouble(a) / np.longdouble(b) for a, b in (
+    (1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360)))
+#: Most values one pass of `log_factorial` holds in extended precision.
+_PASS = 1 << 16
 
-#: Most extended-precision logs alive at once, 1 MB, in the checkpoint
-#: build and in one pass of `log_factorial`.
-_LOG_CHUNK = 1 << 16
 
-#: The checkpoints log((jB)!), j = 0, 1, ..., as a read-only longdouble
-#: array; it always holds log(0!) = 0.
-_LOGFACT = np.zeros(1, dtype=np.longdouble)
-_LOGFACT.setflags(write=False)
-#: Held while `log_factorial_prefix` installs a longer build.
-_LOGFACT_LOCK = threading.Lock()
-
-
-def log_factorial_prefix(limit: int) -> np.ndarray:
-    """The checkpoints log(0!), log(B!), log((2B)!), ... up to the last
-    multiple of B = `_STEP` <= limit, as a read-only longdouble array;
-    `log_factorial` reads log(x!) from them at any x <= limit.
-
-    The checkpoints are every B-th running sum S(x) = S(x - 1) + log(x) of
-    the logs themselves, in 80-bit extended precision (never Stirling), so
-    residuals of exact identities stay pure rounding.  They are cached and
-    grown on demand: a larger array is filled whole (the old checkpoints,
-    then the sum continued from the last of them), made read-only, and
-    only then replaces the cache, so no caller sees a half-built or
-    writeable cache, and every prefix of a larger array is bit-identical
-    to the smaller one.  A build is returned itself and installed only if
-    longer than the cache then is, so the cache never shrinks.
-
-    The sum runs in chunks of `_LOG_CHUNK` logs, so only one chunk of
-    extended-precision logs is alive at a time: the running carry is
-    added to each chunk's first log before that chunk's cumsum, which
-    performs the very additions of one sequential cumsum over the whole
-    range, whatever the chunk size.  At limit 10^7 the checkpoints hold
-    5.0 MB, where a dense float64 prefix held 80 MB.
-
-    ``limit`` lies in [0, `MAX_LIMIT`] (100 MB of checkpoints at the top),
-    the range of the tables its psi series are checked against.
-    """
-    global _LOGFACT
-    limit = _as_int(limit, "limit", lo=0, hi=MAX_LIMIT)
-    cache = _LOGFACT
-    count = limit // _STEP + 1
-    if len(cache) < count:
-        grown = np.empty(count, dtype=np.longdouble)
-        grown[:len(cache)] = cache
-        carry = cache[-1]
-        top = (count - 1) * _STEP
-        for lo in range((len(cache) - 1) * _STEP + 1, top + 1, _LOG_CHUNK):
-            c = np.arange(lo, min(lo + _LOG_CHUNK, top + 1), dtype=np.longdouble)
-            np.log(c, out=c)
-            c[0] += carry
-            np.cumsum(c, out=c)
-            first = -lo % _STEP  # c[first] holds S(jB) at j = ceil(lo / B)
-            kept = c[first::_STEP]
-            j = (lo + first) // _STEP
-            grown[j:j + len(kept)] = kept
-            carry = c[-1]
-            del c, kept  # so the next chunk is not allocated beside this one
-        grown.setflags(write=False)
-        with _LOGFACT_LOCK:
-            if len(grown) > len(_LOGFACT):
-                _LOGFACT = grown
-        return grown
-    return cache[:count]
+def _log_factorial_pass(x: np.ndarray) -> np.ndarray:
+    """log(x!) in extended precision at a flat integer array x."""
+    small = x < _STIRLING_FROM
+    t = x.astype(np.longdouble)
+    t[small] = _STIRLING_FROM  # any x in the series' range; replaced below
+    y = 1 / (t * t)
+    series = _STIRLING_TERMS[-1]
+    for c in _STIRLING_TERMS[-2::-1]:
+        series = series * y + c
+    out = (t + 0.5) * np.log(t) - t + _HALF_LOG_2PI + series / t
+    out[small] = _SMALL_LOGFACT[x[small]]
+    return out
 
 
 def log_factorial(x):
     """log(x!) as float64: a float for an int x, else an array shaped as
-    the int array x; every x lies in [0, `MAX_LIMIT`].
+    the int array x; every x lies in [0, `MAX_FLOAT_INT`].
 
-    Adds log(jB + 1), ..., log(x) one by one in extended precision to the
-    checkpoint S(jB) = log((jB)!) of `log_factorial_prefix` at
-    j = floor(x / B): the very additions of the sequential running sum,
-    so each value is bit-identical to a dense prefix built by that sum.
-
-    Row i of a pass holds jB, jB + 1, ..., jB + w - 1 for the i-th
-    x = jB + r (w - 1 the largest r); their logs, with log(jB) replaced by
-    S(jB), cumsum along the row to log((jB + t)!) at column t.  A pass
-    takes at most `_LOG_CHUNK` slots."""
+    At x >= 32 it sums Stirling's series (DLMF 5.11.1)
+    (x + 1/2) log x - x + log(2 pi)/2 + sum_{r=1..6} B_2r / (2r (2r - 1) x^(2r - 1))
+    in 80-bit extended precision; below 32 it reads `_SMALL_LOGFACT`.
+    Each value is rounded once to float64.  The first omitted term is
+    below 2e-22 at x = 32, far under the extended-precision rounding, so
+    every value lies within 1 ulp of log(x!) and nearly all are correctly
+    rounded.  Nothing is stored between calls; an array is read in
+    passes of at most `_PASS` values."""
     scalar = np.ndim(x) == 0
     if scalar:
-        top = _as_int(x, "x", lo=0, hi=MAX_LIMIT)
-        x = np.array([top])
+        x = np.array([_as_int(x, "x", lo=0, hi=MAX_FLOAT_INT)])
     else:
         x = np.asarray(x)
         if x.dtype.kind not in "iu":
@@ -305,21 +262,23 @@ def log_factorial(x):
         if not x.size:
             return np.zeros(x.shape)
         _as_int(x.min(), "x", lo=0)
-        top = _as_int(x.max(), "x", hi=MAX_LIMIT)
-    marks = log_factorial_prefix(top)
-    j, r = np.divmod(x.astype(np.int64).ravel(), _STEP)
-    width = int(r.max()) + 1
-    rows = _LOG_CHUNK // width
-    out = np.empty(x.size, dtype=np.float64)
-    for lo in range(0, x.size, rows):
-        jb, rb = j[lo:lo + rows], r[lo:lo + rows]
-        c = np.add.outer(jb * _STEP, np.arange(width))
-        c[:, 0] = 1  # log(jB) is replaced by S(jB) below, and jB may be 0
-        c = np.log(c, dtype=np.longdouble)
-        c[:, 0] = marks[jb]
-        np.cumsum(c, axis=1, out=c)
-        out[lo:lo + rows] = c.ravel()[rb + width * np.arange(rb.size)]
+        _as_int(x.max(), "x", hi=MAX_FLOAT_INT)
+    flat = x.ravel()
+    out = np.empty(flat.size, dtype=np.float64)
+    for lo in range(0, flat.size, _PASS):
+        out[lo:lo + _PASS] = _log_factorial_pass(flat[lo:lo + _PASS])
     return float(out[0]) if scalar else out.reshape(x.shape)
+
+
+def log_factorial_prefix(limit: int) -> np.ndarray:
+    """`log_factorial` at x = 0, 32, 64, ... <= limit, a new float64
+    array; ``limit`` lies in [0, `MAX_LIMIT`].
+
+    A short reader kept only because the benchmark worker calls it in the
+    `series_1e7` set-up; ROADMAP item 6 deletes it together with that
+    call."""
+    limit = _as_int(limit, "limit", lo=0, hi=MAX_LIMIT)
+    return log_factorial(np.arange(0, limit + 1, 32))
 
 
 _PSI_BLOCK = 8192

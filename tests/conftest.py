@@ -97,7 +97,7 @@ def dense_log_factorial(limit: int) -> np.ndarray:
     read-only float64 array, the running sum of the logs accumulated in
     80-bit extended precision over 2^20-wide chunks, each chunk's total
     carried into its first log before its cumsum.  `log_factorial` must
-    equal it to the bit; the latest limit is kept."""
+    lie within 1 ulp of it; the latest limit is kept."""
     out = np.empty(limit + 1, dtype=np.float64)
     carry = np.longdouble(0.0)
     for lo in range(0, limit + 1, _CHUNK):

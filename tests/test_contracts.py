@@ -28,7 +28,8 @@ from binomfactor import (PI_BOUNDS_SPEC, CoefficientSequence, CombinationTerm,
                          telescoping_check)
 from binomfactor.decomposition import (integer_membership_mask,
                                        level_prime_count, pretty_chunks)
-from binomfactor.primes import MAX_FLOAT_INT, _as_int
+from binomfactor.chebyshev import PSI_RATIO_SPEC
+from binomfactor.primes import MAX_FLOAT_INT, MAX_LIMIT, _as_int
 
 
 def test_package_has_no_assert():
@@ -60,9 +61,9 @@ def test_pi_prefix_read_only_inside_prime_table():
     assert not found, f"pi levels read outside PrimeTable: {found}"
 
 
-#: The one module cache left: `identities._LOGFACT`, the log(x!)
-#: checkpoints, filled behind its lock until log(x!) needs no build.
-_MODULE_STATE_ALLOWED = {"identities.log_factorial_prefix"}
+#: Scopes that may keep module state: none, as log(x!) needs no stored
+#: build since it is read from Stirling's series.
+_MODULE_STATE_ALLOWED = set()
 
 
 def _scoped(node, scope):
@@ -161,6 +162,21 @@ def test_huge_multiplier_refused():
             FactorialRatioSpec((value, 1), (value, 1))
     spec = FactorialRatioSpec((MAX_FLOAT_INT, 1), (MAX_FLOAT_INT, 1))
     assert spec.log_ratio(0) == 0.0 and spec.growth_rate == 0.0
+
+
+@pytest.mark.parametrize("call,at_cap", [
+    (lambda x: log_factorial(x), MAX_FLOAT_INT),
+    (lambda x: log_factorial(np.array([0, x], dtype=np.uint64)), MAX_FLOAT_INT),
+    (lambda x: PSI_RATIO_SPEC.log_ratio(x), MAX_LIMIT // 30),
+], ids=["log_factorial", "log_factorial-array", "log_ratio"])
+def test_one_past_single_cap_refused(call, at_cap):
+    """One past the cap raises `OutOfRangeError`, whose message names the
+    cap; log(x!) reads to `MAX_FLOAT_INT`, where its float64 argument is
+    still exact, while `log_ratio` stays within the psi tables that check
+    it, max multiplier * k <= `MAX_LIMIT`."""
+    with pytest.raises(OutOfRangeError, match=f"<= {at_cap}, got {at_cap + 1}$"):
+        call(at_cap + 1)
+    call(at_cap)
 
 
 #: Entry points that take an integer argument, each as f(table, x) with x

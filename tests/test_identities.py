@@ -1,9 +1,8 @@
 import hashlib
 import math
 import random
-import sys
-import threading
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -22,7 +21,7 @@ from binomfactor.chebyshev import PSI_RATIO_SPEC
 from binomfactor.decomposition import level_prime_count
 from binomfactor.identities import (_PSI_BLOCK, _PSI_LEAF, _psi_series_one,
                                    _quotient_sum)
-from binomfactor.primes import _GROUPED_FROM, _pi_levels, _quotients
+from binomfactor.primes import MAX_FLOAT_INT, _GROUPED_FROM, _pi_levels, _quotients
 from conftest import dense_log_factorial, dense_psi, reference_sieve
 
 
@@ -231,12 +230,78 @@ def _partitions(total, max_part):
     return out
 
 
-def fresh_checkpoints(monkeypatch):
-    """Reset the checkpoint cache to its import state, log(0!) alone, so
-    the next call builds."""
-    start = np.zeros(1, dtype=np.longdouble)
-    start.setflags(write=False)
-    monkeypatch.setattr(identities, "_LOGFACT", start)
+#: log(x!) to 45 significant digits, from mpmath's loggamma(x + 1) at 60
+#: digits (mpmath is not needed to run the tests): every x <= 40, x = 457
+#: (the first x at which the running sum misses the correctly rounded
+#: value, 3.4e-4 ulp from a tie), 10^3, 6000, 10^5, 10^7, twelve x drawn
+#: by random.Random(35) from (10^7, 2*10^8], and 2^53.
+LOG_FACTORIAL_GOLDEN = [
+    (0, "0.0"),
+    (1, "0.0"),
+    (2, "0.693147180559945309417232121458176568075500134"),
+    (3, "1.79175946922805500081247735838070227272299069"),
+    (4, "3.17805383034794561964694160129705540887399096"),
+    (5, "4.78749174278204599424770093452324304839959232"),
+    (6, "6.57925121201010099506017829290394532112258301"),
+    (7, "8.52516136106541430016553103634712505075966774"),
+    (8, "10.6046029027452502284172274007216547549861681"),
+    (9, "12.8018274800814696112077178745667061642811493"),
+    (10, "15.1044125730755152952257093292510703718822507"),
+    (11, "17.5023078458738858392876529072161996717039576"),
+    (12, "19.9872144956618861495173623870550785125024484"),
+    (13, "22.5521638531234228855708498286203971173077164"),
+    (14, "25.1912211827386815000934346935217534150203012"),
+    (15, "27.8992713838408915660894392636704667591933931"),
+    (16, "30.6718601060806728037583677495031730314953937"),
+    (17, "33.5050734501368888840079023673762995670835967"),
+    (18, "36.3954452080330535762156249626795275444540779"),
+    (19, "39.3398841871994940362246523945673810816914572"),
+    (20, "42.3356164607534850296598759707099218573680588"),
+    (21, "45.3801388984769080261604739510756272916526341"),
+    (22, "48.4711813518352238796396496504989331595498411"),
+    (23, "51.6066755677643735704464024823091292779922214"),
+    (24, "54.7847293981123191900933440836061846868662124"),
+    (25, "58.0036052229805199392948627500585599659174151"),
+    (26, "61.2617017610020019847655823130820551387981832"),
+    (27, "64.5575386270063310589513180238496322527406548"),
+    (28, "67.8897431371815349828911350102091651185287398"),
+    (29, "71.2570389671680090100744070425710767240232528"),
+    (30, "74.6582363488301643854876437341779666362718448"),
+    (31, "78.0922235533153106314168080587203238467217837"),
+    (32, "81.5579594561150371785029686660112066870992844"),
+    (33, "85.0544670175815174139601574808988616915684818"),
+    (34, "88.580827542197678803626924220230164795232185"),
+    (35, "92.136175603687092483333036296899532164394871"),
+    (36, "95.7196945421432024849579910136609367098408524"),
+    (37, "99.33061245478742692932608668469238387374093"),
+    (38, "102.968198614513812698752346238038413979053809"),
+    (39, "106.631760260643459126201078916526258288506568"),
+    (40, "110.32063971475739542905353461412697563225867"),
+    (457, "2345.96177221592483890135921420203175402852901"),
+    (1000, "5912.12817848816334887813088672549388247174571"),
+    (6000, "46202.3571990573509619957305766266749536264096"),
+    (100000, "1051299.22189912186512927810820611085524934452"),
+    (10000000, "151180965.487569564898425371004535877888525026"),
+    (26592335, "428033785.68038201037914935163263609112280322"),
+    (45359783, "754339389.614409479484189481457454524883144745"),
+    (51352137, "860364862.147844456732889710369671767409438991"),
+    (77685613, "1333720646.90783351303058834116274258898941281"),
+    (83581440, "1441055369.7817092939510092359949361053969662"),
+    (86747521, "1498868127.32717431758818334813058022989026634"),
+    (100025145, "1742531275.70303802871417827705185765502710668"),
+    (101393644, "1767749622.14263976495746168464811893085539812"),
+    (125890420, "2222082045.06920482203710405398016156853562058"),
+    (151130918, "2695216967.93732146899908141338607613457133802"),
+    (157289087, "2811321604.81502354749178593057678989600094058"),
+    (162133119, "2902819744.43372221277583544968320419927382608"),
+    (9007199254740992, "321888483458023065.35804068673773025972545299"),
+]
+
+
+def within_one_ulp(got: float, want: str) -> bool:
+    """|got - want| < 1 ulp of the float nearest the decimal ``want``."""
+    exact = Fraction(want)
+    return abs(Fraction(got) - exact) < Fraction(math.ulp(float(exact)))
 
 
 class TestFactorialRatio:
@@ -284,50 +349,66 @@ class TestFactorialRatio:
         assert resid[10_000] <= 6
 
     def test_log_ratio_matches_dense_oracle(self):
-        # the five reads of one call, fsummed as from the dense prefix
+        # each of the five reads is within 1 ulp of the dense prefix's, so
+        # the fsum is within the sum of their ulps
         spec = PSI_RATIO_SPEC
         lf = dense_log_factorial(10**7)
         for k in (1, 2, 31, 32, 33, 12345, 10**7 // 30):
-            want = math.fsum([float(lf[v * k]) for v in spec.numerator_multipliers]
-                             + [-float(lf[v * k]) for v in spec.denominator_multipliers])
-            assert spec.log_ratio(k) == want, k
-
-    # `log_factorial` reads log(x!) from the checkpoints log((jB)!) of
-    # `log_factorial_prefix`, bit for bit the dense prefix of the oracle
+            args = [v * k for v in spec.numerator_multipliers + spec.denominator_multipliers]
+            n = len(spec.numerator_multipliers)
+            want = math.fsum([float(lf[v]) for v in args[:n]] + [-float(lf[v]) for v in args[n:]])
+            slack = math.fsum(math.ulp(float(lf[v])) for v in args)
+            assert abs(spec.log_ratio(k) - want) <= slack, k
 
     def test_log_factorial_prefix_exact(self):
         assert log_factorial(0) == 0.0 and log_factorial(1) == 0.0
         assert type(log_factorial(5)) is float
         assert log_factorial(5) == pytest.approx(math.log(120), rel=1e-15)
         assert log_factorial(30) == pytest.approx(math.log(math.factorial(30)), rel=1e-14)
-        assert float(log_factorial_prefix(100)[2]) == log_factorial(2 * identities._STEP)
+        assert log_factorial_prefix(100).tolist() == [log_factorial(v) for v in (0, 32, 64, 96)]
 
-    @pytest.mark.parametrize("chunk", [None, 4099])
-    def test_log_factorial_prefix_golden(self, chunk, monkeypatch):
-        # the digest of one unchunked cumsum over all entries; a small
-        # chunk puts hundreds of chunk boundaries below 10^6
-        if chunk is not None:
-            monkeypatch.setattr(identities, "_LOG_CHUNK", chunk)
-            fresh_checkpoints(monkeypatch)
+    def test_log_factorial_golden_values(self):
+        """Every golden value within 1 ulp, as one array and one by one,
+        and correctly rounded at least as often as the running sum of the
+        dense oracle on the same x <= 10^7.  On x87 extended precision 58
+        of the 59 values are correctly rounded, 45 of the 46 at x <= 10^7
+        against the running sum's 44: both miss at 457, whose log(x!) lies
+        3.4e-4 ulp from a tie, and the running sum also at 6000."""
+        x = np.array([v for v, _ in LOG_FACTORIAL_GOLDEN], dtype=np.int64)
+        got = log_factorial(x).tolist()
+        assert got == [log_factorial(v) for v in x.tolist()]
+        assert all(within_one_ulp(g, w) for g, (_, w) in zip(got, LOG_FACTORIAL_GOLDEN))
+        rounded = [g == float(w) for g, (_, w) in zip(got, LOG_FACTORIAL_GOLDEN)]
+        dense = dense_log_factorial(10**7)
+        small = [(i, float(w)) for i, (v, w) in enumerate(LOG_FACTORIAL_GOLDEN) if v <= 10**7]
+        dense_rounded = sum(float(dense[LOG_FACTORIAL_GOLDEN[i][0]]) == w for i, w in small)
+        assert sum(rounded[i] for i, _ in small) >= dense_rounded
+
+    def test_log_factorial_golden(self):
+        # the bytes of every value to 10^6, which the x87 extended
+        # precision fixes; a change of the series or its rounding moves it
         lf = log_factorial(np.arange(10**6 + 1))
         assert hashlib.sha256(lf.tobytes()).hexdigest() == (
-            "a75b3643cd90be8f672209dcbbb881e7d1ae52f39a41f491bc6c8f83ee3dc480")
+            "28df027ead676f51eafe45f33c74fa34bae06ca3f34def5a5f5d0942da49b0ee")
 
     def test_log_factorial_matches_dense_oracle(self):
-        """Seeded x <= 10^7, both sides of every checkpoint jB and of the
-        build's chunk edges, and x = 0 and 1, as one array and one by one."""
-        limit, step = 10**7, identities._STEP
+        """Within 1 ulp of the dense running sum at every x <= 10^6, and at
+        seeded x <= 10^7 and both sides of the series' start at 32, as
+        one array and one by one; equal at x = 0 and 1."""
+        def ulps(got, want):
+            return np.abs(got.view(np.int64) - want.view(np.int64))
+
+        dense = dense_log_factorial(10**7)
+        every = np.arange(10**6 + 1)
+        assert ulps(log_factorial(every), dense[:10**6 + 1]).max() <= 1
         rng = np.random.default_rng(20231)
-        marks = np.arange(0, limit + 1, step)
-        edges = np.arange(1, limit + 1, identities._LOG_CHUNK)
-        x = np.concatenate([[0, 1, limit], rng.integers(0, limit + 1, 20_000),
-                            marks - 1, marks, marks + 1, edges - 1, edges, edges + 1])
-        x = x[(x >= 0) & (x <= limit)]
-        want = dense_log_factorial(limit)[x]
-        assert log_factorial(x).tobytes() == want.tobytes()
-        assert log_factorial(x[:4000].reshape(20, 200)).tobytes() == want[:4000].tobytes()
+        x = np.concatenate([[0, 1, 31, 32, 33, 10**7], rng.integers(0, 10**7 + 1, 20_000)])
+        got = log_factorial(x)
+        assert ulps(got, dense[x]).max() <= 1
+        assert got[0] == got[1] == 0.0
+        assert log_factorial(x[:4000].reshape(20, 200)).tobytes() == got[:4000].tobytes()
         some = rng.choice(x, 300).tolist()
-        assert [log_factorial(v) for v in some] == dense_log_factorial(limit)[some].tolist()
+        assert [log_factorial(v) for v in some] == log_factorial(np.array(some)).tolist()
 
     def test_log_factorial_dtypes_and_shapes(self):
         want = [log_factorial(v) for v in range(8)]
@@ -337,14 +418,16 @@ class TestFactorialRatio:
         assert log_factorial(np.int64(7)) == want[7]
         assert log_factorial(np.array(7)) == want[7]
         assert log_factorial(np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+        top = np.array([MAX_FLOAT_INT], dtype=np.uint64)
+        assert log_factorial(top).tolist() == [log_factorial(MAX_FLOAT_INT)]
 
     def test_log_factorial_prefix_read_only(self):
-        marks = log_factorial_prefix(40 * identities._STEP)
-        assert marks.dtype == np.longdouble and len(marks) == 41
-        with pytest.raises(ValueError):
-            marks[3] = 0.0
-        with pytest.raises(ValueError):
-            identities._LOGFACT[0] = 1.0
+        # the reader keeps nothing: each call returns a new array, and
+        # writing into one changes no later read
+        marks = log_factorial_prefix(40 * 32)
+        assert marks.dtype == np.float64 and len(marks) == 41
+        marks[3] = 0.0
+        assert log_factorial_prefix(40 * 32)[3] == log_factorial(96) != 0.0
         assert log_factorial(3) == pytest.approx(math.log(6), rel=1e-15)
 
     def test_log_factorial_prefix_budget(self):
@@ -359,9 +442,11 @@ class TestFactorialRatio:
             with pytest.raises(OutOfRangeError):
                 log_factorial_prefix(MAX_LIMIT + 1)
             with pytest.raises(OutOfRangeError):
-                log_factorial(MAX_LIMIT + 1)
+                log_factorial(MAX_FLOAT_INT + 1)
             with pytest.raises(OutOfRangeError):
-                log_factorial(np.array([0, MAX_LIMIT + 1]))
+                log_factorial(np.array([0, MAX_FLOAT_INT + 1]))
+            with pytest.raises(OutOfRangeError):
+                log_factorial(np.array([2**64 - 1], dtype=np.uint64))
             with pytest.raises(OutOfRangeError):
                 PSI_RATIO_SPEC.log_ratio(10**9)
             peak = tracemalloc.get_traced_memory()[1]
@@ -371,96 +456,33 @@ class TestFactorialRatio:
         with pytest.raises(DomainError):
             PSI_RATIO_SPEC.log_ratio(-1)
         assert PSI_RATIO_SPEC.log_ratio(0) == 0.0
+        # past MAX_LIMIT, which caps log_ratio by the psi tables, log(x!)
+        # still reads
+        assert log_factorial(MAX_LIMIT + 1) > log_factorial(MAX_LIMIT)
 
-    def test_log_factorial_prefix_growth_keeps_prefix(self, monkeypatch):
-        # start from the import state so both calls build, the second
-        # larger, continuing the running sum from the last checkpoint
-        step = identities._STEP
-        fresh_checkpoints(monkeypatch)
+    def test_log_factorial_prefix_growth_keeps_prefix(self):
+        # a shorter read is a prefix of a longer one, every 32nd value
         small = log_factorial_prefix(1000)
         grown = log_factorial_prefix(6000)
-        assert len(identities._LOGFACT) == 6000 // step + 1 == len(grown)
-        assert not grown.flags.writeable
+        assert len(grown) == 6000 // 32 + 1
         assert np.array_equal(grown[:len(small)], small)
-        fresh_checkpoints(monkeypatch)
-        assert np.array_equal(log_factorial_prefix(6000), grown)
-        assert float(log_factorial_prefix(6000)[-1]) == dense_log_factorial(6000)[6000 // step * step]
+        assert np.array_equal(grown, log_factorial(np.arange(0, 6001, 32)))
 
-    @pytest.mark.parametrize("outer,inner", [(1000, 6000), (6000, 1000)])
-    def test_log_factorial_prefix_build_inside_a_build(self, monkeypatch, outer, inner):
-        # a second build starts inside the first one's first cumsum, as a
-        # second thread could, from the same snapshot of the cache: the
-        # cache keeps the longer build whichever installs last, and each
-        # call returns its own full length
-        step = identities._STEP
-        fresh_checkpoints(monkeypatch)
-        nested = []
-
-        class Numpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def cumsum(self, *args, **kwargs):
-                if not nested:
-                    nested.append(None)  # before the call, which re-enters here
-                    nested[0] = log_factorial_prefix(inner)
-                return np.cumsum(*args, **kwargs)
-
-        monkeypatch.setattr(identities, "np", Numpy())
-        marks = log_factorial_prefix(outer)
-        assert len(marks) == outer // step + 1
-        assert len(nested[0]) == inner // step + 1
-        longer, shorter = sorted((marks, nested[0]), key=len, reverse=True)
-        assert np.array_equal(identities._LOGFACT, longer)
-        assert np.array_equal(longer[:len(shorter)], shorter)
-        assert float(longer[-1]) == dense_log_factorial(6000)[6000 // step * step]
-
-    def test_log_factorial_prefix_threads(self, monkeypatch):
-        # four threads on two cores race their builds with a short switch
-        # interval: every call returns its full length, and the cache ends
-        # as long as the longest
-        step = identities._STEP
-        fresh_checkpoints(monkeypatch)
-        limits = [10**5 * (1 + i % 7) for i in range(28)]
-        got, errors = [], []
-
-        def work(chunk):
+    def test_log_factorial_prefix_memory(self):
+        """A read of 10^6 values holds its float64 output and a few
+        extended-precision temporaries of one pass of `_PASS` values; the
+        prefix reader at 10^7 holds its 2.5 MB of float64 values."""
+        every = np.arange(10**6)
+        for call, held in ((lambda: log_factorial(every), every.nbytes),
+                           (lambda: log_factorial_prefix(10**7), 8 * (10**7 // 32 + 1))):
+            tracemalloc.start()
             try:
-                got.extend((limit, len(log_factorial_prefix(limit))) for limit in chunk)
-            except Exception as exc:  # reported below, as a thread would hide it
-                errors.append(exc)
-
-        threads = [threading.Thread(target=work, args=(limits[i::4],)) for i in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads) and not errors
-        assert sorted(got) == sorted((limit, limit // step + 1) for limit in limits)
-        assert len(identities._LOGFACT) == 7 * 10**5 // step + 1
-
-    def test_log_factorial_prefix_memory(self, monkeypatch):
-        """The warm-up at 10^7 holds 16 bytes per checkpoint, one per B
-        integers (a dense float64 prefix held 80 MB), and its build peak
-        stays within the checkpoints and two `_LOG_CHUNK`-wide chunks of
-        extended-precision logs (2^20-wide chunks peaked at 21.8 MB)."""
-        fresh_checkpoints(monkeypatch)
-        limit, chunk = 10**7, identities._LOG_CHUNK
-        held = 16 * (limit // identities._STEP + 1)
-        tracemalloc.start()
-        try:
-            log_factorial_prefix(limit)
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert identities._LOGFACT.nbytes <= held
-        assert current <= held + 2**16
-        assert peak <= held + 2 * 16 * chunk
+                out = call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.nbytes == held
+            assert peak <= 2 * held + 8 * 16 * identities._PASS
 
 
 def same_value(a, b):

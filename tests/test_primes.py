@@ -133,8 +133,8 @@ class TestBuildTable:
 
     def test_setup_rss_growth(self):
         # a fresh interpreter's peak RSS, from after the import through a
-        # 10^7 table and its log-factorial checkpoints: ~33 MB here, ~88 MB
-        # with the dense int32 pi prefix and 2^20-wide log chunks
+        # 10^7 table and a read of log(x!) at every 32nd x <= 10^7: ~31 MB
+        # here, ~88 MB with the dense int32 pi prefix and 2^20-wide log chunks
         code = textwrap.dedent("""
             import resource
             import binomfactor
