@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .identities import omega_pi_series
-from .primes import (MAX_FLOAT_INT, PrimeTable, _as_int, _shown,
-                     omega_binom_oracle)
+from .primes import (MAX_FLOAT_INT, PrimeTable, _as_int, _binom_divisor_count,
+                     _shown)
 
 
 def _xlogx(v: int) -> float:
@@ -68,7 +68,7 @@ def convergence_sweep(n: int, m: int, k_grid, table: PrimeTable) -> list[Converg
     rows = []
     for k in k_grid:
         k = _as_int(k, "k", lo=2)
-        omega, _ = omega_binom_oracle(table, n * k, m * k)
+        omega, _ = _binom_divisor_count(table, n * k, m * k)
         series = omega_pi_series(n, m, k, table)
         predicted = const * k / math.log(k)
         ratio = omega / predicted if predicted else math.nan
@@ -89,6 +89,6 @@ def sparse_regime_table(pairs, table: PrimeTable) -> list[SparseRegimeRow]:
     must decrease along such a family."""
     rows = []
     for n, k in pairs:
-        omega, _ = omega_binom_oracle(table, n, k)
+        omega, _ = _binom_divisor_count(table, n, k)
         rows.append(SparseRegimeRow(int(n), int(k), omega, omega * math.log(n) / n))
     return rows

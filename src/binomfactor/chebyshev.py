@@ -28,7 +28,7 @@ import numpy as np
 from .asymptotics import omega_growth_constant
 from .errors import DomainError, NonAlternatingError, OutOfRangeError
 from .identities import FactorialRatioSpec, _quotient_sum, omega_pi_series
-from .primes import PrimeTable, _as_int, _shown, omega_binom_oracle
+from .primes import PrimeTable, _as_int, _binom_divisor_count, _shown
 
 #: Longest coefficient-sequence period (lcm of the expansion divisors): one
 #: int64 per index, and `verify_alternating` scans two periods in Python,
@@ -334,7 +334,7 @@ def empirical_bracket_check(spec: CombinationSpec, k_grid,
         omega_sum = 0
         series_sum = 0
         for term in spec.terms:
-            w, _ = omega_binom_oracle(table, k // term.a, k // term.b)
+            w, _ = _binom_divisor_count(table, k // term.a, k // term.b)
             s = omega_pi_series(term.ratio, 1, k // term.b, table)
             omega_sum += term.sign * w
             series_sum += term.sign * s

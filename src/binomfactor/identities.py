@@ -45,7 +45,7 @@ import numpy as np
 from .decomposition import level_prime_count
 from .errors import DomainError, OutOfRangeError
 from .primes import (MAX_FLOAT_INT, MAX_LIMIT, PrimeTable, _as_int,
-                     _binom_divisor_flags, _floor_real, _quotients, _shown)
+                     _binom_divisor_count, _floor_real, _quotients, _shown)
 
 IDENTITY_OMEGA_PI = "omega_pi"
 IDENTITY_FACTORIAL_RATIO_PSI = "factorial_ratio_psi"
@@ -135,19 +135,28 @@ def _quotient_sum(table: PrimeTable, x: int, coef=(1,)) -> int:
 
     One pass over the values q of `_quotients(x)`, with pi at each from
     `PrimeTable.pi_on_quotients` (which refuses x past the table): the j
-    sharing q are (lo, hi] with hi = floor(x/q) and lo the previous
-    value's hi (0 for the first), so q is weighted by the coefficient mass
-    C(hi) - C(lo) of its run, where C(v) = sum of c_j over j <= v.  Integer
-    arithmetic throughout, O(sqrt x) work.  pi(0) = pi(1) = 0, so summing
-    over every j equals stopping once the argument drops below 2.
+    sharing q are (lo, hi], hi the largest j with floor(x/j) = q and lo
+    the previous value's hi (0 for the first), so q is weighted by the
+    coefficient mass C(hi) - C(lo) of its run, where C(v) = sum of c_j
+    over j <= v.  The run ends need no division: with r = isqrt(x) and s
+    tail values, hi is j itself at the head value floor(x/j), j <= r, and
+    at the tail value v <= s it is floor(x/v), the head value at j = v.
+    So 0 and the ends, in order, are 0..r and then the first s head
+    values reversed.  With period 1, C(v) = c_1 v, and the masses are c_1
+    times the run lengths.  Integer arithmetic throughout, O(sqrt x)
+    work.  pi(0) = pi(1) = 0, so summing over every j equals stopping
+    once the argument drops below 2.
     """
     if x < 2:
         return 0
     q, pi = table.pi_on_quotients(x)
+    r = math.isqrt(x)
+    ends = np.concatenate((np.arange(r + 1, dtype=np.int64), q[len(q) - r - 1::-1]))
     period = len(coef)
+    if period == 1:
+        return int(coef[0]) * int((np.diff(ends) * pi).sum())
     cum = np.concatenate(([0], np.cumsum(coef, dtype=np.int64)))
-    hi = x // q
-    mass = np.diff(hi // period * cum[-1] + cum[hi % period], prepend=0)
+    mass = np.diff(ends // period * cum[-1] + cum[ends % period])
     return int((mass * pi).sum())
 
 
@@ -167,8 +176,8 @@ def omega_identity_report(n: int, m: int, k: int, table: PrimeTable) -> Identity
 
     * ``deep_level_primes``: primes dividing C(nk, mk) with no level-1
       carry, i.e. floor(nk/p) - floor(mk/p) - floor((n-m)k/p) = 0 (they
-      sit in [1, sqrt(nk)]), counted from the carry oracle's own
-      level-1 flags;
+      sit in [1, sqrt(nk)]): omega minus the level-1 count, both read
+      from the carry oracle's counter `_binom_divisor_count`;
     * ``regroup_correction``: series minus its grouped form, the prime
       counts at the endpoints of the level-1 intervals of (nk, mk)
       (identically 0, since dropped terms all have pi-argument < 2).
@@ -180,14 +189,13 @@ def omega_identity_report(n: int, m: int, k: int, table: PrimeTable) -> Identity
     """
     n, m, k = _check_pair(n, m, k)
     big, small = n * k, m * k
-    _, divides, level1 = _binom_divisor_flags(table, big, small)
-    lhs = int(divides.sum())
+    lhs, level1 = _binom_divisor_count(table, big, small)
     rhs = omega_pi_series(n, m, k, table)
     # the grouped form evaluates the paper's interval endpoints on purpose
     # (over the O(sqrt(nk)) cells that hold an integer): it is the witness
     # the quotient-grouped series and the carry oracle are checked against
     grouped = level_prime_count(table, big, small)
-    deep = lhs - int(level1.sum())
+    deep = lhs - level1
     regroup = rhs - grouped
     residual = lhs - rhs
     if residual != deep - regroup:

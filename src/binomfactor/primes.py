@@ -17,8 +17,10 @@ the floor-difference carry floor(n/q) - floor(k/q) - floor((n-k)/q) = 1.
 Level 1 (q = p) runs as one array test over the primes for small n, and
 from `_GROUPED_FROM` on as one carry per block of integers on which
 floor(n/x), floor(k/x) and floor((n-k)/x) are all constant (O(sqrt n)
-blocks), spread over the primes in each block.  One more test covers
-every higher power q <= n at once, with no loop over root levels.
+blocks).  A count of the divisors sums the primes of the carrying
+blocks; only a caller that returns per-prime hits or flags spreads the
+blocks over the primes.  One more test covers every higher power q <= n
+at once, with no loop over root levels.
 Those powers are the table's own (`PrimeTable.prime_powers_up_to`):
 `_powers_up_to` forms them at construction from its primes <= sqrt(limit),
 each with its base's index among the primes.  They also serve the
@@ -476,8 +478,9 @@ def _powers_up_to(bases: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np
     return index[order], exponent[order], power[order]
 
 
-#: From this n on, `_binom_divisor_flags` runs the level-1 carry once per
-#: block of constant floors (`_grouped_level1`) instead of once per prime.
+#: From this n on, `_binom_divisor_flags` and `_binom_divisor_count` run
+#: the level-1 carry once per block of constant floors (`_grouped_level1`)
+#: instead of once per prime.
 #: Below it the grouped path's dozen numpy calls cost more than the
 #: per-prime test.  With the block-end carry as two remainders the two
 #: take the same time between n = 3.5 * 10^4 and 4.5 * 10^4 (2 vCPU, numpy
@@ -489,11 +492,14 @@ def _powers_up_to(bases: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np
 _GROUPED_FROM = 1 << 16
 
 
-def _grouped_level1(table: PrimeTable, n: int, k: int) -> np.ndarray:
+def _grouped_level1(table: PrimeTable, n: int,
+                    k: int) -> tuple[np.ndarray, np.ndarray]:
     """The level-1 carry floor(n/p) - floor(k/p) - floor((n-k)/p) = 1 at
-    each prime p <= n, as one bool per prime, for 0 <= k <= n <= limit:
-    evaluated once per block of integers on which all three floors are
-    constant, then spread over the primes in each block.
+    the primes p <= n, for 0 <= k <= n <= limit, evaluated once per block
+    of integers on which all three floors are constant: (the carry of each
+    block, as bool, and the number of primes in it).  Spread over the
+    primes (``np.repeat``) the two give one flag per prime; the count of
+    carrying primes is the sum of the counts where the block carries.
 
     With R = isqrt(n), the sorted values of 0..R and of y // j for y in
     (n, k, n - k) and j <= R, all but one 0 dropped, cut (0, n] into
@@ -522,13 +528,15 @@ def _grouped_level1(table: PrimeTable, n: int, k: int) -> np.ndarray:
     v = v[np.searchsorted(v, 0, side="right") - 1:]
     pi = table.pi_at(v)
     v = v[1:]
-    return np.repeat(k % v > n % v, pi[1:] - pi[:-1])
+    return k % v > n % v, pi[1:] - pi[:-1]
 
 
 def _binom_divisor_flags(table: PrimeTable, n: int,
                          k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(primes <= n, "divides C(n, k)" per prime, "carries at p itself"
-    per prime), fully vectorised, with no loop over root levels.
+    per prime), fully vectorised, with no loop over root levels.  Only
+    the callers that return per-prime hits or flags build these pi(n)-long
+    arrays; a count reads `_binom_divisor_count`.
 
     p divides C(n, k) iff some power q = p^i carries, i.e. has
     floor(n/q) - floor(k/q) - floor((n-k)/q) = 1, and by Kummer's theorem
@@ -542,19 +550,41 @@ def _binom_divisor_flags(table: PrimeTable, n: int,
 
     Level 1 runs that test over all primes <= n below `_GROUPED_FROM`,
     and from there once per block of constant floors (`_grouped_level1`,
-    O(sqrt n) blocks).  The prime powers p^i <= n with i >= 2 are the
-    table's prefix `PrimeTable.prime_powers_up_to(n)`, which carries each
-    one's prime index: a carry there sets the flag at that index.
+    O(sqrt n) blocks), spread over the primes.  The prime powers p^i <= n
+    with i >= 2 are the table's prefix `PrimeTable.prime_powers_up_to(n)`,
+    which carries each one's prime index: a carry there sets the flag at
+    that index.
     """
     primes = table.primes_up_to(n)
     if n < _GROUPED_FROM:
         level1 = k % primes > n % primes
     else:
-        level1 = _grouped_level1(table, n, k)
+        level1 = np.repeat(*_grouped_level1(table, n, k))
     at, q = table.prime_powers_up_to(n)
     divides = level1.copy()
     divides[at[k % q > n % q]] = True
     return primes, divides, level1
+
+
+def _binom_divisor_count(table: PrimeTable, n: int, k: int) -> tuple[int, int]:
+    """(omega(C(n, k)), the number of primes p <= n that carry at p
+    itself); the pair is checked by `_check_binom_args` on the table.
+
+    Below `_GROUPED_FROM` both are counted from `_binom_divisor_flags`.
+    From there no per-prime array is made: the level-1 count sums the
+    primes of the blocks of `_grouped_level1` that carry, and the other
+    divisors are the deep primes, the distinct bases of the carrying
+    powers p^i <= n, i >= 2, whose own level-1 test k mod p > n mod p
+    fails."""
+    n, k = _check_binom_args(n, k, table)
+    if n < _GROUPED_FROM:
+        _, divides, level1 = _binom_divisor_flags(table, n, k)
+        return int(np.count_nonzero(divides)), int(np.count_nonzero(level1))
+    carry, count = _grouped_level1(table, n, k)
+    level1 = int(count @ carry)  # int32 is exact: the sum is at most pi(n)
+    at, q = table.prime_powers_up_to(n)
+    p = table.primes[np.unique(at[k % q > n % q])]
+    return level1 + int(np.count_nonzero(k % p <= n % p)), level1
 
 
 def omega_binom_oracle(table: PrimeTable, n: int, k: int) -> tuple[int, np.ndarray]:

@@ -65,6 +65,17 @@ class TestQuotientSum:
                 assert _quotient_sum(table_large, x, coef) == weighted_sum(vals, coef), (
                     x, coef)
 
+    def test_quotient_head_tail_boundary(self, table_large):
+        # the run ends are 0..isqrt(x) and then head values; isqrt(x)
+        # changes at s^2, and the tail's top value reaches isqrt(x) at
+        # s(s+1); (3,) takes the period-1 path with a coefficient other than 1
+        for s in (1, 2, 3, 17, 256, 1000, 3161):
+            for x in (s * s, s * (s + 1) - 1, s * (s + 1)):
+                vals = table_large.pi_at(x // np.arange(1, x // 2 + 1, dtype=np.int64))
+                for coef in COEFFICIENT_SETS + ((3,),):
+                    assert _quotient_sum(table_large, x, coef) == weighted_sum(vals, coef), (
+                        x, coef)
+
     def test_callers_match_gather(self, table_medium):
         pp = dense_pi(table_medium)
         seq = coefficient_sequence(PI_BOUNDS_SPEC)

@@ -21,7 +21,8 @@ from binomfactor import (MAX_LIMIT, DomainError, OutOfRangeError,
                          legendre_exponent, omega_binom_oracle)
 from binomfactor.primes import (_CHUNK, _GROUPED_FROM, _PI_SHIFT, MAX_EXPONENT_BITS,
                                MAX_ROOT_BITS,
-                               _binom_divisor_flags, _grouped_level1,
+                               _binom_divisor_count, _binom_divisor_flags,
+                               _grouped_level1,
                                _is_prime_int, _powers_up_to,
                                _quotients, _sieve)
 from conftest import _von_mangoldt, dense_psi, reference_sieve
@@ -590,6 +591,12 @@ class TestKummerOracle:
             n = rng.randint(10**7 - 1000, 10**7)
             self._check(table_large, n, rng.randint(0, n))
 
+    def test_around_the_crossover(self, table_medium):
+        rng = random.Random(_GROUPED_FROM)
+        for n in (_GROUPED_FROM - 1, _GROUPED_FROM, _GROUPED_FROM + 1):
+            for k in _LevelOneWalks._edge_ks(n, rng):
+                self._check(table_medium, n, k)
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 997])
     def test_around_prime_powers(self, table_medium, p):
         rng = random.Random(p)
@@ -602,17 +609,12 @@ class TestKummerOracle:
             q *= p
 
 
-class TestGroupedLevel1:
-    """`_grouped_level1` runs the level-1 carry once per block of constant
-    floors; at every n it can be called on, including n below
-    `_GROUPED_FROM` where the oracle itself runs the per-prime test, it
-    must equal the reference loop's level-1 flags."""
-
-    @staticmethod
-    def _check(table, n, k):
-        got = _grouped_level1(table, n, k)
-        want = _reference_flags(table, n, k)[2]
-        assert got.dtype == bool and np.array_equal(got, want), (n, k)
+class _LevelOneWalks:
+    """The (n, k) walks over the range of the block kernel: every pair to
+    300, seeded pairs to 10^7, the crossover `_GROUPED_FROM`, the
+    head/tail boundaries of the quotient set and each table's limit.
+    Each subclass's `_check` compares one fast path against
+    `_reference_flags` at a pair."""
 
     @staticmethod
     def _edge_ks(n, rng):
@@ -634,9 +636,6 @@ class TestGroupedLevel1:
         for n in (_GROUPED_FROM - 1, _GROUPED_FROM, _GROUPED_FROM + 1):
             for k in self._edge_ks(n, rng):
                 self._check(table_medium, n, k)
-                got = _binom_divisor_flags(table_medium, n, k)
-                for g, w in zip(got, _reference_flags(table_medium, n, k)):
-                    assert np.array_equal(g, w), (n, k)
 
     @pytest.mark.parametrize("s", [2, 3, 17, 256, 1000, 3161])
     def test_quotient_head_tail_boundary(self, table_large, s):
@@ -653,6 +652,44 @@ class TestGroupedLevel1:
             n = table.limit
             for k in self._edge_ks(n, rng):
                 self._check(table, n, k)
+
+
+class TestGroupedLevel1(_LevelOneWalks):
+    """`_grouped_level1` gives the level-1 carry once per block of constant
+    floors, with the primes in each block; at every n it can be called on,
+    including n below `_GROUPED_FROM` where the oracle itself runs the
+    per-prime test, the blocks spread over the primes must equal the
+    reference loop's level-1 flags, and the carrying blocks' primes must
+    number the carrying primes."""
+
+    @staticmethod
+    def _check(table, n, k):
+        carry, count = _grouped_level1(table, n, k)
+        want = _reference_flags(table, n, k)[2]
+        assert carry.dtype == bool and np.array_equal(np.repeat(carry, count), want), (n, k)
+        assert int(count[carry].sum()) == int(want.sum()), (n, k)
+
+
+class TestDivisorCount(_LevelOneWalks):
+    """`_binom_divisor_count` counts omega(C(n, k)) and the primes that
+    carry at level 1, from `_GROUPED_FROM` on with no per-prime array; at
+    every pair it must equal the counts of the reference loop's flags and
+    the count of `omega_binom_oracle`."""
+
+    @staticmethod
+    def _check(table, n, k):
+        _, divides, level1 = _reference_flags(table, n, k)
+        want = int(divides.sum()), int(level1.sum())
+        assert _binom_divisor_count(table, n, k) == want, (n, k)
+        assert omega_binom_oracle(table, n, k)[0] == want[0], (n, k)
+
+    def test_refuses_like_the_oracle(self, table_small):
+        for n, k, error in ((20_001, 5, OutOfRangeError), (10, 11, DomainError),
+                            (0, 0, DomainError), (10.0, 3, DomainError)):
+            with pytest.raises(error):
+                _binom_divisor_count(table_small, n, k)
+            with pytest.raises(error):
+                omega_binom_oracle(table_small, n, k)
 
 
 class TestPowerLadder:
