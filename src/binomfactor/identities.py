@@ -20,19 +20,12 @@ Every pi series here is a sum of pi at floor(x/j); `_quotient_sum` sums
 it exactly over the ~2 sqrt(x) quotients `PrimeTable.pi_on_quotients`
 reads (Dirichlet hyperbola grouping), never over all x/2 indices j.
 
-The psi series is a float sum, and regrouping its terms would move the
-last bits of the result.  `_psi_series_one` keeps the reduction order of
-one extended-precision np.sum over its c/2 float64 terms psi(floor(c/i)),
-in order: pairwise sums over fixed blocks of `_PSI_BLOCK` = 8192 terms,
-added in order.  It looks psi up once per quotient.  Each block's
-pairwise sum is a perfect tree over 64 leaves of `_PSI_LEAF` = 128 terms,
-and a leaf or block that lies inside one run of equal quotients is copies
-of one value, whose pairwise sum is that value times the count to the
-bit.  Only the leaves where runs meet and the short last block (73,792
-of the 5*10^6 terms at c = 10^7) are expanded with np.repeat and summed;
-the tree above the leaves is folded level by level.  So the sum is
-bit-identical to the direct gather, with no O(c) index array, divisions
-or term array.
+The psi series of a factorial ratio is a float sum.  `_psi_series` adds
+it as one correctly rounded sum of the table's psi values: all arguments'
+quotients are merged, each value carries the integer count of its terms
+(exact regrouping), and one `math.fsum` adds the exact products.  So the
+result is `math.fsum` over the O(x) gather of every term, read in
+O(sqrt x) work, and no numpy reduction order or long double enters it.
 """
 
 from __future__ import annotations
@@ -45,7 +38,7 @@ import numpy as np
 from .decomposition import level_prime_count
 from .errors import DomainError, OutOfRangeError
 from .primes import (MAX_FLOAT_INT, MAX_LIMIT, PrimeTable, _as_int,
-                     _binom_divisor_count, _floor_real, _quotients, _shown)
+                     _binom_divisor_count, _floor_real, _shown)
 
 IDENTITY_OMEGA_PI = "omega_pi"
 IDENTITY_FACTORIAL_RATIO_PSI = "factorial_ratio_psi"
@@ -113,12 +106,17 @@ class FactorialRatioSpec:
             + [-v * math.log(v) for v in self.denominator_multipliers])
 
     def log_ratio(self, k: int) -> float:
-        """log of the ratio at k >= 0, from one `log_factorial` read of
-        every multiplier times k (fsum); max multiplier * k <= `MAX_LIMIT`."""
+        """log of the ratio at k >= 0, rounded once from the extended
+        precision log(x!) of one `_log_factorial_pass` over every
+        multiplier times k; max multiplier * k <= `MAX_LIMIT`.  Each value
+        is split into its float64 rounding and the exact float64 rest,
+        and one fsum adds the signed parts."""
         k = _as_int(k, "k", lo=0, hi=MAX_LIMIT // self.max_multiplier)
         ns, ms = self.numerator_multipliers, self.denominator_multipliers
-        lf = log_factorial(np.array(ns + ms, dtype=np.int64) * k).tolist()
-        return math.fsum(lf[:len(ns)] + [-v for v in lf[len(ns):]])
+        lf = _log_factorial_pass(np.array(ns + ms, dtype=np.int64) * k)
+        lf[len(ns):] *= -1
+        hi = lf.astype(np.float64)
+        return math.fsum(hi.tolist() + (lf - hi).astype(np.float64).tolist())
 
 
 def _check_pair(n: int, m: int, k: int) -> tuple[int, int, int]:
@@ -289,91 +287,73 @@ def log_factorial_prefix(limit: int) -> np.ndarray:
     return log_factorial(np.arange(0, limit + 1, 32))
 
 
-_PSI_BLOCK = 8192
-# numpy's pairwise sum (PW_BLOCKSIZE in its loops) adds at most 128 terms
-# with 8 accumulators and splits a longer run at half its length rounded
-# down to a multiple of 8, so a whole block is a perfect tree of 64 leaves
-_PSI_LEAF = 128
+#: Veltkamp's splitter for float64 (Dekker 1971): v * (2^27 + 1) cuts v
+#: into hi + lo, each of at most 26 significant bits.
+_SPLITTER = float((1 << 27) + 1)
 
 
-def _run_spans(ends, starts, size):
-    """The run holding the first term of each span [s, s + size) of the
-    psi terms, and whether the span's last term lies in that run too."""
-    first = np.searchsorted(ends, starts, side="right")
-    return first, first == np.searchsorted(ends, starts + (size - 1), side="right")
+def _weighted_fsum(v: np.ndarray, w: np.ndarray, bound: int) -> float:
+    """sum of w * v, correctly rounded, for float64 values v and integral
+    float64 weights w with |w| < bound.
+
+    w * v is exact where |w| is a power of two.  Elsewhere v is split into
+    hi + lo, so w * hi and w * lo are exact while |w| < 2^27.  One
+    `math.fsum` (Shewchuk 1997) rounds the sum of the exact terms once.  A
+    weight at or past min(bound, 2^27) raises `RuntimeError`: the caller's
+    proof that |w| < bound has failed, or the split would not be exact."""
+    m = np.abs(w).astype(np.int64)
+    if m.size and m.max() >= min(bound, 1 << 27):
+        raise RuntimeError(f"psi weight {m.max()} reaches the bound {bound}")
+    one = (m & (m - 1)) == 0
+    vs, ws = v[~one], w[~one]
+    c = vs * _SPLITTER
+    hi = c - (c - vs)
+    return math.fsum(np.concatenate((w[one] * v[one], ws * hi, ws * (vs - hi))).tolist())
 
 
-def _psi_series_one(table: PrimeTable, c: int) -> np.longdouble:
-    """sum_i psi(c / i) over i >= 1 until the argument drops below 2.
+def _psi_series(table: PrimeTable, num: list[int], den: list[int]) -> float:
+    """sum_i psi(y/i) over the arguments y of num, minus the same over den,
+    correctly rounded from the table's psi values: num and den hold ints
+    in [0, table.limit] with equal sums.
 
-    The terms psi(floor(c/i)), i = 1..c/2, come from one `PrimeTable.psi_at`
-    read of the values q >= 2 of `_quotients(c)`, each repeated over its run
-    of floor(c/q) - floor(c/q') consecutive i (q' the value before q).
-
-    The reduction order is the one the outputs carry: the terms, cast to
-    extended precision, are cut into blocks of B = `_PSI_BLOCK` = 8192; each
-    block is summed pairwise (numpy's pairwise sum), and the block totals
-    are added in order.  That is what np.sum(terms, dtype=np.longdouble)
-    does over a float64 array at numpy's default buffer size of 8192, so
-    the sum equals the direct gather over every i to the bit; unlike that
-    np.sum, it does not depend on `np.getbufsize()`.
-
-    The pairwise sum of a whole block is a perfect binary tree over 64
-    leaves of L = `_PSI_LEAF` = 128 terms.  A leaf inside one run is L
-    copies of v = psi(q), and its sum is exactly L*v: each of its 8
-    accumulators adds 16 copies one at a time (k*v, k <= 16, needs at most
-    4 bits beyond v's 53, within the 64-bit significand), and the 8 are
-    joined by doublings.  Every node above equal children doubles them, so
-    a whole block inside one run is exactly B*v.  A block is pure when its
-    first and last terms share a run; its leaves can all be pure while it
-    holds two runs, when a run ends on a leaf edge.  Inside the other
-    blocks only the leaves where runs meet (the short runs of the large
-    quotients and one leaf at each end of a long run) are expanded by
-    np.repeat and summed as rows of L; six levels of adjacent pair sums
-    fold each block's 64 leaves into its total, in the tree's order.  The
-    short last block is expanded and summed pairwise, and one cumsum adds
-    the block totals in order.  With c/2 <= B the single block is one
-    pairwise sum.
-    """
-    if c < 2:
-        return np.longdouble(0.0)
-    q = _quotients(c)[:-1]
-    ends = c // q  # run r covers the terms [ends[r - 1], ends[r])
-    runs = np.diff(ends, prepend=0)
-    psi = table.psi_at(q).astype(np.longdouble)
-    n = c // 2  # terms i = 1..c/2, so n = ends[-1]
-    B, L = _PSI_BLOCK, _PSI_LEAF
-    if n <= B:
-        return np.sum(np.repeat(psi, runs))
-    full, rest = divmod(n, B)
-    first, pure = _run_spans(ends, np.arange(0, full * B, B), B)
-    mixed = np.flatnonzero(~pure)
-    leaf_first, leaf_pure = _run_spans(
-        ends, (mixed[:, None] * B + np.arange(0, B, L)).ravel(), L)
-    owner, leaf_owner = first[pure], leaf_first[leaf_pure]
-    # the pure blocks and leaves leave the expansion; the rest keep order
-    terms = np.repeat(psi, runs - B * np.bincount(owner, minlength=runs.size)
-                      - L * np.bincount(leaf_owner, minlength=runs.size))
-    leaves = np.empty(leaf_first.size, dtype=np.longdouble)
-    leaves[leaf_pure] = psi[leaf_owner] * L
-    cut = (leaves.size - leaf_owner.size) * L
-    leaves[~leaf_pure] = terms[:cut].reshape(-1, L).sum(axis=1)
-    tree = leaves.reshape(mixed.size, B // L)
-    while tree.shape[1] > 1:
-        tree = tree[:, 0::2] + tree[:, 1::2]
-    totals = np.empty(full + (rest > 0), dtype=np.longdouble)
-    totals[:full][pure] = psi[owner] * B
-    totals[mixed] = tree[:, 0]
-    if rest:
-        totals[full] = terms[cut:].sum()
-    return np.cumsum(totals)[-1]
+    Regrouped by value x = floor(y/i) >= 2.  With Y the largest argument
+    and s = floor(Y/(isqrt(Y) + 1)), every argument's tail values lie in
+    2..s, and its head values above s are y // j, j <= y // (s + 1)
+    (see `_quotients`); one sort merges them and drops repeats.  For x
+    and the next value x', the i with floor(y/i) = x number
+    floor(y/x) - floor(y/x'), as no value of any y lies between.  So x
+    has the weight w = f(x) - f(x'), f(x) = sum over num of floor(y/x)
+    minus that over den, and f = 0 past the last value Y.  The sums agree,
+    so f(x) is the den's fractional parts of y/x minus the num's, and
+    |w| < the number of arguments.  psi is read once, at the x with w != 0,
+    and `_weighted_fsum` adds w * psi(x) exactly.  The floors are taken
+    of float64 quotients, which is exact for integers below 2^53."""
+    ys = num + den
+    top = max(ys)
+    if top < 2:
+        return 0.0
+    s = top // (math.isqrt(top) + 1)
+    j = np.arange(1, top // (s + 1) + 1, dtype=np.int64)
+    x = np.sort(np.concatenate([np.arange(2, s + 1, dtype=np.int64)]
+                               + [y // j[:y // (s + 1)] for y in ys]))
+    x = x[np.concatenate(([True], x[1:] != x[:-1]))]
+    xf = x.astype(np.float64)
+    g = np.zeros(x.size)  # -f, so that w = g(x') - g(x)
+    for y in den:
+        g += np.floor(y / xf)
+    for y in num:
+        g -= np.floor(y / xf)
+    w = np.diff(g, append=0.0)
+    at = np.flatnonzero(w)
+    return _weighted_fsum(table.psi_at(x[at]), w[at], len(ys))
 
 
 def factorial_ratio_report(spec: FactorialRatioSpec, k: int, table: PrimeTable) -> IdentityReport:
     """Evaluate the balanced factorial ratio identity at k.
 
-    lhs   = sum log(n_i k)! - sum log(m_i k)!   (compensated log sums)
-    rhs   = the psi series; agrees with lhs up to float rounding
+    lhs   = sum log(n_i k)! - sum log(m_i k)!, rounded once (`log_ratio`)
+    rhs   = the psi series, the correctly rounded sum of the table's psi
+            values (`_psi_series`); agrees with lhs up to float rounding
             (<= 1e-9 relative).
     Also records the linear-growth value k*log(prod n^n / prod m^m) and
     its residual, which grows like log k.
@@ -383,12 +363,8 @@ def factorial_ratio_report(spec: FactorialRatioSpec, k: int, table: PrimeTable) 
         raise OutOfRangeError(f"max argument {_shown(spec.max_multiplier * k)} "
                               f"exceeds table limit {table.limit}")
     lhs = spec.log_ratio(k)
-    acc = np.longdouble(0.0)
-    for v in spec.numerator_multipliers:
-        acc += _psi_series_one(table, v * k)
-    for v in spec.denominator_multipliers:
-        acc -= _psi_series_one(table, v * k)
-    rhs = float(acc)
+    rhs = _psi_series(table, [v * k for v in spec.numerator_multipliers],
+                      [v * k for v in spec.denominator_multipliers])
     growth = k * spec.growth_rate
     residual = lhs - rhs
     return IdentityReport(

@@ -151,8 +151,8 @@ def _blocked_sum(terms: np.ndarray) -> np.longdouble:
     """The extended-precision sum of a float64 array, in the order of
     np.sum(terms, dtype=np.longdouble) at numpy's default buffer size but
     independent of `np.getbufsize()`: blocks of `_SUM_BLOCK` terms, each
-    cast and summed pairwise, the block totals added in order (the order
-    `identities._psi_series_one` keeps).  One block is cast at a time."""
+    cast and summed pairwise, the block totals added in order.  One block
+    is cast at a time."""
     total = np.longdouble(0.0)
     for lo in range(0, terms.size, _SUM_BLOCK):
         total += terms[lo:lo + _SUM_BLOCK].astype(np.longdouble).sum()

@@ -387,8 +387,8 @@ _RECORD_DIGESTS = {
         "eda3c63c2be169f78d966a4556a1785c844f3cf8e4358bb9772bf8b941c03976",
         "b6ba6ba915e484e76ce22e820675ddc616fd1bf0f04d3f9d24422398c2e8ec55"),
     ("bounds", "--psi", "--k-grid", "7,100,1000"): (
-        "e559413c8dc48e0e88572a9054f04a9d1f2472e7f4ab58d4f4ceaa7cac16d1fe",
-        "891bdd6a71bf3525414dca1ddedb88264df5abc721f85eb9bb0e446f2ee30d4c",
+        "147d0aceff50129435a3e2e3463bb15f07d3b94850fff5a51f3b49c20e7b4480",
+        "f086b4170715da6b8dd938727cd0f2613e92303ff4fbf131066cc3a478af5214",
         "488921266aa8cb38fb27ef100e7f34c1a6182e1e5f2e585843b53fee05cb423a"),
     ("identity", "thm1", "--n", "2", "--m", "1", "--grid", "100,1000,5000"): (
         "4be938e845f43ae9e86e59ca8ee2826dc9c6bd28ee1954482824d93797fe16d2",

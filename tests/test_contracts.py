@@ -97,9 +97,8 @@ def test_no_module_state():
 
 def test_longdouble_is_x87_extended():
     assert np.finfo(np.longdouble).nmant == 63, (
-        "np.longdouble is not the x87 80-bit format: the golden digests and "
-        "the longdouble leaf-tree tests assume it, as psi and log(x!) "
-        "accumulate in it")
+        "np.longdouble is not the x87 80-bit format: the golden digests "
+        "assume it, as the psi table and log(x!) accumulate in it")
 
 
 def test_single_bounds_checked_only_in_as_int():

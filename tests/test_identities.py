@@ -7,6 +7,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binomfactor import (MAX_LIMIT, PI_BOUNDS_SPEC, DomainError,
                          FactorialRatioSpec, OutOfRangeError, PrimeTable,
@@ -19,8 +21,7 @@ from binomfactor import (MAX_LIMIT, PI_BOUNDS_SPEC, DomainError,
 from binomfactor import identities
 from binomfactor.chebyshev import PSI_RATIO_SPEC
 from binomfactor.decomposition import level_prime_count
-from binomfactor.identities import (_PSI_BLOCK, _PSI_LEAF, _psi_series_one,
-                                   _quotient_sum)
+from binomfactor.identities import _psi_series, _quotient_sum, _weighted_fsum
 from binomfactor.primes import MAX_FLOAT_INT, _GROUPED_FROM, _pi_levels, _quotients
 from conftest import dense_log_factorial, dense_psi, reference_sieve
 
@@ -309,6 +310,17 @@ LOG_FACTORIAL_GOLDEN = [
 ]
 
 
+#: log((30k)! k! / ((15k)! (10k)! (6k)!)), `PSI_RATIO_SPEC`'s ratio: 40
+#: digits of mpmath's loggamma sums at 50 significant digits.
+LOG_RATIO_GOLDEN = [
+    (1, "25.07530117990365652911231684835248418407"),
+    (7, "189.8871578466545516781363531835422933488"),
+    (1000, "27632.68733149252718036111334968277232835"),
+    (33333, "921274.9833267992956960725906695900234866"),
+    (333333, "9212902.038434994784818639789340129405585"),
+]
+
+
 def within_one_ulp(got: float, want: str) -> bool:
     """|got - want| < 1 ulp of the float nearest the decimal ``want``."""
     exact = Fraction(want)
@@ -332,7 +344,9 @@ class TestFactorialRatio:
         assert abs(rep.residual) <= 1e-9 * abs(rep.lhs)
 
     def test_exactness_across_partition_pairs(self, table_medium):
-        # every balanced spec with multipliers summing to <= 6
+        # every balanced spec with multipliers summing to <= 6; at k <= 2000
+        # the rhs is also math.fsum over the gather of every term
+        pp = dense_psi(table_medium.limit)
         for total in range(2, 7):
             parts = _partitions(total, 6)
             for nparts, mparts in combinations_with_replacement(parts, 2):
@@ -340,6 +354,9 @@ class TestFactorialRatio:
                 for k in (1, 10, 1000, 10_000):
                     rep = factorial_ratio_report(spec, k, table_medium)
                     assert abs(rep.residual) <= 1e-9 * max(abs(rep.lhs), 1.0), (spec, k)
+                    if k <= 2000:
+                        assert rep.rhs == gather_fsum(
+                            pp, [v * k for v in nparts], [v * k for v in mparts]), (spec, k)
 
     def test_classical_psi_spec(self, table_medium):
         spec = FactorialRatioSpec((30, 1), (15, 10, 6))
@@ -359,9 +376,16 @@ class TestFactorialRatio:
         # the residual grows like (1/2) log k, far below the 20 log k cap
         assert resid[10_000] <= 6
 
+    def test_log_ratio_golden_values(self):
+        # rounded once from the extended-precision reads, Chebyshev's
+        # ratio is correctly rounded at each golden k
+        for k, want in LOG_RATIO_GOLDEN:
+            assert PSI_RATIO_SPEC.log_ratio(k) == float(want), k
+
     def test_log_ratio_matches_dense_oracle(self):
-        # each of the five reads is within 1 ulp of the dense prefix's, so
-        # the fsum is within the sum of their ulps
+        # each dense read is within 1 ulp of log(x!), and the ratio is
+        # rounded once, so it lies within the sum of the reads' ulps of
+        # the fsum of the dense reads
         spec = PSI_RATIO_SPEC
         lf = dense_log_factorial(10**7)
         for k in (1, 2, 31, 32, 33, 12345, 10**7 // 30):
@@ -496,48 +520,111 @@ class TestFactorialRatio:
             assert peak <= 2 * held + 8 * 16 * identities._PASS
 
 
-def same_value(a, b):
-    """Two extended-precision numbers are equal, the sign of a zero too.
-    Their padding bytes (6 of the 16 an x87 value takes) hold no part of
-    the value, so `.tobytes()` would compare more than it."""
-    return bool(a == b) and bool(np.signbit(a) == np.signbit(b))
+def gather_fsum(pp, num, den):
+    """The O(c) reference for `_psi_series`: math.fsum over every term
+    pp[y // i], i <= y/2, of each y in num, minus those of each y in den."""
+    terms = [gather(pp, y) for y in num] + [-gather(pp, y) for y in den]
+    return math.fsum(np.concatenate([np.zeros(0)] + terms).tolist())
 
 
-def psi_gather_sum(table, c):
-    """The O(c) reference for `_psi_series_one`: one gather per i from the
-    dense psi oracle."""
-    i = np.arange(1, c // 2 + 1, dtype=np.int64)
-    return np.sum(dense_psi(table.limit)[c // i], dtype=np.longdouble)
+def gather_exact(pp, num, den):
+    """`gather_fsum` for large arguments: the same exact sum of every term,
+    rounded once.  Each y's gather is nonincreasing, so it is cut into runs
+    of equal terms, and each run adds its value times its length, scaled
+    to an integer (every psi value >= log 2 is a multiple of 2^-53)."""
+    total = 0
+    for sign, ys in ((1, num), (-1, den)):
+        for y in ys:
+            g = gather(pp, y)
+            if not g.size:
+                continue
+            start = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
+            for v, n in zip(g[start].tolist(), np.diff(start, append=g.size).tolist()):
+                assert v >= 0.5 and (v * 2.0**53).is_integer()
+                total += sign * n * int(v * 2.0**53)
+    return total / 2**53  # int / int is correctly rounded
 
 
 class TestPsiSeriesRuns:
-    """`_psi_series_one` gathers psi once per distinct quotient, writes a
-    block of `_PSI_BLOCK` terms inside one run in closed form and expands
-    the rest; its extended-precision sum must equal the gather over every
-    i to the bit."""
+    """`_psi_series` merges the quotients of all its arguments, weighs each
+    value by its count of terms and adds the exact products in one
+    `math.fsum`: it must equal `math.fsum` over the O(c) gather of every
+    term to the bit."""
+
+    @staticmethod
+    def _check(table, num, den, reference=gather_fsum):
+        want = reference(dense_psi(table.limit), num, den)
+        assert _psi_series(table, num, den) == want, (num, den)
+        assert _psi_series(table, den, num) == -want, (den, num)
 
     def test_every_small_c(self, table_small):
+        pp = dense_psi(table_small.limit)
         for c in range(3000):
-            assert same_value(_psi_series_one(table_small, c),
-                psi_gather_sum(table_small, c)), c
+            for a in (c // 2, c // 3):
+                self._check(table_small, [c], [a, c - a])
+            assert gather_exact(pp, [c], [c // 3, c - c // 3]) == gather_fsum(
+                pp, [c], [c // 3, c - c // 3]), c
 
     def test_square_and_pronic_edges(self, table_medium):
         # r^2 and r(r+1) are where isqrt and the first tail quotient step
         for r in list(range(2, 200)) + [316, 500, 707, 999]:
             for c in (r * r, r * (r + 1)):
                 for e in (-1, 0, 1):
-                    assert same_value(_psi_series_one(table_medium, c + e),
-                        psi_gather_sum(table_medium, c + e)), c + e
+                    self._check(table_medium, [c + e], [(c + e) // 2, c + e - (c + e) // 2])
+                    self._check(table_medium, [c + e, 1], [r, c + e - r + 1])
 
     def test_seeded_c_to_ten_million(self, table_large):
         rng = random.Random(3300)
-        for c in [rng.randint(2, 10**7) for _ in range(300)] + [10**7]:
-            assert same_value(_psi_series_one(table_large, c),
-                psi_gather_sum(table_large, c)), c
+        cs = [rng.randint(2, 10**7) for _ in range(300)] + [10**7]
+        for c in cs:
+            a = rng.randint(0, c)
+            self._check(table_large, [c], [a, c - a], gather_exact)
+
+    def test_spec_pass_is_the_gather_fsum(self, table_large):
+        # the report's rhs at Chebyshev's ratio, over small and large k
+        pp = dense_psi(table_large.limit)
+        ns, ms = PSI_RATIO_SPEC.numerator_multipliers, PSI_RATIO_SPEC.denominator_multipliers
+        for k in (1, 2, 7, 31, 1000, 33333, 333333):
+            num, den = [v * k for v in ns], [v * k for v in ms]
+            rhs = factorial_ratio_report(PSI_RATIO_SPEC, k, table_large).rhs
+            assert rhs == gather_exact(pp, num, den), k
+        assert rhs == gather_fsum(pp, num, den)
+
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=3),
+           st.lists(st.integers(1, 119), max_size=3), st.integers(1, 300))
+    @settings(max_examples=150, deadline=None)
+    def test_random_balanced_specs(self, table_medium, num, cuts, k):
+        # the denominator cuts sum(num) into up to four parts
+        total = sum(num)
+        cuts = sorted({c for c in cuts if c < total})
+        den = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+        spec = FactorialRatioSpec(num, den)
+        rhs = factorial_ratio_report(spec, k, table_medium).rhs
+        assert rhs == gather_fsum(dense_psi(table_medium.limit),
+                                  [v * k for v in num], [v * k for v in den]), (num, den, k)
+
+    def test_weights_past_the_bound_raise(self):
+        # a weight vector that breaks |w| < bound is refused, under -O too
+        v = np.array([1.5, 2.5, 3.25])
+        assert _weighted_fsum(v, np.array([1.0, -3.0, 2.0]), 4) == 1.5 - 7.5 + 6.5
+        for w in ([4.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 0.0, 7.0]):
+            with pytest.raises(RuntimeError):
+                _weighted_fsum(v, np.array(w), 4)
+        # the split is exact only below 2^27, whatever the bound says
+        with pytest.raises(RuntimeError):
+            _weighted_fsum(v, np.array([2.0**27, 1.0, 1.0]), 2**40)
+
+    def test_weighted_fsum_correctly_rounded(self):
+        # odd weights up to 2^27 - 1 on seeded values of every magnitude
+        rng = np.random.default_rng(3800)
+        for _ in range(200):
+            v = rng.random(50) * 10.0 ** rng.integers(-3, 9, 50)
+            w = rng.integers(-(2**27) + 1, 2**27, 50).astype(np.float64)
+            want = sum(Fraction(a) * int(b) for a, b in zip(v.tolist(), w.tolist()))
+            assert _weighted_fsum(v, w, 2**27) == float(want)
 
     def test_transient_memory_bounded(self, table_large):
-        # the gather over every i peaked at ~114 MiB here; the first call
-        # grows the log-factorial cache, which is held, not transient
+        # the gather over every i peaked at ~114 MiB here
         factorial_ratio_report(PSI_RATIO_SPEC, 333333, table_large)
         tracemalloc.start()
         try:
@@ -547,132 +634,29 @@ class TestPsiSeriesRuns:
             tracemalloc.stop()
         assert peak < 48 * 2**20
 
-    def test_block_edges(self, table_large):
-        # c // 2 terms on either side of j whole blocks, c even and odd
-        B = _PSI_BLOCK
-        for j in range(1, 65):
-            for n in (j * B - 1, j * B, j * B + 1):
-                for c in (2 * n, 2 * n + 1):
-                    assert same_value(_psi_series_one(table_large, c),
-                        psi_gather_sum(table_large, c)), c
-
-    def test_run_ending_on_a_block_edge(self, table_large):
-        # the i sharing quotient q end at floor(c/q); put that on j*B
-        B = _PSI_BLOCK
-        for q in (2, 3, 5, 7, 11, 36, 97, 400):
-            for j in (1, 2, 3, 7):
-                for c in (q * j * B, q * j * B + q - 1):
-                    if c > table_large.limit:
-                        continue
-                    assert q in _quotients(c) and c // q == j * B
-                    assert same_value(_psi_series_one(table_large, c),
-                        psi_gather_sum(table_large, c)), (q, j, c)
-
-    def test_whole_block_closed_form(self, table_medium):
-        # B copies of a float64 v sum pairwise to exactly v * B
-        B = _PSI_BLOCK
-        rng = np.random.default_rng(2400)
-        seeded = np.concatenate((rng.random(200) * 10.0 ** rng.integers(-3, 8, 200),
-                                 [np.nextafter(1.0, 2.0), 2.0**53 - 1]))
-        for v in seeded:
-            assert np.sum(np.full(B, v, dtype=np.longdouble)) == np.longdouble(v) * B, v
-        vals = table_medium.psi_values.astype(np.longdouble)
-        for lo in range(0, vals.size, 64):
-            v = vals[lo:lo + 64]
-            rows = np.repeat(v, B).reshape(-1, B).sum(axis=1)
-            assert np.array_equal(rows, v * B), lo
-
-    def test_block_is_a_tree_of_leaves(self):
-        # the leaf rule assumes numpy sums B terms as a perfect pairwise
-        # tree over B/L leaves of L terms, each leaf one pairwise np.sum
-        B, L = _PSI_BLOCK, _PSI_LEAF
-        rng = np.random.default_rng(2700)
-        for _ in range(50):
-            block = (rng.random(B) * 10.0 ** rng.integers(-3, 8, B)).astype(np.longdouble)
-            block += np.ldexp(rng.random(B).astype(np.longdouble), -60) * block
-            tree = block.reshape(-1, L).sum(axis=1)
-            while tree.size > 1:
-                tree = tree[0::2] + tree[1::2]
-            assert same_value(np.sum(block), tree[0]), (
-                f"numpy's pairwise sum no longer makes {B} terms a perfect "
-                f"tree of {B // L} leaves of {L} terms")
-
-    def test_whole_leaf_closed_form(self, table_medium):
-        # L copies of a float64 v sum pairwise to exactly v * L
-        L = _PSI_LEAF
-        why = f"numpy no longer sums {L} copies of a float64 v to exactly {L}*v"
-        rng = np.random.default_rng(2701)
-        seeded = np.concatenate((rng.random(200) * 10.0 ** rng.integers(-3, 8, 200),
-                                 [np.nextafter(1.0, 2.0), 2.0**53 - 1]))
-        for v in seeded:
-            assert np.sum(np.full(L, v, dtype=np.longdouble)) == np.longdouble(v) * L, (v, why)
-        vals = table_medium.psi_values.astype(np.longdouble)
-        rows = np.repeat(vals, L).reshape(-1, L).sum(axis=1)
-        assert np.array_equal(rows, vals * L), why
-
-    def test_leaf_edges(self, table_large):
-        # c // 2 terms on either side of j leaves, c even and odd, j not a
-        # whole number of blocks: the short last block ends at a leaf edge
-        L = _PSI_LEAF
-        for j in list(range(65, 300, 3)) + [1001, 7777, 31249, 39061]:
-            if j % (_PSI_BLOCK // L) == 0:
-                continue
-            for n in (j * L - 1, j * L, j * L + 1):
-                for c in (2 * n, 2 * n + 1):
-                    assert same_value(_psi_series_one(table_large, c),
-                        psi_gather_sum(table_large, c)), c
-
-    def test_run_ending_on_a_leaf_edge(self, table_large):
-        # the i sharing quotient q end at floor(c/q); put that on a leaf
-        # edge j*L inside a whole block, which then holds two runs
-        B, L = _PSI_BLOCK, _PSI_LEAF
-        for q in (3, 5, 7, 11, 36, 97, 400, 2000):
-            for j in (65, 100, 130, 333, 1000, 3001):
-                for c in (q * j * L, q * j * L + q - 1):
-                    if c > table_large.limit or j * L >= c // 2 // B * B:
-                        continue
-                    assert q in _quotients(c) and c // q == j * L and j * L % B
-                    assert same_value(_psi_series_one(table_large, c),
-                        psi_gather_sum(table_large, c)), (q, j, c)
-
-    def test_pure_leaves_two_runs(self, table_large):
-        # a run ending on a leaf edge splits a block whose leaves each lie
-        # inside one run: the block holds two runs, so it is not pure
-        B, L = _PSI_BLOCK, _PSI_LEAF
-        for q, j in ((3, 1000), (3, 1001), (4, 999), (5, 3001), (6, 4001), (8, 9001)):
-            c = q * j * L
-            q_all = _quotients(c)[:-1]
-            ends = c // q_all
-            lo = j * L // B * B
-            assert lo + B <= c // 2
-            runs = np.searchsorted(ends, np.arange(lo, lo + B), side="right")
-            leaves = runs.reshape(-1, L)
-            assert (leaves == leaves[:, :1]).all() and runs[0] != runs[-1], (q, j)
-            assert same_value(_psi_series_one(table_large, c),
-                psi_gather_sum(table_large, c)), (q, j, c)
-
     def test_independent_of_numpy_buffer_size(self, table_large):
         # np.sum over a cast float64 array reduces in chunks of
         # np.getbufsize(); the psi series must not read that setting
         cs = [100, 5000, 16384, 16385, 16386, 20000, 100003, 999999, 10**7]
         ks = [1000, 33333, 333333]
-        before = [_psi_series_one(table_large, c) for c in cs]
+        args = [([c], [c // 3, c - c // 3]) for c in cs]
+        before = [_psi_series(table_large, *a) for a in args]
         rhs = [factorial_ratio_report(PSI_RATIO_SPEC, k, table_large).rhs for k in ks]
         default = np.getbufsize()
         for size in (1024, 4096, 65536):
             np.setbufsize(size)
             try:
-                assert all(same_value(_psi_series_one(table_large, c), v)
-                           for c, v in zip(cs, before)), size
+                assert [_psi_series(table_large, *a).hex() for a in args] == [
+                    v.hex() for v in before], size
                 assert [factorial_ratio_report(PSI_RATIO_SPEC, k, table_large).rhs.hex()
                         for k in ks] == [r.hex() for r in rhs], size
             finally:
                 np.setbufsize(default)
 
     def test_block_sum_memory(self, table_large):
-        # only the blocks where runs meet are expanded: ~9 MiB of
-        # extended-precision terms at c = 10^7, against ~38 MiB for the
-        # float64 expansion of every term and its cast
+        # the pass holds O(sqrt(c)) values, weights and psi reads: its
+        # peak is ~0.44 MiB at k = 333333, where the float64 expansion of
+        # every term and its cast took ~38 MiB
         factorial_ratio_report(PSI_RATIO_SPEC, 333333, table_large)
         tracemalloc.start()
         try:
@@ -683,9 +667,7 @@ class TestPsiSeriesRuns:
         assert peak < 16 * 2**20
 
     def test_leaf_sum_memory(self, table_large):
-        # only the leaves where runs meet are expanded, 16 bytes a term:
-        # ~1.6 MiB at k = 333333, against ~8.7 MiB when each block where
-        # runs meet was expanded whole
+        # the tightest bound: O(c) terms of any kind would break it
         factorial_ratio_report(PSI_RATIO_SPEC, 333333, table_large)
         tracemalloc.start()
         try:
